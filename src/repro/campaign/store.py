@@ -53,6 +53,17 @@ def _encode(record: dict[str, Any]) -> str:
     return canonical_json(record) + "\n"
 
 
+def _publish(path: Path, text: str) -> None:
+    """Atomically replace ``path``: fsynced temp file, then rename -- a
+    rename can reach the disk before the data it names."""
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    tmp.replace(path)
+
+
 class ResultStore:
     """Per-cell result records for one campaign directory."""
 
@@ -138,8 +149,8 @@ class ResultStore:
         """Merge log into the canonical store; rewrite the index.
 
         Records are sorted by cell key and re-encoded canonically, then
-        both files are published atomically (tmp + rename).  Returns the
-        fresh index payload.
+        both files are published atomically (fsynced tmp + rename) before
+        the ingest log is dropped.  Returns the fresh index payload.
         """
         records = sorted(self.records(), key=lambda r: r["cell_key"])
         index: dict[str, Any] = {"num_cells": len(records), "cells": {}}
@@ -159,15 +170,12 @@ class ResultStore:
             offset += nbytes
             lines.append(line)
 
-        tmp_results = self.results_path.with_suffix(".tmp")
-        tmp_results.write_text("".join(lines), encoding="utf-8")
-        tmp_results.replace(self.results_path)
-        tmp_index = self.index_path.with_suffix(".tmp")
-        tmp_index.write_text(
-            json.dumps(index, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
+        _publish(self.results_path, "".join(lines))
+        _publish(
+            self.index_path, json.dumps(index, sort_keys=True, indent=1) + "\n"
         )
-        tmp_index.replace(self.index_path)
+        # Last: until both files are durable the log is the only copy of
+        # the acknowledged cells it holds.
         self.log_path.unlink(missing_ok=True)
         return index
 

@@ -84,8 +84,6 @@ class ExecutionHistoryStore(DurableJsonlStore):
         self._sources: set[str] = set()
         self._columns: dict[str, np.ndarray] | None = None
         super().__init__(directory)
-        #: Back-compat alias for the append log (pre-extraction name).
-        self.history_path = self.data_path
 
     def _absorb(self, row: dict[str, Any]) -> None:
         row["seq"] = int(row.get("seq", len(self._rows)))

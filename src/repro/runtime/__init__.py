@@ -6,8 +6,11 @@ the capacity calculator, a partitioner, the HDDA and the cluster simulator
 into the iteration loop of a SAMR application, and accounts simulated
 execution time with :mod:`repro.runtime.timemodel`.
 
-- :mod:`repro.runtime.engine` -- :class:`SamrRuntime`, the loop driver, and
-  :class:`RunResult`, the full execution record;
+- :mod:`repro.runtime.engine` -- :class:`StepEngine`, the one run loop,
+  :class:`SamrRuntime`, its trace executor, and :class:`RunResult`, the
+  full execution record;
+- :mod:`repro.runtime.distributed` -- the kernel executor of the same loop;
+- :mod:`repro.runtime.pipeline` -- the stages the loop sequences;
 - :mod:`repro.runtime.timemodel` -- per-iteration makespan model
   (compute + ghost exchange + sync + migration + sensing overhead);
 - :mod:`repro.runtime.experiment` -- pre-configured builders for every
@@ -17,11 +20,7 @@ execution time with :mod:`repro.runtime.timemodel`.
 """
 
 from repro.runtime.engine import RunResult, RuntimeConfig, SamrRuntime
-from repro.runtime.pipeline import (
-    RepartitionOutcome,
-    RepartitionPipeline,
-    SenseOutcome,
-)
+from repro.runtime.pipeline import RepartitionOutcome, RepartitionPipeline
 from repro.runtime.timemodel import IterationCost, TimeModel
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "RunResult",
     "RepartitionPipeline",
     "RepartitionOutcome",
-    "SenseOutcome",
     "TimeModel",
     "IterationCost",
 ]

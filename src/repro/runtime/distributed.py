@@ -31,17 +31,14 @@ from repro.amr.hierarchy import GridHierarchy
 from repro.amr.integrator import BergerOligerIntegrator
 from repro.amr.regrid import RegridParams
 from repro.cluster.cluster import Cluster
-from repro.learn.policy import NULL_LEARNER
 from repro.monitor.service import ResourceMonitor
 from repro.partition.base import Partitioner
 from repro.partition.capacity import CapacityCalculator
-from repro.partition.workmodel import WorkModel
 from repro.resilience.checkpoint import CheckpointManager, ResilienceConfig
-from repro.runtime.pipeline import RepartitionPipeline
-from repro.runtime.timemodel import TimeModel
-from repro.telemetry.spans import NullTracer, Tracer, get_active_tracer
+from repro.runtime.engine import StepEngine
+from repro.runtime.timemodel import IterationCost, TimeModel
+from repro.telemetry.spans import NullTracer, Tracer
 from repro.util.errors import SimulationError
-from repro.util.geometry import Box
 
 __all__ = ["DistributedRunConfig", "DistributedRunResult", "DistributedAmrRun"]
 
@@ -87,8 +84,13 @@ class DistributedRunResult:
     checkpoint_seconds: float = 0.0
 
 
-class DistributedAmrRun:
+class DistributedAmrRun(StepEngine):
     """Executes a hierarchy + kernel distributed over a simulated cluster.
+
+    The kernel executor of :class:`~repro.runtime.engine.StepEngine`:
+    boxes come from the live hierarchy, a partition becomes its patch
+    layout, a step runs the integrator (which regrids inside it) before
+    it is priced, and ``resilience`` adds checkpoint/restore.
 
     Parameters
     ----------
@@ -101,6 +103,8 @@ class DistributedAmrRun:
     regrid_params:
         Flagging/clustering knobs passed to the integrator.
     """
+
+    result_type = DistributedRunResult
 
     def __init__(
         self,
@@ -117,82 +121,45 @@ class DistributedAmrRun:
         learn=None,
     ):
         self.hierarchy = hierarchy
-        self.cluster = cluster
-        self.partitioner = partitioner
-        self.monitor = monitor or ResourceMonitor(cluster)
-        self.capacity = capacity_calculator or CapacityCalculator()
-        self.config = config or DistributedRunConfig()
-        self.time_model = time_model or TimeModel(cluster)
-        self.tracer = tracer if tracer is not None else get_active_tracer()
-        if self.tracer.enabled:
-            self.partitioner.set_tracer(self.tracer)
-            self.monitor.tracer = self.tracer
+        self.config = config = config or DistributedRunConfig()
+        self.num_steps = config.steps
+        super().__init__(
+            cluster, partitioner, monitor, capacity_calculator,
+            time_model, tracer, resilience, learn,
+            refine_factor=hierarchy.refine_factor,
+            bytes_per_cell=self.bytes_per_cell,
+            ghost_width=hierarchy.kernel.ghost_width,
+            before_migrate=self._repatch,
+        )
         self.integrator = BergerOligerIntegrator(
             hierarchy,
-            cfl=self.config.cfl,
-            regrid_interval=self.config.regrid_interval,
+            cfl=config.cfl,
+            regrid_interval=config.regrid_interval,
             regrid_params=regrid_params,
             on_regrid=self._on_regrid,
         )
-        # Learned policies behind the tracer's inert-default pattern.
-        self.learn = learn if learn is not None else NULL_LEARNER
-        # Shared sense/partition/migrate/plan mechanics (see the engine).
-        self.pipeline = RepartitionPipeline(
-            cluster=cluster,
-            partitioner=partitioner,
-            monitor=self.monitor,
-            capacity=self.capacity,
-            time_model=self.time_model,
-            tracer=self.tracer,
-            work_model=WorkModel(hierarchy.refine_factor),
-            bytes_per_cell=self.bytes_per_cell,
-            ghost_width=hierarchy.kernel.ghost_width,
-            refine_factor=hierarchy.refine_factor,
-            learner=self.learn,
+        # Mid-epoch redistribution is capability the payoff gate unlocks:
+        # between regrids the paper's loop rides out any imbalance, but
+        # when the priced payoff beats the migration bill the *current*
+        # patch layout is repartitioned early.
+        self.repartition_on_sense = (
+            self.learn.enabled and self.learn.config.payoff_gate
         )
-        self._capacities: np.ndarray | None = None
-        self._result: DistributedRunResult | None = None
-        # Checkpoint/restart + failure-aware repartitioning (opt-in; the
-        # default path is byte-identical to the resilience-free runtime).
-        self.resilience = resilience
         self.ckpt_manager = (
             CheckpointManager(resilience, tracer=self.tracer)
             if resilience is not None
             else None
         )
-        self._partition_live: frozenset[int] | None = None
-
-    # ------------------------------------------------------------------
-    def _work_of(self, box: Box) -> float:
-        return self.pipeline.work_model.work(box)
 
     @property
     def bytes_per_cell(self) -> float:
         return self.config.bytes_per_field_cell * self.hierarchy.kernel.num_fields
 
-    @property
-    def _assignment(self) -> list[tuple[Box, int]]:
-        return self.pipeline.prev_assignment
+    def _step(self) -> int:
+        return self.hierarchy.step_count
 
-    def owned_loads(self) -> np.ndarray:
-        """Per-rank work of the current assignment (cached work vector)."""
-        out = self.pipeline.last
-        if out is None or not out.part.num_assigned():
-            return np.zeros(self.cluster.num_nodes)
-        return out.part.loads()
-
-    def owner_map(self) -> dict[Box, int]:
-        return dict(self._assignment)
-
-    # ------------------------------------------------------------------
-    def _sense(self) -> None:
-        out = self.pipeline.sense()
-        self._capacities = out.capacities
-        result = self._result
-        if result is not None:
-            result.sensing_seconds += out.overhead_seconds
-            result.num_sensings += 1
-            result.capacities_history.append(out.capacities.copy())
+    def _boxes(self):
+        return self.hierarchy.box_list()
 
     def _repatch(self, part) -> None:
         # Turn the partitioner's (possibly split) boxes into patch
@@ -205,262 +172,96 @@ class DistributedAmrRun:
 
     def _on_regrid(self, hierarchy: GridHierarchy) -> None:
         """Partition the fresh hierarchy and make its output the patching."""
-        if self._capacities is None:
-            self._sense()
-        boxes = hierarchy.box_list()
-        if self.resilience is not None and not self.monitor.trusted_mask().all():
-            # Regrid while part of the cluster is out: partition over the
-            # survivors only (the recovery stage handles remapping).
-            out = self.pipeline.recover(
-                boxes,
-                self._capacities,
-                before_migrate=self._repatch,
-                storage_bandwidth_mbps=self.resilience.storage_bandwidth_mbps,
-            )
-        else:
-            out = self.pipeline.repartition(
-                boxes, self._capacities, before_migrate=self._repatch
-            )
-        self._partition_live = self._trusted_live()
-        result = self._result
-        if result is not None:
-            result.migration_seconds += out.migration_seconds
-            result.num_regrids += 1
-            result.loads_history.append(out.loads)
+        self._repartition("regrid")
+        self._result.num_regrids += 1
 
-    # ------------------------------------------------------------------
-    def run(self) -> DistributedRunResult:
-        """Set up and execute ``config.steps`` coarse steps."""
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.begin_run(
-                f"DistributedAmrRun[{self.partitioner.name}]",
-                sim_clock=lambda: self.cluster.clock.now,
-            )
-            self.cluster.attach_tracer(tracer)
-        self._result = DistributedRunResult()
+    def _setup(self) -> None:
+        self.integrator.setup()
+        if self.ckpt_manager is not None:
+            # Baseline snapshot: a crash before the first cadence save
+            # restores to the initial state and replays everything.
+            self._checkpoint()
+
+    def _execute_step(self, step: int) -> IterationCost:
+        with self.tracer.span("advance", step=step):
+            self.integrator.advance()
+        return self._price()
+
+    def _on_sense(self, caps: np.ndarray) -> None:
+        self._result.capacities_history.append(caps.copy())
+
+    def _on_repartition(self, out, trigger: str) -> None:
+        self._result.loads_history.append(out.loads)
+
+    def _on_step(self, cost: IterationCost) -> None:
         result = self._result
-        with tracer.span(
-            "run",
-            partitioner=self.partitioner.name,
-            num_nodes=self.cluster.num_nodes,
-            steps=self.config.steps,
-        ):
-            self._sense()
-            self.integrator.setup()
-            if self.ckpt_manager is not None:
-                # Baseline snapshot: a crash before the first cadence save
-                # restores to the initial state and replays everything.
-                self._checkpoint()
-            cfg = self.config
-            learn = self.learn
-            learned_sensing = learn.enabled and learn.config.adaptive_sensing
-            last_sense_step = self.hierarchy.step_count
-            target = self.hierarchy.step_count + cfg.steps
-            while self.hierarchy.step_count < target:
-                step = self.hierarchy.step_count
-                if self.ckpt_manager is not None:
-                    recovered = self._maybe_recover()
-                    if recovered:
-                        step = self.hierarchy.step_count
-                due_fixed = (
-                    not learned_sensing
-                    and cfg.sensing_interval
-                    and step > 0
-                    and step % cfg.sensing_interval == 0
-                )
-                due_learned = learned_sensing and learn.sense_due(
-                    step, last_sense_step
-                )
-                if due_fixed or due_learned:
-                    self._sense()
-                    last_sense_step = step
-                    if learn.enabled and learn.config.transient_forecast:
-                        self._capacities = learn.effective_capacities(
-                            self._capacities, self.cluster.clock.now
-                        )
-                    if learn.enabled and learn.config.payoff_gate:
-                        # Mid-epoch redistribution is new capability the
-                        # gate unlocks: between regrids the paper's loop
-                        # rides out any imbalance, but when the priced
-                        # payoff beats the migration bill we repartition
-                        # the *current* patch layout early.
-                        horizon = (
-                            cfg.regrid_interval
-                            - step % cfg.regrid_interval
-                            if cfg.regrid_interval
-                            else cfg.sensing_interval or 1
-                        )
-                        decision = learn.repartition_decision(
-                            self.owned_loads(),
-                            self._capacities,
-                            horizon,
-                            iteration=step,
-                            t=self.cluster.clock.now,
-                        )
-                        if decision.repartition:
-                            out = self.pipeline.repartition(
-                                self.hierarchy.box_list(),
-                                self._capacities,
-                                migrate_attrs={"trigger": "sense"},
-                                before_migrate=self._repatch,
-                            )
-                            if result is not None:
-                                result.migration_seconds += (
-                                    out.migration_seconds
-                                )
-                                result.loads_history.append(out.loads)
-                step_start = self.cluster.clock.now
-                try:
-                    with tracer.span("advance", step=step):
-                        self.integrator.advance()
-                    loads = self.owned_loads()
-                    current = self.pipeline.last
-                    volumes = (
-                        self.pipeline.exchange_plan(
-                            current.part.boxes(), current.owners
-                        )
-                        if current is not None
-                        else {}
-                    )
-                    cost = self.time_model.iteration_cost(loads, volumes)
-                except SimulationError:
-                    # A fault landed mid-step (dead endpoint in a planned
-                    # transfer, dead rank still owning work): abort the
-                    # step; the recovery stage restores and replays it.
-                    if self.ckpt_manager is None or not (
-                        self.pipeline.needs_recovery()
-                        or self._trusted_live() != self._partition_live
-                    ):
-                        raise
-                    tracer.event("fault.step_aborted", step=step)
-                    continue
-                self.cluster.clock.advance(cost.total)
-                if tracer.enabled:
-                    self._emit_step_spans(step, step_start, cost)
-                    tracer.metrics.histogram("step_seconds").observe(
-                        cost.total
-                    )
-                result.step_seconds.append(cost.total)
-                result.steps += 1
-                if learn.enabled and self._capacities is not None:
-                    learn.observe_iteration(
-                        step,
-                        self.cluster.clock.now,
-                        loads,
-                        self._capacities,
-                        cost,
-                    )
-                if (
-                    self.ckpt_manager is not None
-                    and self.ckpt_manager.due(self.hierarchy.step_count)
-                ):
-                    self._checkpoint()
-        result.total_seconds = self.cluster.clock.now
-        result.replayed_steps = max(0, result.steps - self.config.steps)
-        if tracer.enabled:
-            tracer.metrics.counter("total_sim_seconds").inc(
-                result.total_seconds
-            )
-        return result
+        result.step_seconds.append(cost.total)
+        result.steps += 1
+        # Steps beyond the configured count re-ran after a restore.
+        result.replayed_steps = max(0, result.steps - self.num_steps)
+        manager = self.ckpt_manager
+        if manager is not None and manager.due(self.hierarchy.step_count):
+            self._checkpoint()
+
+    def _health(self) -> tuple[int, np.ndarray | None]:
+        """(regrid count, I_k over the ranks with a target).  The layout
+        rides out mid-epoch sensings, so its imbalance is re-measured
+        against the freshest capacities, not read off the last partition."""
+        loads = self.pipeline.last.loads
+        targets = self._capacities * loads.sum()
+        ok = targets > 0
+        gap = np.abs(loads[ok] - targets[ok]) / targets[ok] * 100.0
+        return self._result.num_regrids, gap if ok.any() else None
 
     # ------------------------------------------------------------------
     # Resilience: checkpointing and the recovery stage
     # ------------------------------------------------------------------
-    def _trusted_live(self) -> frozenset[int]:
-        return frozenset(
-            int(k) for k in np.flatnonzero(self.monitor.trusted_mask())
-        )
-
     def _checkpoint(self) -> None:
         """Snapshot hierarchy + assignment, charging storage I/O time."""
         manager = self.ckpt_manager
         ckpt = manager.save(
-            self.hierarchy,
-            self.pipeline.prev_assignment,
-            self.cluster.clock.now,
+            self.hierarchy, self.pipeline.prev_assignment, self.cluster.clock.now
         )
         io_s = manager.io_seconds(ckpt.nbytes)
         if self.resilience.charge_io_time:
             self.cluster.clock.advance(io_s)
-        result = self._result
-        if result is not None:
-            result.num_checkpoints += 1
-            result.checkpoint_seconds += io_s
+        self._result.num_checkpoints += 1
+        self._result.checkpoint_seconds += io_s
 
-    def _maybe_recover(self) -> bool:
-        """Run the recovery stage when the trusted rank set changed.
+    def _recover(self) -> None:
+        """Restore if data was lost, then run the shared recovery stage.
 
         Two triggers: a box-owning rank is down (data loss -- restore the
         latest checkpoint and replay), or the trusted live set differs
         from the one the current partition was computed over (a node was
         evicted, or a recovered node should be grown onto again).
         """
-        data_lost = self.pipeline.needs_recovery()
-        if not data_lost and self._trusted_live() == self._partition_live:
-            return False
         tracer = self.tracer
         manager = self.ckpt_manager
         result = self._result
+        clock = self.cluster.clock
         dead_owners = self.pipeline.dead_owner_ranks()
-        t0 = self.cluster.clock.now
+        data_lost = bool(dead_owners)
+        t0 = clock.now
         with tracer.span(
-            "recovery",
-            dead_ranks=list(dead_owners),
-            data_lost=data_lost,
+            "recovery", dead_ranks=list(dead_owners), data_lost=data_lost
         ):
             if data_lost:
-                ckpt, saved_assignment = manager.restore_latest(
-                    self.hierarchy
-                )
+                ckpt, saved = manager.restore_latest(self.hierarchy)
                 if self.resilience.charge_io_time:
-                    self.cluster.clock.advance(
-                        manager.io_seconds(ckpt.nbytes)
-                    )
-                if saved_assignment is not None:
+                    clock.advance(manager.io_seconds(ckpt.nbytes))
+                if saved is not None:
                     # Price evacuation against the layout that was live at
                     # save time, not the doomed post-crash layout.
-                    self.pipeline.prev_assignment = saved_assignment
-                if result is not None:
-                    result.num_restores += 1
-            self._sense()  # fresh capacities over the surviving rank set
-            out = self.pipeline.recover(
-                self.hierarchy.box_list(),
-                self._capacities,
-                before_migrate=self._repatch,
-                storage_bandwidth_mbps=self.resilience.storage_bandwidth_mbps,
-            )
-            self._partition_live = self._trusted_live()
-            if result is not None:
-                result.num_recoveries += 1
-                result.migration_seconds += out.migration_seconds
-                result.loads_history.append(out.loads)
-                result.recovery_seconds += self.cluster.clock.now - t0
+                    self.pipeline.prev_assignment = saved
+                result.num_restores += 1
+            # Fresh capacities over the surviving set, then the recover stage.
+            super()._recover()
+            result.num_recoveries += 1
+            result.recovery_seconds += clock.now - t0
         tracer.event(
             "recovery.complete",
             resumed_step=self.hierarchy.step_count,
             num_live=len(self._partition_live),
-            recovery_seconds=self.cluster.clock.now - t0,
-        )
-        return True
-
-    def _health_attrs(self) -> dict:
-        """Health signals for one step's iteration span (see the pipeline)."""
-        result = self._result
-        epoch = result.num_regrids if result is not None else 0
-        imbalance = None
-        if self._assignment and self._capacities is not None:
-            loads = self.owned_loads()
-            targets = self._capacities * loads.sum()
-            ok = targets > 0
-            if ok.any():
-                imbalance = (
-                    np.abs(loads[ok] - targets[ok]) / targets[ok] * 100.0
-                )
-        return self.pipeline.health_attrs(epoch, imbalance)
-
-    def _emit_step_spans(self, step, start_sim, cost) -> None:
-        """Per-rank simulated-time tracks for one priced coarse step."""
-        self.pipeline.emit_iteration_spans(
-            start_sim, cost, {"step": step, **self._health_attrs()}
+            recovery_seconds=clock.now - t0,
         )

@@ -1,39 +1,34 @@
-"""The repartition pipeline shared by every runtime loop.
+"""The repartition pipeline: the stages the step engine sequences.
 
-Both :class:`~repro.runtime.engine.SamrRuntime` (trace replay) and
-:class:`~repro.runtime.distributed.DistributedAmrRun` (real kernel) drive
-the same sense -> capacity -> partition -> migrate -> exchange-plan cycle
-from the paper's runtime architecture (section 5, fig. 5); they used to
-carry private near-duplicate implementations of it, down to the telemetry
-spans.  :class:`RepartitionPipeline` is that cycle as one object with one
-composable method per stage:
+The paper's runtime (section 5, fig. 5) cycles sense -> capacity ->
+partition -> migrate -> exchange-plan; :class:`RepartitionPipeline` is
+that cycle as one object, :class:`~repro.runtime.engine.StepEngine` the
+one loop driving it.
 
 ``sense()``
     Probe the resource monitor, charge the probe overhead to the cluster
     clock, optionally swap in the forecaster's view, and compute fresh
     relative capacities under a ``capacity`` span nested in a ``sense``
     span.
-``repartition()``
-    Partition a box list against capacities using the pipeline's
-    :class:`~repro.partition.workmodel.WorkModel` (one cached work vector
-    prices the boxes, the loads and the level loads -- no per-box Python
-    calls), then price and apply the data migration under a ``migrate``
-    span, tracking the previous assignment for the cell-owner diff.
-``exchange_plan()``
-    Ghost-exchange volume planning for the current decomposition.
+``repartition()`` / ``recover()``
+    Partition a box list against capacities (``recover``: compacted over
+    the surviving ranks) using the pipeline's
+    :class:`~repro.partition.workmodel.WorkModel` -- one cached work
+    vector prices the boxes, the loads and the level loads, no per-box
+    Python calls.  Both hand off to one migrate stage: price and apply
+    the data migration under a ``migrate`` span from the cell-owner diff
+    against the previous assignment, then plan the new layout's
+    ghost-exchange volumes.
 ``health_attrs()`` / ``emit_iteration_spans()``
-    The per-iteration observability stamping shared by both loops: the
-    health attributes the :class:`~repro.telemetry.analysis.HealthMonitor`
-    and the HTML dashboard consume, and the per-rank
-    compute/ghost-exchange/sync simulated-time tracks.
+    Per-step observability stamping: the health attributes the
+    :class:`~repro.telemetry.analysis.HealthMonitor` and the HTML
+    dashboard consume, and the per-rank compute/ghost-exchange/sync
+    simulated-time tracks.
 
-Runtime-specific details stay with the runtimes and enter as small
-arguments or callbacks: extra span attributes (``iteration`` /
-``trigger``), per-node gauge emission, the HDDA assignment application
-(engine) and the hierarchy repatch between partition and migration
-(distributed).  The stage structure, span nesting, attribute ordering and
-metric creation order are exactly those of the loops this replaces --
-exported traces are byte-identical.
+Executor-specific details are wired once at construction (how a partition
+is applied, the dashboard's extra gauges) or enter as span attributes.
+Stage structure, span nesting, attribute ordering and metric creation
+order are pinned by the golden traces.
 """
 
 from __future__ import annotations
@@ -53,21 +48,12 @@ from repro.partition.metrics import (
     imbalance_pct,
     redistribution_volume_columns,
 )
-from repro.partition.workmodel import WorkFunction, WorkModel, as_work_model
+from repro.partition.workmodel import WorkModel
 from repro.runtime.timemodel import IterationCost, TimeModel
 from repro.util.errors import ResilienceError
 from repro.util.geometry import Box, BoxList
 
-__all__ = ["SenseOutcome", "RepartitionOutcome", "RepartitionPipeline"]
-
-
-@dataclass(slots=True)
-class SenseOutcome:
-    """What one sensing stage produced."""
-
-    snapshot: object
-    capacities: np.ndarray
-    overhead_seconds: float
+__all__ = ["RepartitionOutcome", "RepartitionPipeline"]
 
 
 @dataclass(slots=True)
@@ -87,6 +73,7 @@ class RepartitionOutcome:
     imbalance: np.ndarray  # I_k (%)
     migration_bytes: int
     migration_seconds: float
+    volumes: dict  # pairwise ghost-exchange volumes of this layout
 
     @property
     def owners(self) -> dict[Box, int]:
@@ -124,18 +111,24 @@ class RepartitionPipeline:
     tracer:
         Telemetry sink; every stage stamps the same spans/metrics the
         runtime loops historically emitted.
-    work_model:
-        The :class:`WorkModel` pricing boxes throughout the pipeline
-        (``None`` -> default Berger-Oliger model with ``refine_factor``;
-        a legacy callable is adapted).
     bytes_per_cell, ghost_width, refine_factor:
         Payload and stencil parameters for migration pricing and
-        ghost-exchange planning.
+        ghost-exchange planning; ``refine_factor`` also fixes the
+        Berger-Oliger :class:`WorkModel` pricing boxes throughout.
     learner:
         The :class:`~repro.learn.policy.LearnController` observing every
         stage, behind the same inert-default pattern as the tracer
         (``NULL_LEARNER`` has ``enabled = False``, every hook guards on
         it, the unlearned path is byte-identical).
+    before_migrate, on_apply:
+        How the executor applies a partition: ``before_migrate(part)``
+        runs between partitioning and the migrate span (the kernel
+        executor repatches the hierarchy there), ``on_apply(owners)``
+        inside the span once the cell-owner diff is taken (the trace
+        executor applies the assignment to the HDDA there).
+    detail:
+        Also publish the dashboard's per-node gauges (at every sensing
+        and repartition) and the residual-imbalance histogram.
     """
 
     def __init__(
@@ -147,11 +140,13 @@ class RepartitionPipeline:
         capacity: CapacityCalculator,
         time_model: TimeModel,
         tracer,
-        work_model: WorkModel | WorkFunction | None = None,
         bytes_per_cell: float = 40.0,
         ghost_width: int = 1,
         refine_factor: int = 2,
         learner=None,
+        before_migrate: Callable[[PartitionResult], None] | None = None,
+        on_apply: Callable[[dict[Box, int]], None] | None = None,
+        detail: bool = False,
     ):
         self.cluster = cluster
         self.partitioner = partitioner
@@ -162,10 +157,13 @@ class RepartitionPipeline:
         self.learner = learner if learner is not None else NULL_LEARNER
         if self.learner.enabled:
             self.learner.bind(tracer, cluster.num_nodes)
-        self.work_model = as_work_model(work_model, refine_factor)
+        self.work_model = WorkModel(refine_factor)
         self.bytes_per_cell = float(bytes_per_cell)
         self.ghost_width = int(ghost_width)
         self.refine_factor = int(refine_factor)
+        self.before_migrate = before_migrate
+        self.on_apply = on_apply
+        self.detail = detail
         # Promote the communicator's traffic into telemetry (counters,
         # collective histograms, per-exchange comm.exchange events) so
         # the communication profiler sees the same costs the time model
@@ -173,60 +171,37 @@ class RepartitionPipeline:
         if getattr(tracer, "enabled", False):
             self.time_model.comm.bind_tracer(tracer)
         # Assignment of the previous epoch (diffed for migration volume),
-        # held as columns; the pair list view materializes only if an
-        # external reader asks for :attr:`prev_assignment`.
+        # held as columns; :attr:`prev_assignment` is their object view.
         self._prev_boxes: BoxList | None = None
         self._prev_ranks: np.ndarray | None = None
-        self._prev_pairs: list[tuple[Box, int]] | None = []
-        #: outcome of the most recent :meth:`repartition`
+        #: outcome of the most recent :meth:`repartition` / :meth:`recover`
         self.last: RepartitionOutcome | None = None
 
-    # ------------------------------------------------------------------
-    # Previous-epoch assignment (columns first, pairs on demand)
-    # ------------------------------------------------------------------
     @property
     def prev_assignment(self) -> list[tuple[Box, int]]:
-        """Previous epoch's ``(box, rank)`` pairs (lazy object view)."""
-        pairs = self._prev_pairs
-        if pairs is None:
-            pairs = list(zip(self._prev_boxes, self._prev_ranks.tolist()))
-            self._prev_pairs = pairs
-        return pairs
+        """Previous epoch's ``(box, rank)`` pairs (checkpoints save them)."""
+        if self._prev_boxes is None:
+            return []
+        return list(zip(self._prev_boxes, self._prev_ranks.tolist()))
 
     @prev_assignment.setter
     def prev_assignment(self, pairs: list[tuple[Box, int]]) -> None:
         # Checkpoint restore hands back a pair list; lower it to columns.
         pairs = list(pairs)
-        self._prev_pairs = pairs
-        if pairs:
-            self._prev_boxes = BoxList(b for b, _ in pairs)
-            self._prev_ranks = np.fromiter(
-                (r for _, r in pairs), dtype=np.intp, count=len(pairs)
-            )
-        else:
-            self._prev_boxes = None
-            self._prev_ranks = None
+        self._prev_boxes = BoxList(b for b, _ in pairs) if pairs else None
+        self._prev_ranks = (
+            np.array([r for _, r in pairs], dtype=np.intp) if pairs else None
+        )
 
-    def _set_prev_columns(self, boxes: BoxList, ranks: np.ndarray) -> None:
-        self._prev_boxes = boxes
-        self._prev_ranks = ranks
-        self._prev_pairs = None
-
-    # ------------------------------------------------------------------
-    # Stage: sense + capacity
-    # ------------------------------------------------------------------
+    # -- Stage: sense + capacity ---------------------------------------
     def sense(
-        self,
-        *,
-        span_attrs: dict | None = None,
-        use_forecast: bool = False,
-        node_gauges: bool = False,
-    ) -> SenseOutcome:
+        self, *, span_attrs: dict | None = None, use_forecast: bool = False
+    ) -> tuple[np.ndarray, float]:
         """Probe the cluster, charge overhead, compute fresh capacities.
 
-        ``span_attrs`` land on the ``sense`` span (the engine stamps the
-        iteration number); ``node_gauges`` additionally publishes the
-        per-node availability/capacity gauges the dashboard plots.
+        Returns ``(capacities, probe overhead seconds)``.  ``span_attrs``
+        land on the ``sense`` span (the trace executor stamps the
+        iteration number).
         """
         tracer = self.tracer
         with tracer.span("sense", **(span_attrs or {})) as sense_span:
@@ -247,45 +222,48 @@ class RepartitionPipeline:
             metrics = tracer.metrics
             metrics.counter("num_sensings").inc()
             metrics.counter("probe_cost_seconds").inc(overhead)
-            if node_gauges:
+            if self.detail:
                 for node in range(snapshot.num_nodes):
                     metrics.gauge("node_cpu_available", node=node).set(
                         snapshot.cpu[node]
                     )
                     metrics.gauge("node_capacity", node=node).set(caps[node])
         if self.learner.enabled:
-            self.learner.observe_sense(
-                self.cluster.clock.now, caps, overhead
-            )
-        return SenseOutcome(snapshot, caps, overhead)
+            self.learner.observe_sense(self.cluster.clock.now, caps, overhead)
+        return caps, overhead
 
-    # ------------------------------------------------------------------
-    # Stage: partition + migrate
-    # ------------------------------------------------------------------
+    # -- Stage: partition + migrate ------------------------------------
     def repartition(
-        self,
-        boxes: BoxList,
-        capacities: np.ndarray,
-        *,
-        migrate_attrs: dict | None = None,
-        before_migrate: Callable[[PartitionResult], None] | None = None,
-        on_apply: Callable[[dict[Box, int]], None] | None = None,
-        stats: bool = False,
+        self, boxes: BoxList, capacities: np.ndarray, *, migrate_attrs=None
     ) -> RepartitionOutcome:
-        """Partition ``boxes``, price and apply the migration.
+        """Partition ``boxes``, then price and apply the migration
+        (``migrate_attrs`` land on the ``migrate`` span)."""
+        part = self.partitioner.partition(boxes, capacities, self.work_model)
+        targets = capacities * part.loads().sum()
+        return self._migrate(part, targets, migrate_attrs or {})
 
-        ``before_migrate`` runs between partitioning and the migrate span
-        (the distributed runtime repatches the hierarchy there);
-        ``on_apply`` runs inside the span once the cell-owner diff is
-        taken (the engine applies the assignment to the HDDA there).
-        ``stats=True`` adds the residual-imbalance histogram and per-node
-        utilization gauges.
+    def _migrate(
+        self,
+        part: PartitionResult,
+        targets: np.ndarray,
+        span_attrs: dict,
+        recovery: dict | None = None,
+        storage_bandwidth_mbps: float = 0.0,
+    ) -> RepartitionOutcome:
+        """The one tail of :meth:`repartition` and :meth:`recover`: price
+        and apply the migration to ``part``, stamp it, plan the ghost
+        exchange of the new layout, build the outcome.
+
+        ``recovery`` (the recover stage's ``dead_ranks``/``num_live``
+        attributes) switches on the one extra term: cells whose previous
+        owner is down cannot come off the dead NIC and are priced as a
+        read from checkpoint storage at ``storage_bandwidth_mbps``.
         """
         tracer = self.tracer
-        part = self.partitioner.partition(boxes, capacities, self.work_model)
-        if before_migrate is not None:
-            before_migrate(part)
-        with tracer.span("migrate", **(migrate_attrs or {})) as mig_span:
+        if self.before_migrate is not None:
+            self.before_migrate(part)
+        lost = 0  # evacuated bytes: their previous owner is down
+        with tracer.span("migrate", **span_attrs) as mig_span:
             # Geometric cell-owner diff against the previous assignment: the
             # true redistribution traffic, robust to boxes being re-split.
             # Runs on the column views of both epochs -- no pair lists.
@@ -296,24 +274,38 @@ class RepartitionPipeline:
                 part.rank_vector(),
                 self.bytes_per_cell,
             )
-            if on_apply is not None:
-                on_apply(part.owners())
-            self._set_prev_columns(part.boxes(), part.rank_vector())
-            mig_seconds = self.time_model.migration_cost(moved)
+            if self.on_apply is not None:
+                self.on_apply(part.owners())
+            self._prev_boxes = part.boxes()
+            self._prev_ranks = part.rank_vector()
+            if recovery is None:
+                mig_seconds = self.time_model.migration_cost(moved)
+            else:
+                is_up = self.cluster.is_up
+                live = {k: v for k, v in moved.items() if is_up(k[0])}
+                evac = sum(v for k, v in moved.items() if k not in live)
+                mig_seconds = self.time_model.migration_cost(live)
+                mig_seconds += evac / (storage_bandwidth_mbps * 125_000.0)
+                lost = int(evac)
             self.cluster.clock.advance(mig_seconds)
             mig_bytes = int(sum(moved.values()))
-            mig_span.set(bytes=mig_bytes, sim_seconds=mig_seconds)
-
+            evacuated = {} if recovery is None else {"evacuated_bytes": lost}
+            mig_span.set(bytes=mig_bytes, sim_seconds=mig_seconds, **evacuated)
+        if recovery is not None:
+            tracer.event("recovery.repartition", **recovery, **evacuated)
         # One cached work vector yields loads, targets and imbalance.
         loads = part.loads()
-        targets = capacities * loads.sum()
         imbalance = imbalance_pct(loads, targets)
         if tracer.enabled:
             metrics = tracer.metrics
             metrics.counter("num_repartitions").inc()
+            if recovery is not None:
+                metrics.counter("num_recoveries").inc()
             metrics.counter("migration_bytes").inc(mig_bytes)
             metrics.counter("migration_seconds").inc(mig_seconds)
-            if stats:
+            if recovery is not None:
+                metrics.counter("evacuated_bytes").inc(lost)
+            if self.detail and recovery is None:
                 metrics.histogram("residual_imbalance_pct").observe(
                     float(imbalance.mean())
                 )
@@ -327,23 +319,29 @@ class RepartitionPipeline:
                         utilization
                     )
         if self.learner.enabled:
-            self.learner.observe_repartition(
-                self.cluster.clock.now, mig_seconds, mig_bytes
-            )
-        outcome = RepartitionOutcome(
-            part=part,
-            loads=loads,
-            targets=targets,
-            imbalance=imbalance,
-            migration_bytes=mig_bytes,
-            migration_seconds=mig_seconds,
+            now = self.cluster.clock.now
+            if recovery is not None:
+                # Provenance first: observe_recover must see the migration
+                # model *before* this migration folds into it.
+                self.learner.observe_recover(
+                    now, recovery["dead_ranks"], mig_seconds, mig_bytes, lost
+                )
+            self.learner.observe_repartition(now, mig_seconds, mig_bytes)
+        # The layout changes here and nowhere else, so its pairwise
+        # ghost-exchange volumes are planned here, once.
+        volumes = plan_exchange_volumes(
+            part.boxes(),
+            part.owners(),
+            ghost_width=self.ghost_width,
+            bytes_per_cell=self.bytes_per_cell,
+            refine_factor=self.refine_factor,
         )
-        self.last = outcome
-        return outcome
+        self.last = RepartitionOutcome(
+            part, loads, targets, imbalance, mig_bytes, mig_seconds, volumes
+        )
+        return self.last
 
-    # ------------------------------------------------------------------
-    # Stage: recovery (failure-aware repartitioning)
-    # ------------------------------------------------------------------
+    # -- Stage: recovery (failure-aware repartitioning) ----------------
     def dead_owner_ranks(self) -> tuple[int, ...]:
         """Down ranks (cluster ground truth) that still own boxes.
 
@@ -353,14 +351,9 @@ class RepartitionPipeline:
         -- that is the escalation policy's call.
         """
         down = set(self.cluster.down_nodes)
-        if not down:
+        if not down or self._prev_ranks is None:
             return ()
-        ranks = self._prev_ranks
-        if ranks is not None:
-            owners = set(np.unique(ranks).tolist())
-        else:
-            owners = {rank for _, rank in (self._prev_pairs or [])}
-        return tuple(sorted(down & owners))
+        return tuple(sorted(down & set(np.unique(self._prev_ranks).tolist())))
 
     def needs_recovery(self) -> bool:
         """Whether any current box owner is a dead rank."""
@@ -372,8 +365,6 @@ class RepartitionPipeline:
         capacities: np.ndarray,
         *,
         storage_bandwidth_mbps: float = 400.0,
-        before_migrate: Callable[[PartitionResult], None] | None = None,
-        on_apply: Callable[[dict[Box, int]], None] | None = None,
     ) -> RepartitionOutcome:
         """Repartition over the surviving rank set, evacuating the dead.
 
@@ -386,18 +377,14 @@ class RepartitionPipeline:
         recovered node rejoins the trusted set, the partition simply
         spreads over it again (no evacuation term).
         """
-        tracer = self.tracer
         live = self.monitor.trusted_mask()
         if not live.any():
-            raise ResilienceError(
-                "recovery attempted with no surviving nodes"
-            )
-        dead_owners = self.dead_owner_ranks()
-        with tracer.span(
-            "recover",
-            dead_ranks=list(dead_owners),
-            num_live=int(live.sum()),
-        ):
+            raise ResilienceError("recovery attempted with no surviving nodes")
+        attrs = {
+            "dead_ranks": list(self.dead_owner_ranks()),
+            "num_live": int(live.sum()),
+        }
+        with self.tracer.span("recover", **attrs):
             live_idx = np.flatnonzero(live)
             caps_live = np.asarray(capacities, dtype=float)[live]
             total = caps_live.sum()
@@ -412,8 +399,7 @@ class RepartitionPipeline:
             # Remap compact ranks back to true node indices; expand the
             # target vector so every consumer stays num_nodes-sized.  The
             # remap is one gather on the rank column -- no pair rebuild.
-            n = self.cluster.num_nodes
-            targets_full = np.zeros(n)
+            targets_full = np.zeros(self.cluster.num_nodes)
             targets_full[live_idx] = part_live.targets
             part = PartitionResult(
                 targets=targets_full,
@@ -423,94 +409,15 @@ class RepartitionPipeline:
             part.set_columns(
                 part_live.boxes(), live_idx[part_live.rank_vector()]
             )
-            if before_migrate is not None:
-                before_migrate(part)
-            with tracer.span("migrate", trigger="recovery") as mig_span:
-                moved = redistribution_volume_columns(
-                    self._prev_boxes,
-                    self._prev_ranks,
-                    part.boxes(),
-                    part.rank_vector(),
-                    self.bytes_per_cell,
-                )
-                live_moved: dict[tuple[int, int], float] = {}
-                evac_bytes = 0.0
-                for (src, dst), nbytes in moved.items():
-                    if self.cluster.is_up(src):
-                        live_moved[(src, dst)] = nbytes
-                    else:
-                        evac_bytes += nbytes
-                if on_apply is not None:
-                    on_apply(part.owners())
-                self._set_prev_columns(part.boxes(), part.rank_vector())
-                mig_seconds = self.time_model.migration_cost(live_moved)
-                mig_seconds += evac_bytes / (
-                    storage_bandwidth_mbps * 125_000.0
-                )
-                self.cluster.clock.advance(mig_seconds)
-                mig_bytes = int(sum(moved.values()))
-                mig_span.set(
-                    bytes=mig_bytes,
-                    sim_seconds=mig_seconds,
-                    evacuated_bytes=int(evac_bytes),
-                )
-        tracer.event(
-            "recovery.repartition",
-            dead_ranks=list(dead_owners),
-            num_live=int(live.sum()),
-            evacuated_bytes=int(evac_bytes),
-        )
-        loads = part.loads()
-        imbalance = imbalance_pct(loads, targets_full)
-        if tracer.enabled:
-            metrics = tracer.metrics
-            metrics.counter("num_repartitions").inc()
-            metrics.counter("num_recoveries").inc()
-            metrics.counter("migration_bytes").inc(mig_bytes)
-            metrics.counter("migration_seconds").inc(mig_seconds)
-            metrics.counter("evacuated_bytes").inc(int(evac_bytes))
-        if self.learner.enabled:
-            # Provenance first: observe_recover must see the migration
-            # model *before* this migration folds into it.
-            self.learner.observe_recover(
-                self.cluster.clock.now,
-                list(dead_owners),
-                mig_seconds,
-                mig_bytes,
-                int(evac_bytes),
+            return self._migrate(
+                part,
+                targets_full,
+                {"trigger": "recovery"},
+                recovery=attrs,
+                storage_bandwidth_mbps=storage_bandwidth_mbps,
             )
-            self.learner.observe_repartition(
-                self.cluster.clock.now, mig_seconds, mig_bytes
-            )
-        outcome = RepartitionOutcome(
-            part=part,
-            loads=loads,
-            targets=targets_full,
-            imbalance=imbalance,
-            migration_bytes=mig_bytes,
-            migration_seconds=mig_seconds,
-        )
-        self.last = outcome
-        return outcome
 
-    # ------------------------------------------------------------------
-    # Stage: ghost-exchange planning
-    # ------------------------------------------------------------------
-    def exchange_plan(
-        self, boxes: BoxList, owners: dict[Box, int]
-    ) -> dict:
-        """Pairwise ghost-exchange volumes of the current decomposition."""
-        return plan_exchange_volumes(
-            boxes,
-            owners,
-            ghost_width=self.ghost_width,
-            bytes_per_cell=self.bytes_per_cell,
-            refine_factor=self.refine_factor,
-        )
-
-    # ------------------------------------------------------------------
-    # Stage: observability stamping
-    # ------------------------------------------------------------------
+    # -- Stage: observability stamping ---------------------------------
     def health_attrs(
         self, epoch: int, imbalance: np.ndarray | None = None
     ) -> dict:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,44 @@ class TestCompaction:
         store.compact()
         store.index_path.write_text("{torn", encoding="utf-8")
         assert store.get("a")["cell_key"] == "a"
+
+    def test_compact_syncs_before_rename_and_unlinks_log_last(
+        self, tmp_path, monkeypatch
+    ):
+        """Each temp file is fsynced before its rename, and the ingest log
+        -- the only other copy of the acknowledged cells -- goes last."""
+        store = ResultStore(tmp_path)
+        for key in ("b", "a"):
+            store.append(rec(key))
+        calls: list[str] = []
+        real_fsync, real_replace = os.fsync, Path.replace
+        real_unlink = Path.unlink
+
+        def fsync(fd):
+            inode = os.fstat(fd).st_ino
+            names = {q.stat().st_ino: q.name for q in tmp_path.iterdir()}
+            calls.append(f"fsync {names[inode]}")
+            return real_fsync(fd)
+
+        def replace(self, target):
+            calls.append(f"replace {self.name} -> {Path(target).name}")
+            return real_replace(self, target)
+
+        def unlink(self, *args, **kwargs):
+            calls.append(f"unlink {self.name}")
+            return real_unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(Path, "replace", replace)
+        monkeypatch.setattr(Path, "unlink", unlink)
+        store.compact()
+        assert calls == [
+            "fsync results.tmp",
+            "replace results.tmp -> results.jsonl",
+            "fsync index.tmp",
+            "replace index.tmp -> index.json",
+            "unlink results.log.jsonl",
+        ]
 
 
 class TestServingHelpers:

@@ -45,11 +45,9 @@ SRC = REPO_ROOT / "src"
 #: of ``src/``).
 FORBIDDEN_WORK = (
     "sum(work_of(",
-    "sum(self._work_of(",
     "work_of(b) for b",
     "work_of(box) for box",
     "+= work_of(",
-    "+= self._work_of(",
 )
 
 #: Scalar box-metadata idioms (checked in the columnar core only).
