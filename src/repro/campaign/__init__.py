@@ -5,8 +5,8 @@ service workflow:
 
 - :mod:`repro.campaign.spec` -- the scenario × partitioner × seed ×
   config grid and its stable cell keys.
-- :mod:`repro.campaign.state` -- the completed-cell ledger, checkpointed
-  through :mod:`repro.resilience.checkpoint` after every cell.
+- :mod:`repro.campaign.state` -- the completed/failed-cell tally,
+  derived from the result store and ``failures.jsonl``.
 - :mod:`repro.campaign.store` -- the append-then-compact JSONL result
   store whose canonical form is byte-identical across worker counts and
   interruptions.
@@ -31,7 +31,7 @@ from repro.campaign.spec import (
     CellSpec,
     canonical_json,
 )
-from repro.campaign.state import CampaignCheckpointer, CampaignState
+from repro.campaign.state import CampaignState
 from repro.campaign.store import ARTIFACTS_DIRNAME, ResultStore
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "CellSpec",
     "canonical_json",
     "CampaignState",
-    "CampaignCheckpointer",
     "ResultStore",
     "CampaignRunner",
     "campaign_status",

@@ -2,20 +2,20 @@
 
 :class:`CampaignRunner` drives one campaign directory through its grid:
 
-- Cells already recorded in the restored :class:`CampaignState` are
-  skipped outright -- resuming an interrupted campaign re-executes
-  **zero** completed cells.
+- Cells already in the :class:`~repro.campaign.store.ResultStore` (the
+  :class:`CampaignState` restored from it) are skipped outright --
+  resuming an interrupted campaign re-executes **zero** completed cells.
 - Pending cells are executed either inline (``workers <= 1``) or on a
   fork-context :class:`~concurrent.futures.ProcessPoolExecutor`.  The
   simulator is pure Python and cells are independent, so the pool is a
   straight shard with no shared state.
-- Each completed cell is committed through one durability sequence:
-  fsynced append to the :class:`~repro.campaign.store.ResultStore` log,
-  then ``mark_completed`` in the state ledger, then an atomic
-  integrity-checksummed state checkpoint.  A kill between the append and
-  the checkpoint merely re-runs that one cell on resume; the store
-  dedupes by cell key, so the record count still comes out exact.
-- When the ledger covers the whole grid the store is compacted into its
+- Each completed cell is committed by one fsynced append to the
+  :class:`~repro.campaign.store.ResultStore` log; that row is the only
+  durable record of the cell, so there is no instant at which a kill
+  leaves two ledgers disagreeing.  A cell killed before its append
+  returned is re-run on resume; the store dedupes by cell key, so the
+  record count still comes out exact.
+- When the store covers the whole grid it is compacted into its
   canonical sorted form and the campaign is marked complete.
 
 The runner's tracer records one ``campaign.cell`` span per executed cell
@@ -33,8 +33,8 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.spec import CampaignSpec, CellSpec, canonical_json
-from repro.campaign.state import CampaignCheckpointer, CampaignState
+from repro.campaign.spec import CampaignSpec, CellSpec
+from repro.campaign.state import FAILURES_NAME, CampaignState
 from repro.campaign.store import ARTIFACTS_DIRNAME, ResultStore
 from repro.runtime.experiment import (
     CAMPAIGN_SCENARIOS,
@@ -50,14 +50,13 @@ from repro.telemetry.live import (
     write_cell_bundle,
 )
 from repro.telemetry.spans import NullTracer, Tracer
+from repro.util import durable
 from repro.util.errors import CampaignError, ExperimentError
 
 __all__ = ["CampaignRunner", "execute_cell", "campaign_status"]
 
 #: File names inside a campaign directory.
 META_NAME = "campaign.json"
-FAILURES_NAME = "failures.jsonl"
-CHECKPOINT_DIRNAME = "checkpoints"
 #: The orchestrator's own trace, written by the CLI after a session
 #: (``events.jsonl`` is the cross-process progress log, owned here).
 ORCHESTRATOR_TRACE_NAME = "orchestrator.events.jsonl"
@@ -130,10 +129,7 @@ class CampaignRunner:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._claim_directory()
         self.store = ResultStore(self.directory)
-        self.checkpointer = CampaignCheckpointer(
-            self.directory / CHECKPOINT_DIRNAME
-        )
-        self.state = self._restore_state()
+        self.state = CampaignState.restore(self.store)
         self.progress = ProgressLog(self.directory / EVENTS_NAME)
 
     @property
@@ -189,24 +185,13 @@ class CampaignRunner:
             "campaign_id": self.spec.campaign_id,
             "spec": self.spec.to_dict(),
         }
-        tmp = meta_path.with_suffix(".tmp")
-        tmp.write_text(
+        # Fsynced: a rename that outlives its data would leave an empty
+        # campaign.json, which no later run could claim or resume.
+        durable.publish(
+            meta_path,
             json.dumps(meta, sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
+            sync=True,
         )
-        tmp.replace(meta_path)
-
-    def _restore_state(self) -> CampaignState:
-        state = self.checkpointer.load_latest()
-        if state is None:
-            return CampaignState(self.spec.campaign_id)
-        if state.campaign_id != self.spec.campaign_id:
-            raise CampaignError(
-                f"checkpointed state in {self.directory} belongs to "
-                f"campaign {state.campaign_id!r}, not "
-                f"{self.spec.campaign_id!r}"
-            )
-        return state
 
     # -- execution -----------------------------------------------------
     def pending_cells(self) -> list[CellSpec]:
@@ -355,11 +340,10 @@ class CampaignRunner:
     def _commit_success(
         self, cell: CellSpec, payload: dict[str, Any], wall_seconds: float
     ) -> None:
-        """The durability sequence: store append -> ledger -> checkpoint."""
+        """Commit = the store's fsynced append; the rest is reporting."""
         record, digest = self._unpack_payload(payload)
         self.store.append(record)
         ordinal = self.state.mark_completed(cell.key)
-        self.checkpointer.save(self.state)
         sim_seconds = float(
             record.get("metrics", {}).get("total_seconds", 0.0)
         )
@@ -433,15 +417,14 @@ class CampaignRunner:
             )
 
     def _commit_failure(self, cell: CellSpec, exc: BaseException) -> None:
-        """Failed cells go to the ledger + side log, never the store."""
+        """Failed cells go to the fsynced side log, never the store."""
         message = f"{type(exc).__name__}: {exc}"
         self.state.mark_failed(cell.key, message)
-        self.checkpointer.save(self.state)
-        entry = {"cell_key": cell.key, "error": message}
-        with open(
-            self.directory / FAILURES_NAME, "a", encoding="utf-8"
-        ) as fh:
-            fh.write(canonical_json(entry) + "\n")
+        durable.append_line(
+            self.directory / FAILURES_NAME,
+            durable.canonical_json({"cell_key": cell.key, "error": message}),
+            sync=True,
+        )
         self.tracer.event(
             "campaign.cell_failed", cell_key=cell.key, error=message
         )
@@ -475,11 +458,8 @@ def campaign_status(directory: str | Path) -> dict[str, Any]:
         raise CampaignError(
             f"unreadable campaign metadata {meta_path}: {exc}"
         ) from exc
-    checkpointer = CampaignCheckpointer(directory / CHECKPOINT_DIRNAME)
-    state = checkpointer.load_latest()
-    completed = state.num_completed if state is not None else 0
-    failed = dict(state.failed) if state is not None else {}
     store = ResultStore(directory)
+    state = CampaignState.restore(store)
     artifacts_dir = directory / ARTIFACTS_DIRNAME
     artifact_cells = (
         sum(1 for p in artifacts_dir.iterdir() if p.is_dir())
@@ -490,10 +470,10 @@ def campaign_status(directory: str | Path) -> dict[str, Any]:
         "campaign_id": spec.campaign_id,
         "name": spec.name,
         "num_cells": spec.num_cells,
-        "completed": completed,
-        "failed": failed,
-        "complete": completed == spec.num_cells,
-        "store_records": len(store),
+        "completed": state.num_completed,
+        "failed": state.failed,
+        "complete": state.num_completed == spec.num_cells,
+        "store_records": state.num_completed,
         "compacted": store.results_path.is_file(),
         "artifact_cells": artifact_cells,
     }

@@ -31,9 +31,9 @@ directory name is its URL id).  Routes:
 Rendered responses are cached per (campaign, route) keyed on a
 file-stat signature: a repeat request for unchanged files is answered
 from memory (well under the 50 ms budget) and carries an ETag, so a
-client sending ``If-None-Match`` gets a body-less ``304``.  Any append,
-compaction or checkpoint changes the signature and invalidates the
-entry.  ``/metrics`` and ``/live`` are deliberately uncached: both
+client sending ``If-None-Match`` gets a body-less ``304``.  Any append
+or compaction that rewrites a file changes the signature and invalidates
+the entry.  ``/metrics`` and ``/live`` are deliberately uncached: both
 exist to show the present, not a snapshot.
 
 Error discipline: a bad identifier or missing resource is a one-line
@@ -58,13 +58,12 @@ from typing import Any, Mapping
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro.campaign.orchestrator import (
-    CHECKPOINT_DIRNAME,
     META_NAME,
     ORCHESTRATOR_TRACE_NAME,
     campaign_status,
 )
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.state import CampaignCheckpointer
+from repro.campaign.state import FAILURES_NAME, CampaignState
 from repro.campaign.store import ResultStore
 from repro.telemetry.live import (
     ARTIFACT_CONTENT_TYPES,
@@ -215,15 +214,15 @@ def _stat_entry(path: Path) -> tuple:
 
 
 def _campaign_signature(directory: Path, store: ResultStore) -> tuple:
-    """Change token covering store, progress log and state checkpoints.
+    """Change token covering store, progress log and failure log.
 
-    The cells route folds in ledger status, so its cache must also turn
-    over when a checkpoint lands or a progress event is appended -- not
+    The cells route folds in cell status, so its cache must also turn
+    over when a failure is logged or a progress event is appended -- not
     just when the store files move.
     """
     return store.signature() + (
         _stat_entry(directory / EVENTS_NAME),
-        _stat_entry(directory / CHECKPOINT_DIRNAME),
+        _stat_entry(directory / FAILURES_NAME),
     )
 
 
@@ -381,20 +380,10 @@ class _Handler(BaseHTTPRequestHandler):
                     f"unreadable campaign metadata for {campaign_id!r}: "
                     f"{exc}"
                 ) from exc
-            state = CampaignCheckpointer(
-                directory / CHECKPOINT_DIRNAME
-            ).load_latest()
-            store_keys = None
+            state = CampaignState.restore(store)
             cells: dict[str, dict[str, Any]] = {}
             for key, cell in sorted(spec.cell_map().items()):
-                if state is not None:
-                    cell_status = state.status_of(key)
-                else:
-                    if store_keys is None:
-                        store_keys = set(store.keys())
-                    cell_status = (
-                        "completed" if key in store_keys else "pending"
-                    )
+                cell_status = state.status_of(key)
                 if status_filter and cell_status != status_filter:
                     continue
                 cells[key] = {

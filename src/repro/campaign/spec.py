@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro.util.durable import canonical_json
 from repro.util.errors import CampaignError
 
 __all__ = [
@@ -35,15 +36,6 @@ __all__ = [
 SPEC_SCHEMA_VERSION = 1
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-
-def canonical_json(obj: Any) -> str:
-    """The one JSON encoding used for hashing and result-store lines.
-
-    Sorted keys, no whitespace: byte-identical for equal values, which is
-    what makes cell keys stable and compacted stores comparable.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _digest(obj: Any, length: int = 10) -> str:

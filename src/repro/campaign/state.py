@@ -1,53 +1,56 @@
-"""Persisted campaign progress: which cells are done, checkpointed.
+"""Campaign progress: which cells are done, derived from the result store.
 
-:class:`CampaignState` is the orchestrator's ledger -- the set of
-completed cell keys (with completion ordinals) and the last error per
-failed cell.  It is snapshotted through the resilience subsystem's
-checkpoint machinery (:mod:`repro.resilience.checkpoint`): every
-completed cell produces one integrity-checksummed, atomically published
-snapshot in ``<campaign_dir>/checkpoints/``, so a campaign killed at any
-instant -- SIGKILL included -- resumes from its last completed cell with
-nothing re-executed and nothing half-written trusted.
-
-Restores go through :meth:`DirectoryCheckpointStore.latest_valid`: a
-snapshot corrupted mid-publish fails closed and recovery falls back to
-the previous intact one, costing at most one cell of redone work.
+There is exactly one durable record of a completed cell -- its row in
+the :class:`~repro.campaign.store.ResultStore` (ingest log + compacted
+file) -- and one of a failed cell -- its last entry in ``failures.jsonl``.
+:class:`CampaignState` is the in-memory tally the orchestrator keeps
+while it runs; :meth:`CampaignState.restore` rebuilds it from those two
+files, so a campaign killed at any instant -- SIGKILL included -- resumes
+with every acknowledged cell counted and nothing re-executed, and no
+second ledger exists that could disagree with the store.
 """
 
 from __future__ import annotations
 
-import pickle
-from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
-from repro.resilience.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    Checkpoint,
-    DirectoryCheckpointStore,
-)
+from repro.campaign.store import ResultStore
+from repro.util import durable
 from repro.util.errors import CampaignError
-from repro.util.hashing import checksum_bytes
 
-__all__ = ["CampaignState", "CampaignCheckpointer"]
+__all__ = ["CampaignState", "FAILURES_NAME"]
 
-#: Snapshots kept on disk; >1 so a corrupt newest file leaves a fallback.
-KEEP_CHECKPOINTS = 3
+#: Side log of failed cells inside a campaign directory (last entry per
+#: cell key wins; entries for cells that later completed are ignored).
+FAILURES_NAME = "failures.jsonl"
 
 
 class CampaignState:
-    """Mutable progress ledger for one campaign."""
+    """Mutable progress tally for one campaign."""
 
     def __init__(
         self,
-        campaign_id: str,
         completed: Mapping[str, int] | None = None,
         failed: Mapping[str, str] | None = None,
     ):
-        self.campaign_id = campaign_id
         #: cell key -> completion ordinal (1-based, monotonically grown).
         self.completed: dict[str, int] = dict(completed or {})
         #: cell key -> last error message (cleared when the cell succeeds).
         self.failed: dict[str, str] = dict(failed or {})
+
+    @classmethod
+    def restore(cls, store: ResultStore) -> "CampaignState":
+        """The tally a campaign directory's files add up to."""
+        completed = {key: n for n, key in enumerate(store.keys(), start=1)}
+        rows, _ = durable.read_rows(
+            store.directory / FAILURES_NAME, "cell_key"
+        )
+        failed = {
+            row["cell_key"]: str(row.get("error", ""))
+            for row in rows
+            if row["cell_key"] not in completed
+        }
+        return cls(completed, failed)
 
     # ------------------------------------------------------------------
     def is_completed(self, key: str) -> bool:
@@ -74,7 +77,7 @@ class CampaignState:
 
         The vocabulary of the ``?status=`` filter on the HTTP cells
         route; a key outside the grid still reports ``pending`` -- grid
-        membership is the spec's business, not the ledger's.
+        membership is the spec's business, not the tally's.
         """
         if key in self.completed:
             return "completed"
@@ -85,58 +88,3 @@ class CampaignState:
     @property
     def num_completed(self) -> int:
         return len(self.completed)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "campaign_id": self.campaign_id,
-            "completed": dict(self.completed),
-            "failed": dict(self.failed),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignState":
-        return cls(
-            campaign_id=str(data["campaign_id"]),
-            completed={str(k): int(v) for k, v in data["completed"].items()},
-            failed={str(k): str(v) for k, v in data["failed"].items()},
-        )
-
-
-class CampaignCheckpointer:
-    """Snapshots a :class:`CampaignState` through the resilience store.
-
-    Reuses :class:`~repro.resilience.checkpoint.Checkpoint` verbatim --
-    same format version, header, checksum and atomic directory publish
-    the grid-hierarchy snapshots use -- with the pickled state dict as
-    the payload and the completion count as the step tag.
-    """
-
-    def __init__(self, directory: str | Path, keep_last: int = KEEP_CHECKPOINTS):
-        self.store = DirectoryCheckpointStore(directory, keep_last=keep_last)
-        self.num_saves = 0
-
-    def save(self, state: CampaignState) -> Checkpoint:
-        payload = pickle.dumps(state.to_dict(), protocol=4)
-        ckpt = Checkpoint(
-            version=CHECKPOINT_FORMAT_VERSION,
-            step=state.num_completed,
-            sim_time=0.0,
-            clock_time=0.0,
-            payload=payload,
-            checksum=checksum_bytes(payload),
-        )
-        self.store.save(ckpt)
-        self.num_saves += 1
-        return ckpt
-
-    def load_latest(self) -> CampaignState | None:
-        """Newest restorable state, or ``None`` for a fresh directory.
-
-        Walks back past corrupt snapshots (see ``latest_valid``); only a
-        directory with *no* intact snapshot at all comes back empty.
-        """
-        ckpt = self.store.latest_valid()
-        if ckpt is None:
-            return None
-        return CampaignState.from_dict(ckpt.state())

@@ -6,7 +6,8 @@ from serving:
 - ``results.log.jsonl`` -- the *ingest log*.  Workers complete cells in
   nondeterministic order, so records are appended (and fsynced) here the
   moment they arrive; a crash loses at most the line being written, and
-  a torn final line is skipped on read rather than poisoning the store.
+  a torn final line is skipped on read and terminated by the next
+  append rather than poisoning the store (:mod:`repro.util.durable`).
 - ``results.jsonl`` + ``index.json`` -- the *canonical store*.
   :meth:`ResultStore.compact` merges the log, dedupes by cell key, sorts
   by key and rewrites both atomically.  Because every record is a
@@ -24,11 +25,10 @@ plus a summary row, so the HTTP layer answers cell queries with one
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from repro.campaign.spec import canonical_json
+from repro.util import durable
 from repro.util.errors import CampaignError
 
 __all__ = [
@@ -49,21 +49,6 @@ ARTIFACTS_DIRNAME = "artifacts"
 _SUMMARY_FIELDS = ("scenario", "partitioner", "seed")
 
 
-def _encode(record: dict[str, Any]) -> str:
-    return canonical_json(record) + "\n"
-
-
-def _publish(path: Path, text: str) -> None:
-    """Atomically replace ``path``: fsynced temp file, then rename -- a
-    rename can reach the disk before the data it names."""
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    tmp.replace(path)
-
-
 class ResultStore:
     """Per-cell result records for one campaign directory."""
 
@@ -79,36 +64,19 @@ class ResultStore:
         """Durably append one completed-cell record to the ingest log."""
         if "cell_key" not in record:
             raise CampaignError("result record is missing 'cell_key'")
-        with open(self.log_path, "a", encoding="utf-8") as fh:
-            fh.write(_encode(record))
-            fh.flush()
-            os.fsync(fh.fileno())
+        durable.append_line(
+            self.log_path, durable.canonical_json(record), sync=True
+        )
 
     # -- reads ---------------------------------------------------------
-    def _read_jsonl(self, path: Path) -> Iterator[dict[str, Any]]:
-        if not path.is_file():
-            return
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # A torn tail line from a crash mid-append: the cell
-                    # was never marked completed (the state checkpoint
-                    # happens after the fsync), so dropping it is safe.
-                    continue
-                if isinstance(record, dict) and "cell_key" in record:
-                    yield record
-
     def records(self) -> list[dict[str, Any]]:
         """All records, canonical first, deduped by cell key (first wins)."""
         seen: set[str] = set()
         out: list[dict[str, Any]] = []
         for path in (self.results_path, self.log_path):
-            for record in self._read_jsonl(path):
+            # A torn tail from a crash mid-append is not a row: its cell
+            # was never acknowledged, so the resumed campaign re-runs it.
+            for record in durable.read_rows(path, "cell_key")[0]:
                 key = record["cell_key"]
                 if key in seen:
                     continue
@@ -144,20 +112,36 @@ class ResultStore:
         except (json.JSONDecodeError, OSError):
             return None  # stale/torn index: fall back to scanning
 
+    def _covers_results(self, index: Any) -> bool:
+        """Whether ``index`` accounts for every byte of ``results.jsonl``."""
+        try:
+            covered = sum(int(c["length"]) for c in index["cells"].values())
+            return covered == self.results_path.stat().st_size
+        except (AttributeError, KeyError, TypeError, ValueError, OSError):
+            return False  # not an index this store wrote, or no results
+
     # -- compaction ----------------------------------------------------
     def compact(self) -> dict[str, Any]:
         """Merge log into the canonical store; rewrite the index.
 
         Records are sorted by cell key and re-encoded canonically, then
         both files are published atomically (fsynced tmp + rename) before
-        the ingest log is dropped.  Returns the fresh index payload.
+        the ingest log is dropped.  Returns the index payload.
+
+        With no ingest log and an index that accounts for every byte of
+        ``results.jsonl`` there is nothing to merge, and nothing is
+        written: a no-op resume must not move the mtimes the serving
+        layer's ETags are built from.
         """
+        index = self._load_index()
+        if not self.log_path.exists() and self._covers_results(index):
+            return index
         records = sorted(self.records(), key=lambda r: r["cell_key"])
         index: dict[str, Any] = {"num_cells": len(records), "cells": {}}
         offset = 0
         lines: list[str] = []
         for record in records:
-            line = _encode(record)
+            line = durable.canonical_json(record) + "\n"
             nbytes = len(line.encode("utf-8"))
             summary = {
                 k: record.get(k) for k in _SUMMARY_FIELDS if k in record
@@ -170,9 +154,11 @@ class ResultStore:
             offset += nbytes
             lines.append(line)
 
-        _publish(self.results_path, "".join(lines))
-        _publish(
-            self.index_path, json.dumps(index, sort_keys=True, indent=1) + "\n"
+        durable.publish(self.results_path, "".join(lines), sync=True)
+        durable.publish(
+            self.index_path,
+            json.dumps(index, sort_keys=True, indent=1) + "\n",
+            sync=True,
         )
         # Last: until both files are durable the log is the only copy of
         # the acknowledged cells it holds.

@@ -28,12 +28,12 @@ Usage::
     python -m repro explain traces/ledger/chaos/all --calibration --regret
 
 ``campaign`` executes a scenario × partitioner × seed × config grid
-(one JSON spec file) sharded across worker processes, checkpointing the
-completed-cell ledger after every cell: a run killed at any point --
-SIGKILL included -- resumes with ``campaign resume`` re-executing zero
-completed cells, and the compacted result store is byte-identical to an
-uninterrupted single-worker run.  Each cell also persists a per-cell
-trace-artifact bundle (span JSONL, flamegraph, critical-path profile)
+(one JSON spec file) sharded across worker processes, committing each
+cell with one fsynced append to the result store: a run killed at any
+point -- SIGKILL included -- resumes with ``campaign resume``
+re-executing zero completed cells, and the compacted result store is
+byte-identical to an uninterrupted single-worker run.  Each cell also
+persists a per-cell trace-artifact bundle (span JSONL, flamegraph, critical-path profile)
 under ``artifacts/<cell-key>/`` and appends lifecycle events to the
 campaign's ``events.jsonl`` progress log.  ``campaign watch`` tails
 that log (or a serve ``/live`` SSE URL) as a live progress line with
@@ -1457,7 +1457,7 @@ def main(argv: list[str] | None = None) -> int:
     crun.add_argument("spec", help="path to a campaign spec JSON file")
     crun.add_argument(
         "--dir", required=True,
-        help="campaign directory (result store + checkpoints)",
+        help="campaign directory (result store + artifacts)",
     )
     crun.add_argument(
         "--workers", type=int, default=1,

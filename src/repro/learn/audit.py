@@ -5,8 +5,8 @@ PR 9 made the runtime's adaptivity learned; this module makes it
 :class:`~repro.learn.policy.AdaptiveSensingPolicy` interval choice, a
 :class:`~repro.learn.policy.RepartitionGate` accept/skip, a transient
 capacity forecast, a recovery repartition -- is recorded to a durable
-JSONL ledger (:class:`DecisionLedger`, same fsync/torn-tail/exact-resume
-machinery as the execution-history store) together with its inputs, a
+JSONL ledger (:class:`DecisionLedger`, same fsync/torn-tail machinery
+as the execution-history store) together with its inputs, a
 digest of the model state that produced it, and the prediction with its
 closed-form CI.  Measured outcomes land in the same ledger, so the
 predict->measure loop closes offline from the ledger alone:
@@ -126,8 +126,8 @@ class DecisionLedger(DurableJsonlStore):
     """Durable append-only ledger of adaptive-runtime decisions.
 
     Rides :class:`~repro.learn.durable.DurableJsonlStore`: every append
-    is fsynced before the call returns, a torn tail is truncated on
-    load, and ``index.json`` gives exact resume.  Rows are flat dicts
+    is fsynced before the call returns and a torn tail is skipped on
+    load and terminated by the next append.  Rows are flat dicts
     with a ``kind`` discriminator and a monotonically increasing
     ``seq`` -- the decision id :func:`replay_decision` and the
     ``repro explain --decision`` CLI address.

@@ -1,19 +1,19 @@
-"""Shared durability discipline for append-only JSONL stores.
+"""Append-only JSONL stores with in-memory row adoption.
 
-Extracted from :class:`~repro.learn.history.ExecutionHistoryStore` so
-the decision ledger (:mod:`repro.learn.audit`) inherits the exact same
-crash-safety contract instead of re-implementing it:
+The base of :class:`~repro.learn.history.ExecutionHistoryStore` and the
+decision ledger (:mod:`repro.learn.audit`).  The bytes go through
+:mod:`repro.util.durable`, which owns the crash-safety contract:
 
-- appends go to a single JSONL file and are **fsynced** before the call
-  returns -- a crash never loses an acknowledged row;
-- loads tolerate a **torn tail**: a partial final line from a crash
-  mid-append was never acknowledged, so it is physically truncated
-  (appending after torn bytes would weld the next acknowledged row onto
-  them);
-- an ``index.json`` sidecar records the exact ``(records, bytes)``
-  high-water mark and is published atomically (tmp + rename), so a
-  reopened store resumes from byte-identical state: the trusted prefix
-  replays verbatim and only unindexed bytes are re-validated.
+- appends are **fsynced** before the call returns -- a crash never loses
+  an acknowledged row -- and an append after a **torn tail** (the partial
+  final line of a crash mid-append) terminates the fragment first instead
+  of welding the next acknowledged row onto it;
+- a load adopts every complete row and skips fragments, so a reopened
+  store continues byte-identically to one that was never closed;
+- :meth:`DurableJsonlStore.checkpoint` publishes the ``(records, bytes)``
+  high-water mark to an ``index.json`` sidecar atomically (fsynced tmp +
+  rename).  A load re-validates every line and never trusts the sidecar,
+  so a stale or corrupt index cannot hide or invent a row.
 
 Subclasses set the class attributes (file names, schema version, the
 key a parsed dict must carry to count as a row) and may override
@@ -23,24 +23,20 @@ key a parsed dict must carry to count as a row) and may override
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
-__all__ = ["DurableJsonlStore", "encode_row"]
+from repro.util import durable
 
-
-def encode_row(row: dict[str, Any]) -> str:
-    """Canonical one-line serialization (sorted keys, compact)."""
-    return json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+__all__ = ["DurableJsonlStore"]
 
 
 class DurableJsonlStore:
-    """Fsynced append-only JSONL store with torn-tail exact resume."""
+    """Fsynced append-only JSONL store; rows are adopted as they land."""
 
     #: Append-log file name inside the store directory.
     DATA_NAME = "data.jsonl"
-    #: Exact-resume index sidecar name.
+    #: High-water-mark sidecar name.
     INDEX_NAME = "index.json"
     #: Format version stamped into the index.
     SCHEMA_VERSION = 1
@@ -52,9 +48,9 @@ class DurableJsonlStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.data_path = self.directory / self.DATA_NAME
         self.index_path = self.directory / self.INDEX_NAME
-        self._rows: list[dict[str, Any]] = []
-        self._trusted_bytes = 0
-        self._load()
+        self._rows, self._trusted_bytes = durable.read_rows(
+            self.data_path, self.REQUIRED_KEY
+        )
         for row in self._rows:
             self._absorb(row)
 
@@ -62,95 +58,23 @@ class DurableJsonlStore:
     def _absorb(self, row: dict[str, Any]) -> None:
         """Index one adopted row (loaded or appended).  Default: no-op."""
 
-    # -- load / resume -------------------------------------------------
-    def _read_index(self) -> dict[str, int] | None:
-        if not self.index_path.is_file():
-            return None
-        try:
-            data = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(data, dict):
-            return None
-        try:
-            return {
-                "records": int(data["records"]),
-                "bytes": int(data["bytes"]),
-            }
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def _parse_lines(self, data: bytes) -> Iterator[dict[str, Any]]:
-        for line in data.split(b"\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                # Torn tail from a crash mid-append: the row was never
-                # acknowledged (fsync happens before the caller
-                # returns), so dropping it is the correct resume.
-                continue
-            if isinstance(row, dict) and self.REQUIRED_KEY in row:
-                yield row
-
-    def _load(self) -> None:
-        if not self.data_path.is_file():
-            return
-        data = self.data_path.read_bytes()
-        tail_start = data.rfind(b"\n") + 1
-        if tail_start < len(data):
-            # Physically truncate the torn final line before anything
-            # else appends after it.
-            with open(self.data_path, "r+b") as fh:
-                fh.truncate(tail_start)
-                fh.flush()
-                os.fsync(fh.fileno())
-            data = data[:tail_start]
-        index = self._read_index()
-        trusted = 0
-        if index is not None and 0 <= index["bytes"] <= len(data):
-            # Exact resume: replay the indexed prefix verbatim, then
-            # re-validate only bytes appended after the last checkpoint.
-            prefix = list(self._parse_lines(data[: index["bytes"]]))
-            if len(prefix) == index["records"]:
-                trusted = index["bytes"]
-                self._rows.extend(prefix)
-        if trusted == 0:
-            self._rows = list(self._parse_lines(data))
-            # Everything parseable was absorbed; trust up to the last
-            # newline so the next checkpoint covers the whole file.
-            trusted = data.rfind(b"\n") + 1
-        else:
-            self._rows.extend(self._parse_lines(data[trusted:]))
-            tail_end = data.rfind(b"\n") + 1
-            trusted = max(trusted, tail_end)
-        self._trusted_bytes = trusted
-
     def checkpoint(self) -> None:
-        """Atomically publish the exact-resume index."""
+        """Atomically publish the ``(records, bytes)`` high-water mark."""
         doc = {
             "schema_version": self.SCHEMA_VERSION,
             "records": len(self._rows),
             "bytes": self._trusted_bytes,
         }
-        tmp = self.index_path.with_name(self.index_path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(self.index_path)
+        durable.publish(
+            self.index_path, json.dumps(doc, sort_keys=True) + "\n", sync=True
+        )
 
     # -- append --------------------------------------------------------
     def _append_row(self, row: dict[str, Any]) -> dict[str, Any]:
-        """Durably append one row: write, flush, fsync, then adopt."""
-        encoded = encode_row(row)
-        with open(self.data_path, "a", encoding="utf-8") as fh:
-            fh.write(encoded)
-            fh.flush()
-            os.fsync(fh.fileno())
+        """Durably append one row, then adopt it."""
+        durable.append_line(
+            self.data_path, durable.canonical_json(row), sync=True
+        )
         self._trusted_bytes = self.data_path.stat().st_size
         self._rows.append(row)
         self._absorb(row)

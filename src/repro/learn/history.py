@@ -10,11 +10,12 @@ machinery):
 - appends go to ``history.jsonl`` and are **fsynced** before the call
   returns -- a crash never loses an acknowledged observation;
 - reads tolerate a **torn tail** (a partial line from a crash
-  mid-append parses as garbage and is dropped, never raised);
-- an ``index.json`` sidecar records the exact ``(records, bytes)``
-  high-water mark and is published atomically (tmp + rename), so a
-  reopened store resumes from byte-identical state: the trusted prefix
-  is replayed verbatim and only unindexed bytes are re-validated.
+  mid-append parses as garbage and is dropped, never raised), and the
+  next append terminates it rather than welding a row onto it;
+- an ``index.json`` sidecar records the ``(records, bytes)`` high-water
+  mark and is published atomically (tmp + rename); a reopened store
+  re-validates every line, so it continues byte-identically whether or
+  not the sidecar is current.
 
 Rows are flat observations -- one ``(source, cell_key, phase, node, t,
 work, seconds, capacity, count)`` tuple per line -- ingested from three

@@ -21,8 +21,6 @@ produced.
 
 from __future__ import annotations
 
-import io
-import os
 import pickle
 import struct
 from dataclasses import dataclass, field
@@ -34,6 +32,7 @@ import numpy as np
 from repro.amr.hierarchy import GridHierarchy
 from repro.amr.level import GridLevel
 from repro.amr.patch import GridPatch
+from repro.util import durable
 from repro.util.errors import CheckpointError
 from repro.util.geometry import Box
 from repro.util.hashing import checksum_bytes
@@ -277,20 +276,15 @@ class DirectoryCheckpointStore(CheckpointStore):
 
     def save(self, ckpt: Checkpoint) -> None:
         path = self.directory / f"ckpt_{ckpt.step:08d}.rpck"
-        tmp = path.with_suffix(".tmp")
-        with io.open(tmp, "wb") as f:
-            f.write(ckpt.to_bytes())
-            f.flush()
-            os.fsync(f.fileno())
-        tmp.replace(path)  # atomic publish: no torn snapshots
+        # Atomic publish: no torn snapshots.
+        durable.publish(path, ckpt.to_bytes(), sync=True)
         files = self._files()
         for old in files[: -self.keep_last]:
             old.unlink()
         # A crash between write and rename leaves a stale .tmp behind;
         # it never shadows a published snapshot, so sweep it here.
         for stale in self.directory.glob("ckpt_*.tmp"):
-            if stale != tmp:
-                stale.unlink(missing_ok=True)
+            stale.unlink(missing_ok=True)
 
     def latest(self) -> Checkpoint | None:
         files = self._files()

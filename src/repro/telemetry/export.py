@@ -24,7 +24,7 @@ import csv
 import io
 import json
 import os
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.telemetry.spans import NullTracer, Span, Tracer
@@ -32,6 +32,7 @@ from repro.telemetry.spans import NullTracer, Span, Tracer
 __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
+    "jsonl_lines",
     "write_jsonl",
     "aggregate_phases",
     "metrics_summary",
@@ -139,8 +140,8 @@ def write_chrome_trace(tracer: Tracer | NullTracer, path: str | os.PathLike) -> 
         json.dump(chrome_trace_events(tracer), fh)
 
 
-def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
-    """Write the raw span + event log, one JSON object per line.
+def jsonl_lines(tracer: Tracer | NullTracer) -> Iterator[str]:
+    """The raw span + event log, one JSON object per line.
 
     Records are ordered by simulated start time (ties broken by span id)
     so the log reads chronologically.
@@ -151,9 +152,14 @@ def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
         key=lambda r: (r.get("start_sim", r.get("sim", 0.0)) or 0.0,
                        r.get("span_id", 0))
     )
+    for record in records:
+        yield json.dumps(_jsonable(record)) + "\n"
+
+
+def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
+    """Write :func:`jsonl_lines` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(_jsonable(record)) + "\n")
+        fh.writelines(jsonl_lines(tracer))
 
 
 def aggregate_phases(

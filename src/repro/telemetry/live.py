@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.telemetry.export import _jsonable, write_jsonl
+from repro.telemetry.export import _jsonable, jsonl_lines
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import (
     analyze_critical_path,
@@ -44,6 +44,7 @@ from repro.telemetry.profile import (
     registry_from_records,
 )
 from repro.telemetry.spans import NullTracer, Tracer
+from repro.util import durable
 
 __all__ = [
     "EVENTS_NAME",
@@ -112,15 +113,6 @@ def deterministic_tracer() -> Tracer:
 # ----------------------------------------------------------------------
 # Artifact bundles
 # ----------------------------------------------------------------------
-def _publish(path: Path, text: str) -> int:
-    """Write ``text`` via tmp + rename; return the byte size."""
-    data = text.encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
-    return len(data)
-
-
 def write_cell_bundle(
     tracer: Tracer | NullTracer,
     directory: str | Path,
@@ -166,29 +158,25 @@ def write_cell_bundle(
         "metrics": registry_from_records(records).summary(),
     }
 
-    manifest: dict[str, Any] = {"files": {}, "total_bytes": 0}
-    trace_path = directory / ARTIFACT_FILES["trace"]
-    tmp_trace = trace_path.with_name(trace_path.name + ".tmp")
-    write_jsonl(tracer, tmp_trace)
-    tmp_trace.replace(trace_path)
-    sizes = {
-        "trace": trace_path.stat().st_size,
-        "flamegraph": _publish(
-            directory / ARTIFACT_FILES["flamegraph"],
-            flamegraph_collapsed(records, run_labels=run_labels),
-        ),
-        "profile": _publish(
-            directory / ARTIFACT_FILES["profile"],
-            json.dumps(_jsonable(profile_doc), sort_keys=True, indent=1)
-            + "\n",
+    texts = {
+        "trace": "".join(jsonl_lines(tracer)),
+        "flamegraph": flamegraph_collapsed(records, run_labels=run_labels),
+        "profile": (
+            json.dumps(_jsonable(profile_doc), sort_keys=True, indent=1) + "\n"
         ),
     }
-    for kind, nbytes in sorted(sizes.items()):
+    manifest: dict[str, Any] = {"files": {}, "total_bytes": 0}
+    for kind, text in sorted(texts.items()):
+        # Not fsynced: a bundle is a pure function of its cell, and a cell
+        # whose commit did not survive is re-run and rewrites the same bytes.
+        nbytes = durable.publish(
+            directory / ARTIFACT_FILES[kind], text, sync=False
+        )
         manifest["files"][kind] = {
             "path": ARTIFACT_FILES[kind],
-            "bytes": int(nbytes),
+            "bytes": nbytes,
         }
-        manifest["total_bytes"] += int(nbytes)
+        manifest["total_bytes"] += nbytes
     return manifest
 
 
@@ -297,10 +285,11 @@ class ProgressLog:
             "sim": 0.0,
             "attributes": _jsonable(attributes),
         }
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line)
-            fh.flush()
+        # Not fsynced: the log reports progress (its counts are stamped
+        # from the result store's view); nothing is recovered from it.
+        durable.append_line(
+            self.path, json.dumps(record, sort_keys=True), sync=False
+        )
         return record
 
     def read(self) -> list[dict[str, Any]]:
@@ -314,28 +303,7 @@ class ProgressLog:
         the next poll picks it up whole.  Tail-follow loops call this
         repeatedly with the returned offset.
         """
-        if not self.path.is_file():
-            return [], offset
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            data = fh.read()
-        records: list[dict[str, Any]] = []
-        consumed = 0
-        for raw in data.split(b"\n"):
-            end = consumed + len(raw) + 1
-            if end > len(data):  # no trailing newline yet: torn tail
-                break
-            consumed = end
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if isinstance(record, dict) and "name" in record:
-                records.append(record)
-        return records, offset + consumed
+        return durable.read_rows(self.path, "name", offset)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ the cluster simulator and the partitioners are all expressed in terms of:
   the HDDA hierarchical index space and the default SFC partitioner.
 - :mod:`repro.util.hashing` -- extendible hashing (Fagin et al.), the
   storage/access mechanism of the HDDA.
+- :mod:`repro.util.durable` -- the one durable-write primitive (append
+  a line, read rows, publish a file) every store and log goes through.
 - :mod:`repro.util.errors` -- exception hierarchy.
 - :mod:`repro.util.config` -- small frozen configuration records.
 - :mod:`repro.util.rng` -- deterministic seeding helpers.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import repro.campaign.orchestrator as orch
@@ -10,6 +12,7 @@ from repro.campaign import (
     CampaignSpec,
     campaign_status,
 )
+from repro.campaign.store import ResultStore
 from repro.telemetry.spans import Tracer
 from repro.util.errors import CampaignError
 
@@ -43,6 +46,25 @@ class TestValidation:
         with pytest.raises(CampaignError, match="belongs to campaign"):
             CampaignRunner(small_spec(seeds=(9,)), d)
 
+    def test_campaign_json_is_fsynced(
+        self, tmp_path, monkeypatch
+    ):
+        """A rename can outlive unsynced data: an empty campaign.json
+        would make the directory unclaimable forever."""
+        d = tmp_path / "c"
+        synced = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(os.fstat(fd).st_size)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        CampaignRunner(small_spec(), d)
+        assert synced == [(d / "campaign.json").stat().st_size]
+        CampaignRunner(small_spec(), d)  # verifying writes nothing
+        assert len(synced) == 1
+
 
 class TestRunAndResume:
     def test_full_inline_run(self, tmp_path):
@@ -64,19 +86,79 @@ class TestRunAndResume:
         assert second["executed"] == 1  # zero completed cells re-executed
         assert second["skipped"] == 3
 
-    def test_resume_of_complete_campaign_is_noop(self, tmp_path):
+    def test_resume_of_complete_campaign_is_noop(self, tmp_path, monkeypatch):
         d = tmp_path / "c"
         CampaignRunner(small_spec(), d).run()
+        served = [d / "results.jsonl", d / "index.json"]
+        mtimes = [p.stat().st_mtime_ns for p in served]
+        fsyncs = []
+        monkeypatch.setattr(os, "fsync", fsyncs.append)
         again = CampaignRunner(small_spec(), d).run()
         assert again["complete"]
         assert again["executed"] == 0
         assert again["skipped"] == 4
+        # Nothing to merge: the files `repro serve` builds its ETags from
+        # are not rewritten, and nothing is synced.
+        assert [p.stat().st_mtime_ns for p in served] == mtimes
+        assert fsyncs == []
 
-    def test_state_survives_in_checkpoints(self, tmp_path):
+    def test_progress_survives_in_the_store(self, tmp_path):
         d = tmp_path / "c"
         CampaignRunner(small_spec(), d).run(max_cells=2)
         runner = CampaignRunner(small_spec(), d)
         assert runner.state.num_completed == 2
+        assert sorted(runner.state.completed) == sorted(runner.store.keys())
+        assert not (d / "checkpoints").exists()
+
+    def test_kill_after_store_append_counts_the_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """The store row *is* the commit: a kill right after the append
+        (where a second ledger used to be written) loses nothing."""
+        d = tmp_path / "c"
+
+        class Killed(BaseException):
+            pass
+
+        real_append = ResultStore.append
+
+        def append_then_die(self, record):
+            real_append(self, record)
+            if len(self.keys()) == 2:
+                raise Killed
+
+        monkeypatch.setattr(ResultStore, "append", append_then_die)
+        with pytest.raises(Killed):
+            CampaignRunner(small_spec(), d).run()
+        monkeypatch.undo()
+
+        executed = []
+        real_execute = orch.execute_cell
+
+        def counting(cell_dict, *args):
+            executed.append(cell_dict)
+            return real_execute(cell_dict, *args)
+
+        monkeypatch.setattr(orch, "execute_cell", counting)
+        runner = CampaignRunner(small_spec(), d)
+        assert runner.state.num_completed == 2
+        result = runner.run()
+        assert result["complete"]
+        assert (result["skipped"], result["executed"]) == (2, 2)
+        assert len(executed) == 2  # zero completed cells re-executed
+        assert len(ResultStore(d)) == 4
+
+    def test_directory_with_legacy_checkpoints_resumes(self, tmp_path):
+        """Directories written before the store became the only ledger
+        carry a ``checkpoints/`` of pickled snapshots; it is ignored."""
+        d = tmp_path / "c"
+        CampaignRunner(small_spec(), d).run()
+        (d / "checkpoints").mkdir()
+        (d / "checkpoints" / "ckpt_00000004.rpck").write_bytes(b"RPCK junk")
+        again = CampaignRunner(small_spec(), d).run()
+        assert again["complete"]
+        assert again["executed"] == 0
+        assert campaign_status(d)["completed"] == 4
 
     def test_pool_mode_completes(self, tmp_path):
         d = tmp_path / "c"

@@ -136,6 +136,51 @@ class TestCellsPagination:
         assert pending["cells"] == {}
         assert pending["num_cells"] == 0
 
+    def test_failed_status_comes_from_the_failure_log(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaign.orchestrator as orch
+
+        real = orch.execute_cell
+
+        def flaky(cell_dict, *args):
+            if cell_dict["partitioner"] == "greedy":
+                raise RuntimeError("injected")
+            return real(cell_dict, *args)
+
+        monkeypatch.setattr(orch, "execute_cell", flaky)
+        spec = CampaignSpec(
+            name="web",
+            scenarios=("paper-four-node",),
+            partitioners=("greedy", "heterogeneous"),
+            seeds=(1,),
+            base_config={"iterations": 3},
+        )
+        CampaignRunner(spec, tmp_path / "web").run()
+        server = make_server(tmp_path, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            base = f"http://127.0.0.1:{server.server_address[1]}"
+            by_status = {
+                status: [
+                    c["partitioner"]
+                    for c in self.cells(base, f"?status={status}")[
+                        "cells"
+                    ].values()
+                ]
+                for status in ("completed", "failed", "pending")
+            }
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert by_status == {
+            "completed": ["heterogeneous"],
+            "failed": ["greedy"],
+            "pending": [],
+        }
+
     def test_invalid_known_params_400(self, served):
         _, base = served
         for query in ("?limit=banana", "?offset=-1", "?status=bogus"):
@@ -361,10 +406,14 @@ class TestCaching:
         server, base = served
         _, headers, first = get(f"{base}/campaigns/web/cells")
         etag = headers["ETag"]
-        # Re-compact while the server is live: identical content, but the
-        # store files were rewritten, so the validator must turn over and
-        # a conditional request must be answered with a fresh 200.
-        ResultStore(server.root / "web").compact()
+        # Compact while the server is live: identical content (the log
+        # only holds a duplicate), but the store files were rewritten, so
+        # the validator must turn over and a conditional request must be
+        # answered with a fresh 200.  (A compaction with nothing to merge
+        # writes nothing; test_store pins that.)
+        store = ResultStore(server.root / "web")
+        store.append(store.records()[0])
+        store.compact()
         status, headers2, body = get(
             f"{base}/campaigns/web/cells", {"If-None-Match": etag}
         )

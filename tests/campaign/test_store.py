@@ -71,6 +71,30 @@ class TestCompaction:
         store.compact()
         assert store.results_path.read_bytes() == first
 
+    def test_compact_with_nothing_to_merge_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        for key in ("b", "a"):
+            store.append(rec(key))
+        index = store.compact()
+        writes = []
+        monkeypatch.setattr(os, "write", lambda *a: writes.append(a))
+        assert store.compact() == index
+        assert writes == []
+
+    def test_compact_rewrites_an_index_that_does_not_cover_results(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        for key in ("b", "a"):
+            store.append(rec(key))
+        index = store.compact()
+        for stale in ("{torn", '{"num_cells": 1, "cells": {}}', "[1]"):
+            store.index_path.write_text(stale, encoding="utf-8")
+            assert store.compact() == index
+            assert json.loads(store.index_path.read_text()) == index
+
     def test_index_offsets_resolve_records(self, tmp_path):
         store = ResultStore(tmp_path)
         for key in ("c", "a", "b"):
