@@ -18,12 +18,19 @@ Two jobs live here:
 from __future__ import annotations
 
 import itertools
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.amr.intergrid import prolong
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import (
+    Box,
+    BoxArray,
+    BoxList,
+    overlap_pairs,
+    volumes_by_rank_pair,
+)
 
 __all__ = ["GhostFiller", "plan_exchange_volumes"]
 
@@ -145,8 +152,8 @@ class GhostFiller:
 # Communication-volume planning
 # ---------------------------------------------------------------------------
 def plan_exchange_volumes(
-    boxes: BoxList,
-    owners: dict[Box, int],
+    boxes: BoxList | BoxArray,
+    owners: Mapping[Box, int] | Sequence[int] | np.ndarray,
     ghost_width: int = 1,
     bytes_per_cell: float = 8.0,
     refine_factor: int = 2,
@@ -159,48 +166,62 @@ def plan_exchange_volumes(
     prolongation source -- its coarsened ghost footprint -- from every
     parent-level box it overlaps that lives on another rank.
 
-    Parameters mirror the partitioner output: ``owners`` maps every box in
-    ``boxes`` to its rank.
+    Parameters mirror the partitioner output: ``owners`` is the rank of
+    every row of ``boxes`` (``result.rank_vector()``), or a Box-keyed
+    mapping covering every box, lowered to that vector here.
+
+    Key insertion order is part of the contract
+    (:meth:`~repro.comm.simmpi.SimCommunicator.exchange_time` sums busy
+    time in it): intra-level pairs first, levels in order of first
+    appearance, grown box major and partner minor; then the inter-level
+    pairs by ascending fine level, fine box major and parent minor.
     """
     if ghost_width < 0:
         raise GeometryError(f"negative ghost width {ghost_width}")
-    volumes: dict[tuple[int, int], float] = {}
+    bl = boxes if isinstance(boxes, BoxList) else BoxList.from_array(boxes)
+    if isinstance(owners, Mapping):
+        owners = list(map(owners.get, bl))
+        if None in owners:
+            raise GeometryError(
+                f"box {bl[owners.index(None)]} missing from ownership map"
+            )
+    arr = bl.array
+    ranks = np.asarray(owners, dtype=np.int64)
+    if ranks.shape != (len(arr),):
+        raise GeometryError(f"{ranks.size} owner ranks for {len(arr)} boxes")
+    gw = int(ghost_width)
+    levels, first_seen = np.unique(arr.level, return_index=True)
+    rows = {lvl: arr.level_indices(lvl) for lvl in levels.tolist()}
+    #: (src rank, dst rank, cells) columns, one entry per sweep
+    flows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def add(src: int, dst: int, cells: int) -> None:
-        if src == dst or cells <= 0:
-            return
-        key = (src, dst)
-        volumes[key] = volumes.get(key, 0.0) + cells * bytes_per_cell
-
-    by_level: dict[int, list[Box]] = {}
-    for b in boxes:  # per-box ok: keyed against the Box-keyed owners map
-        if b not in owners:
-            raise GeometryError(f"box {b} missing from ownership map")
-        by_level.setdefault(b.level, []).append(b)
-
-    # Intra-level ghost traffic.
-    for level_boxes in by_level.values():
-        for a in level_boxes:
-            if ghost_width == 0:
-                continue
-            grown = a.grow(ghost_width)
-            for b in level_boxes:
-                if a is b:
-                    continue
-                inter = grown.intersection(b)
-                if inter is not None:
-                    add(owners[b], owners[a], inter.num_cells)
+    # Intra-level ghost traffic (none without a ghost frame; a box meeting
+    # itself is same-rank traffic, dropped with the rest of it below).
+    appearance = levels[np.argsort(first_seen)].tolist() if gw else []
+    for lvl in appearance:
+        pos = rows[lvl]
+        lo, up = arr.lower[pos], arr.upper[pos]
+        grown, partner, cells = overlap_pairs(lo - gw, up + gw, lo, up)
+        flows.append((ranks[pos[partner]], ranks[pos[grown]], cells))
 
     # Inter-level prolongation traffic (fine pulls from coarse).
-    for level, level_boxes in sorted(by_level.items()):
-        parents = by_level.get(level - 1, [])
-        if not parents:
+    for lvl in levels.tolist():
+        parents = rows.get(lvl - 1)
+        if parents is None:
             continue
-        for fine in level_boxes:
-            footprint = fine.grow(ghost_width) if ghost_width else fine
-            coarse_fp = footprint.coarsen(refine_factor)
-            for parent in parents:
-                inter = parent.intersection(coarse_fp)
-                if inter is not None:
-                    add(owners[parent], owners[fine], inter.num_cells)
-    return volumes
+        if refine_factor < 2:
+            raise GeometryError(
+                f"coarsening factor must be >= 2, got {refine_factor}"
+            )
+        pos = rows[lvl]
+        fine, parent, cells = overlap_pairs(
+            np.floor_divide(arr.lower[pos] - gw, refine_factor),
+            -np.floor_divide(-(arr.upper[pos] + gw), refine_factor),  # ceil
+            arr.lower[parents],
+            arr.upper[parents],
+        )
+        flows.append((ranks[parents[parent]], ranks[pos[fine]], cells))
+    if not flows:
+        return {}
+    src, dst, cells = map(np.concatenate, zip(*flows))
+    return volumes_by_rank_pair(src, dst, cells, bytes_per_cell)

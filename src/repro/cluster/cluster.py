@@ -75,6 +75,7 @@ class Cluster:
         # Static per-node spec columns for vectorized speed queries.
         self._cpu_speed = np.array([s.cpu_speed for s in self.nodes])
         self._os_overhead = np.array([s.os_overhead for s in self.nodes])
+        self._nic_mbps = np.array([s.bandwidth_mbps for s in self.nodes])
         #: node -> sim time it went down (absent = up)
         self._down_since: dict[int, float] = {}
         #: node -> multiplicative NIC derating in (0, 1] (absent = 1.0)
@@ -311,6 +312,19 @@ class Cluster:
         if self._down_since:
             speeds[list(self._down_since)] = 0.0
         return speeds
+
+    def bandwidths(self, t: float | None = None) -> np.ndarray:
+        """Per-node deliverable NIC Mbit/s: the columnar twin of
+        ``state_of(k, t).bandwidth_mbps`` (5 % floor, link derating, 0 for
+        down nodes), bitwise equal to it for every node."""
+        t = self.clock.now if t is None else t
+        share = np.maximum(0.05, 1.0 - self._node_sums(t)[2])
+        for node, factor in self._link_derate.items():
+            share[node] *= factor
+        mbps = self._nic_mbps * share
+        if self._down_since:
+            mbps[list(self._down_since)] = 0.0
+        return mbps
 
     # ------------------------------------------------------------------
     # Presets

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.util.errors import SimulationError
 
 __all__ = ["LinkModel"]
@@ -64,4 +66,14 @@ class LinkModel:
         if bw <= 0:
             raise SimulationError("transfer over a zero-bandwidth link")
         bytes_per_s = bw * _MEGA / _BITS_PER_BYTE
+        return self.contention_factor * (self.latency_s + nbytes / bytes_per_s)
+
+    def transfer_times(
+        self, nbytes: np.ndarray, bandwidth_mbps: np.ndarray
+    ) -> np.ndarray:
+        """Vector :meth:`transfer_time`: seconds per message for arrays of
+        positive sizes and positive (already endpoint-minimised)
+        bandwidths -- the same operations in the same order, so every
+        element is bitwise equal to the scalar form."""
+        bytes_per_s = bandwidth_mbps * _MEGA / _BITS_PER_BYTE
         return self.contention_factor * (self.latency_s + nbytes / bytes_per_s)

@@ -16,9 +16,10 @@ we only price the pattern and tally statistics.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,18 +47,28 @@ class CommStats:
     per_pair_seconds: dict[tuple[int, int], float] = field(default_factory=dict)
     per_pair_messages: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def record_message(self, src: int, dst: int, nbytes: int, seconds: float) -> None:
-        self.messages += 1
-        self.bytes_sent += nbytes
-        self.point_to_point_time += seconds
-        pair = (src, dst)
-        self.per_pair_bytes[pair] = self.per_pair_bytes.get(pair, 0) + nbytes
-        self.per_pair_seconds[pair] = self.per_pair_seconds.get(pair, 0.0) + seconds
-        self.per_pair_messages[pair] = self.per_pair_messages.get(pair, 0) + 1
+    def record_messages(
+        self, pairs: Iterable[tuple[int, int]], sizes: list[int], seconds: list[float]
+    ) -> None:
+        """Tally one message per ``(src, dst)`` pair, in order (the running
+        ``point_to_point_time`` is an order-sensitive float sum)."""
+        self.messages += len(sizes)
+        self.bytes_sent += sum(sizes)
+        total = self.point_to_point_time
+        for pair, nbytes, secs in zip(pairs, sizes, seconds):
+            total += secs
+            self.per_pair_bytes[pair] = self.per_pair_bytes.get(pair, 0) + nbytes
+            self.per_pair_seconds[pair] = self.per_pair_seconds.get(pair, 0.0) + secs
+            self.per_pair_messages[pair] = self.per_pair_messages.get(pair, 0) + 1
+        self.point_to_point_time = total
 
 
 class SimCommunicator:
     """Prices communication patterns on a simulated cluster.
+
+    Every message of a phase is priced from one
+    :meth:`~repro.cluster.cluster.Cluster.bandwidths` vector in one
+    alpha-beta evaluation -- no per-pair state query.
 
     With a tracer bound (:meth:`bind_tracer`), traffic is also promoted
     into telemetry: ``comm.bytes_total``/``comm.messages_total`` counters,
@@ -69,6 +80,7 @@ class SimCommunicator:
     def __init__(self, cluster: Cluster, tracer=None):
         self.cluster = cluster
         self.stats = CommStats()
+        self._nominal_mbps = np.array([s.bandwidth_mbps for s in cluster.nodes])
         self._tracer = NULL_TRACER
         self._bytes_total = None
         self._messages_total = None
@@ -100,27 +112,68 @@ class SimCommunicator:
             raise SimulationError(f"rank {rank} out of range [0, {self.size})")
 
     # ------------------------------------------------------------------
+    def _price(
+        self,
+        pairs: Sequence[tuple[int, int]],
+        sizes: Iterable[float],
+        t: float | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Price and tally one message per ``(src, dst)`` pair at time ``t``.
+
+        Returns, row per pair: the ``(n, 2)`` rank array, the seconds, the
+        integer sizes and the slower endpoint's deliverable Mbit/s.  A
+        self-message is a local copy (free, not tallied, never checked);
+        an unpriceable message raises for the first offender in pair order.
+        """
+        n = len(pairs)
+        ends = np.array(pairs, dtype=np.intp).reshape(n, 2)
+        src, dst = ends[:, 0], ends[:, 1]
+        nbytes = np.fromiter(sizes, dtype=float, count=n)
+        mbps = self.cluster.bandwidths(t)
+        wire = src != dst
+        fault = bool(n) and bool(ends.min() < 0 or ends.max() >= self.size)
+        if not fault:
+            up = self.cluster.live_mask()
+            link_mbps = np.minimum(mbps[src], mbps[dst])
+            paid = wire & (nbytes != 0)  # a zero-byte message costs nothing
+            fault = bool(
+                (
+                    wire & ~(up[src] & up[dst] & (nbytes >= 0))
+                    | paid & (link_mbps <= 0)
+                ).any()
+            )
+        if fault:
+            for (a, b), size in zip(pairs, sizes):
+                self._check_rank(a)
+                self._check_rank(b)
+                if a == b:
+                    continue
+                if not (self.cluster.is_up(a) and self.cluster.is_up(b)):
+                    raise SimulationError(
+                        f"point-to-point {a}->{b} has a down endpoint; "
+                        "recovery must evacuate or re-route this transfer"
+                    )
+                # Negative size, zero bandwidth: the link model's checks.
+                self.cluster.link.transfer_time(size, mbps[a], mbps[b])
+        seconds = np.zeros(n)
+        seconds[paid] = self.cluster.link.transfer_times(
+            nbytes[paid], link_mbps[paid]
+        )
+        nbytes = nbytes.astype(np.int64)
+        sent = nbytes[wire].tolist()
+        self.stats.record_messages(
+            itertools.compress(pairs, wire.tolist()), sent, seconds[wire].tolist()
+        )
+        if self._messages_total is not None:
+            self._messages_total.inc(len(sent))
+            self._bytes_total.inc(sum(sent))
+        return ends, seconds, nbytes, link_mbps
+
     def p2p_time(
         self, src: int, dst: int, nbytes: float, t: float | None = None
     ) -> float:
         """Seconds for one message from ``src`` to ``dst`` at time ``t``."""
-        self._check_rank(src)
-        self._check_rank(dst)
-        if src == dst:
-            return 0.0  # local copy, charged to compute
-        if not (self.cluster.is_up(src) and self.cluster.is_up(dst)):
-            raise SimulationError(
-                f"point-to-point {src}->{dst} has a down endpoint; "
-                "recovery must evacuate or re-route this transfer"
-            )
-        s_bw = self.cluster.state_of(src, t).bandwidth_mbps
-        d_bw = self.cluster.state_of(dst, t).bandwidth_mbps
-        seconds = self.cluster.link.transfer_time(nbytes, s_bw, d_bw)
-        self.stats.record_message(src, dst, int(nbytes), seconds)
-        if self._messages_total is not None:
-            self._messages_total.inc()
-            self._bytes_total.inc(int(nbytes))
-        return seconds
+        return float(self._price([(src, dst)], [nbytes], t)[1][0])
 
     def exchange_time(
         self,
@@ -136,53 +189,64 @@ class SimCommunicator:
         ``phase`` labels the emitted ``comm.exchange`` telemetry event
         (``"ghost-exchange"``, ``"migration"``) when a tracer is bound.
         """
+        ends, seconds, nbytes, link_mbps = self._price(
+            list(pair_bytes), pair_bytes.values(), t
+        )
+        # busy[src] += s; busy[dst] += s, pair by pair: bincount adds the
+        # interleaved [src0, dst0, src1, dst1, ...] rows in order, so each
+        # rank's float sum keeps the scalar walk's order.
         busy = np.zeros(self.size)
-        trace = self._tracer.enabled
-        pairs: list[tuple[int, int, int, float, bool]] = []
-        for (src, dst), nbytes in pair_bytes.items():
-            seconds = self.p2p_time(src, dst, nbytes, t)
-            busy[src] += seconds
-            busy[dst] += seconds
-            if trace and src != dst:
-                eff_bw = min(
-                    self.cluster.state_of(src, t).bandwidth_mbps,
-                    self.cluster.state_of(dst, t).bandwidth_mbps,
-                )
-                nom_bw = min(
-                    self.cluster.nodes[src].bandwidth_mbps,
-                    self.cluster.nodes[dst].bandwidth_mbps,
-                )
-                derated = eff_bw < nom_bw * (1.0 - 1e-12)
-                pairs.append((int(src), int(dst), int(nbytes), seconds, derated))
-        if trace:
-            self._emit_exchange_event(phase, pairs, busy, t)
+        if len(ends):  # bincount of nothing ignores the weights' dtype
+            busy = np.bincount(
+                ends.ravel(), weights=np.repeat(seconds, 2), minlength=self.size
+            )
+        if self._tracer.enabled:
+            wire = ends[:, 0] != ends[:, 1]
+            nominal = self._nominal_mbps[ends].min(axis=1)
+            derated = link_mbps < nominal * (1.0 - 1e-12)
+            self._emit_exchange_event(
+                phase, ends[wire], nbytes[wire], seconds[wire], derated[wire], busy, t
+            )
         return busy
 
     def _emit_exchange_event(
         self,
         phase: str,
-        pairs: list[tuple[int, int, int, float, bool]],
+        ends: np.ndarray,
+        nbytes: np.ndarray,
+        seconds: np.ndarray,
+        derated: np.ndarray,
         busy: np.ndarray,
         t: float | None,
     ) -> None:
-        total_bytes = int(sum(p[2] for p in pairs))
-        derated_bytes = int(sum(p[2] for p in pairs if p[4]))
-        messages = len(pairs)
-        dropped = 0
-        if len(pairs) > EVENT_PAIR_CAP:
-            pairs = sorted(pairs, key=lambda p: p[2], reverse=True)
-            dropped = len(pairs) - EVENT_PAIR_CAP
-            pairs = pairs[:EVENT_PAIR_CAP]
+        messages = len(nbytes)
         makespan = float(busy.max()) if busy.size else 0.0
         attrs = {
             "phase": phase,
             "ranks": self.size,
-            "bytes": total_bytes,
+            "bytes": int(nbytes.sum()),
             "messages": messages,
             "seconds": makespan,
-            "derated_bytes": derated_bytes,
-            "pairs": [list(p) for p in pairs],
+            "derated_bytes": int(nbytes[derated].sum()),
         }
+        dropped = max(messages - EVENT_PAIR_CAP, 0)
+        # Over the cap: heaviest first, ties in pair order (a stable
+        # descending sort).
+        rows = (
+            np.argsort(-nbytes, kind="stable")[:EVENT_PAIR_CAP]
+            if dropped
+            else slice(None)
+        )
+        attrs["pairs"] = [
+            list(row)
+            for row in zip(
+                ends[rows, 0].tolist(),
+                ends[rows, 1].tolist(),
+                nbytes[rows].tolist(),
+                seconds[rows].tolist(),
+                derated[rows].tolist(),
+            )
+        ]
         if dropped:
             attrs["pairs_dropped"] = dropped
         if t is not None:
@@ -201,12 +265,12 @@ class SimCommunicator:
         fault tolerance (ULFM-style) shrinks the communicator; pricing them
         in would divide by a zero bandwidth.
         """
-        live = [k for k in range(self.size) if self.cluster.is_up(k)]
-        if len(live) <= 1:
+        up = self.cluster.live_mask()
+        num_live = int(np.count_nonzero(up))
+        if num_live <= 1:
             return 0.0
-        rounds = math.ceil(math.log2(len(live)))
-        states = [self.cluster.state_of(k, t) for k in live]
-        slowest_bw = min(s.bandwidth_mbps for s in states)
+        rounds = math.ceil(math.log2(num_live))
+        slowest_bw = float(self.cluster.bandwidths(t)[up].min())
         per_round = self.cluster.link.transfer_time(nbytes, slowest_bw, slowest_bw)
         seconds = rounds * per_round
         self.stats.collective_time += seconds

@@ -133,6 +133,10 @@ class HDDA:
         key = self.index_space.key_for_box(box)
         if key in self.ownership:
             raise HDDAError(f"box {box} already registered (key {key})")
+        self._create_block(key, box, rank, payload)
+        return key
+
+    def _create_block(self, key: int, box: Box, rank: int, payload=None) -> None:
         blk = Block(
             key=key,
             box=box,
@@ -141,7 +145,6 @@ class HDDA:
         )
         self.stores[rank].put(blk)
         self.ownership.assign(key, rank)
-        return key
 
     def unregister_box(self, box: Box) -> None:
         """Drop the block for ``box`` (hierarchy shrank at regrid)."""
@@ -192,6 +195,32 @@ class HDDA:
     # ------------------------------------------------------------------
     # Redistribution
     # ------------------------------------------------------------------
+    def _keyed_items(
+        self, assignment: Mapping[Box, int] | Iterable[tuple[Box, int]]
+    ) -> tuple[list[tuple[Box, int]], list[int]]:
+        """The ``(box, rank)`` items and each box's index key, encoded once
+        in one batch: plan, move, register and drop all work from these."""
+        items = list(
+            assignment.items()
+            if isinstance(assignment, Mapping)
+            else assignment
+        )
+        keys = self.index_space.keys_for_boxes(BoxList(b for b, _ in items))
+        return items, keys
+
+    def _plan(self, items: list[tuple[Box, int]], keys: list[int]) -> MigrationPlan:
+        plan = MigrationPlan()
+        for (_, dst), key in zip(items, keys):
+            if not 0 <= dst < self.num_procs:
+                raise HDDAError(f"rank {dst} out of range")
+            if key not in self.ownership:
+                continue
+            src = self.ownership.owner(key)
+            if src != dst:
+                nbytes = self.stores[src].get(key).nbytes
+                plan.add(src, dst, key, nbytes)
+        return plan
+
     def plan_redistribution(
         self, assignment: Mapping[Box, int] | Iterable[tuple[Box, int]]
     ) -> MigrationPlan:
@@ -201,23 +230,7 @@ class HDDA:
         (they are *new* blocks, created by :meth:`apply_assignment`); blocks
         not mentioned in the assignment keep their current owner.
         """
-        items = (
-            assignment.items()
-            if isinstance(assignment, Mapping)
-            else list(assignment)
-        )
-        plan = MigrationPlan()
-        for box, dst in items:
-            if not 0 <= dst < self.num_procs:
-                raise HDDAError(f"rank {dst} out of range")
-            key = self.index_space.key_for_box(box)
-            if key not in self.ownership:
-                continue
-            src = self.ownership.owner(key)
-            if src != dst:
-                nbytes = self.stores[src].get(key).nbytes
-                plan.add(src, dst, key, nbytes)
-        return plan
+        return self._plan(*self._keyed_items(assignment))
 
     def apply_assignment(
         self, assignment: Mapping[Box, int] | Iterable[tuple[Box, int]]
@@ -227,26 +240,20 @@ class HDDA:
         Existing blocks move (returned in the plan), blocks for new boxes are
         created in place, and blocks whose boxes disappeared are dropped.
         """
-        items = list(
-            assignment.items()
-            if isinstance(assignment, Mapping)
-            else assignment
-        )
-        plan = self.plan_redistribution(items)
+        items, keys = self._keyed_items(assignment)
+        plan = self._plan(items, keys)
         # Execute moves.
-        for (src, dst), keys in plan.moves.items():
-            for key in keys:
+        for (src, dst), moving in plan.moves.items():
+            for key in moving:
                 blk = self.stores[src].pop(key)
                 self.stores[dst].put(blk)
                 self.ownership.assign(key, dst)
-        # Create new blocks, tracking the desired final key set.
-        desired: set[int] = set()
-        for box, rank in items:
-            key = self.index_space.key_for_box(box)
-            desired.add(key)
+        # Create new blocks.
+        for (box, rank), key in zip(items, keys):
             if key not in self.ownership:
-                self.register_box(box, rank)
-        # Drop stale blocks.
+                self._create_block(key, box, rank)
+        # Drop stale blocks: everything outside the desired final key set.
+        desired = set(keys)
         for key in list(self.ownership._owner):
             if key not in desired:
                 rank = self.ownership.owner(key)

@@ -16,7 +16,12 @@ from typing import Iterable, Sequence
 
 from repro.util.errors import GeometryError, HDDAError
 from repro.util.geometry import Box, BoxList
-from repro.util.sfc import hilbert_encode, morton_encode
+from repro.util.sfc import (
+    hilbert_encode,
+    hilbert_encode_many,
+    morton_encode,
+    morton_encode_many,
+)
 
 __all__ = ["HierarchicalIndexSpace"]
 
@@ -114,6 +119,25 @@ class HierarchicalIndexSpace:
         """
         self._check_level(box.level)
         return self.key_for_point(box.lower, box.level)
+
+    def keys_for_boxes(self, boxes: BoxList) -> list[int]:
+        """:meth:`key_for_box` of every box, encoded in one batch over the
+        lower-corner columns."""
+        arr = boxes.array
+        if len(arr) and int(arr.level.max()) < self.max_levels:
+            scale = self.refine_factor ** (self._finest - arr.level)
+            corners = arr.lower * scale[:, None]
+            if corners.min() >= 0 and corners.max() < (1 << self._bits):
+                encode = (
+                    hilbert_encode_many
+                    if self.curve == "hilbert"
+                    else morton_encode_many
+                )
+                keys = encode(corners, self._bits) << self._level_bits
+                return (keys | arr.level).tolist()
+        # Nothing to encode, or a box is unaddressable: the scalar walk
+        # raises for the first offender.
+        return [self.key_for_box(b) for b in boxes]
 
     def level_of_key(self, key: int) -> int:
         """Recover the refinement level from a key."""

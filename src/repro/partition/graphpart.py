@@ -36,7 +36,7 @@ from repro.partition.base import (
     WorkModel,
     as_work_model,
 )
-from repro.util.geometry import BoxList
+from repro.util.geometry import BoxList, overlap_pairs
 
 __all__ = ["build_box_graph", "GraphPartitioner"]
 
@@ -54,100 +54,48 @@ def build_box_graph(
     would cross between the two boxes in one ghost exchange (both
     directions), including coarse-fine prolongation overlap.
 
-    Edges are generated over the list's columns: per level, candidate
-    pairs are pruned with an axis-0 sweep (sorted lower corners + binary
-    search, the same trick as ``BoxArray.is_disjoint``) and the survivors'
-    exchange volumes computed in one broadcast -- the volumes are exact
-    integers, identical to the old per-pair ``Box.intersection`` walk.
+    Edges are generated over the list's columns: per level,
+    :func:`~repro.util.geometry.overlap_pairs` (axis-0 sweep + exact
+    extent test) yields the overlapping pairs and their cell counts --
+    exact integers, identical to the old per-pair ``Box.intersection``
+    walk.
     """
     g = nx.Graph()
     bl = boxes if isinstance(boxes, BoxList) else BoxList(boxes)
     arr = bl.array
     works = as_work_model(work_of).vector(bl).tolist()
-    n = len(arr)
-    g.add_nodes_from((i, {"work": works[i]}) for i in range(n))
+    g.add_nodes_from((i, {"work": works[i]}) for i in range(len(arr)))
 
     gw = int(ghost_width)
-    lower = arr.lower
-    upper = arr.upper
-    levels = arr.level
+    rf = int(refine_factor)
     edges: list[tuple[int, int, dict]] = []
 
-    for lvl in np.unique(levels).tolist():
-        pos = np.flatnonzero(levels == lvl)
-        m = pos.size
-        lo = lower[pos]
-        up = upper[pos]
-        # Intra-level ghost adjacency.  The earlier box of each pair is
-        # the grown operand (grow(a) & b, as the object path had it);
-        # pruning uses a symmetric +gw slack on axis 0, a superset of the
-        # true pairs, and the exact extent test drops the rest.
-        if m > 1:
-            order = np.argsort(lo[:, 0], kind="stable")
-            slo = lo[order]
-            sup = up[order]
-            ends = np.searchsorted(slo[:, 0], sup[:, 0] + gw, side="left")
-            starts = np.arange(m) + 1
-            counts = np.maximum(ends - starts, 0)
-            tot = int(counts.sum())
-            if tot:
-                ii = np.repeat(np.arange(m), counts)
-                offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                jj = (
-                    np.arange(tot)
-                    - np.repeat(offsets, counts)
-                    + np.repeat(starts, counts)
-                )
-                oi = order[ii]
-                oj = order[jj]
-                a = np.minimum(oi, oj)  # earlier member: the grown side
-                b = np.maximum(oi, oj)
-                inter_lo = np.maximum(lo[a] - gw, lo[b])
-                inter_up = np.minimum(up[a] + gw, up[b])
-                ext = inter_up - inter_lo
-                ok = (ext > 0).all(axis=1)
-                if bool(ok.any()):
-                    cells = np.prod(ext[ok], axis=1)
-                    edges.extend(
-                        (i, j, {"volume": v})
-                        for i, j, v in zip(
-                            pos[a[ok]].tolist(),
-                            pos[b[ok]].tolist(),
-                            (2 * cells).tolist(),
-                        )
-                    )
+    def add_edges(i: np.ndarray, j: np.ndarray, volume: np.ndarray) -> None:
+        edges.extend(
+            (a, b, {"volume": v})
+            for a, b, v in zip(i.tolist(), j.tolist(), volume.tolist())
+        )
+
+    for lvl in np.unique(arr.level).tolist():
+        pos = arr.level_indices(lvl)
+        lo = arr.lower[pos]
+        up = arr.upper[pos]
+        # Intra-level ghost adjacency: the earlier box of each pair is
+        # the grown operand (grow(a) & b, as the object path had it), and
+        # the volume counts both directions.
+        ai, bj, cells = overlap_pairs(lo - gw, up + gw, lo, up)
+        earlier = ai < bj
+        add_edges(pos[ai[earlier]], pos[bj[earlier]], 2 * cells[earlier])
         # Inter-level prolongation overlap: each fine box's grown
         # footprint, coarsened one level, against the parent level.
-        if lvl > 0 and m:
-            parents_pos = np.flatnonzero(levels == lvl - 1)
-            if parents_pos.size:
-                rf = int(refine_factor)
-                fp_lo = np.floor_divide(lo - gw, rf)
-                fp_up = -np.floor_divide(-(up + gw), rf)  # ceil division
-                p_lo = lower[parents_pos]
-                p_up = upper[parents_pos]
-                porder = np.argsort(p_lo[:, 0], kind="stable")
-                sp_lo0 = p_lo[porder, 0]
-                hi = np.searchsorted(sp_lo0, fp_up[:, 0], side="left")
-                tot = int(hi.sum())
-                if tot:
-                    fi = np.repeat(np.arange(m), hi)
-                    offsets = np.concatenate(([0], np.cumsum(hi)[:-1]))
-                    pj = porder[np.arange(tot) - np.repeat(offsets, hi)]
-                    inter_lo = np.maximum(p_lo[pj], fp_lo[fi])
-                    inter_up = np.minimum(p_up[pj], fp_up[fi])
-                    ext = inter_up - inter_lo
-                    ok = (ext > 0).all(axis=1)
-                    if bool(ok.any()):
-                        cells = np.prod(ext[ok], axis=1)
-                        edges.extend(
-                            (i, j, {"volume": v})
-                            for i, j, v in zip(
-                                pos[fi[ok]].tolist(),
-                                parents_pos[pj[ok]].tolist(),
-                                cells.tolist(),
-                            )
-                        )
+        parents = arr.level_indices(lvl - 1)
+        fi, pj, cells = overlap_pairs(
+            np.floor_divide(lo - gw, rf),
+            -np.floor_divide(-(up + gw), rf),  # ceil division
+            arr.lower[parents],
+            arr.upper[parents],
+        )
+        add_edges(pos[fi], parents[pj], cells)
     g.add_edges_from(edges)
     return g
 

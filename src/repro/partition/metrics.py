@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.partition.base import PartitionResult, WorkFunction, WorkModel
 from repro.util.errors import PartitionError
-from repro.util.geometry import BoxArray, BoxList
+from repro.util.geometry import (
+    BoxArray,
+    BoxList,
+    overlap_pairs,
+    volumes_by_rank_pair,
+)
 
 __all__ = [
     "imbalance_pct",
@@ -37,73 +42,38 @@ def redistribution_volume_columns(
 ) -> dict[tuple[int, int], float]:
     """Columnar :func:`redistribution_volume`: box columns in, dict out.
 
-    Candidate overlap pairs are generated per level with an axis-0 sweep
-    (sorted previous lower corners + binary search, the same pruning as
-    ``BoxArray.is_disjoint``) and their intersection volumes computed in
-    one broadcast.  The surviving pairs are then accumulated into the
-    ``(old_rank, new_rank)`` dict *in the object walk's order* -- new box
-    major, previous-list position minor -- so both the per-key float sums
-    and the dict's key insertion order (which
-    :meth:`~repro.comm.simmpi.SimMpi.exchange_time` iterates) are
-    byte-identical to the pair-based path.
+    Per level, :func:`~repro.util.geometry.overlap_pairs` yields the
+    (new box, previous box) overlaps in the object walk's order -- new
+    box major, previous-list position minor -- and
+    :func:`~repro.util.geometry.volumes_by_rank_pair` sums them per
+    ``(old_rank, new_rank)``, so the per-key float sums and the dict's
+    key insertion order (which
+    :meth:`~repro.comm.simmpi.SimCommunicator.exchange_time` iterates)
+    are byte-identical to the pair-based path.
     """
-    volumes: dict[tuple[int, int], float] = {}
     if prev_boxes is None or new_boxes is None:
-        return volumes
+        return {}
     parr = prev_boxes.array if isinstance(prev_boxes, BoxList) else prev_boxes
     narr = new_boxes.array if isinstance(new_boxes, BoxList) else new_boxes
     if len(parr) == 0 or len(narr) == 0:
-        return volumes
+        return {}
     pranks = np.ascontiguousarray(prev_ranks, dtype=np.int64)
     nranks = np.ascontiguousarray(new_ranks, dtype=np.int64)
-    pair_new: list[np.ndarray] = []
-    pair_prev: list[np.ndarray] = []
-    pair_cells: list[np.ndarray] = []
+    overlaps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for lvl in np.unique(narr.level).tolist():
-        ppos = np.flatnonzero(parr.level == lvl)
-        if not ppos.size:
-            continue
-        npos = np.flatnonzero(narr.level == lvl)
-        plo = parr.lower[ppos]
-        pup = parr.upper[ppos]
-        nlo = narr.lower[npos]
-        nup = narr.upper[npos]
-        # Prune on axis 0: previous boxes sorted by lower corner; each new
-        # box can only intersect the prefix with p_lo0 < n_up0.  The exact
-        # extent test below drops the false positives.
-        porder = np.argsort(plo[:, 0], kind="stable")
-        hi = np.searchsorted(plo[porder, 0], nup[:, 0], side="left")
-        tot = int(hi.sum())
-        if not tot:
-            continue
-        ni = np.repeat(np.arange(len(npos)), hi)
-        offsets = np.concatenate(([0], np.cumsum(hi)[:-1]))
-        pj = porder[np.arange(tot) - np.repeat(offsets, hi)]
-        inter_lo = np.maximum(plo[pj], nlo[ni])
-        inter_up = np.minimum(pup[pj], nup[ni])
-        ext = inter_up - inter_lo
-        gi = npos[ni]
-        gj = ppos[pj]
-        ok = (ext > 0).all(axis=1) & (pranks[gj] != nranks[gi])
-        if not bool(ok.any()):
-            continue
-        pair_new.append(gi[ok])
-        pair_prev.append(gj[ok])
-        pair_cells.append(np.prod(ext[ok], axis=1))
-    if not pair_new:
-        return volumes
-    gi = np.concatenate(pair_new)
-    gj = np.concatenate(pair_prev)
-    cells = np.concatenate(pair_cells)
-    order = np.lexsort((gj, gi))  # new-box major, previous position minor
-    for old_rank, new_rank, c in zip(
-        pranks[gj[order]].tolist(),
-        nranks[gi[order]].tolist(),
-        cells[order].tolist(),
-    ):
-        key = (old_rank, new_rank)
-        volumes[key] = volumes.get(key, 0.0) + c * bytes_per_cell
-    return volumes
+        ppos = parr.level_indices(lvl)
+        npos = narr.level_indices(lvl)
+        ni, pj, cells = overlap_pairs(
+            narr.lower[npos], narr.upper[npos], parr.lower[ppos], parr.upper[ppos]
+        )
+        overlaps.append((npos[ni], ppos[pj], cells))
+    gi, gj, cells = map(np.concatenate, zip(*overlaps))
+    # Levels interleave in the new list: restore new-box-major order across
+    # them (stable, so previous-position-minor survives inside each box).
+    order = np.argsort(gi, kind="stable")
+    return volumes_by_rank_pair(
+        pranks[gj[order]], nranks[gi[order]], cells[order], bytes_per_cell
+    )
 
 
 def redistribution_volume(

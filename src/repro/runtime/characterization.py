@@ -75,7 +75,7 @@ def characterize(
         imbalances.append(float(imb.max()))
         vols = plan_exchange_volumes(
             result.boxes(),
-            result.owners(),
+            result.rank_vector(),
             ghost_width=ghost_width,
             bytes_per_cell=bytes_per_cell,
             refine_factor=workload.refine_factor,

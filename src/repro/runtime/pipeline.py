@@ -331,7 +331,7 @@ class RepartitionPipeline:
         # ghost-exchange volumes are planned here, once.
         volumes = plan_exchange_volumes(
             part.boxes(),
-            part.owners(),
+            part.rank_vector(),
             ghost_width=self.ghost_width,
             bytes_per_cell=self.bytes_per_cell,
             refine_factor=self.refine_factor,

@@ -44,7 +44,13 @@ import numpy as np
 
 from repro.util.errors import GeometryError
 
-__all__ = ["Box", "BoxArray", "BoxList"]
+__all__ = [
+    "Box",
+    "BoxArray",
+    "BoxList",
+    "overlap_pairs",
+    "volumes_by_rank_pair",
+]
 
 
 def _as_int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
@@ -708,6 +714,77 @@ class BoxArray:
                     return True
             i0 = i1
         return False
+
+
+def overlap_pairs(
+    a_lo: np.ndarray, a_up: np.ndarray, b_lo: np.ndarray, b_up: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every overlapping pair between two sets of same-level boxes.
+
+    The operands are ``(n, ndim)`` corner columns (callers pass grown or
+    coarsened corners, so these need not be rows of one ``BoxArray``).
+    Returns ``(ai, bj, cells)``: the row indices of each pair whose
+    intersection is non-empty and that intersection's cell count, ordered
+    ``a``-major / ``b``-minor -- the order a nested ``for a: for b:``
+    object walk visits them, which the volume planners' float sums and
+    dict key order depend on.
+
+    Candidates come from an axis-0 sweep: with ``b`` sorted by lower
+    corner, box ``a`` can only meet the window ``a_lo0 - w < b_lo0 <
+    a_up0`` (``w`` the widest ``b`` extent on that axis), found by two
+    binary searches per ``a`` box.  The exact extent test drops the false
+    positives, so memory is O(candidates), never O(len(a) * len(b)).
+    """
+    none = np.zeros(0, dtype=np.intp)
+    if not len(a_lo) or not len(b_lo):
+        return none, none, np.zeros(0, dtype=np.int64)
+    order = np.argsort(b_lo[:, 0], kind="stable")
+    sorted_lo0 = b_lo[order, 0]
+    widest = int((b_up[:, 0] - b_lo[:, 0]).max())
+    first = np.searchsorted(sorted_lo0, a_lo[:, 0] - widest, side="right")
+    last = np.searchsorted(sorted_lo0, a_up[:, 0], side="left")
+    counts = np.maximum(last - first, 0)
+    total = int(counts.sum())
+    ai = np.repeat(np.arange(len(a_lo)), counts)
+    starts = np.cumsum(counts) - counts
+    bj = order[np.arange(total) - np.repeat(starts - first, counts)]
+    ext = np.minimum(a_up[ai], b_up[bj]) - np.maximum(a_lo[ai], b_lo[bj])
+    hit = np.flatnonzero((ext > 0).all(axis=1))
+    hit = hit[np.lexsort((bj[hit], ai[hit]))]
+    return ai[hit], bj[hit], ext[hit].prod(axis=1)
+
+
+def volumes_by_rank_pair(
+    src: np.ndarray, dst: np.ndarray, cells: np.ndarray, bytes_per_cell: float
+) -> dict[tuple[int, int], float]:
+    """Bytes per directed ``(src, dst)`` rank pair over a run of overlaps.
+
+    The columnar form of ``volumes[key] = volumes.get(key, 0.0) + c *
+    bytes_per_cell`` walked in row order: same-rank rows are skipped, keys
+    are inserted in first-appearance order (which
+    :meth:`~repro.comm.simmpi.SimCommunicator.exchange_time` iterates) and
+    ``np.bincount`` adds each key's rows in row order, so both the dict
+    order and every float sum match the scalar walk bit for bit.
+    """
+    cross = np.flatnonzero(src != dst)
+    if not cross.size:
+        return {}
+    src, dst = src[cross], dst[cross]
+    base = min(int(src.min()), int(dst.min()))
+    span = max(int(src.max()), int(dst.max())) - base + 1
+    _, first, group = np.unique(
+        (src - base) * span + (dst - base),
+        return_index=True,
+        return_inverse=True,
+    )
+    totals = np.bincount(group, weights=cells[cross] * bytes_per_cell)
+    first.sort()
+    return dict(
+        zip(
+            zip(src[first].tolist(), dst[first].tolist()),
+            totals[group[first]].tolist(),
+        )
+    )
 
 
 class BoxList:

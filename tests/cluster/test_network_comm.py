@@ -172,6 +172,62 @@ class TestDegenerateAndFaultedComm:
         assert after > before
 
 
+class TestExchangeFaults:
+    """An unpriceable phase raises for the first offender in dict order,
+    with the text the per-message walk gave it, and tallies nothing."""
+
+    def comm(self) -> SimCommunicator:
+        nodes = [NodeSpec(name=f"n{k}") for k in range(4)]
+        # 5e-324 Mbit/s derated by half underflows to a zero-bandwidth NIC
+        # on a node that is up.
+        nodes.append(NodeSpec(name="n4", bandwidth_mbps=5e-324))
+        cluster = Cluster(nodes)
+        cluster.degrade_link(4, 0.5)
+        cluster.mark_down(3)
+        return SimCommunicator(cluster)
+
+    @pytest.mark.parametrize(
+        "bad_pair, nbytes, message",
+        [
+            ((0, 7), 1.0, "rank 7 out of range [0, 5)"),
+            ((-1, 0), 1.0, "rank -1 out of range [0, 5)"),
+            (
+                (3, 1),
+                1.0,
+                "point-to-point 3->1 has a down endpoint; "
+                "recovery must evacuate or re-route this transfer",
+            ),
+            ((1, 2), -8.5, "negative transfer size -8.5"),
+            ((4, 0), 1.0, "transfer over a zero-bandwidth link"),
+        ],
+    )
+    def test_each_fault_keeps_its_text(self, bad_pair, nbytes, message):
+        comm = self.comm()
+        with pytest.raises(SimulationError) as exc:
+            comm.exchange_time({(0, 1): 1e3, bad_pair: nbytes, (1, 0): 1e3})
+        assert str(exc.value) == message
+        with pytest.raises(SimulationError) as exc:
+            comm.p2p_time(*bad_pair, nbytes)
+        assert str(exc.value) == message
+        assert comm.stats.messages == 0
+
+    def test_first_offender_in_dict_order_wins(self):
+        phase = {(0, 1): 1e3, (1, 2): -1.0, (0, 9): 1.0, (3, 0): 1.0}
+        with pytest.raises(SimulationError, match="negative transfer size -1.0"):
+            self.comm().exchange_time(phase)
+        phase = dict(reversed(phase.items()))
+        with pytest.raises(SimulationError, match="3->0 has a down endpoint"):
+            self.comm().exchange_time(phase)
+
+    def test_faults_a_message_never_reaches_are_not_faults(self):
+        comm = self.comm()
+        # Self-messages are local copies: any size, even on a down node; a
+        # zero-byte message is free before the bandwidth is looked at.
+        busy = comm.exchange_time({(3, 3): -5.0, (2, 2): 1e6, (4, 0): 0})
+        assert not busy.any()
+        assert comm.stats.messages == 1
+
+
 class TestCommTelemetry:
     """Traffic accounting promoted into the tracer (S2 of the profiling PR)."""
 
@@ -200,6 +256,22 @@ class TestCommTelemetry:
         assert event.attributes["messages"] == 2
         pairs = {(p[0], p[1]): p[2] for p in event.attributes["pairs"]}
         assert pairs == {(0, 1): 1_000_000, (1, 2): 2_000_000}
+
+    def test_empty_exchange_still_emits_its_event(self):
+        comm, tracer = self.traced_comm(3)
+        busy = comm.exchange_time({}, t=2.5, phase="ghost-exchange")
+        assert busy.dtype == float and not busy.any()
+        (event,) = [e for e in tracer.events if e.name == "comm.exchange"]
+        assert event.attributes == {
+            "phase": "ghost-exchange",
+            "ranks": 3,
+            "bytes": 0,
+            "messages": 0,
+            "seconds": 0.0,
+            "derated_bytes": 0,
+            "pairs": [],
+            "t": 2.5,
+        }
 
     def test_exchange_derated_attribution(self):
         from repro.telemetry import Tracer

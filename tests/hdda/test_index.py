@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hdda.index import HierarchicalIndexSpace
 from repro.util.errors import HDDAError
-from repro.util.geometry import Box
+from repro.util.geometry import Box, BoxList
 
 
 @pytest.fixture
@@ -86,6 +88,46 @@ class TestKeys:
                 for y in range(extent):
                     keys.add(space.key_for_point((x, y), level))
         assert len(keys) == 4 * 4 + 8 * 8
+
+
+class TestBatchKeys:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ndim=st.integers(1, 3),
+        curve=st.sampled_from(["hilbert", "morton"]),
+        refine_factor=st.sampled_from([2, 4]),
+        data=st.data(),
+    )
+    def test_keys_for_boxes_matches_scalar(self, ndim, curve, refine_factor, data):
+        space = HierarchicalIndexSpace(
+            Box((0,) * ndim, (16,) * ndim),
+            max_levels=3,
+            refine_factor=refine_factor,
+            curve=curve,
+        )
+        corner = st.tuples(
+            st.integers(0, 2), *[st.integers(0, 15) for _ in range(ndim)]
+        )
+        boxes = BoxList(
+            Box(
+                tuple(c * refine_factor**lvl for c in lo),
+                tuple(c * refine_factor**lvl + 1 for c in lo),
+                lvl,
+            )
+            for lvl, *lo in data.draw(st.lists(corner, max_size=12))
+        )
+        keys = space.keys_for_boxes(boxes)
+        assert keys == [space.key_for_box(b) for b in boxes]
+        assert all(type(k) is int for k in keys)
+
+    def test_first_unaddressable_box_raises_the_scalar_error(self, space2d):
+        fine = Box((0, 0), (2, 2))
+        for bad in (Box((0, 0), (2, 2), level=5), Box((-1, 0), (2, 2))):
+            with pytest.raises(HDDAError) as scalar:
+                space2d.key_for_box(bad)
+            with pytest.raises(HDDAError) as batch:
+                space2d.keys_for_boxes(BoxList([fine, bad, fine]))
+            assert str(batch.value) == str(scalar.value)
 
 
 class TestOrdering:

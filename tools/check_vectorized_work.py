@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Fail if scalar per-box idioms creep back into the columnar core.
 
-Two families of checks, both substring/regex greps so a reviewer does
-not have to spot regressions by eye:
+Three families of checks, so a reviewer does not have to spot
+regressions by eye (the first two are substring/regex greps, the third
+walks the syntax tree):
 
 **Work pricing** (all of ``src/``): the vectorized
 :class:`repro.partition.workmodel.WorkModel` is the single place allowed
@@ -27,6 +28,17 @@ storage, indexing a Box-keyed dict) carry a ``# per-box ok: <reason>``
 marker on the offending line; the marker is the audit trail, not a
 loophole -- new markers should be rare and justified in review.
 
+**Node state** (``comm/`` and ``runtime/`` only): pricing reads node
+state as one vector per phase.  A ``state_of(`` call inside a ``for`` /
+``while`` body or a comprehension is a per-pair/per-rank state query --
+each one re-evaluates the whole generator table to read one scalar::
+
+    for (src, dst), n in pair_bytes.items():
+        cluster.state_of(src, t)          # Cluster.bandwidths(t)[src]
+    [cluster.state_of(k, t) for k in live]  # bandwidths / effective_speeds
+
+``monitor/`` really does probe node by node and is not checked.
+
 Run from the repo root (CI does)::
 
     python tools/check_vectorized_work.py
@@ -34,6 +46,7 @@ Run from the repo root (CI does)::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -88,6 +101,33 @@ ALLOWED_METADATA = {
 #: Inline escape for loops that genuinely need Box objects.
 PER_BOX_OK = "# per-box ok"
 
+#: Packages that must read node state as columns, never node by node.
+STATE_QUERY_DIRS = (SRC / "repro" / "comm", SRC / "repro" / "runtime")
+
+_LOOPS = (
+    ast.For,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def looped_state_queries(source: str) -> list[int]:
+    """Line numbers of ``state_of(...)`` calls inside a loop or comprehension."""
+    lines = set()
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, _LOOPS):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call) and "state_of" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None),
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
 
 def main() -> int:
     violations: list[str] = []
@@ -97,9 +137,14 @@ def main() -> int:
             any(path.is_relative_to(d) for d in METADATA_DIRS)
             and path not in ALLOWED_METADATA
         )
-        for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
+        source = path.read_text(encoding="utf-8")
+        if any(path.is_relative_to(d) for d in STATE_QUERY_DIRS):
+            violations.extend(
+                f"{rel}:{lineno}: per-pair/per-rank `state_of(` in a loop"
+                f" -- use Cluster.bandwidths()/effective_speeds()"
+                for lineno in looped_state_queries(source)
+            )
+        for lineno, line in enumerate(source.splitlines(), start=1):
             stripped = line.strip()
             if stripped.startswith("#"):
                 continue
