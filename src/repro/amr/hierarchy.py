@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.amr.api import AmrKernel
+from repro.amr.ghost import GhostPlanCache
 from repro.amr.intergrid import prolong, restrict
 from repro.amr.level import GridLevel
 from repro.amr.patch import GridPatch
@@ -69,6 +70,9 @@ class GridHierarchy:
         self.dx0 = dx0
         self._levels: list[GridLevel] = []
         self._flat_cache: BoxList | None = None
+        #: ghost-fill / restriction plans per level (see repro.amr.ghost)
+        self.ghost_plans = GhostPlanCache()
+        self._domains = [domain]  # domain_at(level), refined on demand
         self.time = 0.0
         self.step_count = 0
 
@@ -110,10 +114,10 @@ class GridHierarchy:
 
     def domain_at(self, level: int) -> Box:
         """The whole domain expressed in ``level`` index space."""
-        box = self.domain
-        for _ in range(level):
-            box = box.refine(self.refine_factor)
-        return box
+        domains = self._domains
+        while len(domains) <= level:
+            domains.append(domains[-1].refine(self.refine_factor))
+        return domains[level]
 
     def box_list(self) -> BoxList:
         """Flattened bounding boxes of every level (what partitioners see).
@@ -333,21 +337,8 @@ class GridHierarchy:
         if not 1 <= fine_level < self.num_levels:
             raise GeometryError(f"no fine level {fine_level} to restrict")
         f = self.refine_factor
-        parent = self.levels[fine_level - 1]
-        for fp in self.levels[fine_level]:
-            lo = tuple(-(-l // f) * f for l in fp.box.lower)  # ceil to grid
-            up = tuple((u // f) * f for u in fp.box.upper)  # floor to grid
-            if any(a >= b for a, b in zip(lo, up)):
-                continue  # box thinner than one coarse cell
-            aligned = Box(lo, up, fp.box.level)
-            coarse_box = Box(
-                tuple(l // f for l in lo), tuple(u // f for u in up),
-                fp.box.level - 1,
-            )
-            coarsened = restrict(fp.view_for(aligned), f)
-            for pp in parent:
-                inter = pp.box.intersection(coarse_box)
-                if inter is None:
-                    continue
-                sl = (slice(None),) + inter.slices(origin=coarse_box.lower)
-                pp.view_for(inter)[...] = coarsened[sl]
+        plan = self.ghost_plans.level_plan(self, fine_level)
+        for fine, core, partners in plan.restrictions:
+            coarsened = restrict(fine.data[core], f)
+            for parent, into, sub in partners:
+                parent.data[into] = coarsened[sub]

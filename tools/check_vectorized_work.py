@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Fail if scalar per-box idioms creep back into the columnar core.
 
-Three families of checks, so a reviewer does not have to spot
-regressions by eye (the first two are substring/regex greps, the third
-walks the syntax tree):
+Four families of checks, so a reviewer does not have to spot
+regressions by eye (the first two are substring/regex greps, the last
+two walk the syntax tree):
 
 **Work pricing** (all of ``src/``): the vectorized
 :class:`repro.partition.workmodel.WorkModel` is the single place allowed
@@ -38,6 +38,18 @@ each one re-evaluates the whole generator table to read one scalar::
     [cluster.state_of(k, t) for k in live]  # bandwidths / effective_speeds
 
 ``monitor/`` really does probe node by node and is not checked.
+
+**Ghost geometry** (``amr/ghost.py`` only): which patch fills which ghost
+cell is resolved from corner columns, once per layout.  A ``Box`` set
+operation inside a loop or comprehension there is the per-fill object
+walk coming back (it built 168 k throw-away boxes per ``chaos_amr``
+pass)::
+
+    for patch in level:
+        patch.box.intersection(region)    # overlap_pairs on the columns
+    [piece.translate(s) for s in shifts]  # add the shift to the rows
+
+The syntax-tree rules test themselves on a planted offender at every run.
 
 Run from the repo root (CI does)::
 
@@ -114,23 +126,61 @@ _LOOPS = (
 )
 
 
-def looped_state_queries(source: str) -> list[int]:
-    """Line numbers of ``state_of(...)`` calls inside a loop or comprehension."""
+STATE_QUERIES = frozenset({"state_of"})
+
+#: The one module that resolves ghost sources, and the per-object ``Box``
+#: set operations it must not loop over.
+GHOST_MODULE = SRC / "repro" / "amr" / "ghost.py"
+BOX_WALKS = frozenset({"intersection", "translate", "difference"})
+
+_PLANTED_OFFENDER = """\
+outside = a.intersection(b)
+for patch in level:
+    inter = patch.box.intersection(region)
+    while pieces:
+        rest = pieces.pop().difference(inter)
+images = [piece.translate(s) for s in shifts]
+cluster.state_of(0, t)
+busy = {k: cluster.state_of(k, t) for k in live}
+"""
+
+
+def looped_calls(source: str, names: frozenset[str]) -> list[int]:
+    """Line numbers of calls to any of ``names`` (as ``f(...)`` or
+    ``x.f(...)``) inside a loop body or comprehension."""
     lines = set()
     for loop in ast.walk(ast.parse(source)):
         if not isinstance(loop, _LOOPS):
             continue
         for node in ast.walk(loop):
-            if isinstance(node, ast.Call) and "state_of" in (
-                getattr(node.func, "attr", None),
-                getattr(node.func, "id", None),
+            if isinstance(node, ast.Call) and not names.isdisjoint(
+                (
+                    getattr(node.func, "attr", None),
+                    getattr(node.func, "id", None),
+                )
             ):
                 lines.add(node.lineno)
     return sorted(lines)
 
 
+def self_test() -> list[str]:
+    """The syntax-tree rules must flag exactly the planted loops."""
+    failures = []
+    for names, expected in (
+        (BOX_WALKS, [3, 5, 6]),
+        (STATE_QUERIES, [8]),
+    ):
+        got = looped_calls(_PLANTED_OFFENDER, names)
+        if got != expected:
+            failures.append(
+                f"lint self-test: {sorted(names)} flagged lines {got} of the"
+                f" planted offender, expected {expected}"
+            )
+    return failures
+
+
 def main() -> int:
-    violations: list[str] = []
+    violations: list[str] = self_test()
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(REPO_ROOT)
         check_metadata = (
@@ -142,7 +192,13 @@ def main() -> int:
             violations.extend(
                 f"{rel}:{lineno}: per-pair/per-rank `state_of(` in a loop"
                 f" -- use Cluster.bandwidths()/effective_speeds()"
-                for lineno in looped_state_queries(source)
+                for lineno in looped_calls(source, STATE_QUERIES)
+            )
+        if path == GHOST_MODULE:
+            violations.extend(
+                f"{rel}:{lineno}: per-object Box set operation in a loop"
+                f" -- resolve overlaps with overlap_pairs on corner columns"
+                for lineno in looped_calls(source, BOX_WALKS)
             )
         for lineno, line in enumerate(source.splitlines(), start=1):
             stripped = line.strip()
