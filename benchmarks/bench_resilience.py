@@ -30,6 +30,7 @@ from repro import __version__
 from repro.amr.integrator import BergerOligerIntegrator
 from repro.resilience.checkpoint import CheckpointManager, ResilienceConfig
 from repro.runtime.experiment import _chaos_hierarchy, chaos_experiment
+from repro.util.geometry import Layout
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_resilience.json"
@@ -58,7 +59,7 @@ def stepped_hierarchy():
 
 def bench_checkpoint() -> dict:
     h = stepped_hierarchy()
-    assignment = [(box, 0) for box in h.box_list()]
+    assignment = Layout.from_pairs((box, 0) for box in h.box_list())
     manager = CheckpointManager(ResilienceConfig(checkpoint_interval=1))
     ckpt = manager.save(h, assignment, clock_time=0.0)
     nbytes = ckpt.nbytes

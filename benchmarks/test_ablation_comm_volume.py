@@ -24,7 +24,7 @@ from repro.runtime.experiment import PAPER_CAPACITIES
 
 def _comm_volume(partitioner, boxes, caps) -> float:
     result = partitioner.partition(boxes, caps)
-    vols = plan_exchange_volumes(result.boxes(), result.owners())
+    vols = plan_exchange_volumes(result.boxes(), result.rank_vector())
     return sum(vols.values())
 
 

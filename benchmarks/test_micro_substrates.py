@@ -15,7 +15,7 @@ from repro.kernels.rm3d import RM3DKernel
 from repro.kernels.workloads import paper_rm3d_trace
 from repro.partition import ACEComposite, ACEHeterogeneous
 from repro.runtime.experiment import PAPER_CAPACITIES
-from repro.util.geometry import Box
+from repro.util.geometry import Box, Layout
 from repro.util.sfc import hilbert_encode_many
 
 
@@ -61,8 +61,8 @@ def test_bench_hdda_redistribution(benchmark):
         for i in range(32)
         for j in range(32)
     ]
-    a1 = {b: (i % 8) for i, b in enumerate(tiles)}
-    a2 = {b: ((i + 3) % 8) for i, b in enumerate(tiles)}
+    a1 = Layout.from_pairs((b, i % 8) for i, b in enumerate(tiles))
+    a2 = Layout.from_pairs((b, (i + 3) % 8) for i, b in enumerate(tiles))
 
     def roundtrip():
         h = HDDA(space, num_procs=8)

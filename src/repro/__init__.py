@@ -81,7 +81,7 @@ from repro.telemetry import (
     Tracer,
     activate,
 )
-from repro.util import Box, BoxList, ReproError
+from repro.util import Box, BoxList, Layout, ReproError
 
 __version__ = "1.0.0"
 
@@ -89,6 +89,7 @@ __all__ = [
     # geometry
     "Box",
     "BoxList",
+    "Layout",
     "ReproError",
     # AMR substrate
     "AmrKernel",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxList, Layout
 
 __all__ = ["render_levels", "render_owners"]
 
@@ -98,7 +98,7 @@ def render_levels(
 
 
 def render_owners(
-    assignment: dict[Box, int] | list[tuple[Box, int]],
+    layout: Layout,
     domain: Box,
     refine_factor: int = 2,
     level: int = 0,
@@ -110,13 +110,8 @@ def render_owners(
     Letters a, b, c, ... mark ranks; ``' '`` marks base cells the level
     does not cover.
     """
-    items = (
-        list(assignment.items())
-        if isinstance(assignment, dict)
-        else list(assignment)
-    )
-    level_boxes = BoxList([b for b, _ in items if b.level == level])
-    ranks = {b: r for b, r in items if b.level == level}
+    ranks = {b: r for b, r in layout.pairs() if b.level == level}
+    level_boxes = BoxList(ranks)
     if domain.ndim == 3:
         keep = [d for d in range(3) if d != slice_axis]
         shape = tuple(domain.shape[d] for d in keep)

@@ -4,7 +4,7 @@
 block stores, and exposes the two operations the GrACE runtime needs:
 
 - **grow/shrink**: register and drop blocks as the hierarchy regrids;
-- **redistribute**: given a new box->processor assignment from a partitioner,
+- **redistribute**: given a partitioner's new :class:`~repro.util.geometry.Layout`,
   compute a :class:`MigrationPlan` (which blocks move where, and how many
   bytes that is) and apply it.
 
@@ -16,14 +16,12 @@ it in modelled communication time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
-
 import numpy as np
 
 from repro.hdda.index import HierarchicalIndexSpace
 from repro.hdda.storage import Block, BlockStore
 from repro.util.errors import HDDAError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxList, Layout
 
 __all__ = ["OwnershipMap", "MigrationPlan", "HDDA"]
 
@@ -195,22 +193,12 @@ class HDDA:
     # ------------------------------------------------------------------
     # Redistribution
     # ------------------------------------------------------------------
-    def _keyed_items(
-        self, assignment: Mapping[Box, int] | Iterable[tuple[Box, int]]
-    ) -> tuple[list[tuple[Box, int]], list[int]]:
-        """The ``(box, rank)`` items and each box's index key, encoded once
-        in one batch: plan, move, register and drop all work from these."""
-        items = list(
-            assignment.items()
-            if isinstance(assignment, Mapping)
-            else assignment
-        )
-        keys = self.index_space.keys_for_boxes(BoxList(b for b, _ in items))
-        return items, keys
-
-    def _plan(self, items: list[tuple[Box, int]], keys: list[int]) -> MigrationPlan:
+    def _plan(self, layout: Layout) -> tuple[MigrationPlan, list[int]]:
+        """The plan and each box's index key, encoded once in one batch:
+        plan, move, register and drop all work from these keys."""
+        keys = self.index_space.keys_for_boxes(layout.boxes)
         plan = MigrationPlan()
-        for (_, dst), key in zip(items, keys):
+        for dst, key in zip(layout.ranks.tolist(), keys):
             if not 0 <= dst < self.num_procs:
                 raise HDDAError(f"rank {dst} out of range")
             if key not in self.ownership:
@@ -219,39 +207,34 @@ class HDDA:
             if src != dst:
                 nbytes = self.stores[src].get(key).nbytes
                 plan.add(src, dst, key, nbytes)
-        return plan
+        return plan, keys
 
-    def plan_redistribution(
-        self, assignment: Mapping[Box, int] | Iterable[tuple[Box, int]]
-    ) -> MigrationPlan:
-        """Plan the block moves needed to realize a new box->rank assignment.
+    def plan_redistribution(self, layout: Layout) -> MigrationPlan:
+        """Plan the block moves needed to realize a new layout.
 
-        Boxes in the assignment that are not yet registered are ignored here
+        Boxes in the layout that are not yet registered are ignored here
         (they are *new* blocks, created by :meth:`apply_assignment`); blocks
-        not mentioned in the assignment keep their current owner.
+        not mentioned in the layout keep their current owner.
         """
-        return self._plan(*self._keyed_items(assignment))
+        return self._plan(layout)[0]
 
-    def apply_assignment(
-        self, assignment: Mapping[Box, int] | Iterable[tuple[Box, int]]
-    ) -> MigrationPlan:
-        """Make the array match a partitioner's assignment exactly.
+    def apply_assignment(self, layout: Layout) -> MigrationPlan:
+        """Make the array match a partitioner's layout exactly.
 
         Existing blocks move (returned in the plan), blocks for new boxes are
         created in place, and blocks whose boxes disappeared are dropped.
         """
-        items, keys = self._keyed_items(assignment)
-        plan = self._plan(items, keys)
+        plan, keys = self._plan(layout)
         # Execute moves.
         for (src, dst), moving in plan.moves.items():
             for key in moving:
                 blk = self.stores[src].pop(key)
                 self.stores[dst].put(blk)
                 self.ownership.assign(key, dst)
-        # Create new blocks.
-        for (box, rank), key in zip(items, keys):
+        # Create new blocks: only these rows become Box objects.
+        for i, (rank, key) in enumerate(zip(layout.ranks.tolist(), keys)):
             if key not in self.ownership:
-                self._create_block(key, box, rank)
+                self._create_block(key, layout.boxes[i], rank)
         # Drop stale blocks: everything outside the desired final key set.
         desired = set(keys)
         for key in list(self.ownership._owner):

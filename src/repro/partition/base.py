@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 import functools
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,7 +16,7 @@ from repro.partition.workmodel import (
 )
 from repro.telemetry.spans import NULL_TRACER
 from repro.util.errors import PartitionError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxList, Layout
 
 __all__ = [
     "WorkFunction",
@@ -39,24 +40,17 @@ def default_work(box: Box, refine_factor: int = 2) -> float:
     return float(box.num_cells * refine_factor**box.level)
 
 
+@dataclass(frozen=True, eq=False)
 class PartitionResult:
     """Outcome of one partitioning call.
 
-    The assignment exists in one (or both) of two forms:
-
-    - **pairs** -- the legacy ``list[(Box, rank)]`` exposed as
-      :attr:`assignment`; mutable, and what object-path callers build.
-    - **columns** -- a :class:`~repro.util.geometry.BoxList` plus an
-      aligned rank array, installed by the columnar partitioners via
-      :meth:`set_columns`.  The pair list then materializes lazily on
-      first :attr:`assignment` access, so a repartition that only reads
-      :meth:`loads` / :meth:`rank_vector` / :meth:`boxes` never builds
-      per-box Python objects.
-
     Attributes
     ----------
-    assignment:
-        ``(box, rank)`` pairs covering the (possibly split) input boxes.
+    layout:
+        The (possibly split) input boxes and the rank each one went to,
+        as one :class:`~repro.util.geometry.Layout`; a repartition that
+        only reads :meth:`loads` / :meth:`rank_vector` / :meth:`boxes`
+        never builds per-box Python objects.
     targets:
         Ideal per-rank loads ``L_k`` the partitioner aimed for.
     num_splits:
@@ -67,32 +61,10 @@ class PartitionResult:
         to it so load accounting reuses the partitioner's cached vectors.
     """
 
-    __slots__ = (
-        "_assignment",
-        "targets",
-        "num_splits",
-        "work_model",
-        "_ranks",
-        "_boxes",
-    )
-
-    def __init__(
-        self,
-        assignment: list[tuple[Box, int]] | None = None,
-        targets: np.ndarray | None = None,
-        num_splits: int = 0,
-        work_model: WorkModel | None = None,
-    ) -> None:
-        self._assignment: list[tuple[Box, int]] | None = (
-            [] if assignment is None else assignment
-        )
-        self.targets: np.ndarray = (
-            np.zeros(0) if targets is None else targets
-        )
-        self.num_splits = num_splits
-        self.work_model = work_model
-        self._ranks: np.ndarray | None = None
-        self._boxes: BoxList | None = None
+    layout: Layout
+    targets: np.ndarray
+    num_splits: int = 0
+    work_model: WorkModel | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -100,64 +72,17 @@ class PartitionResult:
             f"{self.num_ranks} ranks, {self.num_splits} splits)"
         )
 
-    def set_columns(self, boxes: "BoxList | object", ranks: np.ndarray) -> None:
-        """Install the assignment as columnar data.
-
-        ``boxes`` is a :class:`~repro.util.geometry.BoxList` (or
-        ``BoxArray``, wrapped transparently) and ``ranks`` an aligned
-        integer array.  The ``(box, rank)`` pair list materializes lazily
-        if some caller still reads :attr:`assignment`.
-        """
-        from repro.util.geometry import BoxArray
-
-        if isinstance(boxes, BoxArray):
-            boxes = BoxList.from_array(boxes)
-        ranks = np.ascontiguousarray(ranks, dtype=np.intp)
-        if len(ranks) != len(boxes):
-            raise PartitionError(
-                f"rank vector length {len(ranks)} != box count {len(boxes)}"
-            )
-        ranks.setflags(write=False)
-        self._assignment = None
-        self._boxes = boxes
-        self._ranks = ranks
-
-    @property
-    def assignment(self) -> list[tuple[Box, int]]:
-        """``(box, rank)`` pairs; built lazily from the columns."""
-        pairs = self._assignment
-        if pairs is None:
-            pairs = list(zip(self._boxes, self._ranks.tolist()))
-            self._assignment = pairs
-        return pairs
-
-    @assignment.setter
-    def assignment(self, pairs: list[tuple[Box, int]]) -> None:
-        self._assignment = pairs
-        self._ranks = None
-        self._boxes = None
-
     def num_assigned(self) -> int:
-        """Number of assigned boxes, without materializing pair objects."""
-        if self._assignment is not None:
-            return len(self._assignment)
-        return len(self._boxes) if self._boxes is not None else 0
+        """Number of assigned boxes, without materializing box objects."""
+        return len(self.layout)
 
     @property
     def num_ranks(self) -> int:
         return len(self.targets)
 
-    def owners(self) -> dict[Box, int]:
-        """Box -> rank mapping (boxes are unique after partitioning)."""
-        return dict(self.assignment)
-
     def boxes(self) -> BoxList:
-        """The assigned boxes (memoized once the assignment is final)."""
-        boxes = self._boxes
-        if boxes is None or len(boxes) != self.num_assigned():
-            boxes = BoxList(b for b, _ in self.assignment)
-            self._boxes = boxes
-        return boxes
+        """The assigned boxes."""
+        return self.layout.boxes
 
     def _model(self, work_of: WorkFunction | WorkModel | None) -> WorkModel:
         if work_of is None and self.work_model is not None:
@@ -165,22 +90,13 @@ class PartitionResult:
         return as_work_model(work_of)
 
     def rank_vector(self) -> np.ndarray:
-        """Assigned rank per box, aligned with :attr:`assignment`."""
-        ranks = self._ranks
-        if ranks is None or len(ranks) != self.num_assigned():
-            ranks = np.fromiter(
-                (r for _, r in self.assignment),
-                dtype=np.intp,
-                count=len(self.assignment),
-            )
-            ranks.setflags(write=False)
-            self._ranks = ranks
-        return ranks
+        """Assigned rank per box, aligned with :meth:`boxes` (read-only)."""
+        return self.layout.ranks
 
     def work_vector(
         self, work_of: WorkFunction | WorkModel | None = None
     ) -> np.ndarray:
-        """Per-box work aligned with :attr:`assignment` (cached vector)."""
+        """Per-box work aligned with :meth:`boxes` (cached vector)."""
         return self._model(work_of).vector(self.boxes())
 
     def loads(
@@ -194,12 +110,6 @@ class PartitionResult:
             weights=self.work_vector(work_of),
             minlength=self.num_ranks,
         )
-
-    def boxes_of(self, rank: int) -> BoxList:
-        if self._assignment is None:
-            idx = np.flatnonzero(self._ranks == rank)
-            return self._boxes.take(idx)
-        return BoxList(b for b, r in self.assignment if r == rank)
 
     def validate_covers(self, original: BoxList) -> None:
         """Check the assignment tiles exactly the input boxes.

@@ -28,74 +28,11 @@ from repro.partition.base import (
     WorkModel,
     as_work_model,
 )
-from repro.partition.splitting import (
-    SplitConstraints,
-    split_row_to_target,
-    split_to_target,
-)
-from repro.util.geometry import BoxArray, BoxList
+from repro.partition.splitting import SplitConstraints, split_row_to_target
+from repro.util.geometry import BoxArray, BoxList, Layout
 from repro.util.sfc import sfc_order_boxes
 
-__all__ = ["ACEComposite", "assign_curve_spans", "assign_curve_spans_columnar"]
-
-
-def assign_curve_spans(
-    ordered: list,
-    targets: np.ndarray,
-    work_of: WorkFunction | WorkModel,
-    constraints: SplitConstraints,
-    result: PartitionResult,
-) -> None:
-    """Deal an SFC-ordered box list into contiguous per-rank spans.
-
-    Each rank receives boxes from the current curve position until its
-    ``targets`` entry is filled; boxes straddling a span boundary are split
-    under ``constraints`` (remainders stay at the current curve position).
-    When a boundary cannot be carved, the shortfall carries into the next
-    rank's span so the global sum is preserved.  Mutates ``result``.
-
-    Box works come from the model's vector in one shot; split remainders
-    are priced incrementally through the model's per-box cache, keeping a
-    ``works`` list aligned with the (mutating) curve position list.
-    """
-    model = as_work_model(work_of)
-    num_ranks = len(targets)
-    pending = ordered
-    works = model.compute(pending).tolist()
-    rank = 0
-    remaining = targets[0]
-    i = 0
-    while i < len(pending):
-        box = pending[i]
-        w = works[i]
-        last_rank = rank == num_ranks - 1
-        if last_rank or w <= remaining + 1e-9:
-            result.assignment.append((box, rank))
-            remaining -= w
-            i += 1
-            if not last_rank and remaining <= 0:
-                rank += 1
-                remaining += targets[rank]
-            continue
-        split = (
-            split_to_target(box, remaining, model, constraints)
-            if remaining > 0
-            else None
-        )
-        if split is None:
-            rank += 1
-            remaining += targets[rank]
-            continue
-        piece, rest = split
-        result.num_splits += len(rest)
-        result.assignment.append((piece, rank))
-        remaining -= model.work(piece)
-        # Remainders stay at the current curve position.
-        pending[i : i + 1] = rest
-        works[i : i + 1] = [model.work(r) for r in rest]
-        if remaining <= 0 and rank < num_ranks - 1:
-            rank += 1
-            remaining += targets[rank]
+__all__ = ["ACEComposite", "assign_curve_spans_columnar"]
 
 
 def assign_curve_spans_columnar(
@@ -103,18 +40,22 @@ def assign_curve_spans_columnar(
     targets: np.ndarray,
     work_of: WorkFunction | WorkModel,
     constraints: SplitConstraints,
-    result: PartitionResult,
-) -> None:
-    """Columnar :func:`assign_curve_spans`: array slices in, columns out.
+) -> tuple[Layout, int]:
+    """Deal an SFC-ordered box list into contiguous per-rank spans.
 
-    Walks the same sequential span logic (identical float accumulation,
-    identical split decisions -- the byte-identity tests pin both against
-    the object path) but reads box metadata from the ordered list's
-    cached columns and emits the assignment via
-    :meth:`PartitionResult.set_columns`, so no per-box Python objects are
-    created for unsplit boxes.  Split remainders ride a small deque of
-    ``(lower, upper, level)`` rows at the current curve position, exactly
-    where the object path re-inserted them.
+    Each rank receives boxes from the current curve position until its
+    ``targets`` entry is filled; boxes straddling a span boundary are split
+    under ``constraints`` (remainders stay at the current curve position).
+    When a boundary cannot be carved, the shortfall carries into the next
+    rank's span so the global sum is preserved.  Returns the layout and
+    the number of splits performed.
+
+    The walk is sequential (the byte-identity tests pin its float
+    accumulation and split decisions against the per-box reference) but
+    reads box metadata from the ordered list's cached columns and emits
+    columns, so no per-box Python objects are created for unsplit boxes.
+    Split remainders ride a small deque of ``(lower, upper, level)`` rows
+    at the current curve position.
     """
     model = as_work_model(work_of)
     arr = ordered.array
@@ -123,6 +64,7 @@ def assign_curve_spans_columnar(
     num_ranks = len(targets)
     rank = 0
     remaining = targets[0]
+    num_splits = 0
     # Output: contiguous runs of base rows interleaved with explicit split
     # rows, in exact assignment order.  Runs keep the bulk of the output as
     # array slices; split rows are O(num_ranks), not O(n).  Ranks are
@@ -191,7 +133,7 @@ def assign_curve_spans_columnar(
             remaining += targets[rank]
             continue
         piece, rest = split
-        result.num_splits += len(rest)
+        num_splits += len(rest)
         if front:
             front.popleft()
         else:
@@ -236,7 +178,7 @@ def assign_curve_spans_columnar(
         )
     else:
         out_ranks = np.zeros(0, dtype=np.intp)
-    result.set_columns(BoxList.from_array(assigned), out_ranks)
+    return Layout(BoxList.from_array(assigned), out_ranks), num_splits
 
 
 def _scan_span(
@@ -311,13 +253,13 @@ class ACEComposite(Partitioner):
         model = as_work_model(work_of)
         total = model.total(boxes)
         targets = np.full(num_ranks, total / num_ranks)
-        result = PartitionResult(targets=targets, work_model=model)
         if len(boxes) == 0:
-            return result
+            return PartitionResult(Layout(boxes, ()), targets, work_model=model)
 
         ordered = sfc_order_boxes(boxes, curve=self.curve)
-        assign_curve_spans_columnar(
-            ordered, targets, model, self.constraints, result
+        layout, num_splits = assign_curve_spans_columnar(
+            ordered, targets, model, self.constraints
         )
+        result = PartitionResult(layout, targets, num_splits, model)
         result.validate_covers(boxes)
         return result

@@ -36,7 +36,7 @@ from repro.partition.base import (
     WorkModel,
     as_work_model,
 )
-from repro.util.geometry import BoxList, overlap_pairs
+from repro.util.geometry import BoxList, Layout, overlap_pairs
 
 __all__ = ["build_box_graph", "GraphPartitioner"]
 
@@ -163,9 +163,9 @@ class GraphPartitioner(Partitioner):
         caps = self._check_inputs(boxes, capacities)
         model = as_work_model(work_of)
         total = model.total(boxes)
-        result = PartitionResult(targets=caps * total, work_model=model)
+        targets = caps * total
         if len(boxes) == 0:
-            return result
+            return PartitionResult(Layout(boxes, ()), targets, work_model=model)
         g = build_box_graph(
             boxes, model, self.ghost_width, self.refine_factor
         )
@@ -196,6 +196,8 @@ class GraphPartitioner(Partitioner):
         ranks = np.empty(len(boxes), dtype=np.intp)
         for node, rank in assignment.items():
             ranks[node] = rank
-        result.set_columns(boxes, ranks)
+        result = PartitionResult(
+            Layout(boxes, ranks), targets, work_model=model
+        )
         result.validate_covers(boxes)
         return result

@@ -20,7 +20,7 @@ from repro.partition.base import (
     WorkModel,
     as_work_model,
 )
-from repro.util.geometry import BoxList
+from repro.util.geometry import BoxList, Layout
 
 __all__ = ["GreedyLPT"]
 
@@ -41,7 +41,6 @@ class GreedyLPT(Partitioner):
         works_vec = model.vector(boxes)
         total = model.total(boxes)
         targets = caps * total
-        result = PartitionResult(targets=targets, work_model=model)
         num_ranks = len(caps)
         loads = np.zeros(num_ranks)
         # Guard capacities so a zero-capacity rank is only used when every
@@ -60,6 +59,8 @@ class GreedyLPT(Partitioner):
             r = int(np.argmin((loads + w) / safe_caps))
             ranks[pos] = r
             loads[r] += w
-        result.set_columns(boxes.take(order), ranks)
+        result = PartitionResult(
+            Layout(boxes.take(order), ranks), targets, work_model=model
+        )
         result.validate_covers(boxes)
         return result

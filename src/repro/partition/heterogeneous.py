@@ -40,7 +40,7 @@ from repro.partition.splitting import (
     SplitConstraints,
     split_row_to_target,
 )
-from repro.util.geometry import BoxArray, BoxList
+from repro.util.geometry import BoxArray, BoxList, Layout
 
 __all__ = ["ACEHeterogeneous"]
 
@@ -80,9 +80,8 @@ class ACEHeterogeneous(Partitioner):
         works = works_vec.tolist()
         total = model.total(boxes)
         targets = caps * total
-        result = PartitionResult(targets=targets, work_model=model)
         if len(boxes) == 0:
-            return result
+            return PartitionResult(Layout(boxes, ()), targets, work_model=model)
 
         arr = boxes.array
 
@@ -103,6 +102,7 @@ class ACEHeterogeneous(Partitioner):
         ]
         heapq.heapify(queue)  # already sorted; heapify is O(n) anyway
         seq = len(queue)
+        num_splits = 0
 
         # Assignment accumulates as source references: a base row index,
         # or a negative index into the split-row side list.  Columns are
@@ -148,7 +148,7 @@ class ACEHeterogeneous(Partitioner):
                     break
                 heapq.heappop(queue)
                 piece, rest = split
-                result.num_splits += len(rest)  # one cut per remainder box
+                num_splits += len(rest)  # one cut per remainder box
                 emit(piece, rank)
                 remaining -= model.work_row(*piece)
                 for r in rest:
@@ -178,9 +178,10 @@ class ACEHeterogeneous(Partitioner):
             lowers[extra_pos] = ex_lo[k]
             uppers[extra_pos] = ex_up[k]
             levels[extra_pos] = ex_lv[k]
-        result.set_columns(
+        layout = Layout(
             BoxList.from_array(BoxArray(lowers, uppers, levels)),
             np.array(out_ranks, dtype=np.intp),
         )
+        result = PartitionResult(layout, targets, num_splits, model)
         result.validate_covers(boxes)
         return result

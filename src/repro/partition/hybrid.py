@@ -25,7 +25,7 @@ from repro.partition.base import (
 )
 from repro.partition.composite import assign_curve_spans_columnar
 from repro.partition.splitting import SplitConstraints
-from repro.util.geometry import BoxList
+from repro.util.geometry import BoxList, Layout
 from repro.util.sfc import sfc_order_boxes
 
 __all__ = ["SFCHybrid"]
@@ -54,12 +54,12 @@ class SFCHybrid(Partitioner):
         model = as_work_model(work_of)
         total = model.total(boxes)
         targets = caps * total  # the one change vs ACEComposite
-        result = PartitionResult(targets=targets, work_model=model)
         if len(boxes) == 0:
-            return result
+            return PartitionResult(Layout(boxes, ()), targets, work_model=model)
         ordered = sfc_order_boxes(boxes, curve=self.curve)
-        assign_curve_spans_columnar(
-            ordered, targets, model, self.constraints, result
+        layout, num_splits = assign_curve_spans_columnar(
+            ordered, targets, model, self.constraints
         )
+        result = PartitionResult(layout, targets, num_splits, model)
         result.validate_covers(boxes)
         return result

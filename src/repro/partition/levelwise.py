@@ -28,7 +28,7 @@ from repro.partition.base import (
     WorkModel,
     as_work_model,
 )
-from repro.util.geometry import BoxArray, BoxList
+from repro.util.geometry import BoxArray, BoxList, Layout
 
 __all__ = ["LevelPartitioner"]
 
@@ -49,7 +49,6 @@ class LevelPartitioner(Partitioner):
         caps = self._check_inputs(boxes, capacities)
         model = as_work_model(work_of)
         total = model.total(boxes)
-        result = PartitionResult(targets=caps * total, work_model=model)
         splits = 0
         subs: list[PartitionResult] = []
         for level in boxes.levels:
@@ -57,12 +56,14 @@ class LevelPartitioner(Partitioner):
             sub = self.inner.partition(level_boxes, caps, model)
             subs.append(sub)
             splits += sub.num_splits
-        result.num_splits = splits
         if subs:
             # Merge the per-level results column-wise (level order == the
             # object path's ``assignment.extend`` order); no pair lists.
             merged = BoxArray.concatenate([s.boxes().array for s in subs])
             ranks = np.concatenate([s.rank_vector() for s in subs])
-            result.set_columns(BoxList.from_array(merged), ranks)
+            layout = Layout(BoxList.from_array(merged), ranks)
+        else:
+            layout = Layout(boxes, ())
+        result = PartitionResult(layout, caps * total, splits, model)
         result.validate_covers(boxes)
         return result

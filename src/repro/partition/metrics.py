@@ -17,30 +17,28 @@ import numpy as np
 
 from repro.partition.base import PartitionResult, WorkFunction, WorkModel
 from repro.util.errors import PartitionError
-from repro.util.geometry import (
-    BoxArray,
-    BoxList,
-    overlap_pairs,
-    volumes_by_rank_pair,
-)
+from repro.util.geometry import Layout, overlap_pairs, volumes_by_rank_pair
 
 __all__ = [
     "imbalance_pct",
     "load_imbalance",
     "makespan_estimate",
-    "redistribution_volume",
     "redistribution_volume_columns",
 ]
 
 
 def redistribution_volume_columns(
-    prev_boxes: BoxList | BoxArray | None,
-    prev_ranks: np.ndarray | None,
-    new_boxes: BoxList | BoxArray | None,
-    new_ranks: np.ndarray | None,
-    bytes_per_cell: float = 8.0,
+    prev: Layout, new: Layout, bytes_per_cell: float = 8.0
 ) -> dict[tuple[int, int], float]:
-    """Columnar :func:`redistribution_volume`: box columns in, dict out.
+    """Bytes that must move between ranks to turn ``prev`` into ``new``.
+
+    Computed geometrically: for every cell of the new layout that was
+    previously owned by a different rank, its payload crosses the
+    ``(old_owner, new_owner)`` link.  This captures re-split boxes correctly
+    (block identity changes, but only the cells whose *owner* changed
+    actually travel), which is what redistribution costs on a real cluster.
+    Cells with no previous owner (newly refined regions) are free -- their
+    data is prolonged locally from the parent level.
 
     Per level, :func:`~repro.util.geometry.overlap_pairs` yields the
     (new box, previous box) overlaps in the object walk's order -- new
@@ -49,16 +47,12 @@ def redistribution_volume_columns(
     ``(old_rank, new_rank)``, so the per-key float sums and the dict's
     key insertion order (which
     :meth:`~repro.comm.simmpi.SimCommunicator.exchange_time` iterates)
-    are byte-identical to the pair-based path.
+    are byte-identical to a walk over ``(box, rank)`` pairs.
     """
-    if prev_boxes is None or new_boxes is None:
+    if len(prev) == 0 or len(new) == 0:
         return {}
-    parr = prev_boxes.array if isinstance(prev_boxes, BoxList) else prev_boxes
-    narr = new_boxes.array if isinstance(new_boxes, BoxList) else new_boxes
-    if len(parr) == 0 or len(narr) == 0:
-        return {}
-    pranks = np.ascontiguousarray(prev_ranks, dtype=np.int64)
-    nranks = np.ascontiguousarray(new_ranks, dtype=np.int64)
+    parr = prev.boxes.array
+    narr = new.boxes.array
     overlaps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for lvl in np.unique(narr.level).tolist():
         ppos = parr.level_indices(lvl)
@@ -72,45 +66,7 @@ def redistribution_volume_columns(
     # them (stable, so previous-position-minor survives inside each box).
     order = np.argsort(gi, kind="stable")
     return volumes_by_rank_pair(
-        pranks[gj[order]], nranks[gi[order]], cells[order], bytes_per_cell
-    )
-
-
-def redistribution_volume(
-    prev_assignment: Sequence[tuple],
-    new_assignment: Sequence[tuple],
-    bytes_per_cell: float = 8.0,
-) -> dict[tuple[int, int], float]:
-    """Bytes that must move between ranks to realize a new assignment.
-
-    Computed geometrically: for every cell of the new assignment that was
-    previously owned by a different rank, its payload crosses the
-    ``(old_owner, new_owner)`` link.  This captures re-split boxes correctly
-    (block identity changes, but only the cells whose *owner* changed
-    actually travel), which is what redistribution costs on a real cluster.
-    Cells with no previous owner (newly refined regions) are free -- their
-    data is prolonged locally from the parent level.
-
-    The pair lists are lowered to columns and routed through
-    :func:`redistribution_volume_columns`; result (values, key order,
-    accumulation order) is identical to the historical per-pair walk.
-    """
-    if not len(prev_assignment) or not len(new_assignment):
-        return {}
-    prev_boxes = BoxList(b for b, _ in prev_assignment)
-    new_boxes = BoxList(b for b, _ in new_assignment)
-    prev_ranks = np.fromiter(
-        (r for _, r in prev_assignment),
-        dtype=np.int64,
-        count=len(prev_boxes),
-    )
-    new_ranks = np.fromiter(
-        (r for _, r in new_assignment),
-        dtype=np.int64,
-        count=len(new_boxes),
-    )
-    return redistribution_volume_columns(
-        prev_boxes, prev_ranks, new_boxes, new_ranks, bytes_per_cell
+        prev.ranks[gj[order]], new.ranks[gi[order]], cells[order], bytes_per_cell
     )
 
 

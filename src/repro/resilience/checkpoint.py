@@ -4,7 +4,7 @@ A checkpoint captures everything needed to resume a run bit-for-bit:
 
 - the grid hierarchy (every level's patch boxes and field data, plus
   ``time`` and ``step_count``),
-- the current partition assignment (box -> rank),
+- the current partition :class:`~repro.util.geometry.Layout` (box -> rank),
 - the simulated clock reading at save time.
 
 Snapshots are *versioned* (a format version plus a monotonically growing
@@ -25,8 +25,6 @@ import pickle
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
 from repro.amr.hierarchy import GridHierarchy
@@ -34,7 +32,7 @@ from repro.amr.level import GridLevel
 from repro.amr.patch import GridPatch
 from repro.util import durable
 from repro.util.errors import CheckpointError
-from repro.util.geometry import Box
+from repro.util.geometry import Box, Layout
 from repro.util.hashing import checksum_bytes
 
 __all__ = [
@@ -111,25 +109,37 @@ def restore_hierarchy_state(h: GridHierarchy, state: dict) -> None:
     h.step_count = int(state["step_count"])
 
 
-def _encode_assignment(
-    assignment: Sequence[tuple[Box, int]] | None,
+def _encode_layout(
+    layout: Layout | None,
 ) -> list[tuple[tuple, tuple, int, int]] | None:
-    if assignment is None:
+    """``(lower, upper, level, rank)`` rows straight off the columns.
+
+    ``tolist`` yields plain ``int`` scalars: the rows are pickled and the
+    payload's byte count is charged as simulated I/O time, so a NumPy
+    scalar (which pickles larger) would move the simulated clock.
+    """
+    if layout is None:
         return None
-    return [
-        (b.lower, b.upper, b.level, int(rank)) for b, rank in assignment
-    ]
+    arr = layout.boxes.array
+    return list(
+        zip(
+            map(tuple, arr.lower.tolist()),
+            map(tuple, arr.upper.tolist()),
+            arr.level.tolist(),
+            layout.ranks.tolist(),
+        )
+    )
 
 
-def _decode_assignment(
+def _decode_layout(
     encoded: list[tuple[tuple, tuple, int, int]] | None,
-) -> list[tuple[Box, int]] | None:
+) -> Layout | None:
     if encoded is None:
         return None
-    return [
+    return Layout.from_pairs(
         (Box(lower, upper, level), rank)
         for lower, upper, level, rank in encoded
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +383,12 @@ class CheckpointManager:
     def save(
         self,
         hierarchy: GridHierarchy,
-        assignment: Sequence[tuple[Box, int]] | None,
+        layout: Layout | None,
         clock_time: float,
     ) -> Checkpoint:
         state = {
             "hierarchy": hierarchy_state(hierarchy),
-            "assignment": _encode_assignment(assignment),
+            "assignment": _encode_layout(layout),
             "clock_time": float(clock_time),
         }
         payload = pickle.dumps(state, protocol=4)
@@ -403,11 +413,11 @@ class CheckpointManager:
     # -- restore -------------------------------------------------------
     def restore_latest(
         self, hierarchy: GridHierarchy
-    ) -> tuple[Checkpoint, list[tuple[Box, int]] | None]:
+    ) -> tuple[Checkpoint, Layout | None]:
         """Verify and load the newest snapshot into ``hierarchy``.
 
-        Returns the checkpoint and the decoded partition assignment that
-        was active at save time (``None`` if none was recorded).
+        Returns the checkpoint and the partition layout that was active
+        at save time (``None`` if none was recorded).
         """
         ckpt = self.store.latest()
         if ckpt is None:
@@ -423,4 +433,4 @@ class CheckpointManager:
             nbytes=ckpt.nbytes,
             io_seconds=self.io_seconds(ckpt.nbytes),
         )
-        return ckpt, _decode_assignment(state["assignment"])
+        return ckpt, _decode_layout(state["assignment"])

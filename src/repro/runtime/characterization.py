@@ -26,8 +26,13 @@ import numpy as np
 
 from repro.amr.ghost import plan_exchange_volumes
 from repro.kernels.workloads import SyntheticWorkload
-from repro.partition.base import Partitioner, default_work
-from repro.partition.metrics import load_imbalance, redistribution_volume
+from repro.partition.base import Partitioner
+from repro.partition.metrics import (
+    load_imbalance,
+    redistribution_volume_columns,
+)
+from repro.partition.workmodel import WorkModel
+from repro.util.geometry import Layout
 
 __all__ = ["CharacterizationRow", "characterize"]
 
@@ -55,16 +60,13 @@ def characterize(
     """Run ``partitioner`` over every epoch of ``workload`` and aggregate."""
     caps = np.asarray(capacities, dtype=float)
     caps = caps / caps.sum()
-
-    def work_of(box):
-        return default_work(box, workload.refine_factor)
-
+    work_of = WorkModel(workload.refine_factor)
     imbalances: list[float] = []
     comm: list[float] = []
     migration: list[float] = []
     frag: list[float] = []
     times: list[float] = []
-    prev_assignment: list = []
+    prev = Layout.from_pairs(())
     for epoch in range(workload.num_regrids):
         boxes = workload.epoch(epoch)
         t0 = time.perf_counter()
@@ -81,13 +83,13 @@ def characterize(
             refine_factor=workload.refine_factor,
         )
         comm.append(sum(vols.values()) / 1e3)
-        moved = redistribution_volume(
-            prev_assignment, result.assignment, bytes_per_cell
+        moved = redistribution_volume_columns(
+            prev, result.layout, bytes_per_cell
         )
         if epoch > 0:
             migration.append(sum(moved.values()) / 1e3)
-        frag.append(len(result.assignment) / max(len(boxes), 1))
-        prev_assignment = result.assignment
+        frag.append(result.num_assigned() / max(len(boxes), 1))
+        prev = result.layout
     return CharacterizationRow(
         partitioner=partitioner.name,
         mean_imbalance_pct=float(np.mean(imbalances)),

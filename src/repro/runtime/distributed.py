@@ -217,10 +217,10 @@ class DistributedAmrRun(StepEngine):
     # Resilience: checkpointing and the recovery stage
     # ------------------------------------------------------------------
     def _checkpoint(self) -> None:
-        """Snapshot hierarchy + assignment, charging storage I/O time."""
+        """Snapshot hierarchy + layout, charging storage I/O time."""
         manager = self.ckpt_manager
         ckpt = manager.save(
-            self.hierarchy, self.pipeline.prev_assignment, self.cluster.clock.now
+            self.hierarchy, self.pipeline.layout, self.cluster.clock.now
         )
         io_s = manager.io_seconds(ckpt.nbytes)
         if self.resilience.charge_io_time:
@@ -253,7 +253,7 @@ class DistributedAmrRun(StepEngine):
                 if saved is not None:
                     # Price evacuation against the layout that was live at
                     # save time, not the doomed post-crash layout.
-                    self.pipeline.prev_assignment = saved
+                    self.pipeline.layout = saved
                 result.num_restores += 1
             # Fresh capacities over the surviving set, then the recover stage.
             super()._recover()

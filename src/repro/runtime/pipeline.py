@@ -17,7 +17,7 @@ one loop driving it.
     vector prices the boxes, the loads and the level loads, no per-box
     Python calls.  Both hand off to one migrate stage: price and apply
     the data migration under a ``migrate`` span from the cell-owner diff
-    against the previous assignment, then plan the new layout's
+    against the previous layout, then plan the new layout's
     ghost-exchange volumes.
 ``health_attrs()`` / ``emit_iteration_spans()``
     Per-step observability stamping: the health attributes the
@@ -51,7 +51,7 @@ from repro.partition.metrics import (
 from repro.partition.workmodel import WorkModel
 from repro.runtime.timemodel import IterationCost, TimeModel
 from repro.util.errors import ResilienceError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import BoxList, Layout
 
 __all__ = ["RepartitionOutcome", "RepartitionPipeline"]
 
@@ -62,9 +62,7 @@ class RepartitionOutcome:
 
     ``loads``/``targets``/``imbalance`` are all derived from the single
     cached work vector of ``part`` -- callers must not recompute them
-    with per-box loops.  ``owners`` materializes box objects lazily: a
-    repartition whose caller only reads the columnar views never builds
-    the per-box dict.
+    with per-box loops.
     """
 
     part: PartitionResult
@@ -74,11 +72,6 @@ class RepartitionOutcome:
     migration_bytes: int
     migration_seconds: float
     volumes: dict  # pairwise ghost-exchange volumes of this layout
-
-    @property
-    def owners(self) -> dict[Box, int]:
-        """Box -> rank mapping, built on first access."""
-        return self.part.owners()
 
     def level_loads(self, num_ranks: int) -> tuple[list[int], np.ndarray]:
         """(levels, per-level load matrix) for per-level sync pricing.
@@ -123,9 +116,9 @@ class RepartitionPipeline:
     before_migrate, on_apply:
         How the executor applies a partition: ``before_migrate(part)``
         runs between partitioning and the migrate span (the kernel
-        executor repatches the hierarchy there), ``on_apply(owners)``
+        executor repatches the hierarchy there), ``on_apply(layout)``
         inside the span once the cell-owner diff is taken (the trace
-        executor applies the assignment to the HDDA there).
+        executor applies the layout to the HDDA there).
     detail:
         Also publish the dashboard's per-node gauges (at every sensing
         and repartition) and the residual-imbalance histogram.
@@ -145,7 +138,7 @@ class RepartitionPipeline:
         refine_factor: int = 2,
         learner=None,
         before_migrate: Callable[[PartitionResult], None] | None = None,
-        on_apply: Callable[[dict[Box, int]], None] | None = None,
+        on_apply: Callable[[Layout], None] | None = None,
         detail: bool = False,
     ):
         self.cluster = cluster
@@ -170,28 +163,11 @@ class RepartitionPipeline:
         # charges.  A disabled tracer keeps the communicator silent.
         if getattr(tracer, "enabled", False):
             self.time_model.comm.bind_tracer(tracer)
-        # Assignment of the previous epoch (diffed for migration volume),
-        # held as columns; :attr:`prev_assignment` is their object view.
-        self._prev_boxes: BoxList | None = None
-        self._prev_ranks: np.ndarray | None = None
+        #: who owns which box right now: the next migration is diffed
+        #: against it, checkpoints save it, a restore puts it back
+        self.layout = Layout.from_pairs(())
         #: outcome of the most recent :meth:`repartition` / :meth:`recover`
         self.last: RepartitionOutcome | None = None
-
-    @property
-    def prev_assignment(self) -> list[tuple[Box, int]]:
-        """Previous epoch's ``(box, rank)`` pairs (checkpoints save them)."""
-        if self._prev_boxes is None:
-            return []
-        return list(zip(self._prev_boxes, self._prev_ranks.tolist()))
-
-    @prev_assignment.setter
-    def prev_assignment(self, pairs: list[tuple[Box, int]]) -> None:
-        # Checkpoint restore hands back a pair list; lower it to columns.
-        pairs = list(pairs)
-        self._prev_boxes = BoxList(b for b, _ in pairs) if pairs else None
-        self._prev_ranks = (
-            np.array([r for _, r in pairs], dtype=np.intp) if pairs else None
-        )
 
     # -- Stage: sense + capacity ---------------------------------------
     def sense(
@@ -264,20 +240,14 @@ class RepartitionPipeline:
             self.before_migrate(part)
         lost = 0  # evacuated bytes: their previous owner is down
         with tracer.span("migrate", **span_attrs) as mig_span:
-            # Geometric cell-owner diff against the previous assignment: the
+            # Geometric cell-owner diff against the previous layout: the
             # true redistribution traffic, robust to boxes being re-split.
-            # Runs on the column views of both epochs -- no pair lists.
             moved = redistribution_volume_columns(
-                self._prev_boxes,
-                self._prev_ranks,
-                part.boxes(),
-                part.rank_vector(),
-                self.bytes_per_cell,
+                self.layout, part.layout, self.bytes_per_cell
             )
             if self.on_apply is not None:
-                self.on_apply(part.owners())
-            self._prev_boxes = part.boxes()
-            self._prev_ranks = part.rank_vector()
+                self.on_apply(part.layout)
+            self.layout = part.layout
             if recovery is None:
                 mig_seconds = self.time_model.migration_cost(moved)
             else:
@@ -351,9 +321,9 @@ class RepartitionPipeline:
         -- that is the escalation policy's call.
         """
         down = set(self.cluster.down_nodes)
-        if not down or self._prev_ranks is None:
+        if not down:
             return ()
-        return tuple(sorted(down & set(np.unique(self._prev_ranks).tolist())))
+        return tuple(sorted(down & set(np.unique(self.layout.ranks).tolist())))
 
     def needs_recovery(self) -> bool:
         """Whether any current box owner is a dead rank."""
@@ -397,17 +367,14 @@ class RepartitionPipeline:
                 boxes, caps_live, self.work_model
             )
             # Remap compact ranks back to true node indices; expand the
-            # target vector so every consumer stays num_nodes-sized.  The
-            # remap is one gather on the rank column -- no pair rebuild.
+            # target vector so every consumer stays num_nodes-sized.
             targets_full = np.zeros(self.cluster.num_nodes)
             targets_full[live_idx] = part_live.targets
             part = PartitionResult(
-                targets=targets_full,
-                num_splits=part_live.num_splits,
-                work_model=part_live.work_model,
-            )
-            part.set_columns(
-                part_live.boxes(), live_idx[part_live.rank_vector()]
+                part_live.layout.remapped(live_idx),
+                targets_full,
+                part_live.num_splits,
+                part_live.work_model,
             )
             return self._migrate(
                 part,

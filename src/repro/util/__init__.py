@@ -25,7 +25,7 @@ from repro.util.errors import (
     MonitorError,
     HDDAError,
 )
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxList, Layout
 
 __all__ = [
     "ReproError",
@@ -36,4 +36,5 @@ __all__ = [
     "HDDAError",
     "Box",
     "BoxList",
+    "Layout",
 ]

@@ -1,5 +1,5 @@
-"""Rectilinear index-space geometry: :class:`Box`, :class:`BoxArray` and
-:class:`BoxList`.
+"""Rectilinear index-space geometry: :class:`Box`, :class:`BoxArray`,
+:class:`BoxList` and :class:`Layout`.
 
 GrACE maintains every component grid of the adaptive hierarchy as a *list of
 bounding boxes*: a bounding box is a rectilinear region of the computational
@@ -22,7 +22,8 @@ Two representations coexist:
 converts lazily.  A list created from columns (:meth:`BoxList.from_array`)
 stays columnar until some caller actually iterates box objects; a list
 built from objects exposes its column view through :attr:`BoxList.array`,
-computed once and cached.
+computed once and cached.  :class:`Layout` pairs such a list with one rank
+per box: the value that says which rank owns which box.
 
 Conventions
 -----------
@@ -48,6 +49,7 @@ __all__ = [
     "Box",
     "BoxArray",
     "BoxList",
+    "Layout",
     "overlap_pairs",
     "volumes_by_rank_pair",
 ]
@@ -982,3 +984,69 @@ class BoxList:
         for b in boxes[1:]:
             out = out.bounding_union(b)
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """Which rank owns which box: a :class:`BoxList` and one rank per box.
+
+    The one value the repartition loop hands from stage to stage --
+    partitioners produce it, the migrate stage diffs the previous one
+    against the new one, the HDDA applies it, checkpoints store it.
+    ``ranks`` is an ``intp`` vector aligned with ``boxes``, checked on
+    construction and frozen in place (not copied), so no holder can edit
+    the ownership another holder prices from.  :meth:`from_pairs` and
+    :meth:`pairs` are the only crossings between these columns and
+    per-box ``(Box, rank)`` objects.
+    """
+
+    boxes: BoxList
+    ranks: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.boxes, BoxList):
+            raise GeometryError(
+                f"Layout boxes must be a BoxList, got {type(self.boxes)!r}"
+            )
+        ranks = np.asarray(self.ranks)
+        if ranks.size and ranks.dtype.kind not in "iu":
+            raise GeometryError(
+                f"Layout ranks must be integers, got dtype {ranks.dtype}"
+            )
+        if ranks.shape != (len(self.boxes),):
+            raise GeometryError(
+                f"rank vector shape {ranks.shape} does not match "
+                f"{len(self.boxes)} boxes"
+            )
+        if ranks.size and int(ranks.min()) < 0:
+            raise GeometryError(f"negative rank {int(ranks.min())} in Layout")
+        ranks = np.ascontiguousarray(ranks, dtype=np.intp)
+        ranks.setflags(write=False)
+        object.__setattr__(self, "ranks", ranks)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[Box, int]]) -> "Layout":
+        """Lower ``(box, rank)`` pairs to columns, keeping their order."""
+        pairs = list(pairs)
+        return cls(
+            BoxList(b for b, _ in pairs), np.array([r for _, r in pairs])
+        )
+
+    def pairs(self) -> list[tuple[Box, int]]:
+        """The object view: ``(Box, rank)`` with plain-``int`` ranks."""
+        return list(zip(self.boxes, self.ranks.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Layout({len(self)} boxes)"
+
+    def of_rank(self, rank: int) -> BoxList:
+        """The boxes ``rank`` owns, in layout order."""
+        return self.boxes.take(np.flatnonzero(self.ranks == rank))
+
+    def remapped(self, index: np.ndarray) -> "Layout":
+        """The same boxes with rank ``k`` renamed ``index[k]`` (one gather:
+        compact live-rank numbering back to true node indices)."""
+        return Layout(self.boxes, np.asarray(index)[self.ranks])

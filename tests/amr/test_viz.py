@@ -6,7 +6,7 @@ import pytest
 
 from repro.amr.viz import render_levels, render_owners
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxList, Layout
 
 
 class TestRenderLevels:
@@ -49,7 +49,7 @@ class TestRenderOwners:
     def test_2d_ownership(self):
         domain = Box((0, 0), (4, 2))
         left, right = domain.halve(axis=0)
-        out = render_owners({left: 0, right: 1}, domain)
+        out = render_owners(Layout.from_pairs([(left, 0), (right, 1)]), domain)
         rows = out.splitlines()
         assert rows[0] == "aabb"
         assert rows[1] == "aabb"
@@ -57,10 +57,10 @@ class TestRenderOwners:
     def test_uncovered_cells_blank(self):
         domain = Box((0, 0), (4, 2))
         fine = Box((0, 0), (4, 4), 1)  # covers left half of base
-        out = render_owners({fine: 2}, domain, level=1)
+        out = render_owners(Layout.from_pairs([(fine, 2)]), domain, level=1)
         assert out.splitlines()[0] == "cc  "
 
     def test_list_input(self):
         domain = Box((0, 0), (2, 2))
-        out = render_owners([(domain, 0)], domain)
+        out = render_owners(Layout.from_pairs([(domain, 0)]), domain)
         assert out == "aa\naa"

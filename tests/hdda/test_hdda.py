@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.hdda import HDDA, HierarchicalIndexSpace
 from repro.util.errors import HDDAError
-from repro.util.geometry import Box
+from repro.util.geometry import Box, Layout
 
 
 def make_hdda(num_procs: int = 4) -> HDDA:
@@ -82,14 +82,18 @@ class TestRedistribution:
         for b in boxes:
             h.register_box(b, 0)
         # Move the last two tiles to rank 1.
-        plan = h.plan_redistribution({boxes[2]: 1, boxes[3]: 1, boxes[0]: 0})
+        plan = h.plan_redistribution(
+            Layout.from_pairs({boxes[2]: 1, boxes[3]: 1, boxes[0]: 0}.items())
+        )
         assert plan.total_blocks == 2
         assert plan.total_bytes == 2 * 16 * 8
         assert set(plan.moves) == {(0, 1)}
 
     def test_plan_ignores_unregistered(self):
         h = make_hdda(2)
-        plan = h.plan_redistribution({Box((0, 0), (4, 4)): 1})
+        plan = h.plan_redistribution(
+            Layout.from_pairs({Box((0, 0), (4, 4)): 1}.items())
+        )
         assert plan.is_empty()
 
     def test_plan_rejects_bad_rank(self):
@@ -97,7 +101,7 @@ class TestRedistribution:
         b = Box((0, 0), (4, 4))
         h.register_box(b, 0)
         with pytest.raises(HDDAError):
-            h.plan_redistribution({b: 7})
+            h.plan_redistribution(Layout.from_pairs({b: 7}.items()))
 
     def test_apply_moves_creates_and_drops(self):
         h = make_hdda(2)
@@ -106,7 +110,7 @@ class TestRedistribution:
             h.register_box(b, 0)
         new_box = Box((0, 8), (4, 12))
         assignment = {old[0]: 1, old[1]: 0, new_box: 1}  # old[2] disappears
-        plan = h.apply_assignment(assignment)
+        plan = h.apply_assignment(Layout.from_pairs(assignment.items()))
         assert plan.total_blocks == 1  # old[0] moved
         assert h.owner_of(old[0]) == 1
         assert h.owner_of(old[1]) == 0
@@ -120,8 +124,8 @@ class TestRedistribution:
         h = make_hdda(3)
         boxes = tile_boxes(6)
         assignment = {b: i % 3 for i, b in enumerate(boxes)}
-        h.apply_assignment(assignment)
-        plan2 = h.apply_assignment(assignment)
+        h.apply_assignment(Layout.from_pairs(assignment.items()))
+        plan2 = h.apply_assignment(Layout.from_pairs(assignment.items()))
         assert plan2.is_empty()
         h.check_invariants()
 
@@ -159,8 +163,8 @@ def test_apply_assignment_reaches_target_state(first, second):
     tiles = tile_boxes(16, side=2)
     a1 = {tiles[i]: r for i, r in enumerate(first)}
     a2 = {tiles[i]: r for i, r in enumerate(second)}
-    h.apply_assignment(a1)
-    h.apply_assignment(a2)
+    h.apply_assignment(Layout.from_pairs(a1.items()))
+    h.apply_assignment(Layout.from_pairs(a2.items()))
     assert h.total_blocks == len(a2)
     for box, rank in a2.items():
         assert h.owner_of(box) == rank

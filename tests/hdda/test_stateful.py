@@ -23,7 +23,7 @@ from hypothesis.stateful import (
 
 from repro.hdda import HDDA, HierarchicalIndexSpace
 from repro.util.errors import HDDAError
-from repro.util.geometry import Box
+from repro.util.geometry import Box, Layout
 from repro.util.hashing import ExtendibleHashTable
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ class HddaMachine(RuleBasedStateMachine):
             )
             assignment[_TILES[tile]] = rank
             self.model[tile] = rank
-        self.hdda.apply_assignment(assignment)
+        self.hdda.apply_assignment(Layout.from_pairs(assignment.items()))
 
     @rule(tile=st.integers(0, 15))
     def lookup(self, tile):

@@ -1,13 +1,15 @@
 """Golden byte-identity: columnar partitioners vs the object-path walks.
 
-Each partitioner now consumes ``(work vector, SFC order, level)`` array
-slices and emits its assignment through ``PartitionResult.set_columns``.
+Each partitioner consumes ``(work vector, SFC order, level)`` array
+slices and emits its assignment as a columnar ``Layout``.
 These tests pin the columnar implementations against verbatim copies of
 the per-box object algorithms they replaced: identical ``(box, rank)``
 pairs in identical order, identical float loads, identical split counts.
 The reference code is intentionally the *old* implementation, not a
 re-derivation -- any drift in ordering, tie-breaking or float accumulation
-fails here before it can silently change an experiment.
+fails here before it can silently change an experiment.  The references
+append to a local ``(box, rank)`` pair list and lower it once, through
+``Layout.from_pairs``.
 """
 
 from __future__ import annotations
@@ -23,18 +25,15 @@ from repro.kernels.workloads import moving_blob_trace
 from repro.monitor.service import MonitorSnapshot
 from repro.partition.base import PartitionResult, Partitioner, as_work_model
 from repro.partition.capacity import CapacityCalculator
-from repro.partition.composite import ACEComposite, assign_curve_spans
+from repro.partition.composite import ACEComposite
 from repro.partition.graphpart import GraphPartitioner, _grow_part, build_box_graph
 from repro.partition.greedy import GreedyLPT
 from repro.partition.heterogeneous import ACEHeterogeneous
 from repro.partition.hybrid import SFCHybrid
 from repro.partition.levelwise import LevelPartitioner
-from repro.partition.metrics import (
-    redistribution_volume,
-    redistribution_volume_columns,
-)
+from repro.partition.metrics import redistribution_volume_columns
 from repro.partition.splitting import SplitConstraints, split_to_target
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxList, Layout
 from repro.util.sfc import sfc_order_boxes
 
 
@@ -45,7 +44,7 @@ def reference_greedy(boxes: BoxList, capacities, model) -> PartitionResult:
     caps = Partitioner._check_inputs(boxes, capacities)
     works = model.vector(boxes).tolist()
     targets = caps * model.total(boxes)
-    result = PartitionResult(targets=targets, work_model=model)
+    pairs: list[tuple[Box, int]] = []
     num_ranks = len(caps)
     loads = [0.0] * num_ranks
     safe_caps = [c if c > 0 else 1e-12 for c in caps.tolist()]
@@ -57,9 +56,9 @@ def reference_greedy(boxes: BoxList, capacities, model) -> PartitionResult:
     for i in order:
         w = works[i]
         rank = min(rank_range, key=lambda r: (loads[r] + w) / safe_caps[r])
-        result.assignment.append((boxes[i], rank))
+        pairs.append((boxes[i], rank))
         loads[rank] += w
-    return result
+    return PartitionResult(Layout.from_pairs(pairs), targets, work_model=model)
 
 
 def reference_heterogeneous(
@@ -68,7 +67,8 @@ def reference_heterogeneous(
     caps = Partitioner._check_inputs(boxes, capacities)
     works = model.vector(boxes).tolist()
     targets = caps * model.total(boxes)
-    result = PartitionResult(targets=targets, work_model=model)
+    pairs: list[tuple[Box, int]] = []
+    num_splits = 0
     queue: list[tuple[float, int, Box]] = []
     for seq, i in enumerate(
         sorted(
@@ -87,12 +87,12 @@ def reference_heterogeneous(
         while queue:
             if last_rank:
                 _, _, box = heapq.heappop(queue)
-                result.assignment.append((box, rank))
+                pairs.append((box, rank))
                 continue
             w, _, box = queue[0]
             if w <= remaining + fill_tolerance * w:
                 heapq.heappop(queue)
-                result.assignment.append((box, rank))
+                pairs.append((box, rank))
                 remaining -= w
                 continue
             if remaining <= 0:
@@ -102,15 +102,78 @@ def reference_heterogeneous(
                 break
             heapq.heappop(queue)
             piece, rest = split
-            result.num_splits += len(rest)
-            result.assignment.append((piece, rank))
+            num_splits += len(rest)
+            pairs.append((piece, rank))
             remaining -= model.work(piece)
             for r in rest:
                 heapq.heappush(queue, (model.work(r), seq, r))
                 seq += 1
             if remaining <= 0:
                 break
-    return result
+    return PartitionResult(Layout.from_pairs(pairs), targets, num_splits, model)
+
+
+def assign_curve_spans(
+    ordered: list,
+    targets: np.ndarray,
+    work_of: WorkFunction | WorkModel,
+    constraints: SplitConstraints,
+    pairs: list,
+) -> int:
+    """Deal an SFC-ordered box list into contiguous per-rank spans.
+
+    Each rank receives boxes from the current curve position until its
+    ``targets`` entry is filled; boxes straddling a span boundary are split
+    under ``constraints`` (remainders stay at the current curve position).
+    When a boundary cannot be carved, the shortfall carries into the next
+    rank's span so the global sum is preserved.  Appends to ``pairs``,
+    returns the number of splits.  (The object-path walk that lived in
+    ``partition/composite.py``, kept verbatim as the reference.)
+
+    Box works come from the model's vector in one shot; split remainders
+    are priced incrementally through the model's per-box cache, keeping a
+    ``works`` list aligned with the (mutating) curve position list.
+    """
+    model = as_work_model(work_of)
+    num_ranks = len(targets)
+    pending = ordered
+    works = model.compute(pending).tolist()
+    rank = 0
+    remaining = targets[0]
+    num_splits = 0
+    i = 0
+    while i < len(pending):
+        box = pending[i]
+        w = works[i]
+        last_rank = rank == num_ranks - 1
+        if last_rank or w <= remaining + 1e-9:
+            pairs.append((box, rank))
+            remaining -= w
+            i += 1
+            if not last_rank and remaining <= 0:
+                rank += 1
+                remaining += targets[rank]
+            continue
+        split = (
+            split_to_target(box, remaining, model, constraints)
+            if remaining > 0
+            else None
+        )
+        if split is None:
+            rank += 1
+            remaining += targets[rank]
+            continue
+        piece, rest = split
+        num_splits += len(rest)
+        pairs.append((piece, rank))
+        remaining -= model.work(piece)
+        # Remainders stay at the current curve position.
+        pending[i : i + 1] = rest
+        works[i : i + 1] = [model.work(r) for r in rest]
+        if remaining <= 0 and rank < num_ranks - 1:
+            rank += 1
+            remaining += targets[rank]
+    return num_splits
 
 
 def reference_curve(
@@ -123,10 +186,10 @@ def reference_curve(
         targets = np.full(len(caps), total / len(caps))
     else:
         targets = caps * total
-    result = PartitionResult(targets=targets, work_model=model)
+    pairs: list[tuple[Box, int]] = []
     ordered = list(sfc_order_boxes(boxes, curve="hilbert"))
-    assign_curve_spans(ordered, targets, model, constraints, result)
-    return result
+    num_splits = assign_curve_spans(ordered, targets, model, constraints, pairs)
+    return PartitionResult(Layout.from_pairs(pairs), targets, num_splits, model)
 
 
 def reference_build_box_graph(
@@ -175,7 +238,6 @@ def reference_build_box_graph(
 def reference_graph_partition(boxes: BoxList, capacities, model) -> PartitionResult:
     caps = Partitioner._check_inputs(boxes, capacities)
     targets = caps * model.total(boxes)
-    result = PartitionResult(targets=targets, work_model=model)
     g = reference_build_box_graph(boxes, model)
     assignment: dict[int, int] = {}
 
@@ -198,20 +260,20 @@ def reference_graph_partition(boxes: BoxList, capacities, model) -> PartitionRes
 
     rank_order = sorted(range(len(caps)), key=lambda r: -caps[r])
     bisect(sorted(g.nodes), rank_order)
-    for n, rank in sorted(assignment.items()):
-        result.assignment.append((g.nodes[n]["box"], rank))
-    return result
+    pairs = [(g.nodes[n]["box"], rank) for n, rank in sorted(assignment.items())]
+    return PartitionResult(Layout.from_pairs(pairs), targets, work_model=model)
 
 
 def reference_levelwise(boxes: BoxList, capacities, model) -> PartitionResult:
     caps = Partitioner._check_inputs(boxes, capacities)
     targets = caps * model.total(boxes)
-    result = PartitionResult(targets=targets, work_model=model)
+    pairs: list[tuple[Box, int]] = []
+    num_splits = 0
     for level in boxes.levels:
         sub = reference_greedy(boxes.at_level(level), caps, model)
-        result.assignment.extend(sub.assignment)
-        result.num_splits += sub.num_splits
-    return result
+        pairs.extend(sub.layout.pairs())
+        num_splits += sub.num_splits
+    return PartitionResult(Layout.from_pairs(pairs), targets, num_splits, model)
 
 
 def reference_redistribution(prev, new, bytes_per_cell=8.0):
@@ -259,7 +321,7 @@ CAPACITY_VECTORS = [
 
 
 def _assert_identical(result: PartitionResult, reference: PartitionResult):
-    assert result.assignment == reference.assignment
+    assert result.layout.pairs() == reference.layout.pairs()
     assert result.num_splits == reference.num_splits
     assert np.array_equal(result.targets, reference.targets)
     loads = result.loads()
@@ -352,29 +414,16 @@ class TestRedistributionIdentity:
         """Same dict values AND the same key insertion order (the comm
         model's per-rank accumulation iterates it)."""
         model = as_work_model(None)
-        prev_pairs: list[tuple[Box, int]] = []
-        prev_result = None
+        prev = Layout.from_pairs(())
         for boxes in EPOCHS:
             part = ACEHeterogeneous().partition(boxes, caps, model)
             want = reference_redistribution(
-                prev_pairs, part.assignment, bytes_per_cell=40.0
+                prev.pairs(), part.layout.pairs(), bytes_per_cell=40.0
             )
             got = redistribution_volume_columns(
-                None if prev_result is None else prev_result.boxes(),
-                None if prev_result is None else prev_result.rank_vector(),
-                part.boxes(),
-                part.rank_vector(),
-                bytes_per_cell=40.0,
+                prev, part.layout, bytes_per_cell=40.0
             )
             assert got == want
             assert list(got) == list(want)
             assert [got[k] for k in got] == [want[k] for k in want]
-            # The pair-based entry point routes through the same columns.
-            assert (
-                redistribution_volume(
-                    prev_pairs, part.assignment, bytes_per_cell=40.0
-                )
-                == want
-            )
-            prev_pairs = part.assignment
-            prev_result = part
+            prev = part.layout

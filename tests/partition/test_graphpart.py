@@ -54,7 +54,7 @@ class TestGraphPartitioner:
         bl = paper_rm3d_trace(num_regrids=8).epoch(3)
         r = GraphPartitioner().partition(bl, PAPER_CAPS)
         r.validate_covers(bl)
-        assert len(r.assignment) == len(bl)  # no splitting
+        assert r.num_assigned() == len(bl)  # no splitting
         assert r.num_splits == 0
 
     def test_shares_track_capacity_coarsely(self):
@@ -68,17 +68,17 @@ class TestGraphPartitioner:
     def test_single_rank(self):
         bl = moving_blob_trace(num_regrids=2).epoch(0)
         r = GraphPartitioner().partition(bl, [1.0])
-        assert all(rank == 0 for _, rank in r.assignment)
+        assert all(rank == 0 for rank in r.layout.ranks)
 
     def test_empty(self):
         r = GraphPartitioner().partition(BoxList(), PAPER_CAPS)
-        assert r.assignment == []
+        assert r.layout.pairs() == []
 
     def test_deterministic(self):
         bl = paper_rm3d_trace(num_regrids=6).epoch(4)
         a = GraphPartitioner().partition(bl, PAPER_CAPS)
         b = GraphPartitioner().partition(bl, PAPER_CAPS)
-        assert a.assignment == b.assignment
+        assert a.layout.pairs() == b.layout.pairs()
 
     def test_locality_cut_beats_random(self):
         """The grown parts should cut less exchange volume than a random
@@ -90,7 +90,9 @@ class TestGraphPartitioner:
             chop_pieces=4,
         ).epoch(3)
         caps = [0.25] * 4
-        graph_owners = GraphPartitioner().partition(bl, caps).owners()
+        graph_owners = dict(
+            GraphPartitioner().partition(bl, caps).layout.pairs()
+        )
         rng = np.random.default_rng(0)
         cuts = []
         for owners in (

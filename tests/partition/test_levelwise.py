@@ -36,7 +36,7 @@ class TestLevelPartitioner:
         the defining property of level-based decomposition."""
         p = LevelPartitioner(ACEHeterogeneous())
         r = p.partition(epoch(), PAPER_CAPS)
-        owners = r.owners()
+        owners = dict(r.layout.pairs())
         for level in epoch().levels:
             per_rank = np.zeros(4)
             for box, rank in owners.items():
@@ -49,7 +49,7 @@ class TestLevelPartitioner:
         """The composite scheme balances the total, not each level -- the
         contrast that motivates level-wise decomposition."""
         r = ACEHeterogeneous().partition(epoch(), PAPER_CAPS)
-        owners = r.owners()
+        owners = dict(r.layout.pairs())
         worst = 0.0
         for level in epoch().levels:
             per_rank = np.zeros(4)
@@ -75,14 +75,14 @@ class TestLevelPartitioner:
         comp = ACEComposite().partition(epoch(), PAPER_CAPS)
         lvl = LevelPartitioner(ACEComposite()).partition(epoch(), PAPER_CAPS)
         v_comp = sum(
-            plan_exchange_volumes(comp.boxes(), comp.owners()).values()
+            plan_exchange_volumes(comp.boxes(), comp.rank_vector()).values()
         )
-        v_lvl = sum(plan_exchange_volumes(lvl.boxes(), lvl.owners()).values())
+        v_lvl = sum(plan_exchange_volumes(lvl.boxes(), lvl.rank_vector()).values())
         assert v_lvl >= v_comp
 
     def test_empty(self):
         p = LevelPartitioner(ACEHeterogeneous())
-        assert p.partition(BoxList(), PAPER_CAPS).assignment == []
+        assert p.partition(BoxList(), PAPER_CAPS).layout.pairs() == []
 
     def test_input_guards(self):
         p = LevelPartitioner(ACEHeterogeneous())

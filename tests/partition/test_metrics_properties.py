@@ -12,9 +12,19 @@ from repro.amr.ghost import plan_exchange_volumes
 from repro.kernels.workloads import moving_blob_trace
 from repro.partition import ACEHeterogeneous, ACEComposite
 from repro.partition.base import PartitionResult, default_work
-from repro.partition.metrics import load_imbalance, redistribution_volume
+from repro.partition.metrics import (
+    load_imbalance,
+    redistribution_volume_columns,
+)
 from repro.util.errors import PartitionError
-from repro.util.geometry import Box
+from repro.util.geometry import Box, Layout
+
+
+def redistribution_volume(prev, new, bytes_per_cell=8.0):
+    """The library diffs layouts; these cases are written as pair lists."""
+    return redistribution_volume_columns(
+        Layout.from_pairs(prev), Layout.from_pairs(new), bytes_per_cell
+    )
 
 
 def tiles(n: int) -> list[Box]:
@@ -84,24 +94,24 @@ def test_exchange_volume_nonnegative_and_self_free(epoch_idx, which):
     ).epoch(epoch_idx)
     part = {"het": ACEHeterogeneous(), "comp": ACEComposite()}[which]
     result = part.partition(bl, [0.25] * 4, default_work)
-    vols = plan_exchange_volumes(result.boxes(), result.owners())
+    vols = plan_exchange_volumes(result.boxes(), result.rank_vector())
     for (src, dst), v in vols.items():
         assert src != dst
         assert v > 0
     solo = part.partition(bl, [1.0], default_work)
-    assert plan_exchange_volumes(solo.boxes(), solo.owners()) == {}
+    assert plan_exchange_volumes(solo.boxes(), solo.rank_vector()) == {}
 
 
 class TestLoadImbalanceEdgeCases:
     def test_no_targets_raises(self):
-        result = PartitionResult(assignment=[], targets=np.zeros(0))
+        result = PartitionResult(Layout.from_pairs([]), targets=np.zeros(0))
         with pytest.raises(PartitionError, match="no targets"):
             load_imbalance(result)
 
     def test_target_count_mismatch_raises(self):
         box = Box((0, 0), (2, 2))
         result = PartitionResult(
-            assignment=[(box, 0)], targets=np.array([2.0, 2.0])
+            Layout.from_pairs([(box, 0)]), targets=np.array([2.0, 2.0])
         )
         with pytest.raises(PartitionError, match="targets for"):
             load_imbalance(result, targets=[4.0])
@@ -109,7 +119,7 @@ class TestLoadImbalanceEdgeCases:
     def test_single_node_perfect_balance(self):
         box = Box((0, 0), (2, 2))
         result = PartitionResult(
-            assignment=[(box, 0)], targets=np.array([float(box.num_cells)])
+            Layout.from_pairs([(box, 0)]), targets=np.array([float(box.num_cells)])
         )
         assert load_imbalance(result).tolist() == [0.0]
 
@@ -117,20 +127,20 @@ class TestLoadImbalanceEdgeCases:
         # Nothing assigned but positive targets: every rank missed its
         # ideal share entirely -- 100% off, not a division error.
         result = PartitionResult(
-            assignment=[], targets=np.array([3.0, 5.0])
+            Layout.from_pairs([]), targets=np.array([3.0, 5.0])
         )
         assert load_imbalance(result).tolist() == [100.0, 100.0]
 
     def test_zero_capacity_rank_balanced_only_when_idle(self):
         box = Box((0, 0), (2, 2))
         idle = PartitionResult(
-            assignment=[(box, 0)],
+            Layout.from_pairs([(box, 0)]),
             targets=np.array([float(box.num_cells), 0.0]),
         )
         imb = load_imbalance(idle)
         assert imb.tolist() == [0.0, 0.0]
         loaded = PartitionResult(
-            assignment=[(box, 1)],
+            Layout.from_pairs([(box, 1)]),
             targets=np.array([float(box.num_cells), 0.0]),
         )
         imb = load_imbalance(loaded)

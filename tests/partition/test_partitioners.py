@@ -19,7 +19,7 @@ from repro.partition import (
 )
 from repro.partition.base import default_work
 from repro.util.errors import PartitionError
-from repro.util.geometry import BoxList
+from repro.util.geometry import BoxList, Layout
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 
@@ -44,16 +44,16 @@ class TestCommonContract:
 
     def test_all_ranks_in_range(self, p):
         r = p.partition(epoch(), PAPER_CAPS)
-        ranks = {rank for _, rank in r.assignment}
+        ranks = set(r.layout.ranks.tolist())
         assert ranks <= set(range(4))
 
     def test_empty_boxlist(self, p):
         r = p.partition(BoxList(), PAPER_CAPS)
-        assert r.assignment == []
+        assert r.layout.pairs() == []
 
     def test_single_rank_gets_everything(self, p):
         r = p.partition(epoch(), [1.0])
-        assert all(rank == 0 for _, rank in r.assignment)
+        assert all(rank == 0 for rank in r.layout.ranks)
         assert r.loads()[0] == pytest.approx(
             sum(default_work(b) for b in epoch())
         )
@@ -61,7 +61,7 @@ class TestCommonContract:
     def test_deterministic(self, p):
         a = p.partition(epoch(), PAPER_CAPS)
         b = p.partition(epoch(), PAPER_CAPS)
-        assert a.assignment == b.assignment
+        assert a.layout.pairs() == b.layout.pairs()
 
     def test_input_guards(self, p):
         with pytest.raises(PartitionError):
@@ -105,7 +105,7 @@ class TestACEHeterogeneous:
         c = SplitConstraints(min_box_size=4, snap=1)
         r = ACEHeterogeneous(constraints=c).partition(epoch(), PAPER_CAPS)
         original_min = min(min(b.shape) for b in epoch())
-        for box, _ in r.assignment:
+        for box in r.boxes():
             assert min(box.shape) >= min(4, original_min)
 
     def test_homogeneous_capacities_near_equal_loads(self):
@@ -135,7 +135,7 @@ class TestACEComposite:
 
         bl = epoch()
         r = ACEComposite().partition(bl, PAPER_CAPS)
-        owners = r.owners()
+        owners = dict(r.layout.pairs())
         ordered = sfc_order_boxes(r.boxes())
         ranks = [owners[b] for b in ordered]
         changes = sum(1 for a, b in zip(ranks, ranks[1:]) if a != b)
@@ -154,7 +154,7 @@ class TestSFCHybrid:
 
         bl = epoch()
         r = SFCHybrid().partition(bl, PAPER_CAPS)
-        owners = r.owners()
+        owners = dict(r.layout.pairs())
         ordered = sfc_order_boxes(r.boxes())
         ranks = [owners[b] for b in ordered]
         changes = sum(1 for a, b in zip(ranks, ranks[1:]) if a != b)
@@ -171,7 +171,7 @@ class TestGreedyLPT:
     def test_no_splits_ever(self):
         r = GreedyLPT().partition(epoch(), PAPER_CAPS)
         assert r.num_splits == 0
-        assert len(r.assignment) == len(epoch())
+        assert r.num_assigned() == len(epoch())
 
     def test_roughly_tracks_capacity(self):
         r = GreedyLPT().partition(epoch(), PAPER_CAPS)
@@ -205,6 +205,35 @@ class TestMetrics:
         r = GreedyLPT().partition(epoch(), [0.5, 0.5])
         with pytest.raises(PartitionError):
             load_imbalance(r, targets=[1.0])
+
+
+class TestResultHasOneForm:
+    """A result used to hold pairs *and* columns, guarded by a length
+    comparison: ``r.assignment[0] = (box, other_rank)`` kept the length,
+    so ``owners()`` (what the HDDA applied) reported the edit while
+    ``rank_vector()`` / ``loads()`` (what migration was priced from and
+    imbalance measured on) silently kept the stale columns."""
+
+    def test_no_pair_face_to_edit(self):
+        r = GreedyLPT().partition(epoch(), [0.5, 0.5])
+        assert not hasattr(r, "assignment")
+        assert not hasattr(r, "owners")
+        with pytest.raises(AttributeError):
+            r.assignment = []
+
+    def test_ownership_cannot_be_rewritten_in_place(self):
+        r = GreedyLPT().partition(epoch(), [0.5, 0.5])
+        ranks, loads = r.rank_vector().tolist(), r.loads().tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            r.layout.ranks[0] = 1 - ranks[0]
+        with pytest.raises(ValueError, match="read-only"):
+            r.rank_vector()[0] = 1 - ranks[0]
+        with pytest.raises(AttributeError):
+            r.layout = Layout.from_pairs(())
+        # Every view still reads the one layout.
+        assert r.rank_vector() is r.layout.ranks
+        assert [k for _, k in r.layout.pairs()] == ranks
+        assert r.loads().tolist() == loads
 
 
 @settings(max_examples=40, deadline=None)

@@ -65,8 +65,8 @@ class TestCrossPartitionerProperties:
         with_model = p.partition(epoch(), PAPER_CAPS, WorkModel())
         with_callable = p.partition(epoch(), PAPER_CAPS, default_work)
         with_default = p.partition(epoch(), PAPER_CAPS)
-        assert with_model.assignment == with_callable.assignment
-        assert with_model.assignment == with_default.assignment
+        assert with_model.layout.pairs() == with_callable.layout.pairs()
+        assert with_model.layout.pairs() == with_default.layout.pairs()
 
     def test_loads_identical_model_vs_callable(self, p):
         with_model = p.partition(epoch(), PAPER_CAPS, WorkModel())
@@ -79,13 +79,13 @@ class TestCrossPartitionerProperties:
 
     def test_work_vector_aligned_with_assignment(self, p):
         r = p.partition(epoch(), PAPER_CAPS, WorkModel())
-        expected = [default_work(b) for b, _ in r.assignment]
+        expected = [default_work(b) for b, _ in r.layout.pairs()]
         assert r.work_vector().tolist() == expected
 
     def test_loads_match_legacy_per_box_loop(self, p):
         r = p.partition(epoch(), PAPER_CAPS, WorkModel())
         loop = np.zeros(r.num_ranks)
-        for box, rank in r.assignment:
+        for box, rank in r.layout.pairs():
             loop[rank] += default_work(box)
         np.testing.assert_array_equal(r.loads(), loop)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,13 @@ from repro.resilience.checkpoint import (
     DirectoryCheckpointStore,
     MemoryCheckpointStore,
     ResilienceConfig,
+    _encode_layout,
     hierarchy_state,
     restore_hierarchy_state,
 )
 from repro.telemetry import Tracer
 from repro.util.errors import CheckpointError
-from repro.util.geometry import Box
+from repro.util.geometry import Box, BoxArray, BoxList, Layout
 from repro.util.hashing import checksum_bytes
 
 
@@ -197,21 +200,61 @@ class TestCheckpointManager:
     def test_save_restore_roundtrip(self):
         h, integ = stepped(4)
         assignment = [(box, k % 3) for k, box in enumerate(h.box_list())]
+        layout = Layout.from_pairs(assignment)
         tracer = Tracer()
         mgr = CheckpointManager(ResilienceConfig(), tracer=tracer)
-        ckpt = mgr.save(h, assignment, clock_time=2.5)
+        ckpt = mgr.save(h, layout, clock_time=2.5)
         assert ckpt.step == h.step_count
         saved = GhostFiller(h).fetch(h.domain, 0).copy()
         integ.advance()
-        back, restored_assignment = mgr.restore_latest(h)
+        back, restored = mgr.restore_latest(h)
         assert back.step == ckpt.step
-        assert restored_assignment == assignment
+        assert restored.pairs() == assignment
         np.testing.assert_array_equal(GhostFiller(h).fetch(h.domain, 0), saved)
         assert mgr.num_saves == 1
         assert mgr.num_restores == 1
         names = [e.name for e in tracer.events]
         assert "checkpoint.save" in names
         assert "recovery.restore" in names
+
+    def test_encoded_rows_are_plain_python(self):
+        """Element for element the rows a walk over ``(box, rank)`` pairs
+        would give, and every scalar a plain ``int``: the payload is
+        pickled and its byte count is charged as simulated I/O time, so a
+        stray ``np.int64`` would move the simulated clock."""
+        h, _ = stepped(4)
+        pairs = [(box, k % 3) for k, box in enumerate(h.box_list())]
+        columnar = Layout(
+            BoxList.from_array(BoxArray.from_boxes([b for b, _ in pairs])),
+            np.array([r for _, r in pairs]),
+        )
+        want = [(b.lower, b.upper, b.level, int(r)) for b, r in pairs]
+        for layout in (Layout.from_pairs(pairs), columnar):
+            rows = _encode_layout(layout)
+            assert rows == want
+            assert type(rows) is list
+            for row in rows:
+                lower, upper, level, rank = row
+                assert type(row) is tuple
+                assert type(lower) is tuple and type(upper) is tuple
+                assert all(type(x) is int for x in (*lower, *upper, level, rank))
+            assert pickle.dumps(rows, protocol=4) == pickle.dumps(want, protocol=4)
+        assert _encode_layout(Layout.from_pairs(())) == []
+        assert _encode_layout(None) is None
+
+    def test_save_restore_save_is_byte_stable(self):
+        """The payload depends on the layout's content only -- not on
+        whether its Box objects happen to be the hierarchy's own."""
+        h, _ = stepped(4)
+        layout = Layout.from_pairs(
+            (box, k % 3) for k, box in enumerate(h.box_list())
+        )
+        mgr = CheckpointManager(ResilienceConfig())
+        first = mgr.save(h, layout, clock_time=1.0)
+        _, restored = mgr.restore_latest(h)
+        second = mgr.save(h, restored, clock_time=1.0)
+        assert second.payload == first.payload
+        assert second.checksum == first.checksum
 
     def test_none_assignment_roundtrips(self):
         h, _ = stepped(2)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Fail if scalar per-box idioms creep back into the columnar core.
 
-Four families of checks, so a reviewer does not have to spot
+Five families of checks, so a reviewer does not have to spot
 regressions by eye (the first two are substring/regex greps, the last
-two walk the syntax tree):
+three walk the syntax tree):
 
 **Work pricing** (all of ``src/``): the vectorized
 :class:`repro.partition.workmodel.WorkModel` is the single place allowed
@@ -48,6 +48,20 @@ pass)::
     for patch in level:
         patch.box.intersection(region)    # overlap_pairs on the columns
     [piece.translate(s) for s in shifts]  # add the shift to the rows
+
+**Ownership** (all of ``src/`` outside the ``Layout`` class itself):
+which rank owns which box is one :class:`repro.util.geometry.Layout`,
+handed from the partitioner to the last consumer as columns.  The faces
+it replaced -- a ``(Box, rank)`` pair list, a Box-keyed dict -- lift those
+columns to per-box objects only for some consumer to lower them back::
+
+    result.assignment                     # result.layout
+    part.owners()                         # on_apply(part.layout)
+    dict(zip(boxes, ranks))               # Layout(boxes, ranks)
+    for box, rank in pairs: ...           # layout.boxes.array / layout.ranks
+
+``amr/viz.py`` renders a few dozen boxes to text from ``layout.pairs()``
+and is not checked.
 
 The syntax-tree rules test themselves on a planted offender at every run.
 
@@ -133,6 +147,31 @@ STATE_QUERIES = frozenset({"state_of"})
 GHOST_MODULE = SRC / "repro" / "amr" / "ghost.py"
 BOX_WALKS = frozenset({"intersection", "translate", "difference"})
 
+#: Loop targets that spell a ``(box, rank)`` pair.
+PAIR_BOX_NAMES = frozenset({"b", "box", "_"})
+PAIR_RANK_NAMES = frozenset({"r", "rank", "owner", "_"})
+
+#: The text renderer: per-box objects are its job.
+ALLOWED_PAIR_FACES = {SRC / "repro" / "amr" / "viz.py"}
+
+_PLANTED_PAIR_FACES = """\
+pairs = result.assignment
+owners = part.owners()
+by_box = dict(zip(part.boxes(), part.rank_vector()))
+for box, rank in pairs:
+    pass
+ranks = [r for _, r in pairs]
+boxes = BoxList(b for b, _ in pairs)
+totals = dict(zip(keys, values))
+for src, dst in moves:
+    pass
+for _, _ in moves:
+    pass
+class Layout:
+    def pairs(self):
+        return [(b, r) for b, r in zip(self.boxes, self.ranks)]
+"""
+
 _PLANTED_OFFENDER = """\
 outside = a.intersection(b)
 for patch in level:
@@ -163,9 +202,66 @@ def looped_calls(source: str, names: frozenset[str]) -> list[int]:
     return sorted(lines)
 
 
+def pair_faces(source: str) -> list[int]:
+    """Line numbers spelling box ownership as pairs or a Box-keyed dict:
+    an ``.assignment`` read, an ``.owners()`` call, a ``dict(zip(<boxes>,
+    <ranks>))`` or a ``for <box>, <rank> in`` loop/comprehension --
+    anywhere but inside ``class Layout``."""
+    lines = set()
+
+    def is_pair_target(target: ast.expr) -> bool:
+        if not isinstance(target, ast.Tuple) or len(target.elts) != 2:
+            return False
+        if not all(isinstance(e, ast.Name) for e in target.elts):
+            return False
+        box, rank = (e.id for e in target.elts)
+        return (
+            box in PAIR_BOX_NAMES
+            and rank in PAIR_RANK_NAMES
+            and (box, rank) != ("_", "_")
+        )
+
+    def is_box_rank_zip(node: ast.Call) -> bool:
+        if getattr(node.func, "id", None) != "dict" or len(node.args) != 1:
+            return False
+        inner = node.args[0]
+        if not isinstance(inner, ast.Call) or len(inner.args) != 2:
+            return False
+        if getattr(inner.func, "id", None) != "zip":
+            return False
+        boxes, ranks = (ast.unparse(a).lower() for a in inner.args)
+        return "box" in boxes and ("rank" in ranks or "owner" in ranks)
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.ClassDef) and node.name == "Layout":
+            return
+        if isinstance(node, ast.Attribute) and node.attr == "assignment":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) == "owners"
+            or is_box_rank_zip(node)
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.For, ast.comprehension)) and is_pair_target(
+            node.target
+        ):
+            lines.add(node.target.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
 def self_test() -> list[str]:
-    """The syntax-tree rules must flag exactly the planted loops."""
+    """The syntax-tree rules must flag exactly the planted offenders."""
     failures = []
+    got = pair_faces(_PLANTED_PAIR_FACES)
+    if got != [1, 2, 3, 4, 6, 7]:
+        failures.append(
+            f"lint self-test: pair faces flagged lines {got} of the planted"
+            f" offender, expected [1, 2, 3, 4, 6, 7]"
+        )
     for names, expected in (
         (BOX_WALKS, [3, 5, 6]),
         (STATE_QUERIES, [8]),
@@ -199,6 +295,12 @@ def main() -> int:
                 f"{rel}:{lineno}: per-object Box set operation in a loop"
                 f" -- resolve overlaps with overlap_pairs on corner columns"
                 for lineno in looped_calls(source, BOX_WALKS)
+            )
+        if path not in ALLOWED_PAIR_FACES:
+            violations.extend(
+                f"{rel}:{lineno}: box ownership spelled as pairs or a"
+                f" Box-keyed dict -- pass the Layout (boxes + ranks columns)"
+                for lineno in pair_faces(source)
             )
         for lineno, line in enumerate(source.splitlines(), start=1):
             stripped = line.strip()
