@@ -20,7 +20,7 @@ from repro.amr.intergrid import prolong, restrict
 from repro.amr.level import GridLevel
 from repro.amr.patch import GridPatch
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxArray, BoxList
+from repro.util.geometry import Box, BoxList
 
 __all__ = ["GridHierarchy"]
 
@@ -139,10 +139,6 @@ class GridHierarchy:
         cached = BoxList(out)
         self._flat_cache = cached
         return cached
-
-    def box_array(self) -> BoxArray:
-        """Columnar view of :meth:`box_list` (shared cached columns)."""
-        return self.box_list().array
 
     def subcycles(self, level: int) -> int:
         """Kernel steps taken on ``level`` per coarse (level-0) step."""

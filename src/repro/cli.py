@@ -12,7 +12,6 @@ Usage::
     python -m repro profile fig10        # critical path + flamegraphs
     python -m repro profile traces/fig10.events.jsonl # offline profiling
     python -m repro top fig10            # live per-rank terminal view
-    python -m repro bench-diff OLD.json NEW.json      # perf trajectory
     python -m repro chaos --nodes 8 --kill 2          # fault injection
     python -m repro campaign run SPEC.json --dir campaigns/a --workers 4
     python -m repro campaign status campaigns/a       # progress ledger
@@ -111,9 +110,7 @@ from repro.telemetry import (
     aggregate_phases,
     analyze_critical_path,
     comm_profile,
-    diff_bench_files,
     format_critical_path_report,
-    format_diff,
     openmetrics_selfcheck,
     registry_from_records,
     write_chrome_trace,
@@ -946,25 +943,6 @@ def _run_serve(root: str, host: str, port: int) -> int:
     return 0
 
 
-def _run_bench_diff(
-    old: str, new: str, tolerance: float, fail_on_regression: bool,
-    verbose: bool,
-) -> int:
-    for path in (old, new):
-        if not Path(path).is_file():
-            print(f"bench file not found: {path}", file=sys.stderr)
-            return 2
-    try:
-        comparison = diff_bench_files(old, new, tolerance=tolerance)
-    except ValueError as exc:  # malformed JSON
-        print(f"could not parse bench file: {exc}", file=sys.stderr)
-        return 2
-    print(format_diff(comparison, verbose=verbose))
-    if comparison.regressions and fail_on_regression:
-        return 1
-    return 0
-
-
 def _print_learn_summary(summary: dict) -> None:
     cap = summary["capacity_model"]
     itm = summary["iter_model"]
@@ -1009,7 +987,6 @@ def _learn_fit(campaign: str, store_dir: str | None) -> int:
     directory = Path(store_dir) if store_dir else campaign_path / "learn"
     store = ExecutionHistoryStore(directory)
     added = store.ingest_artifacts(campaign_path)
-    store.checkpoint()
     learn = LearnController(history=store)
     counts = learn.warm_start(store)
     print(
@@ -1582,25 +1559,6 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true",
         help="emit the full reconciliation report as JSON",
     )
-    bench = sub.add_parser(
-        "bench-diff",
-        help="compare two BENCH_*.json artifacts; flag perf regressions",
-    )
-    bench.add_argument("old", help="baseline BENCH_*.json")
-    bench.add_argument("new", help="fresh BENCH_*.json to compare")
-    bench.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="relative wall-clock slowdown treated as a regression "
-        "(default: 0.2)",
-    )
-    bench.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit 1 when regressions are found (CI gate mode)",
-    )
-    bench.add_argument(
-        "--verbose", action="store_true",
-        help="also list added/removed metrics",
-    )
     args = parser.parse_args(argv)
 
     if args.command == "list" or args.command is None:
@@ -1657,11 +1615,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_learn(args)
     if args.command == "explain":
         return _run_explain(args)
-    if args.command == "bench-diff":
-        return _run_bench_diff(
-            args.old, args.new, args.tolerance, args.fail_on_regression,
-            args.verbose,
-        )
     return 2
 
 

@@ -98,7 +98,3 @@ class SyntheticLoadGenerator:
     def memory_at(self, t: float) -> float:
         """Memory (MB) pinned at simulated time ``t``."""
         return self.level_at(t) * self.memory_per_unit_mb
-
-    def bandwidth_fraction_at(self, t: float) -> float:
-        """Fraction of NIC bandwidth consumed at simulated time ``t``."""
-        return self.level_at(t) * self.bandwidth_fraction_per_unit

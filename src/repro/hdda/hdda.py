@@ -173,13 +173,6 @@ class HDDA:
             b.box for b in sorted(blocks, key=lambda blk: blk.key)
         )
 
-    def all_boxes(self) -> BoxList:
-        out: list[tuple[int, Box]] = []
-        for rank in range(self.num_procs):
-            for key in self.ownership.keys_of(rank):
-                out.append((key, self.stores[rank].get(key).box))
-        return BoxList(b for _, b in sorted(out, key=lambda kv: kv[0]))
-
     @property
     def total_blocks(self) -> int:
         return len(self.ownership)

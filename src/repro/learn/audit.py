@@ -52,12 +52,8 @@ __all__ = [
     "reconcile",
 ]
 
-#: Ledger append log and exact-resume index inside a ledger directory.
+#: Ledger append-log file name inside a ledger directory.
 LEDGER_NAME = "decisions.jsonl"
-LEDGER_INDEX_NAME = "index.json"
-
-#: Ledger format version stamped into the index.
-LEDGER_SCHEMA_VERSION = 1
 
 #: The record kinds a ledger may hold.  ``gate``/``sense_interval``/
 #: ``forecast``/``recover`` are decisions; ``prediction`` is the
@@ -134,8 +130,6 @@ class DecisionLedger(DurableJsonlStore):
     """
 
     DATA_NAME = LEDGER_NAME
-    INDEX_NAME = LEDGER_INDEX_NAME
-    SCHEMA_VERSION = LEDGER_SCHEMA_VERSION
     REQUIRED_KEY = "kind"
 
     def record(self, kind: str, **fields: Any) -> dict[str, Any]:

@@ -9,20 +9,17 @@ decision ledger (:mod:`repro.learn.audit`).  The bytes go through
   final line of a crash mid-append) terminates the fragment first instead
   of welding the next acknowledged row onto it;
 - a load adopts every complete row and skips fragments, so a reopened
-  store continues byte-identically to one that was never closed;
-- :meth:`DurableJsonlStore.checkpoint` publishes the ``(records, bytes)``
-  high-water mark to an ``index.json`` sidecar atomically (fsynced tmp +
-  rename).  A load re-validates every line and never trusts the sidecar,
-  so a stale or corrupt index cannot hide or invent a row.
+  store continues byte-identically to one that was never closed.  The
+  append log is the only file read: an ``index.json`` left beside it by
+  an older version is ignored.
 
-Subclasses set the class attributes (file names, schema version, the
-key a parsed dict must carry to count as a row) and may override
+Subclasses set the class attributes (file name, the key a parsed dict
+must carry to count as a row) and may override
 :meth:`_absorb` to index rows as they are adopted.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -36,10 +33,6 @@ class DurableJsonlStore:
 
     #: Append-log file name inside the store directory.
     DATA_NAME = "data.jsonl"
-    #: High-water-mark sidecar name.
-    INDEX_NAME = "index.json"
-    #: Format version stamped into the index.
-    SCHEMA_VERSION = 1
     #: A parsed dict must carry this key to be adopted as a row.
     REQUIRED_KEY = ""
 
@@ -47,10 +40,7 @@ class DurableJsonlStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.data_path = self.directory / self.DATA_NAME
-        self.index_path = self.directory / self.INDEX_NAME
-        self._rows, self._trusted_bytes = durable.read_rows(
-            self.data_path, self.REQUIRED_KEY
-        )
+        self._rows, _ = durable.read_rows(self.data_path, self.REQUIRED_KEY)
         for row in self._rows:
             self._absorb(row)
 
@@ -58,24 +48,12 @@ class DurableJsonlStore:
     def _absorb(self, row: dict[str, Any]) -> None:
         """Index one adopted row (loaded or appended).  Default: no-op."""
 
-    def checkpoint(self) -> None:
-        """Atomically publish the ``(records, bytes)`` high-water mark."""
-        doc = {
-            "schema_version": self.SCHEMA_VERSION,
-            "records": len(self._rows),
-            "bytes": self._trusted_bytes,
-        }
-        durable.publish(
-            self.index_path, json.dumps(doc, sort_keys=True) + "\n", sync=True
-        )
-
     # -- append --------------------------------------------------------
     def _append_row(self, row: dict[str, Any]) -> dict[str, Any]:
         """Durably append one row, then adopt it."""
         durable.append_line(
             self.data_path, durable.canonical_json(row), sync=True
         )
-        self._trusted_bytes = self.data_path.stat().st_size
         self._rows.append(row)
         self._absorb(row)
         return row

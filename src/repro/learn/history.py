@@ -12,19 +12,16 @@ machinery):
 - reads tolerate a **torn tail** (a partial line from a crash
   mid-append parses as garbage and is dropped, never raised), and the
   next append terminates it rather than welding a row onto it;
-- an ``index.json`` sidecar records the ``(records, bytes)`` high-water
-  mark and is published atomically (tmp + rename); a reopened store
-  re-validates every line, so it continues byte-identically whether or
-  not the sidecar is current.
+- a reopened store re-validates every line of the log and reads no
+  other file, so it continues byte-identically.
 
 Rows are flat observations -- one ``(source, cell_key, phase, node, t,
-work, seconds, capacity, count)`` tuple per line -- ingested from three
+work, seconds, capacity, count)`` tuple per line -- ingested from two
 places: live runs (the :class:`~repro.learn.policy.LearnController`
-records per-node iteration timings as they happen), campaign telemetry
-digests, and the per-cell ``artifacts/<cell-key>/profile.json`` bundles
-PR 7 writes.  In memory the store is columnar: numeric columns are
-numpy arrays, so model fitting and queries are vectorized scans, not
-row loops.
+records per-node iteration timings as they happen) and the per-cell
+``artifacts/<cell-key>/profile.json`` bundles PR 7 writes.  In memory
+the store is columnar: numeric columns are numpy arrays, so model
+fitting and queries are vectorized scans, not row loops.
 """
 
 from __future__ import annotations
@@ -38,14 +35,10 @@ import numpy as np
 from repro.learn.durable import DurableJsonlStore
 from repro.util.errors import ExperimentError
 
-__all__ = ["ExecutionHistoryStore", "HISTORY_NAME", "INDEX_NAME"]
+__all__ = ["ExecutionHistoryStore", "HISTORY_NAME"]
 
-#: Append log and exact-resume index file names inside a store directory.
+#: Append-log file name inside a store directory.
 HISTORY_NAME = "history.jsonl"
-INDEX_NAME = "index.json"
-
-#: Store format version stamped into the index.
-HISTORY_SCHEMA_VERSION = 1
 
 #: Row fields, in canonical serialization order.  ``t`` is simulated
 #: seconds; ``node`` is -1 for rows that aggregate across nodes.
@@ -77,8 +70,6 @@ class ExecutionHistoryStore(DurableJsonlStore):
     """Durable, columnar store of per-phase execution observations."""
 
     DATA_NAME = HISTORY_NAME
-    INDEX_NAME = INDEX_NAME
-    SCHEMA_VERSION = HISTORY_SCHEMA_VERSION
     REQUIRED_KEY = "phase"
 
     def __init__(self, directory: str | Path):
@@ -123,30 +114,6 @@ class ExecutionHistoryStore(DurableJsonlStore):
         }
         return self._append_row(row)
 
-    def ingest_digest(self, digest: Any) -> int:
-        """Ingest a :class:`~repro.telemetry.live.TelemetryDigest`.
-
-        One row per phase (aggregate across nodes), stamped with the
-        cell key so re-ingestion is idempotent.  Returns rows added.
-        """
-        cell_key = str(getattr(digest, "cell_key", "") or "")
-        if cell_key and cell_key in self._sources:
-            return 0
-        added = 0
-        sim_seconds = float(getattr(digest, "sim_seconds", 0.0))
-        for phase, seconds in sorted(getattr(digest, "phases", {}).items()):
-            self.record(
-                source="digest",
-                cell_key=cell_key,
-                phase=phase,
-                seconds=float(seconds),
-                t=sim_seconds,
-            )
-            added += 1
-        if added:
-            self.checkpoint()
-        return added
-
     def ingest_profile(
         self, profile: dict[str, Any], cell_key: str | None = None
     ) -> int:
@@ -171,8 +138,6 @@ class ExecutionHistoryStore(DurableJsonlStore):
                 t=sim_seconds,
             )
             added += 1
-        if added:
-            self.checkpoint()
         return added
 
     def ingest_artifacts(self, campaign_dir: str | Path) -> int:

@@ -69,24 +69,6 @@ def _cpu_loaded_cluster(n: int = 4) -> Cluster:
     return c
 
 
-def _memory_squeezed_cluster(n: int = 4) -> Cluster:
-    """Nodes differing only in free memory (CPU/bandwidth uniform).
-
-    Memory pressure is modelled as pinned memory with negligible CPU
-    competition (a large in-memory cache, say).
-    """
-    c = Cluster.homogeneous(n)
-    for k, mem in enumerate(np.linspace(0.0, 360.0, n)):
-        if mem > 0:
-            c.add_load_generator(
-                SyntheticLoadGenerator(
-                    node=k, start_time=-1.0, ramp_rate=10.0,
-                    target_level=0.05, memory_per_unit_mb=float(mem / 0.05),
-                )
-            )
-    return c
-
-
 def weight_ablation(iterations: int = 30) -> dict:
     """Execution time per weight profile on a CPU-heterogeneous cluster.
 

@@ -24,9 +24,6 @@ On top of the recording layer sit the consumers added in PR 2:
 - :mod:`repro.telemetry.report` -- renders a tracer or JSONL trace into a
   single self-contained HTML dashboard (inline SVG, no external
   resources): ``repro report <experiment-or-trace>``.
-- :mod:`repro.telemetry.benchdiff` -- compares ``BENCH_*.json`` perf
-  artifacts across runs and flags wall-clock regressions:
-  ``repro bench-diff OLD NEW``.
 - :mod:`repro.telemetry.profile` -- performance introspection over the
   span stream: per-iteration critical-path analysis with per-rank slack,
   rank-by-rank communication matrices with derated-link attribution,
@@ -64,12 +61,6 @@ from repro.telemetry.analysis import (
     analyze_records,
     default_detectors,
     fault_summary,
-)
-from repro.telemetry.benchdiff import (
-    diff_bench,
-    diff_bench_files,
-    flatten_bench,
-    format_diff,
 )
 from repro.telemetry.export import (
     aggregate_phases,
@@ -175,11 +166,6 @@ __all__ = [
     "load_trace_records",
     "render_dashboard",
     "write_dashboard",
-    # benchdiff
-    "diff_bench",
-    "diff_bench_files",
-    "flatten_bench",
-    "format_diff",
     # metrics exposition
     "openmetrics_selfcheck",
     # names registry

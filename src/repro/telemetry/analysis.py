@@ -697,16 +697,13 @@ def analyze_records(
         if record.get("type") != "span":
             continue
         span = _span_from_record(record)
+        acc = runs.get(span.pid)
+        if acc is None:
+            acc = runs[span.pid] = _RunAccumulator(labels.get(span.pid, ""))
         if span.name == "run":
-            pid = span.pid
-            acc = runs.setdefault(pid, _RunAccumulator(labels.get(pid, "")))
             if not acc.label:
                 acc.label = str(span.attributes.get("partitioner", ""))
-            continue
-        acc = runs.setdefault(
-            span.pid, _RunAccumulator(labels.get(span.pid, ""))
-        )
-        if span.name == "iteration":
+        elif span.name == "iteration":
             acc.iterations.append(span)
         elif span.name == "sense":
             acc.senses.append(span)

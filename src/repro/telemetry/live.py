@@ -487,9 +487,3 @@ def format_sse(event: str, payload: Any) -> bytes:
     data = json.dumps(_jsonable(payload), sort_keys=True)
     return f"event: {event}\ndata: {data}\n\n".encode("utf-8")
 
-
-def iter_progress_records(
-    path: str | Path, offset: int = 0
-) -> tuple[list[dict[str, Any]], int]:
-    """Convenience tail-follow step used by serve and watch loops."""
-    return ProgressLog(path).read_from(offset)

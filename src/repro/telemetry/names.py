@@ -111,9 +111,9 @@ EVENT_PREFIXES = (
 )
 
 #: Every metric name (counter, gauge or histogram) the instrumentation
-#: creates.  The OpenMetrics endpoint, the bench-diff comparator and the
-#: dashboard all key on exact metric names, so they are registered and
-#: linted exactly like span names.
+#: creates.  The OpenMetrics endpoint and the dashboard key on exact
+#: metric names, so they are registered and linted exactly like span
+#: names.
 METRIC_NAMES = frozenset(
     {
         # runtime counters

@@ -52,6 +52,7 @@ from typing import Any, Iterable
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NullTracer, Tracer
+from repro.util import durable
 
 __all__ = [
     "PathSegment",
@@ -80,6 +81,17 @@ _EPS = 1e-9
 _RANK_PHASES = ("compute", "ghost-exchange")
 
 
+def load_trace_records(path: str | os.PathLike) -> list[dict[str, Any]]:
+    """Parse an exported JSONL trace back into record dicts.
+
+    The file may be the log of a live or crashed writer, so it is read
+    under the progress log's contract: the complete span/event records,
+    a torn tail or a foreign line skipped.  A missing file raises.
+    """
+    os.stat(path)  # ``read_rows`` reads a missing file as empty
+    return durable.read_rows(path, "type")[0]
+
+
 def _as_records(
     source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
 ) -> list[dict[str, Any]]:
@@ -89,13 +101,7 @@ def _as_records(
             e.to_dict() for e in source.events
         ]
     if isinstance(source, (str, os.PathLike)):
-        records = []
-        with open(source, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return records
+        return load_trace_records(source)
     return list(source)
 
 

@@ -32,7 +32,6 @@ reserved status palette and always carry text, never color alone.
 from __future__ import annotations
 
 import html
-import json
 import math
 import os
 from typing import Any, Iterable, Sequence
@@ -47,8 +46,10 @@ from repro.telemetry.analysis import (
 from repro.telemetry.profile import (
     CommProfile,
     RunCriticalPath,
+    _as_records,
     analyze_critical_path,
     comm_profile,
+    load_trace_records,
 )
 from repro.telemetry.spans import NullTracer, Tracer
 
@@ -91,30 +92,6 @@ _SERIES_DARK = (
 _STATUS = {"warning": "#fab219", "critical": "#d03b3b", "info": "#2a78d6"}
 
 _TIMELINE_PHASES = ("compute", "ghost-exchange", "sync", "sense", "migrate")
-
-
-# ----------------------------------------------------------------------
-def load_trace_records(path: str | os.PathLike) -> list[dict[str, Any]]:
-    """Parse an exported JSONL trace back into record dicts."""
-    records: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def _records_of(
-    source: Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]],
-) -> list[dict[str, Any]]:
-    if isinstance(source, (Tracer, NullTracer)):
-        return [s.to_dict() for s in source.spans] + [
-            e.to_dict() for e in source.events
-        ]
-    if isinstance(source, (str, os.PathLike)):
-        return load_trace_records(source)
-    return list(source)
 
 
 # ----------------------------------------------------------------------
@@ -1135,7 +1112,7 @@ def render_dashboard(
     title: str = "Adaptive runtime health dashboard",
 ) -> str:
     """Render the trace into one self-contained HTML page (a string)."""
-    records = _records_of(source)
+    records = _as_records(source)
     run_labels: dict[int, str] = {}
     if isinstance(source, (Tracer, NullTracer)):
         run_labels = dict(source.run_labels)

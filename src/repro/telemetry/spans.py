@@ -51,21 +51,6 @@ __all__ = [
     "activate",
 ]
 
-#: Phase names the runtime instrumentation emits (informational; spans may
-#: use any name).
-PHASES = (
-    "run",
-    "sense",
-    "capacity",
-    "partition",
-    "split",
-    "migrate",
-    "ghost-exchange",
-    "compute",
-    "sync",
-    "iteration",
-)
-
 
 @dataclass(slots=True)
 class Span:

@@ -1,4 +1,4 @@
-"""CLI tests: ``repro campaign``, ``repro serve`` errors, bench-diff audit."""
+"""CLI tests: ``repro campaign`` and ``repro serve`` errors."""
 
 from __future__ import annotations
 
@@ -171,38 +171,3 @@ class TestServeCommand:
         code = main(["serve", "--root", str(tmp_path / "nope")])
         assert code == 2
         assert "serve error" in capsys.readouterr().err
-
-
-class TestBenchDiffErrorAudit:
-    """Missing, empty and malformed inputs: one-line error, exit 2."""
-
-    def test_missing_file(self, tmp_path, capsys):
-        good = tmp_path / "good.json"
-        good.write_text("{}", encoding="utf-8")
-        code = main(["bench-diff", str(tmp_path / "no.json"), str(good)])
-        assert code == 2
-        assert "not found" in capsys.readouterr().err
-
-    def test_empty_file(self, tmp_path, capsys):
-        empty = tmp_path / "empty.json"
-        empty.write_text("", encoding="utf-8")
-        good = tmp_path / "good.json"
-        good.write_text("{}", encoding="utf-8")
-        assert main(["bench-diff", str(empty), str(good)]) == 2
-        assert "could not parse" in capsys.readouterr().err
-
-    def test_non_object_json(self, tmp_path, capsys):
-        arr = tmp_path / "arr.json"
-        arr.write_text("[1, 2, 3]", encoding="utf-8")
-        good = tmp_path / "good.json"
-        good.write_text("{}", encoding="utf-8")
-        assert main(["bench-diff", str(arr), str(good)]) == 2
-        assert "JSON object" in capsys.readouterr().err
-
-    def test_malformed_json(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{torn", encoding="utf-8")
-        good = tmp_path / "good.json"
-        good.write_text("{}", encoding="utf-8")
-        assert main(["bench-diff", str(bad), str(good)]) == 2
-        assert "could not parse" in capsys.readouterr().err

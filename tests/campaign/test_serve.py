@@ -436,6 +436,34 @@ class TestServerConstruction:
             server.server_close()
 
 
+class TestDashboardRoute:
+    def test_torn_progress_log_still_renders(self, served):
+        """A live or crashed campaign's log ends mid-record: 200, not 500."""
+        import shutil
+
+        from repro.telemetry import render_dashboard
+
+        server, base = served
+        web, crashed = server.root / "web", server.root / "crashed"
+        crashed.mkdir()
+        try:
+            shutil.copy(web / "campaign.json", crashed / "campaign.json")
+            log = (web / "events.jsonl").read_text(encoding="utf-8")
+            shutil.copy(web / "events.jsonl", crashed / "complete.jsonl")
+            (crashed / "events.jsonl").write_text(
+                log + '[1, 2]\n{"type": "event", "name": "live.cell_fin',
+                encoding="utf-8",
+            )
+            status, headers, body = get(f"{base}/campaigns/crashed/dashboard")
+            assert status == 200, body
+            assert headers["Content-Type"].startswith("text/html")
+            assert body.decode("utf-8") == render_dashboard(
+                crashed / "complete.jsonl", title="Campaign crashed"
+            )
+        finally:
+            shutil.rmtree(crashed)
+
+
 class TestDecisionsRoute:
     @staticmethod
     def write_ledger(directory):

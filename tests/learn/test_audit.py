@@ -29,7 +29,7 @@ from repro.learn import (
     replay_decision,
     verify_decision,
 )
-from repro.learn.audit import LEDGER_NAME, LEDGER_INDEX_NAME, RECORD_KINDS
+from repro.learn.audit import LEDGER_NAME, RECORD_KINDS
 from repro.runtime.timemodel import IterationCost
 from repro.util.errors import ExperimentError
 
@@ -119,7 +119,6 @@ class TestLedgerDurability:
         self.fill(a, 8)
         b = DecisionLedger(tmp_path / "b")
         self.fill(b, 4)
-        b.checkpoint()
         resumed = DecisionLedger(tmp_path / "b")
         for i in range(4, 8):
             resumed.record(
@@ -151,10 +150,10 @@ class TestLedgerDurability:
         )
 
     def test_corrupt_index_ignored(self, tmp_path):
+        """A stray ``index.json`` left by an older version is not read."""
         ledger = DecisionLedger(tmp_path / "d")
         self.fill(ledger, 4)
-        ledger.checkpoint()
-        (tmp_path / "d" / LEDGER_INDEX_NAME).write_text("not json")
+        (tmp_path / "d" / "index.json").write_text("not json")
         assert len(DecisionLedger(tmp_path / "d")) == 4
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -444,7 +443,8 @@ class TestReconcile:
 
     def test_trace_events_reconcile_identically(self, tmp_path):
         """Ledger rows and decision.* events give the same numbers."""
-        from repro.telemetry.report import _decision_rows, _records_of
+        from repro.telemetry.profile import _as_records
+        from repro.telemetry.report import _decision_rows
         from repro.telemetry.spans import Tracer
 
         ledger = DecisionLedger(tmp_path / "d")
@@ -456,7 +456,7 @@ class TestReconcile:
         )
         events = [
             r
-            for r in _records_of(tracer)
+            for r in _as_records(tracer)
             if r.get("type") == "event"
             and str(r.get("name", "")).startswith("decision.")
         ]
@@ -485,7 +485,7 @@ class TestLedgerNeutrality:
         assert len(DecisionLedger(tmp_path / "d")) > 0
 
     def test_no_decision_events_without_ledger(self):
-        from repro.telemetry.report import _records_of
+        from repro.telemetry.profile import _as_records
         from repro.telemetry.spans import Tracer
 
         tracer = Tracer()
@@ -496,7 +496,7 @@ class TestLedgerNeutrality:
         )
         names = {
             str(r.get("name", ""))
-            for r in _records_of(tracer)
+            for r in _as_records(tracer)
             if r.get("type") == "event"
         }
         assert not any(n.startswith("decision.") for n in names)

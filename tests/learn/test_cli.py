@@ -56,8 +56,10 @@ class TestLearnCommand:
         out = capsys.readouterr().out
         assert "6 rows" in out  # 2 cells x 3 phases
         assert "newly ingested" in out
-        assert (camp / "learn" / "history.jsonl").is_file()
-        assert (camp / "learn" / "index.json").is_file()
+        # The append log is the whole store: no sidecar is written.
+        assert [p.name for p in (camp / "learn").iterdir()] == [
+            "history.jsonl"
+        ]
 
         assert main(["learn", "inspect", str(camp / "learn")]) == 0
         out = capsys.readouterr().out

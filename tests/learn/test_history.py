@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.learn import ExecutionHistoryStore
-from repro.learn.history import HISTORY_NAME, INDEX_NAME
+from repro.learn.history import HISTORY_NAME
 from repro.util.errors import ExperimentError
 
 
@@ -49,7 +49,6 @@ class TestDurability:
         fill(a, 12)
         b = ExecutionHistoryStore(tmp_path / "b")
         fill(b, 6)
-        b.checkpoint()
         resumed = ExecutionHistoryStore(tmp_path / "b")
         for i in range(6, 12):
             resumed.record(
@@ -81,20 +80,28 @@ class TestDurability:
         assert [r["seq"] for r in again.iter_rows()] == list(range(9))
 
     def test_stale_index_revalidated(self, tmp_path):
-        """Rows appended after the last checkpoint still load."""
+        """A store an older version left its sidecar in loads every row.
+
+        Older versions published a ``(records, bytes)`` high-water mark
+        beside the log; rows appended after it must still load.
+        """
         store = ExecutionHistoryStore(tmp_path / "h")
         fill(store, 5)
-        store.checkpoint()
-        fill_rows = len(store)
+        size = (tmp_path / "h" / HISTORY_NAME).stat().st_size
+        (tmp_path / "h" / "index.json").write_text(
+            json.dumps({"bytes": size, "records": 5, "schema_version": 1})
+        )
+        rows = canon(store.iter_rows())
         store.record(source="t", phase="sense", seconds=2.0)
         reopened = ExecutionHistoryStore(tmp_path / "h")
-        assert len(reopened) == fill_rows + 1
+        assert len(reopened) == 6
+        assert canon(reopened.iter_rows())[:5] == rows
 
     def test_corrupt_index_ignored(self, tmp_path):
+        """A stray ``index.json`` left by an older version is not read."""
         store = ExecutionHistoryStore(tmp_path / "h")
         fill(store, 4)
-        store.checkpoint()
-        (tmp_path / "h" / INDEX_NAME).write_text("not json")
+        (tmp_path / "h" / "index.json").write_text("not json")
         reopened = ExecutionHistoryStore(tmp_path / "h")
         assert len(reopened) == 4
 
@@ -168,6 +175,5 @@ class TestIngestion:
         (d / "profile.json").write_text(json.dumps(self.profile("a--s1")))
         store = ExecutionHistoryStore(tmp_path / "h")
         store.ingest_artifacts(camp)
-        store.checkpoint()
         reopened = ExecutionHistoryStore(tmp_path / "h")
         assert reopened.ingest_artifacts(camp) == 0

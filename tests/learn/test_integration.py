@@ -10,9 +10,6 @@ bytes; these pin the result object and exercise the enabled paths.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.cluster import Cluster
 from repro.kernels.workloads import paper_rm3d_trace
 from repro.learn import LearnConfig, LearnController, NULL_LEARNER

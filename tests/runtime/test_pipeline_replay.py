@@ -1,9 +1,9 @@
 """Golden-trace replay guard for the repartition pipeline.
 
 The :class:`~repro.runtime.pipeline.RepartitionPipeline` extraction must
-not change a single observable byte of telemetry: the PR-2 dashboard,
-:class:`~repro.telemetry.analysis.HealthMonitor` and the bench-diff
-tooling all replay traces recorded by earlier versions.  These tests run
+not change a single observable byte of telemetry: the PR-2 dashboard
+and :class:`~repro.telemetry.analysis.HealthMonitor` replay traces
+recorded by earlier versions.  These tests run
 two instrumented scenarios -- a fig10-style :class:`SamrRuntime` run and a
 :class:`DistributedAmrRun` -- and compare every *deterministic* field of
 the resulting trace (span tree over simulated time, span attributes,

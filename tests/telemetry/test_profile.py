@@ -23,8 +23,10 @@ from repro.telemetry import (
     comm_profile,
     flamegraph_collapsed,
     format_critical_path_report,
+    load_trace_records,
     openmetrics_selfcheck,
     registry_from_records,
+    render_dashboard,
     speedscope_document,
 )
 from repro.telemetry.export import write_jsonl
@@ -213,6 +215,61 @@ class TestOfflineRegistry:
             m.value for m in rebuilt if m.name == "comm.bytes_total"
         )
         assert rebuilt_bytes == pytest.approx(live_bytes)
+
+
+class TestDamagedTraceFile:
+    """A trace file is read under the progress log's contract.
+
+    ``repro serve`` renders straight from a log a live or crashed
+    campaign is still appending to, so every reader takes the complete,
+    object-valued records and skips a torn tail or a foreign line.
+    """
+
+    #: Lines no writer of ours produces, and a record cut mid-append.
+    DAMAGE = '[1, 2]\nnot json\n{"foreign": 1}\n{"type": "span", "na'
+
+    @pytest.fixture
+    def paths(self, traced_run, tmp_path):
+        clean = tmp_path / "clean.jsonl"
+        write_jsonl(traced_run, clean)
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_text(
+            clean.read_text(encoding="utf-8") + self.DAMAGE,
+            encoding="utf-8",
+        )
+        return clean, damaged
+
+    def test_well_formed_file_loads_line_for_line(self, paths):
+        clean, _ = paths
+        lines = clean.read_text(encoding="utf-8").splitlines()
+        assert len(lines) > 100
+        assert load_trace_records(clean) == [json.loads(ln) for ln in lines]
+
+    def test_load_skips_torn_tail_and_foreign_lines(self, paths):
+        clean, damaged = paths
+        assert load_trace_records(damaged) == load_trace_records(clean)
+
+    def test_dashboard_renders_the_complete_records(self, paths):
+        clean, damaged = paths
+        assert render_dashboard(damaged) == render_dashboard(clean)
+
+    def test_profile_passes_read_the_complete_records(self, paths):
+        clean, damaged = paths
+
+        def dicts(results):
+            return [r.to_dict() for r in results]
+
+        assert dicts(analyze_critical_path(damaged)) == dicts(
+            analyze_critical_path(clean)
+        )
+        assert dicts(comm_profile(damaged)) == dicts(comm_profile(clean))
+        assert flamegraph_collapsed(damaged) == flamegraph_collapsed(clean)
+
+    def test_missing_file_still_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_trace_records(tmp_path / "gone.jsonl")
+        with pytest.raises(FileNotFoundError):
+            analyze_critical_path(tmp_path / "gone.jsonl")
 
 
 class TestLiveTop:
