@@ -159,10 +159,6 @@ class GridHierarchy:
         """Total work units for one coarse step over the whole hierarchy."""
         return int(self.work_by_level().sum())
 
-    def work_of_box(self, box: Box) -> int:
-        """Work units one box contributes to a coarse step."""
-        return box.num_cells * self.subcycles(box.level)
-
     # ------------------------------------------------------------------
     # Nesting
     # ------------------------------------------------------------------

@@ -30,12 +30,7 @@ from repro.partition.metrics import (
     makespan_estimate,
 )
 from repro.partition.splitting import SplitConstraints
-from repro.partition.workmodel import (
-    CallableWorkModel,
-    WorkFunction,
-    WorkModel,
-    as_work_model,
-)
+from repro.partition.workmodel import WorkModel, as_work_model
 
 __all__ = [
     "Partitioner",
@@ -50,9 +45,7 @@ __all__ = [
     "build_box_graph",
     "LevelPartitioner",
     "SplitConstraints",
-    "WorkFunction",
     "WorkModel",
-    "CallableWorkModel",
     "as_work_model",
     "imbalance_pct",
     "load_imbalance",

@@ -9,35 +9,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.partition.workmodel import (
-    WorkFunction,
-    WorkModel,
-    as_work_model,
-)
+from repro.partition.workmodel import WorkModel, as_work_model
 from repro.telemetry.spans import NULL_TRACER
 from repro.util.errors import PartitionError
-from repro.util.geometry import Box, BoxList, Layout
+from repro.util.geometry import BoxList, Layout
 
 __all__ = [
-    "WorkFunction",
     "WorkModel",
     "as_work_model",
-    "default_work",
     "PartitionResult",
     "Partitioner",
 ]
-
-
-def default_work(box: Box, refine_factor: int = 2) -> float:
-    """Berger-Oliger work model: cells times time-subcycling factor.
-
-    Finer grids both have more cells *and* take more steps per coarse step,
-    which is why the coarse level's load "cannot be ignored" but fine levels
-    dominate (paper section 3.1).  This is the per-box form of the default
-    :class:`~repro.partition.workmodel.WorkModel`; hot paths use the
-    model's cached vector instead of calling this in a loop.
-    """
-    return float(box.num_cells * refine_factor**box.level)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +39,9 @@ class PartitionResult:
         How many box splits were performed.
     work_model:
         The :class:`~repro.partition.workmodel.WorkModel` the partitioner
-        priced boxes with; :meth:`loads` and :meth:`work_vector` default
-        to it so load accounting reuses the partitioner's cached vectors.
+        priced boxes with; :meth:`loads` and :meth:`work_vector` price
+        with it (the default model when ``None``), so load accounting
+        reuses the partitioner's cached vectors.
     """
 
     layout: Layout
@@ -84,30 +67,21 @@ class PartitionResult:
         """The assigned boxes."""
         return self.layout.boxes
 
-    def _model(self, work_of: WorkFunction | WorkModel | None) -> WorkModel:
-        if work_of is None and self.work_model is not None:
-            return self.work_model
-        return as_work_model(work_of)
-
     def rank_vector(self) -> np.ndarray:
         """Assigned rank per box, aligned with :meth:`boxes` (read-only)."""
         return self.layout.ranks
 
-    def work_vector(
-        self, work_of: WorkFunction | WorkModel | None = None
-    ) -> np.ndarray:
+    def work_vector(self) -> np.ndarray:
         """Per-box work aligned with :meth:`boxes` (cached vector)."""
-        return self._model(work_of).vector(self.boxes())
+        return as_work_model(self.work_model).vector(self.boxes())
 
-    def loads(
-        self, work_of: WorkFunction | WorkModel | None = None
-    ) -> np.ndarray:
+    def loads(self) -> np.ndarray:
         """Realized per-rank work W_k, from the cached work vector."""
         if not self.num_assigned():
             return np.zeros(self.num_ranks)
         return np.bincount(
             self.rank_vector(),
-            weights=self.work_vector(work_of),
+            weights=self.work_vector(),
             minlength=self.num_ranks,
         )
 
@@ -196,15 +170,14 @@ class Partitioner(abc.ABC):
         self,
         boxes: BoxList,
         capacities: Sequence[float],
-        work_of: WorkFunction | WorkModel | None = None,
+        work_of: WorkModel | None = None,
     ) -> PartitionResult:
         """Distribute ``boxes`` over ``len(capacities)`` ranks.
 
-        ``capacities`` are relative (summing to ~1); ``work_of`` may be a
-        :class:`~repro.partition.workmodel.WorkModel` (preferred: its
-        cached vector prices the whole box list at once), a legacy per-box
-        callable (adapted transparently), or ``None`` for the default
-        Berger-Oliger model.
+        ``capacities`` are relative (summing to ~1); ``work_of`` is the
+        :class:`~repro.partition.workmodel.WorkModel` pricing the boxes
+        (its cached vector prices the whole box list at once), or
+        ``None`` for the default Berger-Oliger model.
         """
 
     def set_tracer(self, tracer) -> None:

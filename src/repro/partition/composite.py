@@ -24,7 +24,6 @@ import numpy as np
 from repro.partition.base import (
     Partitioner,
     PartitionResult,
-    WorkFunction,
     WorkModel,
     as_work_model,
 )
@@ -38,7 +37,7 @@ __all__ = ["ACEComposite", "assign_curve_spans_columnar"]
 def assign_curve_spans_columnar(
     ordered: BoxList,
     targets: np.ndarray,
-    work_of: WorkFunction | WorkModel,
+    work_of: WorkModel | None,
     constraints: SplitConstraints,
 ) -> tuple[Layout, int]:
     """Deal an SFC-ordered box list into contiguous per-rank spans.
@@ -244,7 +243,7 @@ class ACEComposite(Partitioner):
         self,
         boxes: BoxList,
         capacities: Sequence[float],
-        work_of: WorkFunction | WorkModel | None = None,
+        work_of: WorkModel | None = None,
     ) -> PartitionResult:
         # Capacities are accepted (interface parity) but only their count
         # matters: the default scheme assumes homogeneity.

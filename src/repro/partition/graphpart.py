@@ -32,7 +32,6 @@ import numpy as np
 from repro.partition.base import (
     Partitioner,
     PartitionResult,
-    WorkFunction,
     WorkModel,
     as_work_model,
 )
@@ -43,7 +42,7 @@ __all__ = ["build_box_graph", "GraphPartitioner"]
 
 def build_box_graph(
     boxes: BoxList,
-    work_of: WorkFunction | WorkModel,
+    work_of: WorkModel | None,
     ghost_width: int = 1,
     refine_factor: int = 2,
 ) -> nx.Graph:
@@ -158,7 +157,7 @@ class GraphPartitioner(Partitioner):
         self,
         boxes: BoxList,
         capacities: Sequence[float],
-        work_of: WorkFunction | WorkModel | None = None,
+        work_of: WorkModel | None = None,
     ) -> PartitionResult:
         caps = self._check_inputs(boxes, capacities)
         model = as_work_model(work_of)

@@ -16,7 +16,6 @@ import numpy as np
 from repro.partition.base import (
     Partitioner,
     PartitionResult,
-    WorkFunction,
     WorkModel,
     as_work_model,
 )
@@ -34,7 +33,7 @@ class GreedyLPT(Partitioner):
         self,
         boxes: BoxList,
         capacities: Sequence[float],
-        work_of: WorkFunction | WorkModel | None = None,
+        work_of: WorkModel | None = None,
     ) -> PartitionResult:
         caps = self._check_inputs(boxes, capacities)
         model = as_work_model(work_of)

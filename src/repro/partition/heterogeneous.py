@@ -31,7 +31,6 @@ import numpy as np
 from repro.partition.base import (
     Partitioner,
     PartitionResult,
-    WorkFunction,
     WorkModel,
     as_work_model,
 )
@@ -72,7 +71,7 @@ class ACEHeterogeneous(Partitioner):
         self,
         boxes: BoxList,
         capacities: Sequence[float],
-        work_of: WorkFunction | WorkModel | None = None,
+        work_of: WorkModel | None = None,
     ) -> PartitionResult:
         caps = self._check_inputs(boxes, capacities)
         model = as_work_model(work_of)
@@ -94,8 +93,8 @@ class ACEHeterogeneous(Partitioner):
         # difference between quadratic and linearithmic assignment on the
         # extreme-scale box counts the roadmap targets.  The payload is a
         # row index into the columns (or, for split remainders, a plain
-        # ``(lower, upper, level)`` row) -- never a Box object; the
-        # ``(work, seq)`` prefix is unique, so payloads never compare.
+        # ``(lower, upper, level)`` row); no per-box object is built, and
+        # the ``(work, seq)`` prefix is unique, so payloads never compare.
         order = arr.corner_lexsort(primary=works_vec)
         queue: list[tuple[float, int, int | BoxRow]] = [
             (works[i], s, i) for s, i in enumerate(order.tolist())

@@ -19,7 +19,6 @@ from typing import Sequence
 from repro.partition.base import (
     Partitioner,
     PartitionResult,
-    WorkFunction,
     WorkModel,
     as_work_model,
 )
@@ -48,7 +47,7 @@ class SFCHybrid(Partitioner):
         self,
         boxes: BoxList,
         capacities: Sequence[float],
-        work_of: WorkFunction | WorkModel | None = None,
+        work_of: WorkModel | None = None,
     ) -> PartitionResult:
         caps = self._check_inputs(boxes, capacities)
         model = as_work_model(work_of)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.partition.base import PartitionResult, WorkFunction, WorkModel
+from repro.partition.base import PartitionResult
 from repro.util.errors import PartitionError
 from repro.util.geometry import Layout, overlap_pairs, volumes_by_rank_pair
 
@@ -91,7 +91,6 @@ def imbalance_pct(
 
 def load_imbalance(
     result: PartitionResult,
-    work_of: WorkFunction | WorkModel | None = None,
     targets: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Per-rank percentage imbalance I_k.
@@ -109,13 +108,12 @@ def load_imbalance(
         raise PartitionError(
             f"{len(targets)} targets for {result.num_ranks} ranks"
         )
-    return imbalance_pct(result.loads(work_of), targets)
+    return imbalance_pct(result.loads(), targets)
 
 
 def makespan_estimate(
     result: PartitionResult,
     effective_speeds: Sequence[float],
-    work_of: WorkFunction | WorkModel | None = None,
 ) -> float:
     """Seconds the slowest rank needs to chew through its assigned work."""
     speeds = np.asarray(effective_speeds, dtype=float)
@@ -125,5 +123,5 @@ def makespan_estimate(
         )
     if (speeds <= 0).any():
         raise PartitionError("effective speeds must be positive")
-    loads = result.loads(work_of)
+    loads = result.loads()
     return float((loads / speeds).max())

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.partition.workmodel import WorkFunction, WorkModel
+from repro.partition.workmodel import WorkModel
 from repro.util.errors import PartitionError
-from repro.util.geometry import Box
 
-__all__ = ["SplitConstraints", "split_to_target", "split_row_to_target", "BoxRow"]
+__all__ = ["SplitConstraints", "split_row_to_target", "BoxRow"]
 
 #: Object-free box currency of the columnar partitioners: plain
 #: ``(lower, upper, level)`` tuples, hashable for the work-row memo.
@@ -57,8 +56,15 @@ def _candidate_cut_coords(
     box_work: float,
     c: SplitConstraints,
 ) -> int | None:
-    """Largest admissible cut in ``[lo_ax, up_ax)`` whose low piece's work
-    <= target -- the coordinate-level core shared by the Box and row paths.
+    """Cut of ``[lo_ax, up_ax)`` giving the low piece as many whole planes
+    as fit ``target_work``, clamped into the admissible band.
+
+    The clamp works both ways: *up* to ``min_box_size`` planes, so for a
+    target below one minimum slab the low piece exceeds the target by up
+    to that slab's work (ROADMAP item 1), and down so the high piece
+    keeps ``min_box_size`` planes too.  Snapping then moves the cut down
+    to a ``snap`` multiple, or up when down would break the low piece's
+    minimum.
 
     Returns an absolute cut coordinate, or ``None`` when the axis admits no
     cut satisfying the min-size and snap constraints.
@@ -82,28 +88,20 @@ def _candidate_cut_coords(
     return cut
 
 
-def _candidate_cut(
-    box: Box, axis: int, target_work: float, box_work: float, c: SplitConstraints
-) -> int | None:
-    """Largest admissible cut on ``axis`` of ``box`` (object-path wrapper)."""
-    return _candidate_cut_coords(
-        box.lower[axis], box.upper[axis], target_work, box_work, c
-    )
-
-
-def split_to_target(
-    box: Box,
+def split_row_to_target(
+    row: BoxRow,
     target_work: float,
-    work_of: WorkFunction | WorkModel,
+    model: WorkModel,
     constraints: SplitConstraints | None = None,
     _depth: int = 0,
-) -> tuple[Box, list[Box]] | None:
-    """Split ``box`` so the first returned piece's work is as close to (and
+) -> tuple[BoxRow, list[BoxRow]] | None:
+    """Split ``row`` so the first returned piece's work is as close to (and
     preferably at most) ``target_work`` as the constraints allow; the
-    second element is the list of remainder boxes (one for a single cut,
-    several in multi-axis mode).  ``work_of`` may be a legacy per-box
-    callable or a :class:`~repro.partition.workmodel.WorkModel`, whose
-    per-box memo makes the repeated work probes here O(1).
+    second element is the list of remainder rows (one for a single cut,
+    several in multi-axis mode).  Rows are plain ``(lower, upper, level)``
+    tuples, so the array-sliced partitioners build no per-box objects
+    while splitting; ``model.work_row`` prices them, memoized, which
+    makes the repeated work probes here O(1).
 
     With ``allow_multi_axis`` the piece is *recursively* re-cut along its
     own longest axis while its work still exceeds the target -- single cuts
@@ -119,57 +117,13 @@ def split_to_target(
     c = constraints or SplitConstraints()
     if target_work < 0:
         raise PartitionError(f"negative target work {target_work}")
-    box_work = work_of(box)
-    if box_work <= 0:
-        raise PartitionError(f"box {box} has non-positive work {box_work}")
-
-    cut = _candidate_cut(box, box.longest_axis, target_work, box_work, c)
-    if cut is None:
-        return None
-    lo, hi = box.split(box.longest_axis, cut)
-    if (
-        c.allow_multi_axis
-        and work_of(lo) > target_work
-        and _depth < 3 * box.ndim
-    ):
-        deeper = split_to_target(lo, target_work, work_of, c, _depth + 1)
-        if deeper is not None:
-            piece, rest = deeper
-            # Accept the recursive cut only when it actually lands closer.
-            if abs(work_of(piece) - target_work) < abs(
-                work_of(lo) - target_work
-            ):
-                return piece, rest + [hi]
-    return lo, [hi]
-
-
-def split_row_to_target(
-    row: BoxRow,
-    target_work: float,
-    model: WorkModel,
-    constraints: SplitConstraints | None = None,
-    _depth: int = 0,
-) -> tuple[BoxRow, list[BoxRow]] | None:
-    """Row-based twin of :func:`split_to_target` for the columnar path.
-
-    Operates on plain ``(lower, upper, level)`` tuples so the array-sliced
-    partitioners never materialize :class:`Box` objects while splitting.
-    Same cut selection, same integer arithmetic, same accept-if-closer
-    recursion -- the produced coordinates are identical to the object path
-    (the byte-identity tests pin this).  ``model`` must be a
-    :class:`~repro.partition.workmodel.WorkModel`; its ``work_row`` memo
-    makes the repeated work probes O(1).
-    """
-    c = constraints or SplitConstraints()
-    if target_work < 0:
-        raise PartitionError(f"negative target work {target_work}")
     lower, upper, level = row
     box_work = model.work_row(lower, upper, level)
     if box_work <= 0:
         raise PartitionError(f"box {row} has non-positive work {box_work}")
 
     shape = [u - l for l, u in zip(lower, upper)]
-    axis = shape.index(max(shape))  # first max == Box.longest_axis
+    axis = shape.index(max(shape))  # longest axis, first on ties
     cut = _candidate_cut_coords(
         lower[axis], upper[axis], target_work, box_work, c
     )

@@ -1,54 +1,47 @@
 """Vectorized per-box work model -- the single source of box weights.
 
 Every partitioner, :meth:`PartitionResult.loads`, the partition metrics
-and both runtime loops used to walk Python ``work_of`` callables box by
-box (``sum(work_of(b) for b in boxes)``), re-deriving the same weights
-many times per repartition.  The AMReX load-balancing literature treats
-per-box weights as one precomputed vector handed to interchangeable
-strategies; :class:`WorkModel` is that vector, plus the caching that
-keeps box *splitting* cheap.
+and the runtime loop need the same box weights many times per
+repartition.  The AMReX load-balancing literature treats per-box weights
+as one precomputed vector handed to interchangeable strategies;
+:class:`WorkModel` is that vector, plus the caching that keeps box
+*splitting* cheap.
 
 Contract
 --------
-- :meth:`WorkModel.vector` returns the per-box work of a box sequence as
-  one read-only ``float64`` array, computed vectorized over the stacked
-  box corner arrays and memoized per sequence object (``BoxList`` is
-  immutable, so identity caching is safe; plain lists must not be mutated
-  after the call).
-- :meth:`WorkModel.work` (also ``model(box)``) prices a single box with a
-  per-box memo, so the repeated ``work(piece)`` probes of constrained
-  splitting never recompute; fresh split pieces are priced incrementally
-  in O(1) instead of invalidating any list-level result.
+- :meth:`WorkModel.vector` returns the per-box work of a ``BoxList``
+  as one read-only ``float64`` array, computed vectorized over its
+  ``int64`` columns and memoized per list object (``BoxList`` is
+  immutable, so identity caching is safe).
+- :meth:`WorkModel.work_row` prices a single box given as a plain
+  ``(lower, upper, level)`` row, with a per-row memo, so the repeated
+  probes of constrained splitting never recompute; fresh split pieces
+  are priced incrementally in O(1) instead of invalidating any
+  list-level result.
 - :meth:`WorkModel.total` reduces the vector with *sequential* (left to
-  right) summation, bit-identical to the legacy
-  ``sum(work_of(b) for b in boxes)`` it replaces -- partitioner targets,
-  and therefore assignments, are unchanged by the migration.
-- Legacy :data:`WorkFunction` callables keep working everywhere through
-  :class:`CallableWorkModel` (see :func:`as_work_model`); a ``WorkModel``
-  *is* a ``WorkFunction``, so code that still calls ``work_of(box)``
-  needs no change.
+  right) summation, so partitioner targets -- and therefore
+  assignments -- do not depend on NumPy's pairwise reduction order.
 
 The default model is the Berger-Oliger weight
 ``cells * refine_factor ** level`` (finer grids have more cells *and*
-subcycle more steps per coarse step, paper section 3.1).  Subclass and
-override :meth:`compute` / :meth:`work` for application-specific weights
-(e.g. particle-weighted, per the AMReX dual-grid studies).
+subcycle more steps per coarse step, paper section 3.1).  For
+application-specific weights (e.g. particle-weighted, per the AMReX
+dual-grid studies) subclass and override :meth:`WorkModel.compute` *and*
+:meth:`WorkModel.work_row` together -- they are the same formula over
+columns and over one row, and a subclass defining only one of them is
+rejected at class creation.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.util.errors import PartitionError
-from repro.util.geometry import Box, BoxArray, BoxList
+from repro.util.geometry import BoxArray, BoxList
 
-__all__ = ["WorkFunction", "WorkModel", "CallableWorkModel", "as_work_model"]
-
-#: Work of one box, in abstract work units (legacy per-box protocol).
-WorkFunction = Callable[[Box], float]
+__all__ = ["WorkModel", "as_work_model"]
 
 #: Vector results memoized per model; FIFO-bounded so a long run over many
 #: epochs cannot grow without bound.
@@ -64,13 +57,26 @@ class WorkModel:
                 f"refine_factor must be >= 1, got {refine_factor}"
             )
         self.refine_factor = int(refine_factor)
-        self._box_cache: dict[Box, float] = {}
         self._row_cache: dict[tuple, float] = {}
         # id -> (pinned sequence, vector); pinning the sequence keeps its
         # id from being reused while the entry lives.
         self._list_cache: OrderedDict[int, tuple[object, np.ndarray]] = (
             OrderedDict()
         )
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # One formula, two hooks: a subclass re-pricing only the vector
+        # (or only the row) would split boxes with a different formula
+        # than it weighs them with.
+        missing = [
+            h for h in ("compute", "work_row") if h not in cls.__dict__
+        ]
+        if len(missing) == 1:
+            raise TypeError(
+                f"{cls.__name__} overrides only one of WorkModel.compute /"
+                f" WorkModel.work_row; also override {missing[0]}"
+            )
 
     @property
     def name(self) -> str:
@@ -79,40 +85,21 @@ class WorkModel:
     # ------------------------------------------------------------------
     # Vector path
     # ------------------------------------------------------------------
-    def compute(self, boxes: Sequence[Box]) -> np.ndarray:
-        """Uncached per-box work vector (override point for custom models).
-
-        Columnar inputs (:class:`~repro.util.geometry.BoxList` /
-        :class:`~repro.util.geometry.BoxArray`) are priced straight off
-        their cached ``int64`` columns -- no per-box gathering at all;
-        plain box sequences gather corner/level arrays in one pass first.
-        Either way the arithmetic is NumPy and the values bit-identical.
-        """
-        if isinstance(boxes, BoxList):
-            return self.compute_columns(boxes.array)
-        if isinstance(boxes, BoxArray):
-            return self.compute_columns(boxes)
-        if len(boxes) == 0:
-            return np.zeros(0)
-        lowers = np.array([b.lower for b in boxes], dtype=np.int64)
-        uppers = np.array([b.upper for b in boxes], dtype=np.int64)
-        levels = np.array([b.level for b in boxes], dtype=np.int64)
-        cells = np.prod(uppers - lowers, axis=1)
-        return (cells * self.refine_factor**levels).astype(np.float64)
-
-    def compute_columns(self, arr: BoxArray) -> np.ndarray:
-        """Work vector straight from struct-of-arrays columns."""
+    def compute(self, boxes: BoxList | BoxArray) -> np.ndarray:
+        """Uncached per-box work vector, straight off the ``int64``
+        columns (the vector hook of a custom model; override together
+        with :meth:`work_row`)."""
+        arr = boxes.array if isinstance(boxes, BoxList) else boxes
         if len(arr) == 0:
             return np.zeros(0)
         cells = arr.num_cells()
         return (cells * self.refine_factor**arr.level).astype(np.float64)
 
-    def vector(self, boxes: Sequence[Box]) -> np.ndarray:
+    def vector(self, boxes: BoxList | BoxArray) -> np.ndarray:
         """Per-box work of ``boxes`` as one read-only float64 array.
 
-        Memoized on the sequence object's identity -- pass the same
-        ``BoxList`` twice and the second call is a dict lookup.  Do not
-        mutate a plain list after handing it in.
+        Memoized on the list object's identity -- pass the same
+        ``BoxList`` twice and the second call is a dict lookup.
         """
         key = id(boxes)
         hit = self._list_cache.get(key)
@@ -125,25 +112,14 @@ class WorkModel:
             self._list_cache.popitem(last=False)
         return vec
 
-    def total(self, boxes: Sequence[Box]) -> float:
-        """Total work, summed left to right (matches the legacy
-        ``sum(work_of(b) for b in boxes)`` bit for bit)."""
+    def total(self, boxes: BoxList | BoxArray) -> float:
+        """Total work, summed left to right (a per-box accumulation
+        loop gives the same float bit for bit)."""
         return float(sum(self.vector(boxes).tolist()))
 
     # ------------------------------------------------------------------
-    # Single-box path (splitting, adapters)
+    # Single-box path (splitting)
     # ------------------------------------------------------------------
-    def work(self, box: Box) -> float:
-        """Work of one box, memoized (split pieces are priced once)."""
-        w = self._box_cache.get(box)
-        if w is None:
-            w = self._work_one(box)
-            self._box_cache[box] = w
-        return w
-
-    def _work_one(self, box: Box) -> float:
-        return float(box.num_cells * self.refine_factor**box.level)
-
     def work_row(
         self,
         lower: tuple[int, ...],
@@ -152,9 +128,9 @@ class WorkModel:
     ) -> float:
         """Work of one box given as plain ``(lower, upper, level)`` tuples.
 
-        The object-free twin of :meth:`work` for the columnar splitters:
-        same Python-int arithmetic (bit-identical to pricing the Box), own
-        memo keyed on the row tuple so repeated split probes stay O(1).
+        The row hook of a custom model (override together with
+        :meth:`compute`): exact Python-int arithmetic, memo keyed on the
+        row tuple so repeated split probes stay O(1).
         """
         key = (lower, upper, level)
         w = self._row_cache.get(key)
@@ -166,67 +142,22 @@ class WorkModel:
             self._row_cache[key] = w
         return w
 
-    # A WorkModel is itself a valid WorkFunction.
-    __call__ = work
-
-    def clear_cache(self) -> None:
-        """Drop all memoized results (rarely needed; caches are bounded)."""
-        self._box_cache.clear()
-        self._row_cache.clear()
-        self._list_cache.clear()
-
-
-class CallableWorkModel(WorkModel):
-    """Adapter giving a legacy :data:`WorkFunction` the vector interface.
-
-    The vector is necessarily built by calling the wrapped function once
-    per box (in sequence order, so results are bit-identical to the code
-    it replaces), but the per-box memo still removes the repeated calls
-    the legacy path paid during splitting and load accounting.
-    """
-
-    def __init__(self, fn: WorkFunction, refine_factor: int = 2):
-        super().__init__(refine_factor)
-        self.fn = fn
-
-    @property
-    def name(self) -> str:
-        return getattr(self.fn, "__name__", type(self.fn).__name__)
-
-    def compute(self, boxes: Sequence[Box]) -> np.ndarray:
-        fn = self.fn
-        return np.array([fn(b) for b in boxes], dtype=np.float64)
-
-    def _work_one(self, box: Box) -> float:
-        return float(self.fn(box))
-
-    def work_row(
-        self,
-        lower: tuple[int, ...],
-        upper: tuple[int, ...],
-        level: int,
-    ) -> float:
-        # Legacy callables only understand Box objects; materialize one
-        # (through the shared per-box memo, so each row is priced once).
-        return self.work(Box(lower, upper, level))
-
 
 def as_work_model(
-    work_of: "WorkFunction | WorkModel | None",
+    work_of: WorkModel | None,
     refine_factor: int = 2,
 ) -> WorkModel:
-    """Coerce any accepted work argument to a :class:`WorkModel`.
+    """The model a ``work_of`` argument stands for.
 
     ``None`` yields the default Berger-Oliger model; an existing model
-    passes through (preserving its caches); any other callable is wrapped
-    in a :class:`CallableWorkModel`.
+    passes through (preserving its caches).  Anything else -- a per-box
+    callable included -- is a :class:`PartitionError`.
     """
     if work_of is None:
         return WorkModel(refine_factor)
     if isinstance(work_of, WorkModel):
         return work_of
-    if not callable(work_of):
-        raise PartitionError(
-            f"work_of must be callable or a WorkModel, got {work_of!r}"
-        )
-    return CallableWorkModel(work_of, refine_factor)
+    raise PartitionError(
+        f"work_of must be a WorkModel or None, got {work_of!r}; for custom"
+        f" weights subclass WorkModel (override compute and work_row)"
+    )

@@ -60,7 +60,7 @@ def characterize(
     """Run ``partitioner`` over every epoch of ``workload`` and aggregate."""
     caps = np.asarray(capacities, dtype=float)
     caps = caps / caps.sum()
-    work_of = WorkModel(workload.refine_factor)
+    model = WorkModel(workload.refine_factor)
     imbalances: list[float] = []
     comm: list[float] = []
     migration: list[float] = []
@@ -70,10 +70,10 @@ def characterize(
     for epoch in range(workload.num_regrids):
         boxes = workload.epoch(epoch)
         t0 = time.perf_counter()
-        result = partitioner.partition(boxes, caps, work_of)
+        result = partitioner.partition(boxes, caps, model)
         times.append((time.perf_counter() - t0) * 1e3)
-        total = result.loads(work_of).sum()
-        imb = load_imbalance(result, work_of, targets=caps * total)
+        total = result.loads().sum()
+        imb = load_imbalance(result, targets=caps * total)
         imbalances.append(float(imb.max()))
         vols = plan_exchange_volumes(
             result.boxes(),

@@ -70,7 +70,6 @@ class TestGeometry:
         h.set_level_boxes(1, BoxList([Box((4, 4), (12, 12), 1)]))
         np.testing.assert_array_equal(h.work_by_level(), [256, 128])
         assert h.total_work() == 384
-        assert h.work_of_box(Box((4, 4), (12, 12), 1)) == 128
 
 
 class TestSetLevelBoxes:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.partition.splitting import split_row_to_target
 from repro.util.geometry import Box
 
 
@@ -40,3 +41,24 @@ def boxes(
     if ndim is not None:
         return build(ndim)
     return st.integers(1, 3).flatmap(build)
+
+
+def box_work(box: Box, refine_factor: int = 2) -> float:
+    """Per-box oracle for the default work model: Berger-Oliger
+    ``cells * refine_factor ** level``, written out."""
+    return float(box.num_cells * refine_factor**box.level)
+
+
+def box_row(box: Box) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """``box`` as the ``(lower, upper, level)`` row the splitter takes."""
+    return box.lower, box.upper, box.level
+
+
+def split_box(box: Box, target: float, model, constraints=None):
+    """``split_row_to_target`` with ``Box`` objects in and out, for tests
+    and per-box reference walks that state expectations as boxes."""
+    out = split_row_to_target(box_row(box), target, model, constraints)
+    if out is None:
+        return None
+    piece, rest = out
+    return Box(*piece), [Box(*r) for r in rest]

@@ -23,7 +23,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.kernels.workloads import moving_blob_trace
 from repro.monitor.service import MonitorSnapshot
-from repro.partition.base import PartitionResult, Partitioner, as_work_model
+from repro.partition.base import PartitionResult, Partitioner, WorkModel, as_work_model
 from repro.partition.capacity import CapacityCalculator
 from repro.partition.composite import ACEComposite
 from repro.partition.graphpart import GraphPartitioner, _grow_part, build_box_graph
@@ -32,9 +32,10 @@ from repro.partition.heterogeneous import ACEHeterogeneous
 from repro.partition.hybrid import SFCHybrid
 from repro.partition.levelwise import LevelPartitioner
 from repro.partition.metrics import redistribution_volume_columns
-from repro.partition.splitting import SplitConstraints, split_to_target
+from repro.partition.splitting import SplitConstraints
 from repro.util.geometry import Box, BoxList, Layout
 from repro.util.sfc import sfc_order_boxes
+from tests.conftest import box_row, split_box
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +98,16 @@ def reference_heterogeneous(
                 continue
             if remaining <= 0:
                 break
-            split = split_to_target(box, remaining, model, constraints)
+            split = split_box(box, remaining, model, constraints)
             if split is None:
                 break
             heapq.heappop(queue)
             piece, rest = split
             num_splits += len(rest)
             pairs.append((piece, rank))
-            remaining -= model.work(piece)
+            remaining -= model.work_row(*box_row(piece))
             for r in rest:
-                heapq.heappush(queue, (model.work(r), seq, r))
+                heapq.heappush(queue, (model.work_row(*box_row(r)), seq, r))
                 seq += 1
             if remaining <= 0:
                 break
@@ -116,7 +117,7 @@ def reference_heterogeneous(
 def assign_curve_spans(
     ordered: list,
     targets: np.ndarray,
-    work_of: WorkFunction | WorkModel,
+    model: WorkModel,
     constraints: SplitConstraints,
     pairs: list,
 ) -> int:
@@ -131,13 +132,12 @@ def assign_curve_spans(
     ``partition/composite.py``, kept verbatim as the reference.)
 
     Box works come from the model's vector in one shot; split remainders
-    are priced incrementally through the model's per-box cache, keeping a
+    are priced incrementally through the model's row memo, keeping a
     ``works`` list aligned with the (mutating) curve position list.
     """
-    model = as_work_model(work_of)
     num_ranks = len(targets)
     pending = ordered
-    works = model.compute(pending).tolist()
+    works = model.compute(BoxList(pending)).tolist()
     rank = 0
     remaining = targets[0]
     num_splits = 0
@@ -155,7 +155,7 @@ def assign_curve_spans(
                 remaining += targets[rank]
             continue
         split = (
-            split_to_target(box, remaining, model, constraints)
+            split_box(box, remaining, model, constraints)
             if remaining > 0
             else None
         )
@@ -166,10 +166,10 @@ def assign_curve_spans(
         piece, rest = split
         num_splits += len(rest)
         pairs.append((piece, rank))
-        remaining -= model.work(piece)
+        remaining -= model.work_row(*box_row(piece))
         # Remainders stay at the current curve position.
         pending[i : i + 1] = rest
-        works[i : i + 1] = [model.work(r) for r in rest]
+        works[i : i + 1] = [model.work_row(*box_row(r)) for r in rest]
         if remaining <= 0 and rank < num_ranks - 1:
             rank += 1
             remaining += targets[rank]
@@ -324,9 +324,7 @@ def _assert_identical(result: PartitionResult, reference: PartitionResult):
     assert result.layout.pairs() == reference.layout.pairs()
     assert result.num_splits == reference.num_splits
     assert np.array_equal(result.targets, reference.targets)
-    loads = result.loads()
-    ref_loads = reference.loads(result.work_model)
-    assert loads.tolist() == ref_loads.tolist()
+    assert result.loads().tolist() == reference.loads().tolist()
 
 
 @pytest.mark.parametrize("epoch", range(len(EPOCHS)))

@@ -6,8 +6,8 @@ import numpy as np
 
 from repro.kernels.workloads import moving_blob_trace, paper_rm3d_trace
 from repro.partition import GraphPartitioner, build_box_graph
-from repro.partition.base import default_work
 from repro.util.geometry import Box, BoxList
+from tests.conftest import box_work
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 
@@ -16,7 +16,7 @@ class TestBoxGraph:
     def test_adjacent_boxes_connected(self):
         a = Box((0, 0), (4, 8))
         b = Box((4, 0), (8, 8))
-        g = build_box_graph(BoxList([a, b]), default_work)
+        g = build_box_graph(BoxList([a, b]), None)
         assert g.number_of_nodes() == 2
         assert g.has_edge(0, 1)
         # Shared face: 8 cells each direction -> volume 16.
@@ -25,19 +25,19 @@ class TestBoxGraph:
     def test_distant_boxes_disconnected(self):
         a = Box((0, 0), (2, 2))
         b = Box((10, 10), (12, 12))
-        g = build_box_graph(BoxList([a, b]), default_work)
+        g = build_box_graph(BoxList([a, b]), None)
         assert g.number_of_edges() == 0
 
     def test_interlevel_edge(self):
         coarse = Box((0, 0), (8, 8), 0)
         fine = Box((2, 2), (6, 6), 1)
-        g = build_box_graph(BoxList([coarse, fine]), default_work)
+        g = build_box_graph(BoxList([coarse, fine]), None)
         assert g.has_edge(0, 1)
 
     def test_node_weights_are_work(self):
         b = Box((0, 0), (4, 4), level=1)
-        g = build_box_graph(BoxList([b]), default_work)
-        assert g.nodes[0]["work"] == default_work(b)
+        g = build_box_graph(BoxList([b]), None)
+        assert g.nodes[0]["work"] == box_work(b)
 
     def test_paper_trace_graph_connected(self):
         """The RM3D hierarchy's graph is a single connected component
@@ -45,7 +45,7 @@ class TestBoxGraph:
         import networkx as nx
 
         bl = paper_rm3d_trace(num_regrids=4).epoch(2)
-        g = build_box_graph(bl, default_work)
+        g = build_box_graph(bl, None)
         assert nx.is_connected(g)
 
 

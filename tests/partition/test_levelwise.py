@@ -11,8 +11,8 @@ from repro.partition import (
     ACEHeterogeneous,
     LevelPartitioner,
 )
-from repro.partition.base import default_work
 from repro.util.geometry import BoxList
+from tests.conftest import box_work as default_work
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.amr.ghost import plan_exchange_volumes
 from repro.kernels.workloads import moving_blob_trace
 from repro.partition import ACEHeterogeneous, ACEComposite
-from repro.partition.base import PartitionResult, default_work
+from repro.partition.base import PartitionResult
 from repro.partition.metrics import (
     load_imbalance,
     redistribution_volume_columns,
@@ -93,12 +93,12 @@ def test_exchange_volume_nonnegative_and_self_free(epoch_idx, which):
         domain_shape=(64, 64), num_regrids=6, max_levels=3
     ).epoch(epoch_idx)
     part = {"het": ACEHeterogeneous(), "comp": ACEComposite()}[which]
-    result = part.partition(bl, [0.25] * 4, default_work)
+    result = part.partition(bl, [0.25] * 4)
     vols = plan_exchange_volumes(result.boxes(), result.rank_vector())
     for (src, dst), v in vols.items():
         assert src != dst
         assert v > 0
-    solo = part.partition(bl, [1.0], default_work)
+    solo = part.partition(bl, [1.0])
     assert plan_exchange_volumes(solo.boxes(), solo.rank_vector()) == {}
 
 

@@ -17,9 +17,9 @@ from repro.partition import (
     load_imbalance,
     makespan_estimate,
 )
-from repro.partition.base import default_work
 from repro.util.errors import PartitionError
 from repro.util.geometry import BoxList, Layout
+from tests.conftest import box_work as default_work
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.partition.base import default_work
-from repro.partition.splitting import SplitConstraints, split_to_target
+from repro.partition.splitting import SplitConstraints, split_row_to_target
+from repro.partition.workmodel import WorkModel
 from repro.util.errors import PartitionError
-from repro.util.geometry import Box
-from tests.conftest import boxes
+from repro.util.geometry import Box, BoxArray, BoxList
+from tests.conftest import box_row, box_work as work, boxes, split_box
+
+MODEL = WorkModel()
 
 
 class TestConstraints:
@@ -30,7 +32,7 @@ class TestConstraints:
 class TestSplitToTarget:
     def test_splits_along_longest_axis(self):
         box = Box((0, 0), (16, 4))
-        out = split_to_target(box, 32.0, default_work)
+        out = split_box(box, 32.0, MODEL)
         assert out is not None
         lo, rest = out
         (hi,) = rest
@@ -39,46 +41,44 @@ class TestSplitToTarget:
 
     def test_piece_work_near_target(self):
         box = Box((0, 0), (16, 4))
-        out = split_to_target(box, 24.0, default_work)
+        out = split_box(box, 24.0, MODEL)
         lo, _ = out
         # 24 work = 6 planes, snapped to 6 -> 24 exactly.
-        assert default_work(lo) == pytest.approx(24.0)
+        assert work(lo) == pytest.approx(24.0)
 
     def test_snap_respected(self):
         box = Box((0, 0), (16, 4))
-        out = split_to_target(
-            box, 20.0, default_work, SplitConstraints(snap=4)
-        )
+        out = split_box(box, 20.0, MODEL, SplitConstraints(snap=4))
         lo, (hi,) = out
         assert lo.upper[0] % 4 == 0
 
     def test_min_size_enforced_both_sides(self):
         box = Box((0, 0), (8, 4))
         c = SplitConstraints(min_box_size=3, snap=1)
-        out = split_to_target(box, 1.0, default_work, c)  # tiny target
+        out = split_box(box, 1.0, MODEL, c)  # tiny target
         lo, (hi,) = out
         assert lo.shape[0] >= 3 and hi.shape[0] >= 3
 
     def test_unsplittable_returns_none(self):
         box = Box((0, 0), (3, 3))
-        assert split_to_target(box, 1.0, default_work, SplitConstraints(2, 1)) is None
+        assert split_box(box, 1.0, MODEL, SplitConstraints(2, 1)) is None
 
     def test_aspect_ratio_does_not_grow_much(self):
         """Cutting the longest axis keeps the result's aspect ratio bounded
         by max(original ratio, 2x-ish)."""
         box = Box((0, 0, 0), (32, 8, 8))
-        out = split_to_target(box, 1024.0, default_work)
+        out = split_box(box, 1024.0, MODEL)
         lo, (hi,) = out
         assert lo.aspect_ratio <= box.aspect_ratio
         assert hi.aspect_ratio <= box.aspect_ratio
 
     def test_level_weighted_work(self):
-        """Work functions weighting level are honoured (fine boxes split at
+        """Models weighting level are honoured (fine boxes split at
         positions reflecting subcycled work)."""
         box = Box((0, 0), (16, 4), level=1)
-        out = split_to_target(box, 64.0, default_work)  # work = cells * 2
+        out = split_box(box, 64.0, MODEL)  # work = cells * 2
         lo, _ = out
-        assert default_work(lo) == pytest.approx(64.0)
+        assert work(lo) == pytest.approx(64.0)
 
     def test_multi_axis_reaches_sub_plane_targets(self):
         """Recursive multi-axis cuts produce pieces smaller than a single
@@ -88,17 +88,37 @@ class TestSplitToTarget:
         c_single = SplitConstraints(min_box_size=2, snap=2)
         c_multi = SplitConstraints(min_box_size=2, snap=2, allow_multi_axis=True)
         target = 8.0  # half of one 2-cell-wide snapped slab (32 cells)
-        lo_s, rest_s = split_to_target(box, target, default_work, c_single)
-        lo_m, rest_m = split_to_target(box, target, default_work, c_multi)
-        assert default_work(lo_s) > target  # single cut cannot get there
-        assert abs(default_work(lo_m) - target) < abs(default_work(lo_s) - target)
+        lo_s, rest_s = split_box(box, target, MODEL, c_single)
+        lo_m, rest_m = split_box(box, target, MODEL, c_multi)
+        assert work(lo_s) > target  # single cut cannot get there
+        assert abs(work(lo_m) - target) < abs(work(lo_s) - target)
         # Everything still tiles the box exactly.
         assert lo_m.num_cells + sum(b.num_cells for b in rest_m) == box.num_cells
         assert len(rest_m) >= 2
 
     def test_negative_target_rejected(self):
         with pytest.raises(PartitionError):
-            split_to_target(Box((0,), (8,)), -1.0, default_work)
+            split_box(Box((0,), (8,)), -1.0, MODEL)
+
+
+# The paper's RM3D base grid, asked for less than one minimum slab
+# (2 planes x 32 x 32 = 2 048 units): ROADMAP item 1's shrunk case.
+RM3D_BASE = ((0, 0, 0), (128, 32, 32), 0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: splitter overshoots when min_box_size clamps up",
+)
+def test_piece_fits_target_or_no_split():
+    split = split_row_to_target(RM3D_BASE, 143.0, MODEL)
+    assert split is None or MODEL.work_row(*split[0]) <= 143.0
+
+
+def test_piece_fits_target_with_multi_axis():
+    c = SplitConstraints(allow_multi_axis=True)
+    piece, _ = split_row_to_target(RM3D_BASE, 143.0, MODEL, c)
+    assert MODEL.work_row(*piece) == 128.0
 
 
 @settings(max_examples=200)
@@ -107,8 +127,8 @@ def test_split_invariants(box: Box, frac: float):
     """Any successful split partitions the box, respects min sizes and
     keeps both pieces inside the original."""
     c = SplitConstraints(min_box_size=2, snap=2)
-    target = frac * default_work(box)
-    out = split_to_target(box, target, default_work, c)
+    target = frac * work(box)
+    out = split_box(box, target, MODEL, c)
     if out is None:
         # Only legitimate when every admissible cut is blocked.
         assert box.shape[box.longest_axis] < 2 * c.min_box_size or (
@@ -121,7 +141,6 @@ def test_split_invariants(box: Box, frac: float):
     for b in pieces:
         assert box.contains_box(b)
         assert min(b.shape) >= min(c.min_box_size, min(box.shape))
-    from repro.util.geometry import BoxList
     assert BoxList(pieces).is_disjoint()
 
 
@@ -131,13 +150,11 @@ def test_multi_axis_split_invariants(box: Box, frac: float):
     """Recursive multi-axis splitting still tiles the box exactly with
     min-size-respecting disjoint pieces, and its piece is never further
     from the target than the single-cut piece."""
-    from repro.util.geometry import BoxList
-
     c1 = SplitConstraints(min_box_size=2, snap=2)
     cm = SplitConstraints(min_box_size=2, snap=2, allow_multi_axis=True)
-    target = frac * default_work(box)
-    single = split_to_target(box, target, default_work, c1)
-    multi = split_to_target(box, target, default_work, cm)
+    target = frac * work(box)
+    single = split_box(box, target, MODEL, c1)
+    multi = split_box(box, target, MODEL, cm)
     assert (single is None) == (multi is None)
     if multi is None:
         return
@@ -149,6 +166,54 @@ def test_multi_axis_split_invariants(box: Box, frac: float):
         assert box.contains_box(b)
         assert min(b.shape) >= min(cm.min_box_size, min(box.shape))
     lo_s, _ = single
-    err_m = abs(default_work(lo_m) - target)
-    err_s = abs(default_work(lo_s) - target)
+    err_m = abs(work(lo_m) - target)
+    err_s = abs(work(lo_s) - target)
     assert err_m <= err_s + 1e-9
+
+
+@settings(max_examples=300)
+@given(
+    boxes(max_side=48),
+    st.floats(0.0, 1.2),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 4]),
+    st.booleans(),
+)
+def test_split_row_property(box: Box, frac, min_box_size, snap, multi_axis):
+    """The splitter that runs, over rows x targets x constraints."""
+    lower, upper, level = row = box_row(box)
+    c = SplitConstraints(min_box_size, snap, multi_axis)
+    target = frac * MODEL.work_row(*row)
+    out = split_row_to_target(row, target, MODEL, c)
+
+    axis = box.longest_axis
+    admissible = [
+        cut
+        for cut in range(lower[axis] + min_box_size, upper[axis] - min_box_size + 1)
+        if cut % snap == 0
+    ]
+    assert (out is None) == (not admissible)
+    if out is None:
+        return
+
+    piece, rest = out
+    rows = [piece, *rest]
+    tiles = BoxArray(
+        [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+    )
+    assert tiles.total_cells() == box.num_cells
+    assert tiles.is_disjoint()
+    for lo, up, lvl in rows:
+        assert lvl == level
+        for d, (a, b) in enumerate(zip(lo, up)):
+            assert lower[d] <= a < b <= upper[d]
+            # An axis is either untouched or cut under the constraints.
+            assert b - a == upper[d] - lower[d] or b - a >= min_box_size
+            assert a == lower[d] or a % snap == 0
+            assert b == upper[d] or b % snap == 0
+
+    single = split_row_to_target(
+        row, target, MODEL, SplitConstraints(min_box_size, snap)
+    )
+    err = abs(MODEL.work_row(*piece) - target)
+    assert err <= abs(MODEL.work_row(*single[0]) - target)

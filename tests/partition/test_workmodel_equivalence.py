@@ -1,9 +1,10 @@
 """Cross-partitioner properties of the vectorized work-model path.
 
 Every partitioner must (a) conserve total work, (b) cover its input
-exactly, and (c) produce *identical* assignments whether it is handed a
-:class:`WorkModel`, the equivalent legacy per-box callable, or nothing at
-all -- the vectorization is a pure performance change.
+exactly, (c) produce *identical* assignments whether it is handed a
+:class:`WorkModel` or nothing at all, and (d) report loads that match a
+per-box accumulation loop over its own assignment -- the vectorization is
+a pure performance change.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from repro.partition import (
     LevelPartitioner,
     SFCHybrid,
 )
-from repro.partition.base import default_work
 from repro.partition.workmodel import WorkModel
 from repro.util.geometry import BoxList
+from tests.conftest import box_work as default_work
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 
@@ -61,20 +62,16 @@ class TestCrossPartitionerProperties:
         r = p.partition(epoch(), PAPER_CAPS, WorkModel())
         r.validate_covers(epoch())
 
-    def test_assignment_identical_model_vs_callable(self, p):
+    def test_assignment_identical_model_vs_default(self, p):
         with_model = p.partition(epoch(), PAPER_CAPS, WorkModel())
-        with_callable = p.partition(epoch(), PAPER_CAPS, default_work)
         with_default = p.partition(epoch(), PAPER_CAPS)
-        assert with_model.layout.pairs() == with_callable.layout.pairs()
         assert with_model.layout.pairs() == with_default.layout.pairs()
 
-    def test_loads_identical_model_vs_callable(self, p):
+    def test_loads_identical_model_vs_default(self, p):
         with_model = p.partition(epoch(), PAPER_CAPS, WorkModel())
-        with_callable = p.partition(epoch(), PAPER_CAPS, default_work)
-        # Same loads whether derived from the stamped model's cached
-        # vector or recomputed through the legacy callable.
+        with_default = p.partition(epoch(), PAPER_CAPS)
         np.testing.assert_array_equal(
-            with_model.loads(), with_callable.loads(default_work)
+            with_model.loads(), with_default.loads()
         )
 
     def test_work_vector_aligned_with_assignment(self, p):

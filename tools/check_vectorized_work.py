@@ -2,17 +2,26 @@
 """Fail if scalar per-box idioms creep back into the columnar core.
 
 Five families of checks, so a reviewer does not have to spot
-regressions by eye (the first two are substring/regex greps, the last
-three walk the syntax tree):
+regressions by eye (the first two are mostly substring/regex greps, the
+last three walk the syntax tree):
 
-**Work pricing** (all of ``src/``): the vectorized
-:class:`repro.partition.workmodel.WorkModel` is the single place allowed
-to price boxes one at a time; everywhere else must go through its cached
-vector (``model.vector`` / ``model.total`` / ``result.loads``).
+**Work pricing** (all of ``src/``): boxes are priced through a
+:class:`repro.partition.workmodel.WorkModel` -- its cached vector
+(``model.vector`` / ``model.total`` / ``result.loads``) or, for one split
+piece, ``model.work_row`` -- and a result with the model it carries.
 Forbidden idioms::
 
     sum(work_of(b) for b in boxes)        # O(n) Python-level pricing
     out[rank] += work_of(box)             # per-box load accumulation
+
+and the per-``Box`` face of ``repro.partition`` retired in PR 23, which
+let a custom model weigh boxes with one formula and cut them with
+another::
+
+    CallableWorkModel, WorkFunction, default_work, _work_one
+    split_to_target(box, ...)             # split_row_to_target(row, ...)
+    result.loads(work_of=model)           # result.loads(): its own model
+    from repro.util.geometry import Box   # in partition/: rows and columns
 
 **Box metadata** (``partition/`` and ``amr/`` only): the columnar
 refactor moved box metadata -- corners, levels, cell counts, SFC keys --
@@ -109,18 +118,30 @@ FORBIDDEN_METADATA: tuple[tuple[re.Pattern[str], str], ...] = (
     ),
 )
 
+#: Retired per-``Box`` pricing names (checked in all of ``src/``).
+RETIRED_WORK = (
+    "CallableWorkModel",
+    "WorkFunction",
+    "split_to_target(",
+    "default_work",
+    "_work_one",
+)
+
+#: Functions that price a result with the model it carries -- no
+#: ``work_of=`` override.
+REPRICED = frozenset(
+    {"loads", "work_vector", "load_imbalance", "makespan_estimate"}
+)
+
+#: The package whose currencies are BoxArray / BoxList / Layout / BoxRow.
+PARTITION_DIR = SRC / "repro" / "partition"
+
 #: Packages holding the columnar hot paths; metadata rules apply here.
-METADATA_DIRS = (SRC / "repro" / "partition", SRC / "repro" / "amr")
+METADATA_DIRS = (PARTITION_DIR, SRC / "repro" / "amr")
 
-#: The one module allowed to price boxes per-box (it implements the
-#: vectorization and the legacy-callable adapter).
-ALLOWED_WORK = {SRC / "repro" / "partition" / "workmodel.py"}
-
-#: Modules exempt from the metadata rules: the work model (it *is* the
-#: object-to-column adapter) and diagnostics that render a few dozen
-#: boxes to text, where columns buy nothing.
+#: Modules exempt from the metadata rules: diagnostics that render a few
+#: dozen boxes to text, where columns buy nothing.
 ALLOWED_METADATA = {
-    SRC / "repro" / "partition" / "workmodel.py",
     SRC / "repro" / "amr" / "viz.py",
 }
 
@@ -182,6 +203,55 @@ images = [piece.translate(s) for s in shifts]
 cluster.state_of(0, t)
 busy = {k: cluster.state_of(k, t) for k in live}
 """
+
+
+_PLANTED_RETIRED_WORK = """\
+from repro.util.geometry import Box, BoxList
+from repro.util.geometry import BoxArray
+model = CallableWorkModel(default_work)
+piece, rest = split_to_target(box, 1.0, model)
+piece, rest = split_row_to_target(row, 1.0, model)
+loads = result.loads(work_of=model)
+imb = load_imbalance(result, work_of=model, targets=t)
+result = partitioner.partition(boxes, caps, work_of=model)
+loads = result.loads()
+"""
+
+
+def substring_hits(source: str, patterns: tuple[str, ...]) -> list[tuple[int, str]]:
+    """``(line number, pattern)`` for every non-comment line containing
+    one of ``patterns``."""
+    return [
+        (lineno, pattern)
+        for lineno, line in enumerate(source.splitlines(), start=1)
+        if not line.strip().startswith("#")
+        for pattern in patterns
+        if pattern in line
+    ]
+
+
+def repricing_overrides(source: str) -> list[int]:
+    """Line numbers of calls handing one of :data:`REPRICED` a
+    ``work_of=`` keyword."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and not REPRICED.isdisjoint(
+            (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        )
+        and any(kw.arg == "work_of" for kw in node.keywords)
+    )
+
+
+def box_imports(source: str) -> list[int]:
+    """Line numbers of ``from ... import Box`` statements."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "Box" for alias in node.names)
+    )
 
 
 def looped_calls(source: str, names: frozenset[str]) -> list[int]:
@@ -262,6 +332,24 @@ def self_test() -> list[str]:
             f"lint self-test: pair faces flagged lines {got} of the planted"
             f" offender, expected [1, 2, 3, 4, 6, 7]"
         )
+    for rule, expected in (
+        (
+            lambda src: substring_hits(src, RETIRED_WORK),
+            [
+                (3, "CallableWorkModel"),
+                (3, "default_work"),
+                (4, "split_to_target("),
+            ],
+        ),
+        (repricing_overrides, [6, 7]),
+        (box_imports, [1]),
+    ):
+        got = rule(_PLANTED_RETIRED_WORK)
+        if got != expected:
+            failures.append(
+                f"lint self-test: retired work faces flagged {got} of the"
+                f" planted offender, expected {expected}"
+            )
     for names, expected in (
         (BOX_WALKS, [3, 5, 6]),
         (STATE_QUERIES, [8]),
@@ -296,6 +384,25 @@ def main() -> int:
                 f" -- resolve overlaps with overlap_pairs on corner columns"
                 for lineno in looped_calls(source, BOX_WALKS)
             )
+        violations.extend(
+            f"{rel}:{lineno}: `work_of=` re-pricing override -- a result"
+            f" is priced with the model it carries"
+            for lineno in repricing_overrides(source)
+        )
+        if path.is_relative_to(PARTITION_DIR):
+            violations.extend(
+                f"{rel}:{lineno}: partition/ imports Box -- its currencies"
+                f" are BoxArray / BoxList / Layout / BoxRow"
+                for lineno in box_imports(source)
+            )
+        for patterns, what in (
+            (FORBIDDEN_WORK, "scalar work loop `{}` -- use WorkModel.vector()/total()"),
+            (RETIRED_WORK, "retired per-Box pricing face `{}` -- subclass WorkModel"),
+        ):
+            violations.extend(
+                f"{rel}:{lineno}: {what.format(pattern)} instead"
+                for lineno, pattern in substring_hits(source, patterns)
+            )
         if path not in ALLOWED_PAIR_FACES:
             violations.extend(
                 f"{rel}:{lineno}: box ownership spelled as pairs or a"
@@ -303,16 +410,8 @@ def main() -> int:
                 for lineno in pair_faces(source)
             )
         for lineno, line in enumerate(source.splitlines(), start=1):
-            stripped = line.strip()
-            if stripped.startswith("#"):
+            if line.strip().startswith("#"):
                 continue
-            if path not in ALLOWED_WORK:
-                for pattern in FORBIDDEN_WORK:
-                    if pattern in line:
-                        violations.append(
-                            f"{rel}:{lineno}: scalar work loop `{pattern}`"
-                            f" -- use WorkModel.vector()/total() instead"
-                        )
             if not check_metadata or PER_BOX_OK in line:
                 continue
             for regex, hint in FORBIDDEN_METADATA:
