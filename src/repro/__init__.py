@@ -43,95 +43,63 @@ Quickstart::
     print(f"execution time: {result.total_seconds:.1f} simulated seconds")
 """
 
-from repro.amr import (
-    AmrKernel,
-    BergerOligerIntegrator,
-    GridHierarchy,
-    GridLevel,
-    GridPatch,
-    berger_rigoutsos,
-)
-from repro.cluster import Cluster, LinkModel, NodeSpec, SyntheticLoadGenerator
-from repro.comm import SimCommunicator
-from repro.hdda import HDDA, HierarchicalIndexSpace
-from repro.kernels import (
-    AdvectionKernel,
-    BuckleyLeverettKernel,
-    RM3DKernel,
-    SyntheticWorkload,
-    moving_blob_trace,
-    paper_rm3d_trace,
-)
-from repro.monitor import ResourceMonitor
-from repro.partition import (
-    ACEComposite,
-    ACEHeterogeneous,
-    CapacityCalculator,
-    CapacityWeights,
-    GreedyLPT,
-    SplitConstraints,
-    load_imbalance,
-    makespan_estimate,
-)
-from repro.runtime import RunResult, RuntimeConfig, SamrRuntime
-from repro.telemetry import (
-    NULL_TRACER,
-    MetricsRegistry,
-    NullTracer,
-    Tracer,
-    activate,
-)
-from repro.util import Box, BoxList, Layout, ReproError
+from repro._lazy import lazy_exports as _lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
+#: public name -> the submodule that defines it.  Names resolve on first
+#: access (PEP 562), so ``import repro`` -- which also runs first for
+#: ``import repro.partition`` -- loads no subsystem it was not asked for.
+_EXPORTS = {
     # geometry
-    "Box",
-    "BoxList",
-    "Layout",
-    "ReproError",
+    "Box": "util.geometry",
+    "BoxList": "util.geometry",
+    "Layout": "util.geometry",
+    "ReproError": "util.errors",
     # AMR substrate
-    "AmrKernel",
-    "GridPatch",
-    "GridLevel",
-    "GridHierarchy",
-    "BergerOligerIntegrator",
-    "berger_rigoutsos",
-    "HDDA",
-    "HierarchicalIndexSpace",
+    "AmrKernel": "amr.api",
+    "GridPatch": "amr.patch",
+    "GridLevel": "amr.level",
+    "GridHierarchy": "amr.hierarchy",
+    "BergerOligerIntegrator": "amr.integrator",
+    "berger_rigoutsos": "amr.clustering",
+    "HDDA": "hdda.hdda",
+    "HierarchicalIndexSpace": "hdda.index",
     # kernels
-    "AdvectionKernel",
-    "RM3DKernel",
-    "BuckleyLeverettKernel",
-    "SyntheticWorkload",
-    "moving_blob_trace",
-    "paper_rm3d_trace",
+    "AdvectionKernel": "kernels.advection",
+    "RM3DKernel": "kernels.rm3d",
+    "BuckleyLeverettKernel": "kernels.buckley_leverett",
+    "SyntheticWorkload": "kernels.workloads",
+    "moving_blob_trace": "kernels.workloads",
+    "paper_rm3d_trace": "kernels.workloads",
     # cluster + monitoring
-    "Cluster",
-    "NodeSpec",
-    "LinkModel",
-    "SyntheticLoadGenerator",
-    "SimCommunicator",
-    "ResourceMonitor",
+    "Cluster": "cluster.cluster",
+    "NodeSpec": "cluster.node",
+    "LinkModel": "cluster.network",
+    "SyntheticLoadGenerator": "cluster.loadgen",
+    "SimCommunicator": "comm.simmpi",
+    "ResourceMonitor": "monitor.service",
     # partitioning
-    "CapacityCalculator",
-    "CapacityWeights",
-    "ACEHeterogeneous",
-    "ACEComposite",
-    "GreedyLPT",
-    "SplitConstraints",
-    "load_imbalance",
-    "makespan_estimate",
+    "CapacityCalculator": "partition.capacity",
+    "CapacityWeights": "partition.capacity",
+    "ACEHeterogeneous": "partition.heterogeneous",
+    "ACEComposite": "partition.composite",
+    "GreedyLPT": "partition.greedy",
+    "SplitConstraints": "partition.splitting",
+    "load_imbalance": "partition.metrics",
+    "makespan_estimate": "partition.metrics",
     # runtime
-    "SamrRuntime",
-    "RuntimeConfig",
-    "RunResult",
+    "SamrRuntime": "runtime.engine",
+    "RuntimeConfig": "runtime.engine",
+    "RunResult": "runtime.engine",
     # telemetry
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "MetricsRegistry",
-    "activate",
-    "__version__",
-]
+    "Tracer": "telemetry.spans",
+    "NullTracer": "telemetry.spans",
+    "NULL_TRACER": "telemetry.spans",
+    "MetricsRegistry": "telemetry.metrics",
+    "activate": "telemetry.spans",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

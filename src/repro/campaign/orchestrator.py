@@ -33,6 +33,12 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Any
 
+# numpy loads these submodules on first use, and every cell uses both
+# (seeded load scripts; ``np.unique``).  Imported here, so that fork
+# workers inherit them instead of each loading them again.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.campaign.state import FAILURES_NAME, CampaignState
 from repro.campaign.store import ARTIFACTS_DIRNAME, ResultStore

@@ -97,35 +97,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.runtime import ablation as ab
-from repro.runtime import experiment as ex
-from repro.runtime import reporting as rep
-from repro.telemetry import (
-    HealthMonitor,
-    LiveTop,
-    Tracer,
-    activate,
-    aggregate_phases,
-    analyze_critical_path,
-    comm_profile,
-    format_critical_path_report,
-    openmetrics_selfcheck,
-    registry_from_records,
-    write_chrome_trace,
-    write_collapsed,
-    write_dashboard,
-    write_jsonl,
-    write_metrics_json,
-    write_openmetrics,
-    write_speedscope,
-)
+if TYPE_CHECKING:
+    from repro.telemetry import HealthMonitor
 
 __all__ = ["main", "EXPERIMENTS"]
 
 
 def _run_fig7(quick: bool) -> str:
+    from repro.runtime import experiment as ex, reporting as rep
+
     data = ex.execution_time_comparison(
         processor_counts=(4, 8, 16, 32),
         iterations=20 if quick else 40,
@@ -135,12 +117,16 @@ def _run_fig7(quick: bool) -> str:
 
 
 def _run_fig8(quick: bool) -> str:
+    from repro.runtime import experiment as ex, reporting as rep
+
     return rep.format_load_assignment(
         ex.load_assignment_tracking("composite", num_regrids=4 if quick else 8)
     )
 
 
 def _run_fig9(quick: bool) -> str:
+    from repro.runtime import experiment as ex, reporting as rep
+
     return rep.format_load_assignment(
         ex.load_assignment_tracking(
             "heterogeneous", num_regrids=4 if quick else 8
@@ -149,12 +135,16 @@ def _run_fig9(quick: bool) -> str:
 
 
 def _run_fig10(quick: bool) -> str:
+    from repro.runtime import experiment as ex, reporting as rep
+
     return rep.format_imbalance(
         ex.imbalance_comparison(num_regrids=3 if quick else 6)
     )
 
 
 def _run_fig11(quick: bool) -> str:
+    from repro.runtime import experiment as ex, reporting as rep
+
     return rep.format_dynamic_allocation(
         ex.dynamic_allocation_trace(
             num_sensings=2, iterations=20 if quick else 30
@@ -163,6 +153,8 @@ def _run_fig11(quick: bool) -> str:
 
 
 def _run_table2(quick: bool) -> str:
+    from repro.runtime import experiment as ex, reporting as rep
+
     data = ex.dynamic_vs_static_sensing(
         processor_counts=(2, 4) if quick else (2, 4, 6, 8),
         iterations=80 if quick else 160,
@@ -172,6 +164,8 @@ def _run_table2(quick: bool) -> str:
 
 
 def _run_table3(quick: bool) -> str:
+    from repro.runtime import experiment as ex, reporting as rep
+
     data = ex.sensing_frequency_sweep(
         frequencies=(10, 40) if quick else (2, 10, 20, 30, 60),
         iterations=80 if quick else 160,
@@ -181,6 +175,8 @@ def _run_table3(quick: bool) -> str:
 
 
 def _run_fig12_15(quick: bool) -> str:
+    from repro.runtime import experiment as ex, reporting as rep
+
     data = ex.sensing_frequency_traces(
         frequencies=(10, 40) if quick else (10, 20, 30, 40),
         iterations=60 if quick else 120,
@@ -189,6 +185,8 @@ def _run_fig12_15(quick: bool) -> str:
 
 
 def _run_ablation_weights(quick: bool) -> str:
+    from repro.runtime import ablation as ab
+
     data = ab.weight_ablation(iterations=15 if quick else 30)
     lines = [f"weight ablation ({data['cluster']} cluster):"]
     for row in sorted(data["rows"], key=lambda r: r["seconds"]):
@@ -197,6 +195,8 @@ def _run_ablation_weights(quick: bool) -> str:
 
 
 def _run_ablation_multiaxis(quick: bool) -> str:
+    from repro.runtime import ablation as ab
+
     lines = []
     for label, kwargs in (
         ("coarse (min=8, snap=4)", {"min_box_size": 8, "snap": 4}),
@@ -216,6 +216,8 @@ def _run_ablation_multiaxis(quick: bool) -> str:
 
 
 def _run_ablation_forecasters(quick: bool) -> str:
+    from repro.runtime import ablation as ab
+
     data = ab.forecaster_ablation(
         probes=20 if quick else 40, seeds=(0,) if quick else (0, 1, 2)
     )
@@ -226,6 +228,8 @@ def _run_ablation_forecasters(quick: bool) -> str:
 
 
 def _run_sweep_probe_cost(quick: bool) -> str:
+    from repro.runtime import ablation as ab
+
     data = ab.probe_cost_sensitivity(
         probe_costs=(0.0, 2.0) if quick else (0.0, 0.5, 2.0, 8.0),
         iterations=60 if quick else 120,
@@ -243,6 +247,8 @@ def _run_sweep_probe_cost(quick: bool) -> str:
 
 
 def _run_sweep_heterogeneity(quick: bool) -> str:
+    from repro.runtime import ablation as ab
+
     data = ab.heterogeneity_sweep(
         load_levels=(0.0, 2.0) if quick else (0.0, 0.5, 1.0, 2.0, 4.0),
         iterations=15 if quick else 30,
@@ -256,6 +262,8 @@ def _run_sweep_heterogeneity(quick: bool) -> str:
 
 
 def _run_ablation_learn(quick: bool, ledger_dir: str | None = None) -> str:
+    from repro.runtime import ablation as ab
+
     data = ab.learn_ablation(
         iterations=60 if quick else 150, ledger_dir=ledger_dir
     )
@@ -288,6 +296,8 @@ def _run_ablation_learn(quick: bool, ledger_dir: str | None = None) -> str:
 
 
 def _run_ablation_panel(quick: bool) -> str:
+    from repro.runtime import ablation as ab
+
     data = ab.partitioner_panel(iterations=15 if quick else 30)
     lines = ["partitioner panel (8-node loaded cluster):"]
     for row in sorted(data["rows"], key=lambda r: r["seconds"]):
@@ -384,6 +394,15 @@ def _load_records_or_fail(path: Path) -> list[dict] | None:
 
 def _run_traced(experiment: str, quick: bool, out_dir: str) -> int:
     """Run one experiment instrumented; write trace + metrics artifacts."""
+    from repro.telemetry import (
+        Tracer,
+        activate,
+        aggregate_phases,
+        write_chrome_trace,
+        write_jsonl,
+        write_metrics_json,
+    )
+
     fn = _lookup_experiment(experiment)
     if fn is None:
         return 2
@@ -447,6 +466,14 @@ def _run_report(target: str, quick: bool, out_dir: str) -> int:
     instrumented with a health monitor attached) or a path to a
     previously exported ``.events.jsonl`` trace (offline analysis).
     """
+    from repro.telemetry import (
+        HealthMonitor,
+        Tracer,
+        activate,
+        write_dashboard,
+        write_jsonl,
+    )
+
     out = Path(out_dir)
     path = Path(target)
     if path.suffix == ".jsonl" or path.is_file():
@@ -490,6 +517,17 @@ def _write_profile_artifacts(
     source, out: Path, stem: str, run_labels: dict[int, str] | None = None
 ) -> int:
     """Analyze ``source`` and write the full profile artifact set."""
+    from repro.telemetry import (
+        analyze_critical_path,
+        comm_profile,
+        format_critical_path_report,
+        openmetrics_selfcheck,
+        registry_from_records,
+        write_collapsed,
+        write_openmetrics,
+        write_speedscope,
+    )
+
     out.mkdir(parents=True, exist_ok=True)
     results = analyze_critical_path(source, run_labels=run_labels)
     print(format_critical_path_report(results))
@@ -548,6 +586,8 @@ def _run_profile(target: str, quick: bool, out_dir: str) -> int:
     live tracer) or a path to an exported ``.events.jsonl`` trace
     (offline profiling, nothing re-runs).
     """
+    from repro.telemetry import Tracer, activate, write_jsonl
+
     out = Path(out_dir)
     path = Path(target)
     if path.suffix == ".jsonl" or path.is_file():
@@ -573,6 +613,8 @@ def _run_profile(target: str, quick: bool, out_dir: str) -> int:
 
 def _run_top(experiment: str, quick: bool, interval: int) -> int:
     """Run an experiment with the live span-observer terminal view."""
+    from repro.telemetry import LiveTop, Tracer, activate
+
     fn = _lookup_experiment(experiment)
     if fn is None:
         return 2
@@ -613,6 +655,7 @@ def _run_chaos(
 ) -> int:
     """Run the chaos experiment; print recovery + integrity stats."""
     from repro.runtime.experiment import chaos_experiment
+    from repro.telemetry import Tracer, activate, write_dashboard, write_jsonl
 
     if not 0 < kill < nodes:
         print(
@@ -711,6 +754,7 @@ def _execute_campaign(
 ) -> int:
     """Shared body of ``campaign run`` and ``campaign resume``."""
     from repro.campaign import ORCHESTRATOR_TRACE_NAME, CampaignRunner
+    from repro.telemetry import Tracer, write_jsonl
 
     tracer = Tracer()
     runner = CampaignRunner(spec, directory, workers=workers, tracer=tracer)

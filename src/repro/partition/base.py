@@ -205,6 +205,8 @@ class Partitioner(abc.ABC):
         caps = np.asarray(capacities, dtype=float)
         if caps.ndim != 1 or len(caps) == 0:
             raise PartitionError("capacities must be a non-empty 1-D sequence")
+        if not np.isfinite(caps).all():
+            raise PartitionError("capacities must be finite")
         if (caps < 0).any():
             raise PartitionError("capacities must be non-negative")
         if caps.sum() <= 0:

@@ -23,11 +23,14 @@ If the total work to be assigned is ``L``, node *k* should receive
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.monitor.service import MonitorSnapshot
 from repro.util.errors import PartitionError
+
+if TYPE_CHECKING:
+    from repro.monitor.service import MonitorSnapshot
 
 __all__ = ["CapacityWeights", "CapacityCalculator"]
 
@@ -86,8 +89,11 @@ class CapacityCalculator:
     @staticmethod
     def _normalize(values: np.ndarray) -> np.ndarray:
         """Per-node share of the cluster total; uniform if the total is 0
-        (e.g. every node out of free memory -- no information to act on)."""
+        (e.g. every node out of free memory -- no information to act on).
+        A NaN or infinite reading is an error, not a share."""
         values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise PartitionError("resource availabilities must be finite")
         if (values < 0).any():
             raise PartitionError("resource availabilities must be >= 0")
         total = values.sum()
@@ -143,14 +149,3 @@ class CapacityCalculator:
         c = w.w_p * p_hat + w.w_m * m_hat + w.w_b * b_hat
         # Weights and shares each sum to 1, so c sums to 1 up to rounding.
         return c / c.sum()
-
-    def work_targets(
-        self,
-        snapshot: MonitorSnapshot,
-        total_work: float,
-        live: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """L_k = C_k * L for every node."""
-        if total_work < 0:
-            raise PartitionError(f"negative total work {total_work}")
-        return self.relative_capacities(snapshot, live) * total_work

@@ -24,9 +24,8 @@ isolates what constrained splitting buys over pure graph methods.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.partition.base import (
@@ -37,7 +36,17 @@ from repro.partition.base import (
 )
 from repro.util.geometry import BoxList, Layout, overlap_pairs
 
-__all__ = ["build_box_graph", "GraphPartitioner"]
+__all__ = ["BoxGraph", "build_box_graph", "GraphPartitioner"]
+
+
+class BoxGraph(NamedTuple):
+    """Node ``i`` is row ``i`` of the box list it was built from."""
+
+    #: work of each node
+    works: list[float]
+    #: ``adjacency[i][j]``: exchange volume (cells) of edge ``i -- j``;
+    #: stored in both directions
+    adjacency: list[dict[int, int]]
 
 
 def build_box_graph(
@@ -45,11 +54,10 @@ def build_box_graph(
     work_of: WorkModel | None,
     ghost_width: int = 1,
     refine_factor: int = 2,
-) -> nx.Graph:
+) -> BoxGraph:
     """Connectivity graph of a hierarchy's bounding boxes.
 
-    Node ``i`` is row ``i`` of the box list; node attribute ``work`` is
-    priced in one vectorized pass.  Edge attribute ``volume``: cells that
+    Node work is priced in one vectorized pass.  Edge volume: cells that
     would cross between the two boxes in one ghost exchange (both
     directions), including coarse-fine prolongation overlap.
 
@@ -59,21 +67,20 @@ def build_box_graph(
     exact integers, identical to the old per-pair ``Box.intersection``
     walk.
     """
-    g = nx.Graph()
     bl = boxes if isinstance(boxes, BoxList) else BoxList(boxes)
     arr = bl.array
-    works = as_work_model(work_of).vector(bl).tolist()
-    g.add_nodes_from((i, {"work": works[i]}) for i in range(len(arr)))
+    g = BoxGraph(
+        as_work_model(work_of).vector(bl).tolist(),
+        [{} for _ in range(len(arr))],
+    )
 
     gw = int(ghost_width)
     rf = int(refine_factor)
-    edges: list[tuple[int, int, dict]] = []
 
     def add_edges(i: np.ndarray, j: np.ndarray, volume: np.ndarray) -> None:
-        edges.extend(
-            (a, b, {"volume": v})
-            for a, b, v in zip(i.tolist(), j.tolist(), volume.tolist())
-        )
+        for a, b, v in zip(i.tolist(), j.tolist(), volume.tolist()):
+            g.adjacency[a][b] = v
+            g.adjacency[b][a] = v
 
     for lvl in np.unique(arr.level).tolist():
         pos = arr.level_indices(lvl)
@@ -95,12 +102,11 @@ def build_box_graph(
             arr.upper[parents],
         )
         add_edges(pos[fi], parents[pj], cells)
-    g.add_edges_from(edges)
     return g
 
 
 def _grow_part(
-    g: nx.Graph, nodes: list[int], target_work: float
+    g: BoxGraph, nodes: list[int], target_work: float
 ) -> tuple[list[int], list[int]]:
     """Carve a connected-ish subset with ~``target_work`` out of ``nodes``.
 
@@ -109,29 +115,25 @@ def _grow_part(
     the growing part (falling back to the heaviest remaining node when the
     frontier is empty), until the target is reached.
     """
+    works, adjacency = g
     remaining = set(nodes)
-    seed = max(remaining, key=lambda n: g.nodes[n]["work"])
+    seed = max(remaining, key=lambda n: works[n])
     part = [seed]
     remaining.discard(seed)
-    acc = g.nodes[seed]["work"]
+    acc = works[seed]
     while remaining and acc < target_work:
         frontier: dict[int, float] = {}
         for p in part:
-            for nbr in g.neighbors(p):
+            for nbr, volume in adjacency[p].items():
                 if nbr in remaining:
-                    frontier[nbr] = (
-                        frontier.get(nbr, 0.0) + g[p][nbr]["volume"]
-                    )
+                    frontier[nbr] = frontier.get(nbr, 0.0) + volume
         if frontier:
             # Prefer the most-connected candidate; break ties on work so
             # growth fills the target quickly and deterministically.
-            nxt = max(
-                frontier,
-                key=lambda n: (frontier[n], g.nodes[n]["work"], -n),
-            )
+            nxt = max(frontier, key=lambda n: (frontier[n], works[n], -n))
         else:
-            nxt = max(remaining, key=lambda n: (g.nodes[n]["work"], -n))
-        w = g.nodes[nxt]["work"]
+            nxt = max(remaining, key=lambda n: (works[n], -n))
+        w = works[nxt]
         # Stop before a gross overshoot (better handled by the other side).
         if acc + w > target_work and acc > 0.5 * target_work:
             overshoot = acc + w - target_work
@@ -181,7 +183,7 @@ class GraphPartitioner(Partitioner):
             left_ranks, right_ranks = ranks[:half], ranks[half:]
             cap_left = float(sum(caps[r] for r in left_ranks))
             cap_right = float(sum(caps[r] for r in right_ranks))
-            work_here = sum(g.nodes[n]["work"] for n in nodes)
+            work_here = sum(g.works[n] for n in nodes)
             share = cap_left / max(cap_left + cap_right, 1e-300)
             left, right = _grow_part(g, nodes, share * work_here)
             bisect(left, left_ranks)
@@ -189,7 +191,7 @@ class GraphPartitioner(Partitioner):
 
         # Process ranks in capacity order so recursive halves are balanced.
         rank_order = sorted(range(len(caps)), key=lambda r: -caps[r])
-        bisect(sorted(g.nodes), rank_order)
+        bisect(list(range(len(boxes))), rank_order)
         # Node i is row i of the input list, so the assignment is the
         # input columns plus a rank per row -- no object materialization.
         ranks = np.empty(len(boxes), dtype=np.intp)

@@ -39,6 +39,9 @@ from repro.partition import (
 from repro.partition.base import Partitioner
 from repro.partition.capacity import CapacityCalculator, CapacityWeights
 from repro.runtime.engine import RunResult, RuntimeConfig, SamrRuntime
+from repro.telemetry.analysis import HealthMonitor, fault_summary
+from repro.telemetry.live import deterministic_tracer
+from repro.telemetry.spans import Tracer, activate
 from repro.util.errors import ExperimentError
 
 __all__ = [
@@ -170,10 +173,6 @@ def campaign_cell(
     function of the spec).  The default is such a deterministic tracer,
     not a wall-clock one, for the same reason.
     """
-    from repro.telemetry.analysis import HealthMonitor
-    from repro.telemetry.live import deterministic_tracer
-    from repro.telemetry.spans import activate
-
     config = dict(config or {})
     try:
         build_cluster = CAMPAIGN_SCENARIOS[scenario]
@@ -510,8 +509,6 @@ def chaos_experiment(
         DistributedAmrRun,
         DistributedRunConfig,
     )
-    from repro.telemetry.analysis import fault_summary
-
     if not 0 < kill < num_nodes:
         raise ExperimentError(
             f"kill must leave at least one survivor: kill={kill}, "
@@ -530,9 +527,7 @@ def chaos_experiment(
     # initial sense + migration dominates short runs, so the outage is
     # placed inside the *stepping* phase -- its start is read off the
     # first "advance" span of an instrumented baseline.
-    from repro.telemetry.spans import Tracer as _Tracer
-
-    probe_tracer = _Tracer()
+    probe_tracer = Tracer()
     h_base = _chaos_hierarchy()
     baseline = DistributedAmrRun(
         h_base,

@@ -50,153 +50,85 @@ ambient one (:func:`get_active_tracer`), which is the no-op tracer unless
     write_chrome_trace(tracer, "run.trace.json")
 """
 
-from repro.telemetry.analysis import (
-    PAPER_IMBALANCE_BOUND_PCT,
-    AnomalyDetector,
-    HealthEvent,
-    HealthMonitor,
-    HealthSnapshot,
-    RollingZScore,
-    ThresholdRule,
-    analyze_records,
-    default_detectors,
-    fault_summary,
-)
-from repro.telemetry.export import (
-    aggregate_phases,
-    chrome_trace_events,
-    metrics_csv,
-    metrics_summary,
-    write_chrome_trace,
-    write_jsonl,
-    write_metrics_csv,
-    write_metrics_json,
-)
-from repro.telemetry.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    openmetrics_selfcheck,
-)
-from repro.telemetry.live import (
-    ARTIFACT_FILES,
-    EVENTS_NAME,
-    LiveProgress,
-    ProgressLog,
-    TelemetryDigest,
-    deterministic_tracer,
-    digest_from_record,
-    format_sse,
-    registry_from_progress,
-    write_cell_bundle,
-)
-from repro.telemetry.names import EVENT_NAMES, EVENT_PREFIXES, SPAN_NAMES
-from repro.telemetry.profile import (
-    CommMatrix,
-    CommProfile,
-    IterationPath,
-    LiveTop,
-    PathSegment,
-    RunCriticalPath,
-    analyze_critical_path,
-    comm_profile,
-    flamegraph_collapsed,
-    format_critical_path_report,
-    registry_from_records,
-    speedscope_document,
-    write_collapsed,
-    write_openmetrics,
-    write_speedscope,
-)
-from repro.telemetry.report import (
-    load_trace_records,
-    render_dashboard,
-    write_dashboard,
-)
-from repro.telemetry.spans import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TraceEvent,
-    Tracer,
-    activate,
-    get_active_tracer,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
-__all__ = [
+#: public name -> the submodule that defines it, imported on first access
+#: (PEP 562): a caller that wants ``Tracer`` does not load the dashboard.
+_EXPORTS = {
     # spans
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "Span",
-    "TraceEvent",
-    "activate",
-    "get_active_tracer",
+    "Tracer": "spans",
+    "NullTracer": "spans",
+    "NULL_TRACER": "spans",
+    "Span": "spans",
+    "TraceEvent": "spans",
+    "activate": "spans",
+    "get_active_tracer": "spans",
     # metrics
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_REGISTRY",
-    "Counter",
-    "Gauge",
-    "Histogram",
+    "MetricsRegistry": "metrics",
+    "NullMetricsRegistry": "metrics",
+    "NULL_REGISTRY": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
     # export
-    "chrome_trace_events",
-    "write_chrome_trace",
-    "write_jsonl",
-    "aggregate_phases",
-    "metrics_summary",
-    "metrics_csv",
-    "write_metrics_csv",
-    "write_metrics_json",
+    "chrome_trace_events": "export",
+    "write_chrome_trace": "export",
+    "write_jsonl": "export",
+    "aggregate_phases": "export",
+    "metrics_summary": "export",
+    "metrics_csv": "export",
+    "write_metrics_csv": "export",
+    "write_metrics_json": "export",
     # analysis
-    "PAPER_IMBALANCE_BOUND_PCT",
-    "AnomalyDetector",
-    "HealthEvent",
-    "HealthMonitor",
-    "HealthSnapshot",
-    "RollingZScore",
-    "ThresholdRule",
-    "analyze_records",
-    "default_detectors",
-    "fault_summary",
+    "PAPER_IMBALANCE_BOUND_PCT": "analysis",
+    "AnomalyDetector": "analysis",
+    "HealthEvent": "analysis",
+    "HealthMonitor": "analysis",
+    "HealthSnapshot": "analysis",
+    "RollingZScore": "analysis",
+    "ThresholdRule": "analysis",
+    "analyze_records": "analysis",
+    "default_detectors": "analysis",
+    "fault_summary": "analysis",
     # report
-    "load_trace_records",
-    "render_dashboard",
-    "write_dashboard",
+    "load_trace_records": "profile",
+    "render_dashboard": "report",
+    "write_dashboard": "report",
     # metrics exposition
-    "openmetrics_selfcheck",
+    "openmetrics_selfcheck": "metrics",
     # names registry
-    "SPAN_NAMES",
-    "EVENT_NAMES",
-    "EVENT_PREFIXES",
+    "SPAN_NAMES": "names",
+    "EVENT_NAMES": "names",
+    "EVENT_PREFIXES": "names",
     # profile
-    "PathSegment",
-    "IterationPath",
-    "RunCriticalPath",
-    "analyze_critical_path",
-    "format_critical_path_report",
-    "CommMatrix",
-    "CommProfile",
-    "comm_profile",
-    "flamegraph_collapsed",
-    "speedscope_document",
-    "registry_from_records",
-    "write_collapsed",
-    "write_speedscope",
-    "write_openmetrics",
-    "LiveTop",
+    "PathSegment": "profile",
+    "IterationPath": "profile",
+    "RunCriticalPath": "profile",
+    "analyze_critical_path": "profile",
+    "format_critical_path_report": "profile",
+    "CommMatrix": "profile",
+    "CommProfile": "profile",
+    "comm_profile": "profile",
+    "flamegraph_collapsed": "profile",
+    "speedscope_document": "profile",
+    "registry_from_records": "profile",
+    "write_collapsed": "profile",
+    "write_speedscope": "profile",
+    "write_openmetrics": "profile",
+    "LiveTop": "profile",
     # live campaign observability
-    "ARTIFACT_FILES",
-    "EVENTS_NAME",
-    "LiveProgress",
-    "ProgressLog",
-    "TelemetryDigest",
-    "deterministic_tracer",
-    "digest_from_record",
-    "format_sse",
-    "registry_from_progress",
-    "write_cell_bundle",
-]
+    "ARTIFACT_FILES": "live",
+    "EVENTS_NAME": "live",
+    "LiveProgress": "live",
+    "ProgressLog": "live",
+    "TelemetryDigest": "live",
+    "deterministic_tracer": "live",
+    "digest_from_record": "live",
+    "format_sse": "live",
+    "registry_from_progress": "live",
+    "write_cell_bundle": "live",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

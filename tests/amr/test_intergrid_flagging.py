@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.amr.flagging import buffer_flags, flag_patch
 from repro.amr.intergrid import prolong, restrict
@@ -101,3 +102,29 @@ class TestFlagging:
     def test_buffer_negative_rejected(self):
         with pytest.raises(GeometryError):
             buffer_flags(np.zeros((2, 2), dtype=bool), -1)
+
+
+def reference_buffer(flags: np.ndarray, k: int) -> np.ndarray:
+    """Per cell: any flag in the ``(2k+1)^ndim`` window around it, with
+    nothing flagged outside the mask."""
+    out = np.zeros_like(flags)
+    for idx in np.ndindex(flags.shape):
+        window = tuple(slice(max(0, i - k), i + k + 1) for i in idx)
+        out[idx] = flags[window].any()
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        bool,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=7),
+        elements=st.booleans(),
+    ),
+    st.integers(0, 4),
+)
+def test_buffer_matches_brute_force_window(flags, k):
+    """Covers 1-3-D masks, k = 0..4 and k at or beyond an axis length."""
+    out = buffer_flags(flags, k)
+    assert out.dtype == bool and out.shape == flags.shape
+    np.testing.assert_array_equal(out, reference_buffer(flags, k))

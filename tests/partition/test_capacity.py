@@ -8,18 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
+from repro.kernels.workloads import paper_rm3d_trace
 from repro.monitor import ResourceMonitor
 from repro.monitor.service import MonitorSnapshot
+from repro.partition import ACEHeterogeneous, GreedyLPT, SFCHybrid
 from repro.partition.capacity import CapacityCalculator, CapacityWeights
 from repro.util.errors import PartitionError
 
 
-def snap(cpu, mem, bw) -> MonitorSnapshot:
+def snap(cpu, memory_mb, bandwidth_mbps) -> MonitorSnapshot:
     return MonitorSnapshot(
         time=0.0,
         cpu=np.asarray(cpu, float),
-        memory_mb=np.asarray(mem, float),
-        bandwidth_mbps=np.asarray(bw, float),
+        memory_mb=np.asarray(memory_mb, float),
+        bandwidth_mbps=np.asarray(bandwidth_mbps, float),
         overhead_seconds=0.0,
     )
 
@@ -92,12 +94,52 @@ class TestCapacityCalculator:
                 snap([-0.1, 0.5], [1, 1], [1, 1])
             )
 
-    def test_work_targets(self):
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteRejected:
+    """A NaN or infinite sensor reading or capacity is a typed error, not
+    NaN capacities or a layout that silently piles work on one rank."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("field", ["cpu", "memory_mb", "bandwidth_mbps"])
+    def test_sensor_reading(self, field, bad):
+        readings = {
+            "cpu": [0.5, 0.9, 0.7, 0.3],
+            "memory_mb": [400.0] * 4,
+            "bandwidth_mbps": [100.0] * 4,
+        }
+        readings[field][1] = bad
+        with pytest.raises(PartitionError, match="finite"):
+            CapacityCalculator().relative_capacities(snap(**readings))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_reading_of_a_live_node(self, bad):
         calc = CapacityCalculator()
-        t = calc.work_targets(snap([1, 1], [1, 1], [1, 1]), 1000.0)
-        np.testing.assert_allclose(t, [500.0, 500.0])
-        with pytest.raises(PartitionError):
-            calc.work_targets(snap([1], [1], [1]), -5.0)
+        cpu = [0.5, bad, 0.7, 0.3]
+        with pytest.raises(PartitionError, match="finite"):
+            calc.relative_capacities(
+                snap(cpu, [400.0] * 4, [100.0] * 4),
+                live=np.array([True, True, False, True]),
+            )
+        # A dead node's reading is never used.
+        c = calc.relative_capacities(
+            snap(cpu, [400.0] * 4, [100.0] * 4),
+            live=np.array([True, False, True, True]),
+        )
+        assert c[1] == 0.0 and c.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize(
+        "partitioner", [ACEHeterogeneous, SFCHybrid, GreedyLPT],
+        ids=lambda cls: cls.name,
+    )
+    def test_partitioner_capacities(self, partitioner, bad):
+        boxes = paper_rm3d_trace(num_regrids=4).epoch(2)
+        for caps in ([bad, 1.0], [0.16, 0.19, bad, 0.34]):
+            with pytest.raises(PartitionError, match="finite"):
+                partitioner().partition(boxes, caps)
 
 
 @settings(max_examples=100)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -26,7 +25,12 @@ from repro.monitor.service import MonitorSnapshot
 from repro.partition.base import PartitionResult, Partitioner, WorkModel, as_work_model
 from repro.partition.capacity import CapacityCalculator
 from repro.partition.composite import ACEComposite
-from repro.partition.graphpart import GraphPartitioner, _grow_part, build_box_graph
+from repro.partition.graphpart import (
+    BoxGraph,
+    GraphPartitioner,
+    _grow_part,
+    build_box_graph,
+)
 from repro.partition.greedy import GreedyLPT
 from repro.partition.heterogeneous import ACEHeterogeneous
 from repro.partition.hybrid import SFCHybrid
@@ -194,12 +198,9 @@ def reference_curve(
 
 def reference_build_box_graph(
     boxes: BoxList, model, ghost_width=1, refine_factor=2
-) -> nx.Graph:
-    g = nx.Graph()
+) -> BoxGraph:
     box_list = list(boxes)
-    works = model.vector(boxes).tolist()
-    for i, b in enumerate(box_list):
-        g.add_node(i, box=b, work=works[i])
+    g = BoxGraph(model.vector(boxes).tolist(), [{} for _ in box_list])
     by_level: dict[int, list[tuple[int, Box]]] = {}
     for i, b in enumerate(box_list):
         by_level.setdefault(b.level, []).append((i, b))
@@ -207,10 +208,8 @@ def reference_build_box_graph(
     def bump(i: int, j: int, cells: int) -> None:
         if cells <= 0 or i == j:
             return
-        if g.has_edge(i, j):
-            g[i][j]["volume"] += cells
-        else:
-            g.add_edge(i, j, volume=cells)
+        g.adjacency[i][j] = g.adjacency[i].get(j, 0) + cells
+        g.adjacency[j][i] = g.adjacency[j].get(i, 0) + cells
 
     for level, members in by_level.items():
         for ai in range(len(members)):
@@ -252,15 +251,15 @@ def reference_graph_partition(boxes: BoxList, capacities, model) -> PartitionRes
         left_ranks, right_ranks = ranks[:half], ranks[half:]
         cap_left = float(sum(caps[r] for r in left_ranks))
         cap_right = float(sum(caps[r] for r in right_ranks))
-        work_here = sum(g.nodes[n]["work"] for n in nodes)
+        work_here = sum(g.works[n] for n in nodes)
         share = cap_left / max(cap_left + cap_right, 1e-300)
         left, right = _grow_part(g, nodes, share * work_here)
         bisect(left, left_ranks)
         bisect(right, right_ranks)
 
     rank_order = sorted(range(len(caps)), key=lambda r: -caps[r])
-    bisect(sorted(g.nodes), rank_order)
-    pairs = [(g.nodes[n]["box"], rank) for n, rank in sorted(assignment.items())]
+    bisect(list(range(len(boxes))), rank_order)
+    pairs = [(boxes[n], rank) for n, rank in sorted(assignment.items())]
     return PartitionResult(Layout.from_pairs(pairs), targets, work_model=model)
 
 
@@ -392,18 +391,8 @@ class TestBoxGraphIdentity:
         model = as_work_model(None)
         got = build_box_graph(boxes, model)
         want = reference_build_box_graph(boxes, model)
-        assert sorted(got.nodes) == sorted(want.nodes)
-        for n in want.nodes:
-            assert got.nodes[n]["work"] == want.nodes[n]["work"]
-        got_edges = {
-            (min(u, v), max(u, v)): d["volume"]
-            for u, v, d in got.edges(data=True)
-        }
-        want_edges = {
-            (min(u, v), max(u, v)): d["volume"]
-            for u, v, d in want.edges(data=True)
-        }
-        assert got_edges == want_edges
+        assert got.works == want.works
+        assert got.adjacency == want.adjacency
 
 
 class TestRedistributionIdentity:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro.kernels.workloads import moving_blob_trace, paper_rm3d_trace
 from repro.partition import GraphPartitioner, build_box_graph
@@ -10,6 +13,41 @@ from repro.util.geometry import Box, BoxList
 from tests.conftest import box_work
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
+EIGHT_CAPS = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.19, 0.21]
+
+#: SHA-256 of ``layout.ranks`` (int64 bytes) per (capacities, RM3D epoch),
+#: recorded with the networkx-based graph this module used to build.
+PINNED_RANKS = {
+    ("paper", 1): "1a49ad102d394e4c1d7ad7ac24812becd0b1ed707d27dde69375128ac2f283f5",
+    ("paper", 3): "cfde80df121c4bb29b150cf766e6d217cb5286b2e4a51fbf2be029447a924af8",
+    ("paper", 5): "46f7564a586f0b2ef6133776ca8c3a163b87e56001acb92ad92b131721439d85",
+    ("paper", 7): "32ba4538ae87b821fd9f0c3381239a3dbdda45c89e27bf72c3e66d30606882e6",
+    ("eight", 1): "f41616b4a1aebde3f9d9cd016d318efcb51eee341b094f3bea29a67bbc235c8a",
+    ("eight", 3): "13fb5bdb7d3a54565dd7a4531743b3b40be202af5b789df08d8e672ffccef645",
+    ("eight", 5): "307146bd7de3b0eac506fa2a8a311acd9387f2694d1e41d5e7ba11245e7a891b",
+    ("eight", 7): "c4e21face2e60aabaf1c600e06aedbca4654ca4bff2915994a07b872a18fa6d3",
+}
+
+
+def ranks_digest(ranks: np.ndarray) -> str:
+    return hashlib.sha256(ranks.astype(np.int64).tobytes()).hexdigest()
+
+
+def num_edges(g) -> int:
+    return sum(len(nbrs) for nbrs in g.adjacency) // 2
+
+
+def is_connected(g) -> bool:
+    """Breadth-first search from node 0 reaches every node."""
+    seen = {0}
+    queue = [0]
+    while queue:
+        node = queue.pop()
+        for nbr in g.adjacency[node]:
+            if nbr not in seen:
+                seen.add(nbr)
+                queue.append(nbr)
+    return len(seen) == len(g.works)
 
 
 class TestBoxGraph:
@@ -17,39 +55,56 @@ class TestBoxGraph:
         a = Box((0, 0), (4, 8))
         b = Box((4, 0), (8, 8))
         g = build_box_graph(BoxList([a, b]), None)
-        assert g.number_of_nodes() == 2
-        assert g.has_edge(0, 1)
+        assert len(g.works) == 2
+        assert 1 in g.adjacency[0]
         # Shared face: 8 cells each direction -> volume 16.
-        assert g[0][1]["volume"] == 16
+        assert g.adjacency[0][1] == g.adjacency[1][0] == 16
 
     def test_distant_boxes_disconnected(self):
         a = Box((0, 0), (2, 2))
         b = Box((10, 10), (12, 12))
         g = build_box_graph(BoxList([a, b]), None)
-        assert g.number_of_edges() == 0
+        assert num_edges(g) == 0
+        assert not is_connected(g)
 
     def test_interlevel_edge(self):
         coarse = Box((0, 0), (8, 8), 0)
         fine = Box((2, 2), (6, 6), 1)
         g = build_box_graph(BoxList([coarse, fine]), None)
-        assert g.has_edge(0, 1)
+        assert 1 in g.adjacency[0]
 
     def test_node_weights_are_work(self):
         b = Box((0, 0), (4, 4), level=1)
         g = build_box_graph(BoxList([b]), None)
-        assert g.nodes[0]["work"] == box_work(b)
+        assert g.works[0] == box_work(b)
 
     def test_paper_trace_graph_connected(self):
         """The RM3D hierarchy's graph is a single connected component
         (slab chunks touch; fingers nest inside the slab)."""
-        import networkx as nx
-
         bl = paper_rm3d_trace(num_regrids=4).epoch(2)
         g = build_box_graph(bl, None)
-        assert nx.is_connected(g)
+        assert is_connected(g)
 
 
 class TestGraphPartitioner:
+    @pytest.mark.parametrize("caps_name, epoch", sorted(PINNED_RANKS))
+    def test_layout_pinned(self, caps_name, epoch):
+        caps = {"paper": PAPER_CAPS, "eight": EIGHT_CAPS}[caps_name]
+        bl = paper_rm3d_trace(num_regrids=8).epoch(epoch)
+        ranks = GraphPartitioner().partition(bl, caps).layout.ranks
+        assert ranks_digest(ranks) == PINNED_RANKS[caps_name, epoch]
+
+    def test_layout_pinned_when_frontier_ties_on_volume(self):
+        """Equal capacities over a chopped blob: growth breaks ties on
+        connection volume by work, which the RM3D cases never reach."""
+        bl = moving_blob_trace(
+            domain_shape=(64, 64), num_regrids=6, max_levels=3, chop_pieces=4
+        ).epoch(3)
+        ranks = GraphPartitioner().partition(bl, [0.25] * 4).layout.ranks
+        assert ranks_digest(ranks) == (
+            "4ee9151a383e9d79f0b1c96b38e15434ed231b17a3bf37aecf44fe71ca80138f"
+        )
+
     def test_covers_and_ranks(self):
         bl = paper_rm3d_trace(num_regrids=8).epoch(3)
         r = GraphPartitioner().partition(bl, PAPER_CAPS)

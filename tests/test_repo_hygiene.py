@@ -1,17 +1,25 @@
-"""Repo hygiene: one benchmark file at the root, and CI runs what exists.
+"""Repo hygiene: one benchmark file at the root, CI runs what exists, and
+numpy is the only third-party package the code imports.
 
 ``bench/`` + ``BENCHMARK.json`` is the only performance harness (ROADMAP
 item 8).  A half-done retirement -- a script deleted and its CI step
-left, or an old baseline file regenerated and committed -- would
-otherwise first show up on the hosted runner.
+left, an old baseline file regenerated and committed, or a retired
+dependency imported again -- would otherwise first show up on the hosted
+runner.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+
+#: Not installed by ``pip install -e ".[test]"``: numpy is the only
+#: runtime dependency (``pyproject.toml``).
+RETIRED_DEPENDENCIES = {"scipy", "networkx"}
+SCANNED_DIRS = ("src", "tests", "benchmarks", "examples", "tools", "bench")
 
 _RUN_RE = re.compile(r"^(\s*)(?:- )?run:\s*(.*)$")
 _PATH_RE = re.compile(r"(?<![\w./-])(?:benchmarks|tools|bench|examples)/[\w./-]*")
@@ -85,3 +93,41 @@ jobs:
 """
     assert run_commands(planted)[0] == "python tools/check_span_names.py"
     assert missing_paths(planted, REPO) == ["benchmarks/no_such_script.py"]
+
+
+def retired_imports(source: str) -> list[int]:
+    """Line of every ``import``/``from`` of a retired dependency."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] in RETIRED_DEPENDENCIES for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_code_imports_a_retired_dependency():
+    offenders = [
+        f"{path.relative_to(REPO)}:{line}"
+        for directory in SCANNED_DIRS
+        for path in sorted((REPO / directory).rglob("*.py"))
+        for line in retired_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_import_check_flags_a_planted_offender():
+    planted = (
+        "import os\n"
+        "import numpy as np, scipy.ndimage as ndi\n"
+        "from networkx.algorithms import is_connected\n"
+        "from . import scipy\n"
+        "import scipy_like\n"
+        "def f():\n"
+        "    import networkx\n"
+    )
+    assert retired_imports(planted) == [2, 3, 7]
