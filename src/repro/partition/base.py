@@ -19,6 +19,7 @@ __all__ = [
     "as_work_model",
     "PartitionResult",
     "Partitioner",
+    "check_tiling",
 ]
 
 
@@ -91,6 +92,9 @@ class PartitionResult:
         Total cells per level must match and assigned boxes must be
         disjoint; raises :class:`PartitionError` otherwise.  Runs on the
         cached column views of both lists -- no per-box objects.
+
+        The provenance-free oracle for tests and benchmarks: partitioners
+        certify themselves with the stronger, cheaper :func:`check_tiling`.
         """
         got = self.boxes()
         got_cells = got.cells_by_level()
@@ -104,6 +108,75 @@ class PartitionResult:
                 )
         if not got.is_disjoint():
             raise PartitionError("assignment produced overlapping boxes")
+
+
+def check_tiling(
+    original: BoxList, layout: Layout, source: np.ndarray, num_ranks: int
+) -> None:
+    """Certify that ``layout`` tiles the disjoint ``original`` exactly.
+
+    ``source[i]`` is the input row layout row ``i`` is, or was cut from.
+    Raises :class:`PartitionError` naming the first violated clause:
+
+    1. ``source`` has one entry per row, each an input row index;
+    2. every row is at its source's level and inside its source's box;
+    3. each source's pieces sum to exactly its cells;
+    4. the pieces of every split source (count > 1) are pairwise disjoint;
+    5. every rank is in ``[0, num_ranks)``.
+
+    With a disjoint input (:meth:`Partitioner._check_inputs`), 2-4 say
+    the pieces of each source tile it and pieces of different sources
+    cannot meet -- the output is a disjoint exact cover.  That is
+    stronger than :meth:`PartitionResult.validate_covers`, which keeps
+    only per-level totals (a piece moved into a hole passes) and never
+    reads ranks.  Every pass is O(rows) over the columns; only clause 4
+    grid-hashes, over the split pieces alone.
+    """
+    orig, got = original.array, layout.boxes.array
+    n, m = len(orig), len(got)
+    src = np.asarray(source)
+    if src.shape != (m,) or (
+        m and (src.dtype.kind not in "iu" or src.min() < 0 or src.max() >= n)
+    ):
+        raise PartitionError(
+            f"tiling certificate: source must give one input row in "
+            f"[0, {n}) per layout row ({m} rows)"
+        )
+    if m and (
+        got.ndim != orig.ndim
+        or not np.array_equal(got.level, orig.level[src])
+        or not (got.lower >= orig.lower[src]).all()
+        or not (got.upper <= orig.upper[src]).all()
+    ):
+        raise PartitionError(
+            "tiling certificate: a row is not inside its source box "
+            "at its level"
+        )
+    cells = got.num_cells()
+    want = orig.num_cells()
+    if int(cells.sum()) < 2**53:
+        # float64 bincount sums are exact below 2**53 cells.
+        per_source = np.bincount(src, weights=cells, minlength=n)
+    else:
+        per_source = np.zeros(n, dtype=np.int64)
+        np.add.at(per_source, src, cells)
+    if not np.array_equal(per_source, want):
+        bad = int(np.flatnonzero(per_source != want)[0])
+        raise PartitionError(
+            f"tiling certificate: input row {bad} has {int(per_source[bad])} "
+            f"cells assigned, not {int(want[bad])}"
+        )
+    split = np.flatnonzero(np.bincount(src, minlength=n)[src] > 1)
+    if split.size and not got.take(split).is_disjoint():
+        raise PartitionError(
+            "tiling certificate: pieces of a split box overlap"
+        )
+    ranks = layout.ranks
+    if m and int(ranks.max()) >= num_ranks:
+        raise PartitionError(
+            f"tiling certificate: rank {int(ranks.max())} outside "
+            f"[0, {num_ranks})"
+        )
 
 
 def _traced_partition(impl: Callable) -> Callable:
@@ -211,4 +284,8 @@ class Partitioner(abc.ABC):
             raise PartitionError("capacities must be non-negative")
         if caps.sum() <= 0:
             raise PartitionError("total capacity must be positive")
+        # Before any work: a tiling certificate over overlapping sources
+        # proves nothing, and the verdict is memoized on the input.
+        if not boxes.is_disjoint():
+            raise PartitionError("input boxes overlap")
         return caps / caps.sum()

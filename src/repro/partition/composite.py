@@ -26,12 +26,40 @@ from repro.partition.base import (
     PartitionResult,
     WorkModel,
     as_work_model,
+    check_tiling,
 )
 from repro.partition.splitting import SplitConstraints, split_row_to_target
 from repro.util.geometry import BoxArray, BoxList, Layout
-from repro.util.sfc import sfc_order_boxes
+from repro.util.sfc import sfc_sort_order
 
-__all__ = ["ACEComposite", "assign_curve_spans_columnar"]
+__all__ = [
+    "ACEComposite",
+    "assign_curve_spans_columnar",
+    "partition_curve_spans",
+]
+
+
+def partition_curve_spans(
+    boxes: BoxList,
+    targets: np.ndarray,
+    model: WorkModel,
+    constraints: SplitConstraints,
+    curve: str,
+) -> PartitionResult:
+    """Order ``boxes`` along ``curve``, deal the spans, certify the tiling.
+
+    The whole of ACEComposite and SFCHybrid but their ``targets``.  The
+    walk records each output row's row in the ordered list; the sort
+    order maps that back to the input row :func:`check_tiling` needs.
+    """
+    if len(boxes) == 0:
+        return PartitionResult(Layout(boxes, ()), targets, work_model=model)
+    order = sfc_sort_order(boxes.array, curve=curve)
+    layout, source, num_splits = assign_curve_spans_columnar(
+        boxes.take(order), targets, model, constraints
+    )
+    check_tiling(boxes, layout, order[source], len(targets))
+    return PartitionResult(layout, targets, num_splits, model)
 
 
 def assign_curve_spans_columnar(
@@ -39,22 +67,23 @@ def assign_curve_spans_columnar(
     targets: np.ndarray,
     work_of: WorkModel | None,
     constraints: SplitConstraints,
-) -> tuple[Layout, int]:
+) -> tuple[Layout, np.ndarray, int]:
     """Deal an SFC-ordered box list into contiguous per-rank spans.
 
     Each rank receives boxes from the current curve position until its
     ``targets`` entry is filled; boxes straddling a span boundary are split
     under ``constraints`` (remainders stay at the current curve position).
     When a boundary cannot be carved, the shortfall carries into the next
-    rank's span so the global sum is preserved.  Returns the layout and
-    the number of splits performed.
+    rank's span so the global sum is preserved.  Returns the layout, the
+    ``ordered`` row each layout row is or was cut from, and the number of
+    splits performed.
 
     The walk is sequential (the byte-identity tests pin its float
     accumulation and split decisions against the per-box reference) but
     reads box metadata from the ordered list's cached columns and emits
     columns, so no per-box Python objects are created for unsplit boxes.
     Split remainders ride a small deque of ``(lower, upper, level)`` rows
-    at the current curve position.
+    at the current curve position, each with the row it was cut from.
     """
     model = as_work_model(work_of)
     arr = ordered.array
@@ -68,10 +97,11 @@ def assign_curve_spans_columnar(
     # rows, in exact assignment order.  Runs keep the bulk of the output as
     # array slices; split rows are O(num_ranks), not O(n).  Ranks are
     # run-length encoded for the same reason: whole spans land at once.
-    segments: list[tuple] = []  # ("run", i0, i1) | ("row", row)
+    segments: list[tuple] = []  # ("run", i0, i1) | ("row", row, origin)
     rank_runs: list[list[int]] = []  # [rank, count]
     run_start = 0
-    front: deque = deque()  # (row, work) split remainders at curve position
+    # (row, work, origin) split remainders at the curve position
+    front: deque = deque()
     i = 0
 
     def flush_run(stop: int) -> None:
@@ -91,18 +121,18 @@ def assign_curve_spans_columnar(
             # The last rank drains the curve: front rows first (they sit
             # at the current position), then the rest of the bulk run.
             while front:
-                row, _ = front.popleft()
-                segments.append(("row", row))
+                row, _, origin = front.popleft()
+                segments.append(("row", row, origin))
                 emit(rank)
             if i < n:
                 emit(rank, n - i)
                 i = n
             break
         if front:
-            row, w = front[0]
+            row, w, origin = front[0]
             if w <= remaining + 1e-9:
                 front.popleft()
-                segments.append(("row", row))
+                segments.append(("row", row, origin))
                 emit(rank)
                 remaining -= w
                 if remaining <= 0:
@@ -121,7 +151,7 @@ def assign_curve_spans_columnar(
                 continue
             if event == "end":
                 continue
-            row = arr.row(i)
+            row, origin = arr.row(i), i
         split = (
             split_row_to_target(row, remaining, model, constraints)
             if remaining > 0
@@ -139,12 +169,12 @@ def assign_curve_spans_columnar(
             flush_run(i)
             i += 1
             run_start = i
-        segments.append(("row", piece))
+        segments.append(("row", piece, origin))
         emit(rank)
         remaining -= model.work_row(*piece)
         # Remainders stay at the current curve position.
         front.extendleft(
-            (r, model.work_row(*r)) for r in reversed(rest)
+            (r, model.work_row(*r), origin) for r in reversed(rest)
         )
         if remaining <= 0 and rank < num_ranks - 1:
             rank += 1
@@ -154,17 +184,20 @@ def assign_curve_spans_columnar(
     lowers: list[np.ndarray] = []
     uppers: list[np.ndarray] = []
     levels: list[np.ndarray] = []
+    sources: list[np.ndarray] = []
     for seg in segments:
         if seg[0] == "run":
             _, i0, i1 = seg
             lowers.append(arr.lower[i0:i1])
             uppers.append(arr.upper[i0:i1])
             levels.append(arr.level[i0:i1])
+            sources.append(np.arange(i0, i1))
         else:
-            lo, up, lvl = seg[1]
+            (lo, up, lvl), origin = seg[1], seg[2]
             lowers.append(np.array([lo], dtype=np.int64))
             uppers.append(np.array([up], dtype=np.int64))
             levels.append(np.array([lvl], dtype=np.int64))
+            sources.append(np.array([origin]))
     assigned = BoxArray(
         np.concatenate(lowers) if lowers else arr.lower[:0],
         np.concatenate(uppers) if uppers else arr.upper[:0],
@@ -177,7 +210,8 @@ def assign_curve_spans_columnar(
         )
     else:
         out_ranks = np.zeros(0, dtype=np.intp)
-    return Layout(BoxList.from_array(assigned), out_ranks), num_splits
+    source = np.concatenate(sources) if sources else np.zeros(0, np.intp)
+    return Layout(BoxList.from_array(assigned), out_ranks), source, num_splits
 
 
 def _scan_span(
@@ -250,15 +284,7 @@ class ACEComposite(Partitioner):
         caps = self._check_inputs(boxes, capacities)
         num_ranks = len(caps)
         model = as_work_model(work_of)
-        total = model.total(boxes)
-        targets = np.full(num_ranks, total / num_ranks)
-        if len(boxes) == 0:
-            return PartitionResult(Layout(boxes, ()), targets, work_model=model)
-
-        ordered = sfc_order_boxes(boxes, curve=self.curve)
-        layout, num_splits = assign_curve_spans_columnar(
-            ordered, targets, model, self.constraints
+        targets = np.full(num_ranks, model.total(boxes) / num_ranks)
+        return partition_curve_spans(
+            boxes, targets, model, self.constraints, self.curve
         )
-        result = PartitionResult(layout, targets, num_splits, model)
-        result.validate_covers(boxes)
-        return result

@@ -33,6 +33,7 @@ from repro.partition.base import (
     PartitionResult,
     WorkModel,
     as_work_model,
+    check_tiling,
 )
 from repro.util.geometry import BoxList, Layout, overlap_pairs
 
@@ -197,8 +198,6 @@ class GraphPartitioner(Partitioner):
         ranks = np.empty(len(boxes), dtype=np.intp)
         for node, rank in assignment.items():
             ranks[node] = rank
-        result = PartitionResult(
-            Layout(boxes, ranks), targets, work_model=model
-        )
-        result.validate_covers(boxes)
-        return result
+        layout = Layout(boxes, ranks)
+        check_tiling(boxes, layout, np.arange(len(boxes)), len(caps))
+        return PartitionResult(layout, targets, work_model=model)

@@ -18,6 +18,7 @@ from repro.partition.base import (
     PartitionResult,
     WorkModel,
     as_work_model,
+    check_tiling,
 )
 from repro.util.geometry import BoxList, Layout
 
@@ -58,8 +59,6 @@ class GreedyLPT(Partitioner):
             r = int(np.argmin((loads + w) / safe_caps))
             ranks[pos] = r
             loads[r] += w
-        result = PartitionResult(
-            Layout(boxes.take(order), ranks), targets, work_model=model
-        )
-        result.validate_covers(boxes)
-        return result
+        layout = Layout(boxes.take(order), ranks)
+        check_tiling(boxes, layout, order, num_ranks)
+        return PartitionResult(layout, targets, work_model=model)

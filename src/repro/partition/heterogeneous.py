@@ -33,6 +33,7 @@ from repro.partition.base import (
     PartitionResult,
     WorkModel,
     as_work_model,
+    check_tiling,
 )
 from repro.partition.splitting import (
     BoxRow,
@@ -93,10 +94,11 @@ class ACEHeterogeneous(Partitioner):
         # difference between quadratic and linearithmic assignment on the
         # extreme-scale box counts the roadmap targets.  The payload is a
         # row index into the columns (or, for split remainders, a plain
-        # ``(lower, upper, level)`` row); no per-box object is built, and
-        # the ``(work, seq)`` prefix is unique, so payloads never compare.
+        # ``(lower, upper, level)`` row and the input row it was cut from);
+        # no per-box object is built, and the ``(work, seq)`` prefix is
+        # unique, so payloads never compare.
         order = arr.corner_lexsort(primary=works_vec)
-        queue: list[tuple[float, int, int | BoxRow]] = [
+        queue: list[tuple[float, int, int | tuple[BoxRow, int]]] = [
             (works[i], s, i) for s, i in enumerate(order.tolist())
         ]
         heapq.heapify(queue)  # already sorted; heapify is O(n) anyway
@@ -104,13 +106,14 @@ class ACEHeterogeneous(Partitioner):
         num_splits = 0
 
         # Assignment accumulates as source references: a base row index,
-        # or a negative index into the split-row side list.  Columns are
-        # gathered in two vectorized passes at the end.
+        # or a negative index into the split-row side list (each split row
+        # with its origin).  Columns are gathered in two vectorized passes
+        # at the end.
         out_src: list[int] = []
         out_ranks: list[int] = []
-        split_rows: list[BoxRow] = []
+        split_rows: list[tuple[BoxRow, int]] = []
 
-        def emit(payload: "int | BoxRow", rank: int) -> None:
+        def emit(payload: "int | tuple[BoxRow, int]", rank: int) -> None:
             if type(payload) is int:
                 out_src.append(payload)
             else:
@@ -137,7 +140,10 @@ class ACEHeterogeneous(Partitioner):
                     continue
                 if remaining <= 0:
                     break
-                row = arr.row(payload) if type(payload) is int else payload
+                if type(payload) is int:
+                    row, origin = arr.row(payload), payload
+                else:
+                    row, origin = payload
                 split = split_row_to_target(
                     row, remaining, model, self.constraints
                 )
@@ -148,16 +154,19 @@ class ACEHeterogeneous(Partitioner):
                 heapq.heappop(queue)
                 piece, rest = split
                 num_splits += len(rest)  # one cut per remainder box
-                emit(piece, rank)
+                emit((piece, origin), rank)
                 remaining -= model.work_row(*piece)
                 for r in rest:
-                    heapq.heappush(queue, (model.work_row(*r), seq, r))
+                    heapq.heappush(
+                        queue, (model.work_row(*r), seq, (r, origin))
+                    )
                     seq += 1
                 if remaining <= 0:
                     break
 
         m = len(out_src)
         src = np.array(out_src, dtype=np.int64)
+        source = src.copy()
         ndim = arr.ndim
         lowers = np.empty((m, ndim), dtype=np.int64)
         uppers = np.empty((m, ndim), dtype=np.int64)
@@ -170,17 +179,18 @@ class ACEHeterogeneous(Partitioner):
             levels[base_pos] = arr.level[bidx]
         extra_pos = np.flatnonzero(src < 0)
         if extra_pos.size:
-            ex_lo = np.array([r[0] for r in split_rows], dtype=np.int64)
-            ex_up = np.array([r[1] for r in split_rows], dtype=np.int64)
-            ex_lv = np.array([r[2] for r in split_rows], dtype=np.int64)
+            ex_lo = np.array([r[0] for r, _ in split_rows], dtype=np.int64)
+            ex_up = np.array([r[1] for r, _ in split_rows], dtype=np.int64)
+            ex_lv = np.array([r[2] for r, _ in split_rows], dtype=np.int64)
+            ex_src = np.array([o for _, o in split_rows], dtype=np.int64)
             k = -src[extra_pos] - 1
             lowers[extra_pos] = ex_lo[k]
             uppers[extra_pos] = ex_up[k]
             levels[extra_pos] = ex_lv[k]
+            source[extra_pos] = ex_src[k]
         layout = Layout(
             BoxList.from_array(BoxArray(lowers, uppers, levels)),
             np.array(out_ranks, dtype=np.intp),
         )
-        result = PartitionResult(layout, targets, num_splits, model)
-        result.validate_covers(boxes)
-        return result
+        check_tiling(boxes, layout, source, len(caps))
+        return PartitionResult(layout, targets, num_splits, model)

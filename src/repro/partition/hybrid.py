@@ -22,10 +22,9 @@ from repro.partition.base import (
     WorkModel,
     as_work_model,
 )
-from repro.partition.composite import assign_curve_spans_columnar
+from repro.partition.composite import partition_curve_spans
 from repro.partition.splitting import SplitConstraints
-from repro.util.geometry import BoxList, Layout
-from repro.util.sfc import sfc_order_boxes
+from repro.util.geometry import BoxList
 
 __all__ = ["SFCHybrid"]
 
@@ -51,14 +50,7 @@ class SFCHybrid(Partitioner):
     ) -> PartitionResult:
         caps = self._check_inputs(boxes, capacities)
         model = as_work_model(work_of)
-        total = model.total(boxes)
-        targets = caps * total  # the one change vs ACEComposite
-        if len(boxes) == 0:
-            return PartitionResult(Layout(boxes, ()), targets, work_model=model)
-        ordered = sfc_order_boxes(boxes, curve=self.curve)
-        layout, num_splits = assign_curve_spans_columnar(
-            ordered, targets, model, self.constraints
+        targets = caps * model.total(boxes)  # the one change vs ACEComposite
+        return partition_curve_spans(
+            boxes, targets, model, self.constraints, self.curve
         )
-        result = PartitionResult(layout, targets, num_splits, model)
-        result.validate_covers(boxes)
-        return result

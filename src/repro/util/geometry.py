@@ -374,7 +374,14 @@ class BoxArray:
     sweeps, deterministic sort orders) runs directly on the columns.
     """
 
-    __slots__ = ("lower", "upper", "level", "_num_cells", "_cells_by_level")
+    __slots__ = (
+        "lower",
+        "upper",
+        "level",
+        "_num_cells",
+        "_cells_by_level",
+        "_disjoint",
+    )
 
     def __init__(
         self,
@@ -409,6 +416,7 @@ class BoxArray:
         self.level = level
         self._num_cells: np.ndarray | None = None
         self._cells_by_level: dict[int, int] | None = None
+        self._disjoint: bool | None = None
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -499,8 +507,16 @@ class BoxArray:
         return np.flatnonzero(self.level == level)
 
     def at_level(self, level: int) -> "BoxArray":
-        """Sub-array of boxes on one refinement level."""
-        return self.take(self.level_indices(level))
+        """Sub-array of boxes on one refinement level.
+
+        A mask selection keeps rows distinct, so a known-disjoint array
+        hands its verdict down (:meth:`take` cannot: repeated indices may
+        overlap).
+        """
+        sub = self.take(self.level_indices(level))
+        if self._disjoint:
+            sub._disjoint = True
+        return sub
 
     # -- measures -----------------------------------------------------------
     def num_cells(self) -> np.ndarray:
@@ -572,7 +588,19 @@ class BoxArray:
 
     # -- overlap testing ----------------------------------------------------
     def is_disjoint(self) -> bool:
-        """True when no two same-level boxes overlap.
+        """True when no two same-level boxes overlap (memoized).
+
+        The columns are frozen, so the verdict is computed once per array:
+        a partitioner checks its input here on entry, and repartitioning
+        an unchanged hierarchy (or its :meth:`at_level` slices) pays
+        nothing again.
+        """
+        if self._disjoint is None:
+            self._disjoint = self._is_disjoint()
+        return self._disjoint
+
+    def _is_disjoint(self) -> bool:
+        """The grid-hash overlap test behind :meth:`is_disjoint`.
 
         Small per-level groups use one broadcast comparison; larger ones a
         vectorized grid hash -- bin every box by its lower corner with a
@@ -583,9 +611,8 @@ class BoxArray:
         survivors get one exact broadcast test (chunked to bound memory).
         Unlike a single-axis sweep this does not degenerate on
         grid-aligned patchworks where thousands of boxes share one column
-        of the sweep axis.  Every partition validates its output through
-        here, so this must stay cheap at millions of boxes; the columns
-        are built once per :class:`BoxList` and reused across calls.
+        of the sweep axis.  It runs on whole million-box inputs, so it
+        must stay cheap at that scale.
         """
         if len(self) < 2:
             return True
@@ -909,7 +936,10 @@ class BoxList:
     def at_level(self, level: int) -> "BoxList":
         """Sub-list of boxes on one refinement level."""
         if self._boxes is not None:
-            return BoxList(b for b in self._boxes if b.level == level)
+            out = BoxList(b for b in self._boxes if b.level == level)
+            if self._array is not None:
+                out._array = self._array.at_level(level)
+            return out
         return BoxList.from_array(self._array.at_level(level))
 
     # -- transformations ----------------------------------------------------
@@ -969,9 +999,7 @@ class BoxList:
     def is_disjoint(self) -> bool:
         """True when no two same-level boxes overlap.
 
-        Delegates to the cached column view: the coordinate arrays the
-        sweep-line needs are built once per list and reused across calls
-        (validate_covers used to rebuild them on every partition).
+        Delegates to the cached column view, whose verdict is memoized.
         """
         return self.array.is_disjoint()
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxArray, BoxList
 from tests.conftest import boxes
 
 
@@ -261,6 +261,75 @@ class TestBoxList:
         bl = BoxList([Box((i,), (i + 1,)) for i in range(5)])
         assert isinstance(bl[1:3], BoxList)
         assert len(bl[1:3]) == 2
+
+
+class TestDisjointMemo:
+    """``BoxArray.is_disjoint`` is computed once per (frozen) array; only a
+    ``True`` verdict travels, and only through row-distinct selections."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        calls = []
+        real = BoxArray._is_disjoint
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(BoxArray, "_is_disjoint", counted)
+        return calls
+
+    @staticmethod
+    def two_levels(overlap: bool) -> BoxArray:
+        return BoxList(
+            [
+                Box((0, 0), (4, 4), 0),
+                Box((3, 0) if overlap else (4, 0), (8, 4), 0),
+                Box((0, 0), (2, 2), 1),
+            ]
+        ).array
+
+    def test_runs_once_per_array(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for overlap in (False, True):
+            arr = self.two_levels(overlap)
+            assert [arr.is_disjoint() for _ in range(3)] == [not overlap] * 3
+        assert len(calls) == 2
+
+    def test_at_level_inherits_only_true(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        good = self.two_levels(overlap=False)
+        assert good.is_disjoint()
+        assert good.at_level(0).is_disjoint()
+        assert len(calls) == 1
+        bad = self.two_levels(overlap=True)
+        assert not bad.is_disjoint()
+        assert bad.at_level(1).is_disjoint()  # recomputed, not inherited
+        assert not bad.at_level(0).is_disjoint()
+        assert len(calls) == 4
+
+    def test_unknown_verdict_is_not_inherited(self):
+        arr = self.two_levels(overlap=True)
+        assert arr.at_level(0)._disjoint is None
+        assert not arr.at_level(0).is_disjoint()
+
+    def test_take_never_inherits(self):
+        arr = BoxList([Box((0,), (4,)), Box((4,), (8,))]).array
+        assert arr.is_disjoint()
+        dup = arr.take([0, 0])
+        assert dup._disjoint is None
+        assert not dup.is_disjoint()
+
+    def test_boxlist_delegates_to_the_memo(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        for bl in (
+            BoxList([Box((0,), (4,), 0), Box((4,), (8,), 0)]),
+            BoxList.from_array(self.two_levels(overlap=False)),
+        ):
+            assert bl.is_disjoint() and bl.is_disjoint()
+            assert bl.array._disjoint is True
+            assert bl.at_level(0).is_disjoint()
+        assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

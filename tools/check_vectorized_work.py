@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Fail if scalar per-box idioms creep back into the columnar core.
 
-Five families of checks, so a reviewer does not have to spot
+Six families of checks, so a reviewer does not have to spot
 regressions by eye (the first two are mostly substring/regex greps, the
-last three walk the syntax tree):
+last four walk the syntax tree):
 
 **Work pricing** (all of ``src/``): boxes are priced through a
 :class:`repro.partition.workmodel.WorkModel` -- its cached vector
@@ -71,6 +71,14 @@ columns to per-box objects only for some consumer to lower them back::
 
 ``amr/viz.py`` renders a few dozen boxes to text from ``layout.pairs()``
 and is not checked.
+
+**Self-checks** (all of ``src/``): a partitioner certifies its output
+from provenance (``check_tiling``: O(rows), grid-hashing only the split
+pieces).  ``validate_covers`` grid-hashes the whole output and is the
+provenance-free oracle of tests and ``bench/`` only; a call to it in the
+program is the full-output hash coming back::
+
+    result.validate_covers(boxes)         # check_tiling(boxes, layout, ...)
 
 The syntax-tree rules test themselves on a planted offender at every run.
 
@@ -163,6 +171,9 @@ _LOOPS = (
 
 STATE_QUERIES = frozenset({"state_of"})
 
+#: The whole-output oracle no program path may call.
+ORACLES = frozenset({"validate_covers"})
+
 #: The one module that resolves ghost sources, and the per-object ``Box``
 #: set operations it must not loop over.
 GHOST_MODULE = SRC / "repro" / "amr" / "ghost.py"
@@ -202,6 +213,15 @@ for patch in level:
 images = [piece.translate(s) for s in shifts]
 cluster.state_of(0, t)
 busy = {k: cluster.state_of(k, t) for k in live}
+"""
+
+_PLANTED_ORACLE = """\
+class PartitionResult:
+    def validate_covers(self, original):
+        'Tests call result.validate_covers(boxes).'
+# result.validate_covers(boxes)
+result.validate_covers(boxes)
+check(validate_covers(result, boxes))
 """
 
 
@@ -254,21 +274,31 @@ def box_imports(source: str) -> list[int]:
     )
 
 
-def looped_calls(source: str, names: frozenset[str]) -> list[int]:
+def _call_lines(tree: ast.AST, names: frozenset[str]) -> set[int]:
     """Line numbers of calls to any of ``names`` (as ``f(...)`` or
-    ``x.f(...)``) inside a loop body or comprehension."""
+    ``x.f(...)``) under ``tree``."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and not names.isdisjoint(
+            (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        )
+    }
+
+
+def named_calls(source: str, names: frozenset[str]) -> list[int]:
+    """Line numbers of calls to any of ``names`` anywhere in ``source``."""
+    return sorted(_call_lines(ast.parse(source), names))
+
+
+def looped_calls(source: str, names: frozenset[str]) -> list[int]:
+    """Line numbers of calls to any of ``names`` inside a loop body or
+    comprehension."""
     lines = set()
     for loop in ast.walk(ast.parse(source)):
-        if not isinstance(loop, _LOOPS):
-            continue
-        for node in ast.walk(loop):
-            if isinstance(node, ast.Call) and not names.isdisjoint(
-                (
-                    getattr(node.func, "attr", None),
-                    getattr(node.func, "id", None),
-                )
-            ):
-                lines.add(node.lineno)
+        if isinstance(loop, _LOOPS):
+            lines |= _call_lines(loop, names)
     return sorted(lines)
 
 
@@ -360,6 +390,12 @@ def self_test() -> list[str]:
                 f"lint self-test: {sorted(names)} flagged lines {got} of the"
                 f" planted offender, expected {expected}"
             )
+    got = named_calls(_PLANTED_ORACLE, ORACLES)
+    if got != [5, 6]:
+        failures.append(
+            f"lint self-test: oracle calls flagged lines {got} of the"
+            f" planted offender, expected [5, 6]"
+        )
     return failures
 
 
@@ -384,6 +420,11 @@ def main() -> int:
                 f" -- resolve overlaps with overlap_pairs on corner columns"
                 for lineno in looped_calls(source, BOX_WALKS)
             )
+        violations.extend(
+            f"{rel}:{lineno}: `validate_covers(` in the program -- certify"
+            f" from provenance with check_tiling; the oracle is for tests"
+            for lineno in named_calls(source, ORACLES)
+        )
         violations.extend(
             f"{rel}:{lineno}: `work_of=` re-pricing override -- a result"
             f" is priced with the model it carries"
