@@ -383,6 +383,10 @@ class BoxArray:
         "_disjoint",
     )
 
+    #: most bins per box for which the overlap test looks buckets up in a
+    #: per-bin offset table (then about as large as the corner columns)
+    _DENSE_BINS_PER_BOX = 4
+
     def __init__(
         self,
         lower: np.ndarray,
@@ -606,13 +610,17 @@ class BoxArray:
         vectorized grid hash -- bin every box by its lower corner with a
         bin pitch of the level's maximum extent per axis, so two boxes can
         only overlap if their bins are identical or axis-adjacent.
-        Candidate pairs then come from ``3**ndim / 2`` bucket joins, each
-        a pair of ``searchsorted`` calls over the bin-sorted keys, and the
-        survivors get one exact broadcast test (chunked to bound memory).
-        Unlike a single-axis sweep this does not degenerate on
-        grid-aligned patchworks where thousands of boxes share one column
-        of the sweep axis.  It runs on whole million-box inputs, so it
-        must stay cheap at that scale.
+        Candidate pairs then come from ``3**ndim / 2`` bucket joins over
+        the bin-sorted rows, and the survivors get one exact broadcast
+        test (chunked to bound memory).  A bucket is looked up in a dense
+        per-bin offset table when the grid has at most
+        ``_DENSE_BINS_PER_BOX`` bins per box (a tiling patchwork), and by
+        binary search over the sorted keys otherwise (a sparse level in a
+        large domain, where the table would outgrow the boxes).  Unlike a
+        single-axis sweep this does not degenerate on grid-aligned
+        patchworks where thousands of boxes share one column of the sweep
+        axis.  It runs on whole million-box inputs -- every partitioner
+        checks its input here -- so it must stay cheap at that scale.
         """
         if len(self) < 2:
             return True
@@ -621,8 +629,10 @@ class BoxArray:
             n = idx.size
             if n < 2:
                 continue
-            lowers = self.lower[idx]
-            uppers = self.upper[idx]
+            # np.take gathers whole rows several times faster than
+            # fancy indexing.
+            lowers = np.take(self.lower, idx, axis=0)
+            uppers = np.take(self.upper, idx, axis=0)
             if n <= 32:
                 # All i<j pairs in one broadcast.
                 hit = (
@@ -635,62 +645,50 @@ class BoxArray:
                 continue
             pitch = (uppers - lowers).max(axis=0)
             cell = lowers // pitch
-            cell = cell - cell.min(axis=0)
+            cell -= cell.min(axis=0)
+            # One empty bin past the last on every axis: a row-major key
+            # plus an offset's constant delta is then the neighbor's key,
+            # or -- where a -1 component wraps below bin 0 -- the key of
+            # an empty bin.  Either way it lies in [0, bins).
             dims = cell.max(axis=0) + 2
             strides = np.ones(self.ndim, dtype=np.int64)
             for d in range(self.ndim - 2, -1, -1):
                 strides[d] = strides[d + 1] * dims[d + 1]
-            key = cell[:, 0] * int(strides[0])
-            for d in range(1, self.ndim):
-                key += cell[:, d] * int(strides[d])
+            key = cell @ strides
             order = np.argsort(key, kind="stable")
-            lo = lowers[order]
-            up = uppers[order]
+            lo = np.take(lowers, order, axis=0)
+            up = np.take(uppers, order, axis=0)
             skey = key[order]
-            scell = cell[order]
+            bins = 1
+            for d in dims.tolist():
+                bins *= d
+            if bins <= self._DENSE_BINS_PER_BOX * n:
+                # Bin b holds the sorted rows bounds[b]:bounds[b + 1].
+                bounds = np.zeros(bins + 1, dtype=np.int64)
+                np.cumsum(np.bincount(skey, minlength=bins), out=bounds[1:])
+
+                def bucket(t):
+                    start = bounds[t]
+                    return start, bounds[t + 1] - start
+
+            else:
+
+                def bucket(t):
+                    start = np.searchsorted(skey, t, side="left")
+                    return start, np.searchsorted(skey, t, side="right") - start
+
             pos = np.arange(n)
-            # Same-bin pairs: every j > i inside the bucket.  Bucket ends
-            # come from the sorted keys' run-length structure (O(n), no
-            # binary searches).
-            change = skey[1:] != skey[:-1]
-            run_ends = np.append(np.flatnonzero(change) + 1, n)
-            right = run_ends[np.cumsum(np.concatenate(([0], change)))]
-            if self._pairs_overlap(lo, up, pos, pos + 1, right - pos - 1):
+            # Same-bin pairs: every later row of the bucket.
+            start, cnt = bucket(skey)
+            if self._pairs_overlap(lo, up, pos, pos + 1, start + cnt - pos - 1):
                 return False
-            # Adjacent-bin pairs: enumerate only lexicographically
-            # positive offsets so each unordered pair joins exactly once.
-            # Row-major keys make an offset a constant key delta; only
-            # offsets with a -1 component need a validity mask (bin
-            # coordinate 0 has no neighbor below, while +1 always stays
-            # in range because ``dims`` leaves headroom).
+            # Adjacent-bin pairs: only lexicographically positive offsets,
+            # so each unordered pair joins exactly once.
             for off in itertools.product((-1, 0, 1), repeat=self.ndim):
                 if off <= (0,) * self.ndim:
                     continue
-                neg = [d for d, o in enumerate(off) if o < 0]
-                delta = int(np.dot(off, strides))
-                if neg:
-                    mask = scell[:, neg[0]] >= 1
-                    for d in neg[1:]:
-                        mask &= scell[:, d] >= 1
-                    valid = np.flatnonzero(mask)
-                    if not valid.size:
-                        continue
-                    tkey = skey[valid] + delta
-                else:
-                    valid = pos
-                    tkey = skey + delta
-                left = np.searchsorted(skey, tkey, side="left")
-                # A hit bin's size comes from the run-length structure:
-                # ``right[left]`` is the end of the run starting at
-                # ``left`` when the key actually matches (no second
-                # binary search needed).
-                safe = np.minimum(left, n - 1)
-                cnt = np.where(
-                    (left < n) & (skey[safe] == tkey),
-                    right[safe] - left,
-                    0,
-                )
-                if self._pairs_overlap(lo, up, valid, left, cnt):
+                start, cnt = bucket(skey + int(np.dot(off, strides)))
+                if self._pairs_overlap(lo, up, pos, start, cnt):
                     return False
         return True
 

@@ -169,6 +169,38 @@ class TestOrderingEquivalence:
             )
             assert BoxList(bs).is_disjoint() == expected
 
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "bins_per_box", [0, 10**9], ids=["binary-search", "bin-table"]
+    )
+    def test_is_disjoint_bucket_lookups_match_objects(
+        self, monkeypatch, rng, ndim, bins_per_box
+    ):
+        """Both bucket lookups of the grid hash agree with the O(n^2) walk.
+
+        A lattice of small boxes is disjoint; one more box dropped at
+        random may overlap lattice boxes in any direction from its bin --
+        including the diagonal ones only a -1 offset component reaches.
+        """
+        monkeypatch.setattr(BoxArray, "_DENSE_BINS_PER_BOX", bins_per_box)
+        side = {1: 64, 2: 8, 3: 4}[ndim]
+        lattice = 4 * np.indices((side,) * ndim).reshape(ndim, -1).T
+        verdicts = set()
+        for trial in range(80):
+            lo = lattice + rng.integers(0, 2, size=lattice.shape)
+            up = lo + rng.integers(1, 3, size=lattice.shape)
+            if trial % 2:
+                extra = rng.integers(0, 4 * side, size=(1, ndim))
+                lo = np.vstack([lo, extra])
+                up = np.vstack([up, extra + rng.integers(1, 3, size=ndim)])
+            bs = [Box(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), up.tolist())]
+            expected = all(
+                not a.intersects(b) for i, a in enumerate(bs) for b in bs[i + 1 :]
+            )
+            verdicts.add(expected)
+            assert BoxArray.from_boxes(bs).is_disjoint() == expected
+        assert verdicts == {True, False}
+
 
 class TestBoxListViewContract:
     """Lazy (columnar) and materialized BoxLists are interchangeable."""
