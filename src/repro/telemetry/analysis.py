@@ -416,7 +416,11 @@ def _attr_float(attrs: dict[str, Any], *names: str) -> float | None:
 
 
 class _RunAccumulator:
-    """Raw per-run span buffers, grouped as they close."""
+    """Raw per-run span buffers, grouped as they close.
+
+    Rank phases, the bulk of a trace, are kept as ``(name, start_sim,
+    sim_duration)`` tuples: that is all the analysis reads of them.
+    """
 
     __slots__ = ("label", "iterations", "senses", "migrations", "phases")
 
@@ -425,7 +429,7 @@ class _RunAccumulator:
         self.iterations: list[Span] = []
         self.senses: list[Span] = []
         self.migrations: list[Span] = []
-        self.phases: list[Span] = []
+        self.phases: list[tuple[str, float, float]] = []
 
 
 def _analyze_run(pid: int, acc: _RunAccumulator) -> list[HealthSnapshot]:
@@ -464,14 +468,12 @@ def _analyze_run(pid: int, acc: _RunAccumulator) -> list[HealthSnapshot]:
 
     # Per-phase breakdown: each rank-phase span lands in the iteration
     # whose [start, end) interval contains its start time.
-    for span in acc.phases:
-        slot = bisect_right(starts, span.start_sim) - 1
+    for name, start, duration in acc.phases:
+        slot = bisect_right(starts, start) - 1
         if slot < 0:
             continue
-        snap = snapshots[slot]
-        snap.phase_seconds[span.name] = (
-            snap.phase_seconds.get(span.name, 0.0) + span.sim_duration
-        )
+        seconds = snapshots[slot].phase_seconds
+        seconds[name] = seconds.get(name, 0.0) + duration
 
     # Migration churn: bytes/seconds of every migrate span up to (and
     # including) each iteration's end, charged to the first iteration that
@@ -596,7 +598,9 @@ class HealthMonitor:
         elif name == "migrate":
             self._accumulator(span.pid).migrations.append(span)
         elif name in _RANK_PHASES:
-            self._accumulator(span.pid).phases.append(span)
+            self._accumulator(span.pid).phases.append(
+                (name, span.start_sim, span.sim_duration)
+            )
 
     def _finish_run(self, pid: int) -> None:
         acc = self._runs.pop(pid, None)
@@ -696,10 +700,20 @@ def analyze_records(
     for record in records:
         if record.get("type") != "span":
             continue
-        span = _span_from_record(record)
-        acc = runs.get(span.pid)
+        pid = int(record.get("pid", 0))
+        acc = runs.get(pid)
         if acc is None:
-            acc = runs[span.pid] = _RunAccumulator(labels.get(span.pid, ""))
+            acc = runs[pid] = _RunAccumulator(labels.get(pid, ""))
+        name = record["name"]
+        if name in _RANK_PHASES:
+            # ``Span.sim_duration`` of the record, without the ``Span``.
+            start = float(record.get("start_sim") or 0.0)
+            end = record.get("end_sim")
+            acc.phases.append(
+                (name, start, 0.0 if end is None else float(end) - start)
+            )
+            continue
+        span = _span_from_record(record)
         if span.name == "run":
             if not acc.label:
                 acc.label = str(span.attributes.get("partitioner", ""))
@@ -709,8 +723,6 @@ def analyze_records(
             acc.senses.append(span)
         elif span.name == "migrate":
             acc.migrations.append(span)
-        elif span.name in _RANK_PHASES:
-            acc.phases.append(span)
     snapshots: list[HealthSnapshot] = []
     events: list[HealthEvent] = []
     for pid in sorted(runs):

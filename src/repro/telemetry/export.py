@@ -15,7 +15,9 @@ Three output shapes, one tracer:
 
 All serialization tolerates numpy scalars/arrays in span attributes
 without importing numpy (duck-typed via ``item``/``tolist``), keeping the
-telemetry package dependency-free.
+telemetry package dependency-free.  The writers here leave that to the
+C JSON encoder, which calls :func:`_coerce` on each value it has no type
+for, instead of walking every value in Python first.
 """
 
 from __future__ import annotations
@@ -45,19 +47,52 @@ __all__ = [
 RUNTIME_TID = 0
 
 
+def _coerce(value: Any) -> Any:
+    """JSON stand-in for a value JSON has no type for.
+
+    numpy arrays and scalars (duck-typed) become Python lists and
+    numbers, anything else its ``str``.  The encoders call it as their
+    ``default`` hook, and :func:`_jsonable` for its leaves.
+    """
+    if hasattr(value, "tolist"):  # numpy array or scalar
+        return value.tolist()
+    if hasattr(value, "item"):
+        return value.item()
+    return str(value)
+
+
+#: The one encoder of trace records: the C encoder with :func:`_coerce`.
+_ENCODER = json.JSONEncoder(default=_coerce)
+
+
 def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars/arrays (duck-typed) and other oddballs."""
+    """``value`` rebuilt from JSON types, dict keys ``str()``-ed.
+
+    Only for what the encoder hook cannot do: CSV cells, ``sort_keys``
+    writers (keys must be ``str`` before they are sorted) and a record
+    with a key JSON cannot write (:func:`_dumps`).
+    """
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):  # numpy array
-        return _jsonable(value.tolist())
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return str(value)
+    return _jsonable(_coerce(value))
+
+
+def _dumps(value: Any) -> str:
+    """``json.dumps(_jsonable(value))``, without the walk in Python.
+
+    The encoder writes ``int``/``float``/``bool``/``None`` dict keys
+    itself (``True`` as ``"true"`` where ``str`` gives ``"True"``); any
+    other key type raises ``TypeError``, and only then is ``value``
+    rebuilt with ``str`` keys.
+    """
+    try:
+        return _ENCODER.encode(value)
+    except TypeError:
+        return json.dumps(_jsonable(value))
 
 
 def _tid(span_rank: int | None) -> int:
@@ -72,14 +107,15 @@ def chrome_trace_events(
     Spans become complete (``ph="X"``) events with ``ts``/``dur`` in
     simulated microseconds; instant events become ``ph="i"``; process and
     thread names arrive as ``ph="M"`` metadata so Perfetto labels each
-    run and each simulated rank.
+    run and each simulated rank.  ``args`` holds the attribute values as
+    recorded (numpy included); :func:`write_chrome_trace` coerces them.
     """
     out: list[dict[str, Any]] = []
     threads_seen: set[tuple[int, int]] = set()
     for span in tracer.spans:
         tid = _tid(span.rank)
         threads_seen.add((span.pid, tid))
-        args = {k: _jsonable(v) for k, v in span.attributes.items()}
+        args = dict(span.attributes)
         args["wall_seconds"] = span.wall_duration
         out.append(
             {
@@ -105,7 +141,7 @@ def chrome_trace_events(
                 "ts": event.sim * 1e6,
                 "pid": event.pid,
                 "tid": tid,
-                "args": {k: _jsonable(v) for k, v in event.attributes.items()},
+                "args": dict(event.attributes),
             }
         )
     meta: list[dict[str, Any]] = []
@@ -137,7 +173,7 @@ def chrome_trace_events(
 def write_chrome_trace(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
     """Write the Chrome/Perfetto-loadable JSON trace-event array."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(chrome_trace_events(tracer), fh)
+        fh.write(_dumps(chrome_trace_events(tracer)))
 
 
 def jsonl_lines(tracer: Tracer | NullTracer) -> Iterator[str]:
@@ -153,7 +189,7 @@ def jsonl_lines(tracer: Tracer | NullTracer) -> Iterator[str]:
                        r.get("span_id", 0))
     )
     for record in records:
-        yield json.dumps(_jsonable(record)) + "\n"
+        yield _dumps(record) + "\n"
 
 
 def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
@@ -207,7 +243,7 @@ def write_metrics_json(
     path: str | os.PathLike,
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(metrics_summary(source)), fh, indent=2)
+        json.dump(metrics_summary(source), fh, indent=2, default=_coerce)
         fh.write("\n")
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.telemetry.export import _jsonable, jsonl_lines
+from repro.telemetry.export import _coerce, _jsonable, jsonl_lines
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.profile import (
     analyze_critical_path,
@@ -161,8 +161,11 @@ def write_cell_bundle(
     texts = {
         "trace": "".join(jsonl_lines(tracer)),
         "flamegraph": flamegraph_collapsed(records, run_labels=run_labels),
+        # Every key of the document is a ``str`` already, so no
+        # ``_jsonable`` pass is needed before ``sort_keys``.
         "profile": (
-            json.dumps(_jsonable(profile_doc), sort_keys=True, indent=1) + "\n"
+            json.dumps(profile_doc, sort_keys=True, indent=1, default=_coerce)
+            + "\n"
         ),
     }
     manifest: dict[str, Any] = {"files": {}, "total_bytes": 0}

@@ -48,7 +48,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import NullTracer, Tracer
@@ -492,15 +492,29 @@ class CommMatrix:
                 matrix.append([filler] * size)
         self.size = size
 
-    def add(
-        self, src: int, dst: int, nbytes: float, seconds: float, derated: bool
-    ) -> None:
-        self.grow(max(src, dst) + 1)
-        self.bytes[src][dst] += nbytes
-        self.seconds[src][dst] += seconds
-        self.messages[src][dst] += 1
-        if derated:
-            self.derated_bytes[src][dst] += nbytes
+    def add_pairs(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Fold one event's ``(src, dst, bytes, seconds, derated)`` rows.
+
+        Grows once, to the largest rank named, then adds row by row in
+        the given order, so each cell sums its terms in event order.
+        """
+        top = -1
+        for row in rows:
+            src, dst = int(row[0]), int(row[1])
+            if src > top:
+                top = src
+            if dst > top:
+                top = dst
+        self.grow(top + 1)
+        nbytes_m, seconds_m = self.bytes, self.seconds
+        messages_m, derated_m = self.messages, self.derated_bytes
+        for src, dst, nbytes, seconds, derated in rows:
+            src, dst = int(src), int(dst)
+            nbytes_m[src][dst] += nbytes
+            seconds_m[src][dst] += seconds
+            messages_m[src][dst] += 1
+            if derated:
+                derated_m[src][dst] += nbytes
 
     @property
     def bytes_total(self) -> float:
@@ -605,11 +619,9 @@ def comm_profile(
                 matrix = profile.phases[phase] = CommMatrix.zeros(size)
             matrix.grow(size)
             profile.total.grow(size)
-            for src, dst, nbytes, seconds, derated in attrs.get("pairs", ()):
-                matrix.add(int(src), int(dst), nbytes, seconds, bool(derated))
-                profile.total.add(
-                    int(src), int(dst), nbytes, seconds, bool(derated)
-                )
+            pairs = attrs.get("pairs", ())
+            matrix.add_pairs(pairs)
+            profile.total.add_pairs(pairs)
             profile.events += 1
             profile.pairs_dropped += int(attrs.get("pairs_dropped", 0))
         profiles.append(profile)

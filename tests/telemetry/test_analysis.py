@@ -21,6 +21,7 @@ from repro.telemetry import (
     HealthMonitor,
     HealthSnapshot,
     RollingZScore,
+    Span,
     ThresholdRule,
     Tracer,
     analyze_records,
@@ -325,6 +326,46 @@ class TestHealthMonitorLive:
         assert [e.to_dict() for e in events] == [
             e.to_dict() for e in monitor.events
         ]
+
+    def test_two_runs_and_a_crashed_one_match_offline(self, tmp_path):
+        # Live rank phases are buffered from the closing Span, offline
+        # ones straight from the record: the two tuples must agree,
+        # including for a rank phase a crash left without an end.
+        tracer = Tracer()
+        monitor = HealthMonitor().attach(tracer)
+        make_runtime(tracer).run()
+        make_runtime(tracer, iterations=8).run()
+        tracer.begin_run("crashed")
+        tracer.add_span("iteration", 0.0, 1.0, iteration=0)
+        tracer.add_span("compute", 0.0, 0.75, rank=0)
+        unfinished = Span(
+            name="ghost-exchange", span_id=10**6, parent_id=None,
+            pid=tracer.pid, start_wall=0.0, start_sim=0.5, rank=1,
+        )  # fmt: skip
+        # What the tracer does on close, minus the end stamps.
+        tracer.spans.append(unfinished)
+        tracer._notify(unfinished)
+        monitor.finish()
+
+        path = tmp_path / "run.events.jsonl"
+        write_jsonl(tracer, path)
+        records = load_trace_records(path)
+        assert any(
+            r.get("end_sim") is None and r["name"] == "ghost-exchange"
+            for r in records
+        )
+        snapshots, events = analyze_records(
+            records, run_labels=tracer.run_labels
+        )
+        assert len({s.pid for s in snapshots}) == 3
+        assert [s.to_dict() for s in snapshots] == [
+            s.to_dict() for s in monitor.snapshots
+        ]
+        assert [e.to_dict() for e in events] == [
+            e.to_dict() for e in monitor.events
+        ]
+        crashed = snapshots[-1].phase_seconds
+        assert crashed == {"compute": 0.75, "ghost-exchange": 0.0}
 
 
 class TestAnalyzeRecords:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.runtime.experiment import campaign_cell
@@ -62,6 +63,29 @@ class TestCellBundle:
         assert doc["critical_path"]
         assert doc["phases"]
         assert "metrics" in doc
+
+    def test_profile_json_coerces_numpy_in_the_pinned_format(self, tmp_path):
+        # numpy pair values leave numpy cells in the comm matrices (a
+        # float32 sum, a numpy-bool "derated"); the encoder hook writes
+        # them, in the sorted, indent=1 layout the pre-walk wrote.
+        _, tracer = run_cell()
+        tracer.event(
+            "comm.exchange",
+            phase="replay",
+            ranks=2,
+            pairs=[[0, 1, np.float64(10.0), np.float32(0.5), np.bool_(True)]],
+        )
+        write_cell_bundle(tracer, tmp_path / "cell", cell_key="k")
+        text = (tmp_path / "cell" / "profile.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        (replay,) = [
+            p["phases"]["replay"] for p in doc["comm"] if "replay" in p["phases"]
+        ]
+        assert replay["top_pairs"] == [
+            {"bytes": 10.0, "derated": True, "dst": 1, "messages": 1,
+             "seconds": 0.5, "src": 0}
+        ]  # fmt: skip
 
     def test_bundle_byte_identical_across_reruns(self, tmp_path):
         for directory in (tmp_path / "a", tmp_path / "b"):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.kernels.workloads import paper_rm3d_trace
@@ -30,7 +32,45 @@ from repro.telemetry import (
     speedscope_document,
 )
 from repro.telemetry.export import write_jsonl
-from repro.telemetry.profile import CommMatrix, LiveTop
+from repro.telemetry.profile import (
+    CommMatrix,
+    CommProfile,
+    LiveTop,
+    _as_records,
+    _run_label,
+)
+
+#: ``comm.exchange`` records as a trace file holds them: ``ranks`` from 0
+#: up, pairs naming ranks above it, bool or 0/1 ``derated``, two pids,
+#: optional ``pairs_dropped``.
+_PAIRS = st.lists(
+    st.tuples(
+        st.integers(0, 9),
+        st.integers(0, 9),
+        st.one_of(st.integers(0, 10**9), st.floats(0.0, 1e12)),
+        st.floats(0.0, 10.0),
+        st.one_of(st.booleans(), st.sampled_from([0, 1])),
+    ).map(list),
+    max_size=12,
+)
+_EXCHANGE_EVENTS = st.builds(
+    lambda pid, phase, ranks, pairs, dropped: {
+        "type": "event",
+        "name": "comm.exchange",
+        "pid": pid,
+        "attributes": {
+            "phase": phase,
+            "ranks": ranks,
+            "pairs": pairs,
+            **({"pairs_dropped": dropped} if dropped else {}),
+        },
+    },
+    st.sampled_from([1, 2]),
+    st.sampled_from(["ghost-exchange", "migration", "sync"]),
+    st.integers(0, 6),
+    _PAIRS,
+    st.integers(0, 3),
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,9 +175,8 @@ class TestCommProfile:
 
     def test_matrix_grow_preserves_counts(self):
         m = CommMatrix.zeros(2)
-        m.add(0, 1, 100.0, 0.5, False)
-        m.add(3, 0, 50.0, 0.2, True)  # grows to 4x4
-        assert m.size == 4
+        m.add_pairs([(0, 1, 100.0, 0.5, False), (3, 0, 50.0, 0.2, True)])
+        assert m.size == 4  # grown to the largest rank named
         assert m.bytes_total == pytest.approx(150.0)
         assert m.derated_bytes_total == pytest.approx(50.0)
         assert m.messages[3][0] == 1
@@ -146,6 +185,73 @@ class TestCommProfile:
         pairs = comm_profile(traced_run)[0].total.top_pairs(5)
         times = [p["seconds"] for p in pairs]
         assert times == sorted(times, reverse=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_EXCHANGE_EVENTS, max_size=8))
+    def test_batch_fold_equals_per_pair_fold(self, events):
+        records = [
+            {"type": "span", "name": "run", "pid": 1, "span_id": 1,
+             "attributes": {"partitioner": "ACEHeterogeneous"}},
+            *events,
+        ]  # fmt: skip
+        assert [p.to_dict() for p in comm_profile(records)] == [
+            p.to_dict() for p in reference_comm_profile(records)
+        ]
+
+    def test_batch_fold_on_a_real_trace(self, traced_run):
+        assert [p.to_dict() for p in comm_profile(traced_run)] == [
+            p.to_dict() for p in reference_comm_profile(traced_run)
+        ]
+
+
+def reference_add(matrix, src, dst, nbytes, seconds, derated):
+    """The per-pair ``CommMatrix.add`` that ``add_pairs`` replaced."""
+    matrix.grow(max(src, dst) + 1)
+    matrix.bytes[src][dst] += nbytes
+    matrix.seconds[src][dst] += seconds
+    matrix.messages[src][dst] += 1
+    if derated:
+        matrix.derated_bytes[src][dst] += nbytes
+
+
+def reference_comm_profile(source, run_labels=None):
+    """``comm_profile`` as it was: one ``add`` call per pair."""
+    if isinstance(source, Tracer) and run_labels is None:
+        run_labels = dict(source.run_labels)
+    records = _as_records(source)
+    events = [
+        r
+        for r in records
+        if r.get("type") == "event" and r.get("name") == "comm.exchange"
+    ]
+    spans = [r for r in records if r.get("type") == "span"]
+    profiles = []
+    for pid in sorted({e["pid"] for e in events}):
+        run_span_records = [s for s in spans if s["pid"] == pid]
+        profile = CommProfile(
+            pid=pid, label=_run_label(pid, run_span_records, run_labels)
+        )
+        for event in (e for e in events if e["pid"] == pid):
+            attrs = event.get("attributes") or {}
+            phase = str(attrs.get("phase", "exchange"))
+            size = int(attrs.get("ranks", 0))
+            matrix = profile.phases.get(phase)
+            if matrix is None:
+                matrix = profile.phases[phase] = CommMatrix.zeros(size)
+            matrix.grow(size)
+            profile.total.grow(size)
+            for src, dst, nbytes, seconds, derated in attrs.get("pairs", ()):
+                reference_add(
+                    matrix, int(src), int(dst), nbytes, seconds, bool(derated)
+                )
+                reference_add(
+                    profile.total, int(src), int(dst), nbytes, seconds,
+                    bool(derated),
+                )  # fmt: skip
+            profile.events += 1
+            profile.pairs_dropped += int(attrs.get("pairs_dropped", 0))
+        profiles.append(profile)
+    return profiles
 
 
 class TestFlamegraph:

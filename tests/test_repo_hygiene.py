@@ -11,6 +11,7 @@ runner.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -93,6 +94,30 @@ jobs:
 """
     assert run_commands(planted)[0] == "python tools/check_span_names.py"
     assert missing_paths(planted, REPO) == ["benchmarks/no_such_script.py"]
+
+
+def test_ci_gates_the_observability_bill():
+    # The bench job records its numbers and the budget check reads them;
+    # the check's own planted-record self-test must hold here too.
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8"
+    )
+    commands = run_commands(workflow)
+    assert any(
+        "bench/run.py" in c and "--record /tmp/bench-record.json" in c
+        for c in commands
+    )
+    assert (
+        "python tools/check_observability_bill.py /tmp/bench-record.json"
+        in commands
+    )
+    spec = importlib.util.spec_from_file_location(
+        "check_observability_bill",
+        REPO / "tools" / "check_observability_bill.py",
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.self_test() == []
 
 
 def retired_imports(source: str) -> list[int]:
