@@ -513,11 +513,10 @@ def _run_report(target: str, quick: bool, out_dir: str) -> int:
     return 0
 
 
-def _write_profile_artifacts(
-    source, out: Path, stem: str, run_labels: dict[int, str] | None = None
-) -> int:
+def _write_profile_artifacts(source, out: Path, stem: str) -> int:
     """Analyze ``source`` and write the full profile artifact set."""
     from repro.telemetry import (
+        TraceModel,
         analyze_critical_path,
         comm_profile,
         format_critical_path_report,
@@ -529,9 +528,10 @@ def _write_profile_artifacts(
     )
 
     out.mkdir(parents=True, exist_ok=True)
-    results = analyze_critical_path(source, run_labels=run_labels)
+    model = TraceModel.of(source)
+    results = analyze_critical_path(model)
     print(format_critical_path_report(results))
-    comm = comm_profile(source, run_labels=run_labels)
+    comm = comm_profile(model)
     for profile in comm:
         total = profile.total
         derated = total.derated_bytes_total
@@ -558,9 +558,9 @@ def _write_profile_artifacts(
     with open(comm_path, "w", encoding="utf-8") as fh:
         json.dump([p.to_dict() for p in comm], fh, indent=1)
         fh.write("\n")
-    write_collapsed(source, collapsed_path)
-    write_speedscope(source, speedscope_path, name=stem)
-    registry = registry_from_records(source)
+    write_collapsed(model, collapsed_path)
+    write_speedscope(model, speedscope_path, name=stem)
+    registry = registry_from_records(model)
     write_openmetrics(registry, openmetrics_path)
     problems = openmetrics_selfcheck(
         openmetrics_path.read_text(encoding="utf-8")

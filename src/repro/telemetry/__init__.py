@@ -24,6 +24,8 @@ On top of the recording layer sit the consumers added in PR 2:
 - :mod:`repro.telemetry.report` -- renders a tracer or JSONL trace into a
   single self-contained HTML dashboard (inline SVG, no external
   resources): ``repro report <experiment-or-trace>``.
+- :mod:`repro.telemetry.model` -- :class:`TraceModel`, a trace grouped by
+  run once, which every reader below takes or builds from its source.
 - :mod:`repro.telemetry.profile` -- performance introspection over the
   span stream: per-iteration critical-path analysis with per-rank slack,
   rank-by-rank communication matrices with derated-link attribution,
@@ -90,8 +92,10 @@ _EXPORTS = {
     "analyze_records": "analysis",
     "default_detectors": "analysis",
     "fault_summary": "analysis",
+    # trace model
+    "TraceModel": "model",
+    "load_trace_records": "model",
     # report
-    "load_trace_records": "profile",
     "render_dashboard": "report",
     "write_dashboard": "report",
     # metrics exposition

@@ -36,6 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.telemetry.model import TraceModel, TraceSource
 from repro.telemetry.spans import NullTracer, Span, Tracer
 
 __all__ = [
@@ -375,8 +376,6 @@ def fault_summary(events: Iterable[Any]) -> dict[str, Any]:
     recover_times: list[float] = []
     for ev in events:
         if isinstance(ev, dict):
-            if ev.get("type", "event") != "event":
-                continue
             name = str(ev.get("name", ""))
             attrs = ev.get("attributes") or {}
         else:
@@ -530,6 +529,20 @@ def _analyze_run(pid: int, acc: _RunAccumulator) -> list[HealthSnapshot]:
     return snapshots
 
 
+def _detect(
+    snapshots: list[HealthSnapshot], detectors: Sequence[AnomalyDetector]
+) -> list[HealthEvent]:
+    """One run's snapshots through ``detectors``, from a fresh state."""
+    for detector in detectors:
+        detector.reset()
+    return [
+        event
+        for snap in snapshots
+        for detector in detectors
+        for event in detector.observe(snap)
+    ]
+
+
 class HealthMonitor:
     """Subscribes to a tracer and turns its spans into health signals.
 
@@ -608,12 +621,7 @@ class HealthMonitor:
             return
         snapshots = _analyze_run(pid, acc)
         self.snapshots.extend(snapshots)
-        for detector in self.detectors:
-            detector.reset()
-        run_events: list[HealthEvent] = []
-        for snap in snapshots:
-            for detector in self.detectors:
-                run_events.extend(detector.observe(snap))
+        run_events = _detect(snapshots, self.detectors)
         self.events.extend(run_events)
         if self._tracer is not None:
             for event in run_events:
@@ -666,72 +674,58 @@ class HealthMonitor:
 
 # ----------------------------------------------------------------------
 def _span_from_record(record: dict[str, Any]) -> Span:
+    """The fields of a span record the analysis reads, as a ``Span``."""
+    end = record.get("end_sim")
     return Span(
         name=record["name"],
-        span_id=int(record.get("span_id", 0)),
-        parent_id=record.get("parent_id"),
-        pid=int(record.get("pid", 0)),
-        start_wall=float(record.get("start_wall") or 0.0),
+        span_id=0,
+        parent_id=None,
+        pid=0,
+        start_wall=0.0,
         start_sim=float(record.get("start_sim") or 0.0),
-        end_wall=record.get("end_wall"),
-        end_sim=(
-            None if record.get("end_sim") is None else float(record["end_sim"])
-        ),
-        rank=record.get("rank"),
+        end_sim=None if end is None else float(end),
         attributes=dict(record.get("attributes") or {}),
     )
 
 
 def analyze_records(
-    records: Iterable[dict[str, Any]],
+    records: TraceSource,
     detectors: Callable[[], Sequence[AnomalyDetector]] | None = None,
     run_labels: dict[int, str] | None = None,
 ) -> tuple[list[HealthSnapshot], list[HealthEvent]]:
     """Offline analysis of an exported JSONL trace (parsed records).
 
-    Routes the same machinery the live monitor uses, so a dashboard built
+    Runs the same machinery the live monitor uses, so a dashboard built
     from a trace file shows exactly what an attached monitor saw.
+    ``records`` is any trace source (:class:`TraceModel` included).
     ``detectors`` is a factory (fresh state per call) defaulting to
     :func:`default_detectors`.
     """
     factory = detectors or default_detectors
-    runs: dict[int, _RunAccumulator] = {}
-    labels = run_labels or {}
-    for record in records:
-        if record.get("type") != "span":
-            continue
-        pid = int(record.get("pid", 0))
-        acc = runs.get(pid)
-        if acc is None:
-            acc = runs[pid] = _RunAccumulator(labels.get(pid, ""))
-        name = record["name"]
-        if name in _RANK_PHASES:
-            # ``Span.sim_duration`` of the record, without the ``Span``.
-            start = float(record.get("start_sim") or 0.0)
-            end = record.get("end_sim")
-            acc.phases.append(
-                (name, start, 0.0 if end is None else float(end) - start)
-            )
-            continue
-        span = _span_from_record(record)
-        if span.name == "run":
-            if not acc.label:
-                acc.label = str(span.attributes.get("partitioner", ""))
-        elif span.name == "iteration":
-            acc.iterations.append(span)
-        elif span.name == "sense":
-            acc.senses.append(span)
-        elif span.name == "migrate":
-            acc.migrations.append(span)
     snapshots: list[HealthSnapshot] = []
     events: list[HealthEvent] = []
-    for pid in sorted(runs):
-        run_snapshots = _analyze_run(pid, runs[pid])
+    for view in TraceModel.of(records, run_labels).runs:
+        if not view.spans:
+            continue
+        # Each run's span records, buffered as the live monitor buffers them.
+        acc = _RunAccumulator(view.label)
+        buffers = {
+            "iteration": acc.iterations,
+            "sense": acc.senses,
+            "migrate": acc.migrations,
+        }
+        for record in view.spans:
+            name = record["name"]
+            if name in _RANK_PHASES:
+                # ``Span.sim_duration`` of the record, without the ``Span``.
+                start = float(record.get("start_sim") or 0.0)
+                end = record.get("end_sim")
+                acc.phases.append(
+                    (name, start, 0.0 if end is None else float(end) - start)
+                )
+            elif name in buffers:
+                buffers[name].append(_span_from_record(record))
+        run_snapshots = _analyze_run(view.pid, acc)
         snapshots.extend(run_snapshots)
-        suite = list(factory())
-        for detector in suite:
-            detector.reset()
-        for snap in run_snapshots:
-            for detector in suite:
-                events.extend(detector.observe(snap))
+        events.extend(_detect(run_snapshots, list(factory())))
     return snapshots, events

@@ -37,6 +37,7 @@ from typing import Any, Iterable
 
 from repro.telemetry.export import _coerce, _jsonable, jsonl_lines
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.model import TraceModel
 from repro.telemetry.profile import (
     analyze_critical_path,
     comm_profile,
@@ -131,36 +132,28 @@ def write_cell_bundle(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    records = [s.to_dict() for s in tracer.spans] + [
-        e.to_dict() for e in tracer.events
-    ]
-    run_labels = dict(tracer.run_labels)
+    # Built from records, not the tracer, so the metrics are rebuilt from
+    # the span stream: the byte-identity guarantee needs that.
+    records = [s.to_dict() for s in tracer.spans + tracer.events]
+    model = TraceModel(records, tracer.run_labels)
 
     phases: dict[str, dict[str, Any]] = {}
     for span in tracer.spans:
         agg = phases.setdefault(span.name, {"count": 0, "sim_seconds": 0.0})
         agg["count"] += 1
         agg["sim_seconds"] += span.sim_duration
-    # ``registry_from_records`` on a record list (not the live tracer)
-    # takes the offline-reconstruction path: a pure function of the span
-    # stream, which is what the byte-identity guarantee needs.
     profile_doc = {
         "schema_version": BUNDLE_SCHEMA_VERSION,
         "cell_key": cell_key,
-        "critical_path": [
-            r.to_dict()
-            for r in analyze_critical_path(records, run_labels=run_labels)
-        ],
-        "comm": [
-            p.to_dict() for p in comm_profile(records, run_labels=run_labels)
-        ],
+        "critical_path": [r.to_dict() for r in analyze_critical_path(model)],
+        "comm": [p.to_dict() for p in comm_profile(model)],
         "phases": phases,
-        "metrics": registry_from_records(records).summary(),
+        "metrics": registry_from_records(model).summary(),
     }
 
     texts = {
         "trace": "".join(jsonl_lines(tracer)),
-        "flamegraph": flamegraph_collapsed(records, run_labels=run_labels),
+        "flamegraph": flamegraph_collapsed(model),
         # Every key of the document is a ``str`` already, so no
         # ``_jsonable`` pass is needed before ``sort_keys``.
         "profile": (

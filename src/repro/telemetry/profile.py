@@ -1,9 +1,9 @@
 """Performance introspection: critical paths, comm matrices, flamegraphs.
 
 The tracer (:mod:`repro.telemetry.spans`) records *what happened*; this
-module answers *why it took that long*.  It consumes the same three
-sources everywhere -- a live :class:`~repro.telemetry.spans.Tracer`, an
-exported JSONL trace path, or already-parsed record dicts -- and derives:
+module answers *why it took that long*.  Every reader takes any trace
+source :meth:`~repro.telemetry.model.TraceModel.of` accepts, a built
+model included, and derives:
 
 critical path (:func:`analyze_critical_path`)
     Reconstructs each iteration's execution DAG from the span stream:
@@ -46,13 +46,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from itertools import repeat
+from typing import Any, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import NullTracer, Tracer
-from repro.util import durable
+from repro.telemetry.model import RunView, TraceModel, TraceSource
 
 __all__ = [
     "PathSegment",
@@ -72,52 +71,17 @@ __all__ = [
     "LiveTop",
 ]
 
-#: Numerical tolerance for "does this rank span lie inside that
-#: iteration" containment tests on the simulated clock.
-_EPS = 1e-9
-
 #: Rank-track phase names (the simulated per-rank spans the pipeline
 #: emits); everything else with ``rank is None`` is runtime control.
 _RANK_PHASES = ("compute", "ghost-exchange")
 
 
-def load_trace_records(path: str | os.PathLike) -> list[dict[str, Any]]:
-    """Parse an exported JSONL trace back into record dicts.
-
-    The file may be the log of a live or crashed writer, so it is read
-    under the progress log's contract: the complete span/event records,
-    a torn tail or a foreign line skipped.  A missing file raises.
-    """
-    os.stat(path)  # ``read_rows`` reads a missing file as empty
-    return durable.read_rows(path, "type")[0]
+def _start(record: dict[str, Any]) -> float:
+    return float(record["start_sim"])
 
 
-def _as_records(
-    source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
-) -> list[dict[str, Any]]:
-    """Normalize any trace source into parsed record dicts."""
-    if isinstance(source, (Tracer, NullTracer)):
-        return [s.to_dict() for s in source.spans] + [
-            e.to_dict() for e in source.events
-        ]
-    if isinstance(source, (str, os.PathLike)):
-        return load_trace_records(source)
-    return list(source)
-
-
-def _run_label(
-    pid: int,
-    spans: list[dict[str, Any]],
-    run_labels: dict[int, str] | None,
-) -> str:
-    if run_labels and pid in run_labels:
-        return str(run_labels[pid])
-    for s in spans:
-        if s["name"] == "run":
-            partitioner = (s.get("attributes") or {}).get("partitioner")
-            if partitioner:
-                return str(partitioner)
-    return f"run {pid}"
+def _segment(phase: str, rank: int | None, span: dict[str, Any]) -> PathSegment:
+    return PathSegment(phase, rank, _start(span), float(span["end_sim"]))
 
 
 def _duration(record: dict[str, Any]) -> float:
@@ -285,7 +249,7 @@ class RunCriticalPath:
 
 
 def analyze_critical_path(
-    source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
+    source: TraceSource,
     run_labels: dict[int, str] | None = None,
 ) -> list[RunCriticalPath]:
     """Reconstruct the per-iteration critical path of every traced run.
@@ -301,47 +265,23 @@ def analyze_critical_path(
     phases are real cost that belongs to no single span).  By
     construction ``path_length_s == duration_s`` for every iteration.
     """
-    if isinstance(source, (Tracer, NullTracer)) and run_labels is None:
-        run_labels = dict(source.run_labels)
-    records = _as_records(source)
-    spans = [
-        r
-        for r in records
-        if r.get("type") == "span" and r.get("end_sim") is not None
-    ]
     results: list[RunCriticalPath] = []
-    for pid in sorted({s["pid"] for s in spans}):
-        run_spans = [s for s in spans if s["pid"] == pid]
-        iterations = sorted(
-            (s for s in run_spans if s["name"] == "iteration"),
-            key=lambda s: (float(s["start_sim"]), float(s["end_sim"])),
-        )
+    for view in TraceModel.of(source, run_labels).runs:
+        iterations = view.iterations
         if not iterations:
             continue
-        run = RunCriticalPath(
-            pid=pid, label=_run_label(pid, run_spans, run_labels)
-        )
-        it_starts = [float(s["start_sim"]) for s in iterations]
+        run = RunCriticalPath(pid=view.pid, label=view.title)
         # Bucket rank phases and sync spans by containing iteration.
         rank_spans: list[list[dict[str, Any]]] = [[] for _ in iterations]
         sync_spans: list[list[dict[str, Any]]] = [[] for _ in iterations]
         num_ranks = 0
-        for s in run_spans:
-            is_rank_phase = (
-                s.get("rank") is not None and s["name"] in _RANK_PHASES
-            )
-            if not (is_rank_phase or s["name"] == "sync"):
-                continue
-            idx = bisect_right(it_starts, float(s["start_sim"]) + _EPS) - 1
-            if idx < 0:
-                continue
-            it = iterations[idx]
-            if float(s["end_sim"]) > float(it["end_sim"]) + _EPS:
-                continue  # outside the iteration (e.g. replayed work)
-            if is_rank_phase:
+        for s, idx in zip(view.closed, view.slots):
+            if idx is None:
+                continue  # outside every iteration (e.g. replayed work)
+            if s.get("rank") is not None and s["name"] in _RANK_PHASES:
                 rank_spans[idx].append(s)
                 num_ranks = max(num_ranks, int(s["rank"]) + 1)
-            else:
+            elif s["name"] == "sync":
                 sync_spans[idx].append(s)
         for idx, it in enumerate(iterations):
             attrs = it.get("attributes") or {}
@@ -360,43 +300,24 @@ def analyze_critical_path(
                 critical = int(critical)
                 own = sorted(
                     (s for s in rank_spans[idx] if int(s["rank"]) == critical),
-                    key=lambda s: float(s["start_sim"]),
+                    key=_start,
                 )
                 for s in own:
-                    segments.append(
-                        PathSegment(
-                            phase=s["name"],
-                            rank=critical,
-                            start_sim=float(s["start_sim"]),
-                            end_sim=float(s["end_sim"]),
-                        )
-                    )
+                    segments.append(_segment(s["name"], critical, s))
                     if s["name"] == "compute":
                         compute_s += _duration(s)
                     else:
                         comm_s += _duration(s)
             sync_s = sum(_duration(s) for s in sync_spans[idx])
-            for s in sorted(
-                sync_spans[idx], key=lambda s: float(s["start_sim"])
-            ):
-                segments.append(
-                    PathSegment(
-                        phase="sync",
-                        rank=None,
-                        start_sim=float(s["start_sim"]),
-                        end_sim=float(s["end_sim"]),
-                    )
-                )
+            segments += [
+                _segment("sync", None, s)
+                for s in sorted(sync_spans[idx], key=_start)
+            ]
             covered = compute_s + comm_s + sync_s
             barrier_s = max(0.0, (end - start) - covered)
             if barrier_s > 0.0:
                 segments.append(
-                    PathSegment(
-                        phase="barrier",
-                        rank=None,
-                        start_sim=end - barrier_s,
-                        end_sim=end,
-                    )
+                    PathSegment("barrier", None, end - barrier_s, end)
                 )
             iteration_number = attrs.get("iteration", attrs.get("step", idx))
             run.iterations.append(
@@ -583,7 +504,7 @@ class CommProfile:
 
 
 def comm_profile(
-    source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
+    source: TraceSource,
     run_labels: dict[int, str] | None = None,
 ) -> list[CommProfile]:
     """Fold ``comm.exchange`` events into rank-by-rank traffic matrices.
@@ -595,22 +516,12 @@ def comm_profile(
     link.  ``pairs_dropped`` counts per-pair rows the communicator
     truncated from oversized events (totals remain exact).
     """
-    if isinstance(source, (Tracer, NullTracer)) and run_labels is None:
-        run_labels = dict(source.run_labels)
-    records = _as_records(source)
-    events = [
-        r
-        for r in records
-        if r.get("type") == "event" and r.get("name") == "comm.exchange"
-    ]
-    spans = [r for r in records if r.get("type") == "span"]
     profiles: list[CommProfile] = []
-    for pid in sorted({e["pid"] for e in events}):
-        run_span_records = [s for s in spans if s["pid"] == pid]
-        profile = CommProfile(
-            pid=pid, label=_run_label(pid, run_span_records, run_labels)
-        )
-        for event in (e for e in events if e["pid"] == pid):
+    for view in TraceModel.of(source, run_labels).runs:
+        if not view.comm_events:
+            continue
+        profile = CommProfile(pid=view.pid, label=view.title)
+        for event in view.comm_events:
             attrs = event.get("attributes") or {}
             phase = str(attrs.get("phase", "exchange"))
             size = int(attrs.get("ranks", 0))
@@ -632,36 +543,23 @@ def comm_profile(
 # Flamegraphs
 # ----------------------------------------------------------------------
 def _span_forest(
-    run_spans: list[dict[str, Any]],
+    spans: list[dict[str, Any]], view: RunView | None = None
 ) -> tuple[list[dict[str, Any]], dict[int, list[dict[str, Any]]]]:
     """(roots, children-by-span-id) for one run's spans.
 
-    Control spans (``rank is None``) nest by their recorded
-    ``parent_id`` -- the tracer's stack discipline makes those exact.
-    Rank-phase spans are recorded flat against the enclosing ``run``
-    span, so they are re-parented onto the ``iteration`` span whose
-    simulated interval contains them; that is the nesting a human
-    expects to see in the flamegraph.
+    Control spans nest by their recorded ``parent_id`` (the tracer's
+    stack discipline makes those exact).  Rank spans, recorded flat
+    against the ``run`` span, nest under the iteration of their slot
+    when ``view`` -- whose :attr:`~RunView.closed` these are -- is given.
     """
-    by_id = {s["span_id"]: s for s in run_spans}
-    iterations = sorted(
-        (s for s in run_spans if s["name"] == "iteration"),
-        key=lambda s: float(s["start_sim"]),
-    )
-    it_starts = [float(s["start_sim"]) for s in iterations]
+    by_id = {s["span_id"]: s for s in spans}
+    slots = repeat(None) if view is None else view.slots
     children: dict[int, list[dict[str, Any]]] = {}
     roots: list[dict[str, Any]] = []
-    for s in run_spans:
+    for s, slot in zip(spans, slots):
         parent_id = s.get("parent_id")
-        if s.get("rank") is not None and iterations:
-            idx = bisect_right(it_starts, float(s["start_sim"]) + _EPS) - 1
-            if idx >= 0:
-                it = iterations[idx]
-                if (
-                    s.get("end_sim") is not None
-                    and float(s["end_sim"]) <= float(it["end_sim"]) + _EPS
-                ):
-                    parent_id = it["span_id"]
+        if slot is not None and s.get("rank") is not None:
+            parent_id = view.iterations[slot]["span_id"]
         if parent_id is not None and parent_id in by_id:
             children.setdefault(parent_id, []).append(s)
         else:
@@ -682,7 +580,7 @@ def _frame_name(span: dict[str, Any], label: str) -> str:
 
 
 def flamegraph_collapsed(
-    source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
+    source: TraceSource,
     run_labels: dict[int, str] | None = None,
 ) -> str:
     """Collapsed-stack flamegraph text over *simulated* time.
@@ -694,37 +592,23 @@ def flamegraph_collapsed(
     across the run -- that is the point of a flamegraph; use the
     speedscope timeline when per-iteration order matters.
     """
-    if isinstance(source, (Tracer, NullTracer)) and run_labels is None:
-        run_labels = dict(source.run_labels)
-    records = _as_records(source)
-    spans = [
-        r
-        for r in records
-        if r.get("type") == "span" and r.get("end_sim") is not None
-    ]
     weights: dict[tuple[str, ...], int] = {}
 
-    def walk(
-        span: dict[str, Any],
-        stack: tuple[str, ...],
-        children: dict[int, list[dict[str, Any]]],
-        label: str,
-    ) -> None:
-        stack = stack + (_frame_name(span, label),)
-        kids = children.get(span["span_id"], [])
-        child_s = sum(_duration(k) for k in kids)
-        self_us = int(round(max(0.0, _duration(span) - child_s) * 1e6))
-        if self_us > 0 or not kids:
-            weights[stack] = weights.get(stack, 0) + self_us
-        for kid in kids:
-            walk(kid, stack, children, label)
+    for view in TraceModel.of(source, run_labels).runs:
+        roots, children = _span_forest(view.closed, view)
 
-    for pid in sorted({s["pid"] for s in spans}):
-        run_spans = [s for s in spans if s["pid"] == pid]
-        label = _run_label(pid, run_spans, run_labels)
-        roots, children = _span_forest(run_spans)
+        def walk(span: dict[str, Any], stack: tuple[str, ...]) -> None:
+            stack = stack + (_frame_name(span, view.title),)
+            kids = children.get(span["span_id"], [])
+            child_s = sum(_duration(k) for k in kids)
+            self_us = int(round(max(0.0, _duration(span) - child_s) * 1e6))
+            if self_us > 0 or not kids:
+                weights[stack] = weights.get(stack, 0) + self_us
+            for kid in kids:
+                walk(kid, stack)
+
         for root in roots:
-            walk(root, (), children, label)
+            walk(root, ())
     # Zero-weight stacks (leaves shorter than a microsecond of sim time)
     # carry no area; flamegraph.pl renders them as confusing slivers.
     lines = [
@@ -736,7 +620,7 @@ def flamegraph_collapsed(
 
 
 def speedscope_document(
-    source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
+    source: TraceSource,
     run_labels: dict[int, str] | None = None,
     name: str = "repro trace",
 ) -> dict[str, Any]:
@@ -750,14 +634,6 @@ def speedscope_document(
     open/close event stream is always well nested, which the speedscope
     importer requires.
     """
-    if isinstance(source, (Tracer, NullTracer)) and run_labels is None:
-        run_labels = dict(source.run_labels)
-    records = _as_records(source)
-    spans = [
-        r
-        for r in records
-        if r.get("type") == "span" and r.get("end_sim") is not None
-    ]
     frames: list[dict[str, str]] = []
     frame_index: dict[str, int] = {}
 
@@ -769,17 +645,30 @@ def speedscope_document(
         return idx
 
     profiles: list[dict[str, Any]] = []
-    for pid in sorted({s["pid"] for s in spans}):
-        run_spans = [s for s in spans if s["pid"] == pid]
-        label = _run_label(pid, run_spans, run_labels)
-        t0 = min(float(s["start_sim"]) for s in run_spans)
+    for view in TraceModel.of(source, run_labels).runs:
+        if not view.closed:
+            continue
+        label = view.title
+        t0 = min(_start(s) for s in view.closed)
 
         def us(t: float) -> int:
             return int(round((t - t0) * 1e6))
 
+        def timeline(track: str, events: list, end_value: int) -> None:
+            if events:
+                profiles.append(
+                    {
+                        "type": "evented",
+                        "name": f"{label} (pid {view.pid}) {track}",
+                        "unit": "microseconds",
+                        "startValue": 0,
+                        "endValue": end_value,
+                        "events": events,
+                    }
+                )
+
         # Control timeline: the nested span tree, rank tracks excluded.
-        control = [s for s in run_spans if s.get("rank") is None]
-        roots, children = _span_forest(control)
+        roots, children = _span_forest(view.control)
         events: list[dict[str, Any]] = []
         end_value = 0
 
@@ -803,26 +692,14 @@ def speedscope_document(
         cursor = -math.inf
         for root in roots:
             cursor = emit(root, -math.inf, math.inf, cursor)
-        if events:
-            profiles.append(
-                {
-                    "type": "evented",
-                    "name": f"{label} (pid {pid}) runtime",
-                    "unit": "microseconds",
-                    "startValue": 0,
-                    "endValue": end_value,
-                    "events": events,
-                }
-            )
+        timeline("runtime", events, end_value)
         # One flat timeline per rank: that rank's simulated phases.
-        ranks = sorted(
-            {s["rank"] for s in run_spans if s.get("rank") is not None}
-        )
-        for rank in ranks:
-            own = sorted(
-                (s for s in run_spans if s.get("rank") == rank),
-                key=lambda s: (float(s["start_sim"]), s["span_id"]),
-            )
+        by_rank: dict[int, list[dict[str, Any]]] = {}
+        for s in view.closed:
+            if s.get("rank") is not None:
+                by_rank.setdefault(s["rank"], []).append(s)
+        for rank in sorted(by_rank):
+            own = sorted(by_rank[rank], key=lambda s: (_start(s), s["span_id"]))
             events = []
             end_value = 0
             cursor = -math.inf
@@ -836,17 +713,7 @@ def speedscope_document(
                 events.append({"type": "C", "frame": idx, "at": us(end)})
                 end_value = max(end_value, us(end))
                 cursor = end
-            if events:
-                profiles.append(
-                    {
-                        "type": "evented",
-                        "name": f"{label} (pid {pid}) rank {rank}",
-                        "unit": "microseconds",
-                        "startValue": 0,
-                        "endValue": end_value,
-                        "events": events,
-                    }
-                )
+            timeline(f"rank {rank}", events, end_value)
     return {
         "$schema": "https://www.speedscope.app/file-format-schema.json",
         "name": name,
@@ -860,9 +727,7 @@ def speedscope_document(
 # ----------------------------------------------------------------------
 # Offline metrics reconstruction
 # ----------------------------------------------------------------------
-def registry_from_records(
-    source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
-) -> MetricsRegistry:
+def registry_from_records(source: TraceSource) -> MetricsRegistry:
     """Rebuild a metrics registry from an exported trace.
 
     A JSONL trace carries spans and events but not the live registry, so
@@ -872,39 +737,42 @@ def registry_from_records(
     span attributes.  A live tracer's own registry is richer (probe
     costs, gauges); this is the offline floor.
     """
-    if isinstance(source, (Tracer, NullTracer)):
-        return source.metrics  # live registry is authoritative
+    model = TraceModel.of(source)
+    if model.metrics is not None:
+        return model.metrics  # live registry is authoritative
     registry = MetricsRegistry()
-    for record in _as_records(source):
-        attrs = record.get("attributes") or {}
-        if record.get("type") == "span":
-            if record.get("end_sim") is None:
-                continue
-            registry.histogram(
-                "phase_sim_seconds", phase=record["name"]
-            ).observe(_duration(record))
-            if record["name"] == "iteration":
-                registry.histogram("iteration_seconds").observe(
-                    _duration(record)
-                )
-            elif record["name"] == "migrate":
-                registry.counter("migration_bytes").inc(
-                    float(attrs.get("bytes", 0))
-                )
-                registry.counter("migration_seconds").inc(
-                    float(attrs.get("sim_seconds", 0.0))
-                )
-        elif record.get("name") == "comm.exchange":
-            registry.counter("comm.bytes_total").inc(float(attrs.get("bytes", 0)))
-            registry.counter("comm.messages_total").inc(
-                float(attrs.get("messages", 0))
+    for span in model.spans:
+        if span.get("end_sim") is None:
+            continue
+        attrs = span.get("attributes") or {}
+        registry.histogram("phase_sim_seconds", phase=span["name"]).observe(
+            _duration(span)
+        )
+        if span["name"] == "iteration":
+            registry.histogram("iteration_seconds").observe(_duration(span))
+        elif span["name"] == "migrate":
+            registry.counter("migration_bytes").inc(
+                float(attrs.get("bytes", 0))
             )
-            registry.histogram(
-                "comm.phase_seconds", phase=str(attrs.get("phase", "exchange"))
-            ).observe(float(attrs.get("seconds", 0.0)))
-            registry.counter("comm.derated_bytes_total").inc(
-                float(attrs.get("derated_bytes", 0))
+            registry.counter("migration_seconds").inc(
+                float(attrs.get("sim_seconds", 0.0))
             )
+    # Every run's exchanges in recorded order: the counters sum across
+    # runs, and that order fixes their floats.
+    for event in model.events:
+        if event.get("name") != "comm.exchange":
+            continue
+        attrs = event.get("attributes") or {}
+        registry.counter("comm.bytes_total").inc(float(attrs.get("bytes", 0)))
+        registry.counter("comm.messages_total").inc(
+            float(attrs.get("messages", 0))
+        )
+        registry.histogram(
+            "comm.phase_seconds", phase=str(attrs.get("phase", "exchange"))
+        ).observe(float(attrs.get("seconds", 0.0)))
+        registry.counter("comm.derated_bytes_total").inc(
+            float(attrs.get("derated_bytes", 0))
+        )
     return registry
 
 
@@ -912,7 +780,7 @@ def registry_from_records(
 # Writers
 # ----------------------------------------------------------------------
 def write_collapsed(
-    source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
+    source: TraceSource,
     path: str | os.PathLike,
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -920,7 +788,7 @@ def write_collapsed(
 
 
 def write_speedscope(
-    source: "Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]]",
+    source: TraceSource,
     path: str | os.PathLike,
     name: str = "repro trace",
 ) -> None:

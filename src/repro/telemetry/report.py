@@ -34,7 +34,7 @@ from __future__ import annotations
 import html
 import math
 import os
-from typing import Any, Iterable, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.telemetry.analysis import (
     PAPER_IMBALANCE_BOUND_PCT,
@@ -43,15 +43,13 @@ from repro.telemetry.analysis import (
     analyze_records,
     fault_summary,
 )
+from repro.telemetry.model import RunView, TraceModel, TraceSource, load_trace_records
 from repro.telemetry.profile import (
     CommProfile,
     RunCriticalPath,
-    _as_records,
     analyze_critical_path,
     comm_profile,
-    load_trace_records,
 )
-from repro.telemetry.spans import NullTracer, Tracer
 
 __all__ = ["render_dashboard", "write_dashboard", "load_trace_records"]
 
@@ -95,6 +93,20 @@ _TIMELINE_PHASES = ("compute", "ghost-exchange", "sync", "sense", "migrate")
 
 
 # ----------------------------------------------------------------------
+class _RunPage(NamedTuple):
+    """One run's share of the dashboard: its records and its health."""
+
+    view: RunView
+    snapshots: list[HealthSnapshot]
+    events: list[HealthEvent]
+
+
+def _sim_extent(run: RunView) -> float:
+    """Simulated seconds from the run's first span start to its last end."""
+    ends = [s["end_sim"] for s in run.closed]
+    return (max(ends) - min(s["start_sim"] for s in run.spans)) if ends else 0.0
+
+
 class _Scale:
     """Linear data->pixel mapping."""
 
@@ -171,9 +183,7 @@ def _critical_keys(cp: RunCriticalPath | None) -> set[tuple]:
     return keys
 
 
-def _timeline_svg(
-    run: dict[str, Any], critical: set[tuple] | None = None
-) -> str:
+def _timeline_svg(run: RunView, critical: set[tuple] | None = None) -> str:
     """Per-rank phase timeline for one run, as an inline SVG.
 
     Fault-injection and recovery instants (``fault.*`` / ``recovery.*``
@@ -183,11 +193,7 @@ def _timeline_svg(
     get the ``crit`` outline: they gate the iteration's wall time.
     """
     critical = critical or set()
-    spans = [
-        s
-        for s in run["spans"]
-        if s["name"] in _TIMELINE_PHASES and s.get("end_sim") is not None
-    ]
+    spans = [s for s in run.closed if s["name"] in _TIMELINE_PHASES]
     if not spans:
         return "<p class='muted'>no phase spans recorded for this run</p>"
     t0 = min(s["start_sim"] for s in spans)
@@ -247,9 +253,7 @@ def _timeline_svg(
         )
     axis_y = top + len(rows) * (row_h + gap) + 4
     fault_marks = [
-        e
-        for e in run.get("fault_events", [])
-        if t0 <= e.get("sim", 0.0) <= t1
+        e for e in run.fault_events if t0 <= e.get("sim", 0.0) <= t1
     ]
     for e in fault_marks:
         is_fault = e["name"].startswith("fault.")
@@ -377,11 +381,11 @@ def _imbalance_svg(
     return legend + "".join(parts)
 
 
-def _capacity_svg(run: dict[str, Any]) -> str:
+def _capacity_svg(run: RunView) -> str:
     """Sensed relative capacities per node over simulated time."""
     senses = [
         s
-        for s in run["spans"]
+        for s in run.spans
         if s["name"] == "sense"
         and s.get("attributes", {}).get("capacities") is not None
     ]
@@ -614,11 +618,11 @@ def _critical_path_panel(cp: RunCriticalPath | None) -> str:
 
 # ----------------------------------------------------------------------
 def _stat_tiles(
-    runs: list[dict[str, Any]],
+    runs: list[_RunPage],
     snapshots: list[HealthSnapshot],
     events: list[HealthEvent],
 ) -> str:
-    total_sim = sum(r["duration"] for r in runs)
+    total_sim = sum(_sim_extent(r.view) for r in runs)
     iterations = len(snapshots)
     imbs = [s.imbalance_pct for s in snapshots if s.imbalance_pct is not None]
     worst_imb = max(imbs) if imbs else 0.0
@@ -626,7 +630,7 @@ def _stat_tiles(
     overheads = [
         s.probe_overhead_fraction
         for r in runs
-        for s in (r["snapshots"][-1:] if r["snapshots"] else [])
+        for s in r.snapshots[-1:]
     ]
     probe_frac = max(overheads) if overheads else 0.0
     crit = sum(1 for e in events if e.severity == "critical")
@@ -707,10 +711,10 @@ def _fault_table(fault_events: list[dict[str, Any]]) -> str:
     )
 
 
-def _run_summary_table(runs: list[dict[str, Any]]) -> str:
+def _run_summary_table(runs: list[_RunPage]) -> str:
     rows = []
     for r in runs:
-        snaps = r["snapshots"]
+        snaps = r.snapshots
         imbs = [s.imbalance_pct for s in snaps if s.imbalance_pct is not None]
         worst = f"{max(imbs):.1f}%" if imbs else "—"
         last = snaps[-1] if snaps else None
@@ -724,11 +728,11 @@ def _run_summary_table(runs: list[dict[str, Any]]) -> str:
         )
         rows.append(
             "<tr>"
-            f"<td>{r['pid']}</td><td>{_esc(r['label'] or '—')}</td>"
+            f"<td>{r.view.pid}</td><td>{_esc(r.view.label or '—')}</td>"
             f"<td>{len(snaps)}</td>"
-            f"<td>{_fmt_seconds(r['duration'])}</td>"
+            f"<td>{_fmt_seconds(_sim_extent(r.view))}</td>"
             f"<td>{worst}</td><td>{frac}</td><td>{stale}</td>"
-            f"<td>{len(r['events'])}</td></tr>"
+            f"<td>{len(r.events)}</td></tr>"
         )
     return (
         "<table><thead><tr><th>run</th><th>label</th><th>iterations</th>"
@@ -1051,7 +1055,7 @@ def _calibration_svg(rows: list[dict[str, Any]]) -> str:
     return legend + "".join(parts)
 
 
-def _decision_section(decision_events: list[dict[str, Any]]) -> str:
+def _decision_section(runs: list[RunView]) -> str:
     """Decision-provenance section: omitted when no learner ran.
 
     One card per traced run carrying ``decision.*`` events: the gate
@@ -1061,16 +1065,14 @@ def _decision_section(decision_events: list[dict[str, Any]]) -> str:
     :func:`repro.learn.audit.reconcile` that backs ``repro explain``
     and ``/campaigns/<id>/decisions``.
     """
-    if not decision_events:
+    runs = [run for run in runs if run.decision_events]
+    if not runs:
         return ""
     from repro.learn.audit import reconcile
 
-    pids = sorted({e.get("pid", 0) for e in decision_events})
     parts = ["<h2>Decision provenance</h2>"]
-    for pid in pids:
-        rows = _decision_rows(
-            [e for e in decision_events if e.get("pid", 0) == pid]
-        )
+    for run in runs:
+        rows = _decision_rows(run.decision_events)
         report = reconcile(rows)
         gate = report["gate"]
         cal = report["calibration"]
@@ -1093,9 +1095,7 @@ def _decision_section(decision_events: list[dict[str, Any]]) -> str:
             f"({gate['accepts']} accepts, {gate['skips']} skips); "
             f"95% CI covered {coverage}; {agreement}."
         )
-        head = (
-            f"<h3>Run {pid}</h3>" if len(pids) > 1 else ""
-        )
+        head = f"<h3>Run {run.pid}</h3>" if len(runs) > 1 else ""
         parts.append(
             f"{head}<p class='muted'>{_esc(sub)}</p>"
             "<div class='card'><h3>Repartition gate timeline</h3>"
@@ -1108,83 +1108,48 @@ def _decision_section(decision_events: list[dict[str, Any]]) -> str:
 
 # ----------------------------------------------------------------------
 def render_dashboard(
-    source: Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]],
+    source: TraceSource,
     title: str = "Adaptive runtime health dashboard",
 ) -> str:
     """Render the trace into one self-contained HTML page (a string)."""
-    records = _as_records(source)
-    run_labels: dict[int, str] = {}
-    if isinstance(source, (Tracer, NullTracer)):
-        run_labels = dict(source.run_labels)
-    snapshots, events = analyze_records(records, run_labels=run_labels)
-    cp_by_pid = {
-        cp.pid: cp
-        for cp in analyze_critical_path(records, run_labels=run_labels)
-    }
-    comm_by_pid = {
-        p.pid: p for p in comm_profile(records, run_labels=run_labels)
-    }
-    spans = [r for r in records if r.get("type") == "span"]
-    fault_events = [
-        r
-        for r in records
-        if r.get("type") == "event"
-        and str(r.get("name", "")).startswith(("fault.", "recovery."))
-    ]
-    decision_events = [
-        r
-        for r in records
-        if r.get("type") == "event"
-        and str(r.get("name", "")).startswith("decision.")
-    ]
-    pids = sorted({s["pid"] for s in spans})
-    runs: list[dict[str, Any]] = []
-    for pid in pids:
-        run_spans = [s for s in spans if s["pid"] == pid]
-        root = [s for s in run_spans if s["name"] == "run"]
-        label = run_labels.get(pid) or (
-            str(root[0]["attributes"].get("partitioner", "")) if root else ""
+    model = TraceModel.of(source)
+    snapshots, events = analyze_records(model)
+    cp_by_pid = {cp.pid: cp for cp in analyze_critical_path(model)}
+    comm_by_pid = {p.pid: p for p in comm_profile(model)}
+    runs = [
+        _RunPage(
+            view,
+            [s for s in snapshots if s.pid == view.pid],
+            [e for e in events if e.pid == view.pid],
         )
-        ends = [s["end_sim"] for s in run_spans if s.get("end_sim") is not None]
-        starts = [s["start_sim"] for s in run_spans]
-        runs.append(
-            {
-                "pid": pid,
-                "label": label,
-                "spans": run_spans,
-                "snapshots": [s for s in snapshots if s.pid == pid],
-                "events": [e for e in events if e.pid == pid],
-                "fault_events": [
-                    e for e in fault_events if e.get("pid") == pid
-                ],
-                "duration": (max(ends) - min(starts)) if ends else 0.0,
-            }
-        )
+        for view in model.runs
+        if view.spans
+    ]
     sections = []
-    for run in runs:
-        if not run["snapshots"] and not any(
-            s["name"] in _TIMELINE_PHASES for s in run["spans"]
+    for view, run_snapshots, run_events in runs:
+        if not run_snapshots and not any(
+            s["name"] in _TIMELINE_PHASES for s in view.spans
         ):
             continue  # bookkeeping-only pid (no executed iterations)
-        head = f"Run {run['pid']}"
-        if run["label"]:
-            head += f" — {_esc(run['label'])}"
-        cp = cp_by_pid.get(run["pid"])
+        head = f"Run {view.pid}"
+        if view.label:
+            head += f" — {_esc(view.label)}"
+        cp = cp_by_pid.get(view.pid)
         sections.append(
             f"<h2>{head}</h2>"
             "<div class='card'><h3>Per-rank phase timeline "
             "(simulated time)</h3>"
-            f"{_timeline_svg(run, _critical_keys(cp))}</div>"
+            f"{_timeline_svg(view, _critical_keys(cp))}</div>"
             "<div class='card'><h3>Critical path</h3>"
             f"{_critical_path_panel(cp)}</div>"
             "<div class='card'><h3>Communication matrix "
             "(rank &times; rank)</h3>"
-            f"{_comm_heatmap_svg(comm_by_pid.get(run['pid']))}</div>"
+            f"{_comm_heatmap_svg(comm_by_pid.get(view.pid))}</div>"
             "<div class='card'><h3>Residual load imbalance per iteration"
             "</h3>"
-            f"{_imbalance_svg(run['snapshots'], run['events'])}</div>"
+            f"{_imbalance_svg(run_snapshots, run_events)}</div>"
             "<div class='card'><h3>Sensed relative capacities</h3>"
-            f"{_capacity_svg(run)}</div>"
+            f"{_capacity_svg(view)}</div>"
         )
     doc = f"""<!DOCTYPE html>
 <html lang="en">
@@ -1201,8 +1166,8 @@ def render_dashboard(
 snapshots, {len(events)} anomalies — generated offline, no external
 resources.</p>
 {_stat_tiles(runs, snapshots, events)}
-{_fault_section(fault_events)}
-{_decision_section(decision_events)}
+{_fault_section(model.fault_events)}
+{_decision_section(model.runs)}
 <h2>Anomalies</h2>
 <div class="card">{_events_table(events)}</div>
 <h2>Run summary</h2>
@@ -1216,7 +1181,7 @@ resources.</p>
 
 
 def write_dashboard(
-    source: Tracer | NullTracer | str | os.PathLike | Iterable[dict[str, Any]],
+    source: TraceSource,
     path: str | os.PathLike,
     title: str = "Adaptive runtime health dashboard",
 ) -> None:

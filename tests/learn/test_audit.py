@@ -443,7 +443,7 @@ class TestReconcile:
 
     def test_trace_events_reconcile_identically(self, tmp_path):
         """Ledger rows and decision.* events give the same numbers."""
-        from repro.telemetry.profile import _as_records
+        from repro.telemetry.model import TraceModel
         from repro.telemetry.report import _decision_rows
         from repro.telemetry.spans import Tracer
 
@@ -455,10 +455,7 @@ class TestReconcile:
             np.array([30.0, 2.0]), np.array([0.5, 0.5]), 12
         )
         events = [
-            r
-            for r in _as_records(tracer)
-            if r.get("type") == "event"
-            and str(r.get("name", "")).startswith("decision.")
+            e for run in TraceModel.of(tracer).runs for e in run.decision_events
         ]
         assert events, "decision.* events must mirror the ledger"
         assert reconcile(_decision_rows(events)) == reconcile(
@@ -485,7 +482,6 @@ class TestLedgerNeutrality:
         assert len(DecisionLedger(tmp_path / "d")) > 0
 
     def test_no_decision_events_without_ledger(self):
-        from repro.telemetry.profile import _as_records
         from repro.telemetry.spans import Tracer
 
         tracer = Tracer()
@@ -494,9 +490,5 @@ class TestLedgerNeutrality:
         learn.repartition_decision(
             np.array([30.0, 2.0]), np.array([0.5, 0.5]), 12
         )
-        names = {
-            str(r.get("name", ""))
-            for r in _as_records(tracer)
-            if r.get("type") == "event"
-        }
+        names = {e.to_dict()["name"] for e in tracer.events}
         assert not any(n.startswith("decision.") for n in names)

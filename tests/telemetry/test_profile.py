@@ -10,6 +10,7 @@ double-counted.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from repro.kernels.workloads import paper_rm3d_trace
 from repro.partition import ACEHeterogeneous
 from repro.runtime import RuntimeConfig, SamrRuntime
 from repro.telemetry import (
+    NullTracer,
     Tracer,
     analyze_critical_path,
     comm_profile,
@@ -32,13 +34,7 @@ from repro.telemetry import (
     speedscope_document,
 )
 from repro.telemetry.export import write_jsonl
-from repro.telemetry.profile import (
-    CommMatrix,
-    CommProfile,
-    LiveTop,
-    _as_records,
-    _run_label,
-)
+from repro.telemetry.profile import CommMatrix, CommProfile, LiveTop
 
 #: ``comm.exchange`` records as a trace file holds them: ``ranks`` from 0
 #: up, pairs naming ranks above it, bool or 0/1 ``derated``, two pids,
@@ -214,11 +210,38 @@ def reference_add(matrix, src, dst, nbytes, seconds, derated):
         matrix.derated_bytes[src][dst] += nbytes
 
 
+def reference_as_records(source):
+    """Any trace source as parsed record dicts (the old normalizer)."""
+    if isinstance(source, (Tracer, NullTracer)):
+        return [s.to_dict() for s in source.spans] + [
+            e.to_dict() for e in source.events
+        ]
+    if isinstance(source, (str, os.PathLike)):
+        return load_trace_records(source)
+    return list(source)
+
+
+def reference_run_label(pid, spans, run_labels):
+    """The label rule ``comm_profile`` applied (the old ``_run_label``)."""
+    if run_labels and pid in run_labels:
+        return str(run_labels[pid])
+    for s in spans:
+        if s["name"] == "run":
+            partitioner = (s.get("attributes") or {}).get("partitioner")
+            if partitioner:
+                return str(partitioner)
+    return f"run {pid}"
+
+
 def reference_comm_profile(source, run_labels=None):
-    """``comm_profile`` as it was: one ``add`` call per pair."""
+    """``comm_profile`` as it was: one ``add`` call per pair.
+
+    Self-contained: the record normalizer and label rule above are
+    copies of the old ones, not imports of the code under test.
+    """
     if isinstance(source, Tracer) and run_labels is None:
         run_labels = dict(source.run_labels)
-    records = _as_records(source)
+    records = reference_as_records(source)
     events = [
         r
         for r in records
@@ -229,7 +252,8 @@ def reference_comm_profile(source, run_labels=None):
     for pid in sorted({e["pid"] for e in events}):
         run_span_records = [s for s in spans if s["pid"] == pid]
         profile = CommProfile(
-            pid=pid, label=_run_label(pid, run_span_records, run_labels)
+            pid=pid,
+            label=reference_run_label(pid, run_span_records, run_labels),
         )
         for event in (e for e in events if e["pid"] == pid):
             attrs = event.get("attributes") or {}

@@ -1,5 +1,6 @@
-"""Repo hygiene: one benchmark file at the root, CI runs what exists, and
-numpy is the only third-party package the code imports.
+"""Repo hygiene: one benchmark file at the root, CI runs what exists,
+numpy is the only third-party package the code imports, and trace
+readers leave record routing to the trace model.
 
 ``bench/`` + ``BENCHMARK.json`` is the only performance harness (ROADMAP
 item 8).  A half-done retirement -- a script deleted and its CI step
@@ -156,3 +157,65 @@ def test_import_check_flags_a_planted_offender():
         "    import networkx\n"
     )
     assert retired_imports(planted) == [2, 3, 7]
+
+
+#: Trace readers that read records through ``telemetry/model.py``, the
+#: one place a trace is routed by record type and grouped by pid.
+TRACE_READERS = (
+    "src/repro/telemetry/profile.py",
+    "src/repro/telemetry/report.py",
+    "src/repro/telemetry/analysis.py",
+)
+ROUTING_KEYS = {"type", "pid"}
+
+
+def _routing_key(node: ast.expr) -> bool:
+    """``x.get("type"...)`` / ``x["pid"]`` and the like."""
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get"
+        and node.args
+    ):
+        key = node.args[0]
+    else:
+        return False
+    return isinstance(key, ast.Constant) and key.value in ROUTING_KEYS
+
+
+def record_routing(source: str) -> list[int]:
+    """Line of every ``==``/``!=`` test on a record's type or pid."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        if not all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            continue
+        if any(_routing_key(n) for n in (node.left, *node.comparators)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_trace_readers_leave_record_routing_to_the_model():
+    offenders = [
+        f"{name}:{line}"
+        for name in TRACE_READERS
+        for line in record_routing((REPO / name).read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_routing_check_flags_a_planted_offender():
+    planted = (
+        "spans = [r for r in records if r.get('type') == 'span']\n"
+        "run = [s for s in spans if s['pid'] == pid]\n"
+        "if ev.get('type', 'event') != 'event':\n"
+        "    pass\n"
+        "other = [e for e in events if e.get('pid', 0) == pid]\n"
+        "fine = [r for r in rows if r.get('kind') == 'gate']\n"
+        "also_fine = {'type': 'O', 'pid': 1}\n"
+        "attribute = [s for s in snapshots if s.pid == pid]\n"
+    )
+    assert record_routing(planted) == [1, 2, 3, 5]
