@@ -134,7 +134,7 @@ def write_cell_bundle(
     directory.mkdir(parents=True, exist_ok=True)
     # Built from records, not the tracer, so the metrics are rebuilt from
     # the span stream: the byte-identity guarantee needs that.
-    records = [s.to_dict() for s in tracer.spans + tracer.events]
+    records = [r.to_dict() for r in tracer.spans + tracer.events]
     model = TraceModel(records, tracer.run_labels)
 
     phases: dict[str, dict[str, Any]] = {}

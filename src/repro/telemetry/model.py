@@ -63,6 +63,7 @@ class RunView:
         self.pid = pid
         self.label = ""
         self.spans: list[dict[str, Any]] = []
+        self.closed: list[dict[str, Any]] = []  # closed spans, recorded order
         self.comm_events: list[dict[str, Any]] = []
         self.fault_events: list[dict[str, Any]] = []
         self.decision_events: list[dict[str, Any]] = []
@@ -70,11 +71,6 @@ class RunView:
     @property
     def title(self) -> str:
         return self.label or f"run {self.pid}"
-
-    @cached_property
-    def closed(self) -> list[dict[str, Any]]:
-        """Closed spans, in recorded order."""
-        return [s for s in self.spans if s.get("end_sim") is not None]
 
     @cached_property
     def control(self) -> list[dict[str, Any]]:
@@ -131,6 +127,8 @@ class TraceModel:
             if kind == "span":
                 self.spans.append(record)
                 run.spans.append(record)
+                if record.get("end_sim") is not None:
+                    run.closed.append(record)
                 if record["name"] == "run" and not run.label:
                     attrs = record.get("attributes") or {}
                     run.label = str(attrs.get("partitioner") or "")

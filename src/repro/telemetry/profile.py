@@ -596,9 +596,10 @@ def flamegraph_collapsed(
 
     for view in TraceModel.of(source, run_labels).runs:
         roots, children = _span_forest(view.closed, view)
+        label = view.title
 
         def walk(span: dict[str, Any], stack: tuple[str, ...]) -> None:
-            stack = stack + (_frame_name(span, view.title),)
+            stack = stack + (_frame_name(span, label),)
             kids = children.get(span["span_id"], [])
             child_s = sum(_duration(k) for k in kids)
             self_us = int(round(max(0.0, _duration(span) - child_s) * 1e6))

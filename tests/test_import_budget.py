@@ -29,6 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NOT_ON_THE_CHEAP_PATH = (
     *RETIRED_DEPENDENCIES,
     "repro.telemetry.report",
+    "repro.telemetry.model",
     "repro.telemetry.profile",
     "repro.telemetry.analysis",
     "repro.telemetry.live",
