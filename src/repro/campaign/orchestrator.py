@@ -449,21 +449,27 @@ class CampaignRunner:
 
 
 # ----------------------------------------------------------------------
-def campaign_status(directory: str | Path) -> dict[str, Any]:
-    """Inspect a campaign directory without executing anything."""
-    directory = Path(directory)
+def campaign_spec_of(directory: Path, hint: str = "") -> CampaignSpec:
+    """The spec a campaign directory was created from; ``hint`` ends the
+    error for a directory that holds no campaign."""
     meta_path = directory / META_NAME
     if not meta_path.is_file():
         raise CampaignError(
-            f"{directory} is not a campaign directory (no {META_NAME})"
+            f"{directory} is not a campaign directory (no {META_NAME}){hint}"
         )
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        spec = CampaignSpec.from_dict(meta["spec"])
+        return CampaignSpec.from_dict(meta["spec"])
     except (json.JSONDecodeError, OSError, KeyError) as exc:
         raise CampaignError(
             f"unreadable campaign metadata {meta_path}: {exc}"
         ) from exc
+
+
+def campaign_status(directory: str | Path) -> dict[str, Any]:
+    """Inspect a campaign directory without executing anything."""
+    directory = Path(directory)
+    spec = campaign_spec_of(directory)
     store = ResultStore(directory)
     state = CampaignState.restore(store)
     artifacts_dir = directory / ARTIFACTS_DIRNAME

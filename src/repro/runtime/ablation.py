@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.cluster import Cluster, SyntheticLoadGenerator
-from repro.kernels.workloads import paper_rm3d_trace
+from repro.kernels.workloads import SyntheticWorkload, paper_rm3d_trace
 from repro.monitor.service import ResourceMonitor
 from repro.partition import (
     ACEComposite,
@@ -52,6 +52,7 @@ __all__ = [
     "heterogeneity_sweep",
     "weak_scaling",
     "learn_ablation",
+    "learn_scenario",
 ]
 
 
@@ -352,6 +353,20 @@ def partitioner_panel(iterations: int = 30, seed: int = 7) -> dict:
     return {"rows": rows}
 
 
+def learn_scenario(
+    iterations: int, regrid_interval: int, seed: int
+) -> tuple[SyntheticWorkload, float]:
+    """The learned-policy runs' RM3D workload and the simulated length of
+    its sense-once run on the dynamic 8-node Linux cluster, which
+    calibrates the load-script horizon (the same discipline as
+    ``experiment._calibrated_horizon``)."""
+    workload = paper_rm3d_trace(num_regrids=iterations // regrid_interval + 2)
+    cluster = Cluster.paper_linux_cluster(8, seed=seed, dynamic=True, horizon_s=1e9)
+    config = RuntimeConfig(iterations=iterations, regrid_interval=regrid_interval)
+    run = SamrRuntime(workload, cluster, ACEHeterogeneous(), config=config).run()
+    return workload, run.total_seconds
+
+
 def learn_ablation(
     iterations: int = 150,
     sensing_interval: int = 20,
@@ -386,21 +401,8 @@ def learn_ablation(
     from repro.resilience import FaultInjector, FaultPlan
     from repro.resilience.checkpoint import ResilienceConfig
 
-    workload = paper_rm3d_trace(num_regrids=iterations // regrid_interval + 2)
-    # Calibrate the load-script horizon on a sense-once run (the same
-    # discipline as experiment._calibrated_horizon).
-    cal_cluster = Cluster.paper_linux_cluster(
-        8, seed=seed, dynamic=True, horizon_s=1e9
-    )
-    cal = SamrRuntime(
-        workload,
-        cal_cluster,
-        ACEHeterogeneous(),
-        config=RuntimeConfig(
-            iterations=iterations, regrid_interval=regrid_interval
-        ),
-    ).run()
-    horizon = 0.8 * cal.total_seconds
+    workload, cal_seconds = learn_scenario(iterations, regrid_interval, seed)
+    horizon = 0.8 * cal_seconds
 
     def flags(**kw) -> LearnConfig:
         base = dict(
@@ -439,8 +441,8 @@ def learn_ablation(
         if scenario == "chaos":
             plan = FaultPlan.node_outage(
                 [2, 5],
-                at=0.3 * cal.total_seconds,
-                duration=0.3 * cal.total_seconds,
+                at=0.3 * cal_seconds,
+                duration=0.3 * cal_seconds,
                 seed=seed,
             )
             FaultInjector(cluster, monitor=monitor).arm(plan)

@@ -300,6 +300,44 @@ def _line_path(points: Sequence[tuple[float, float]]) -> str:
     return " ".join(f"{px:.2f},{py:.2f}" for px, py in points)
 
 
+class _LineChart:
+    """The frame of the dashboard's line charts: a 920-wide viewBox with
+    56/12/10/28 margins, labelled y grid lines and x tick labels."""
+
+    width, left, right, top, bottom = 920, 56, 12, 10, 28
+
+    def __init__(self, height: int, x_range: tuple, y_range: tuple):
+        self.height = height
+        self.x = _Scale(*x_range, self.left, self.width - self.right)
+        self.y = _Scale(*y_range, height - self.bottom, self.top)
+
+    def render(self, label: str, x_ticks: tuple, y_ticks: tuple,
+               marks: list[str]) -> str:
+        """``marks`` inside the frame; each ``*_ticks`` is a
+        ``(values, format)`` pair."""
+        x, y, x1 = self.x, self.y, self.width - self.right
+        (xs, x_fmt), (ys, y_fmt) = x_ticks, y_ticks
+        return (
+            f"<svg viewBox='0 0 {self.width} {self.height}' width='100%' "
+            f"role='img' aria-label='{label}' "
+            f"xmlns='http://www.w3.org/2000/svg'>"
+            + "".join(
+                f"<line x1='{self.left}' y1='{y(t):.1f}' x2='{x1}' "
+                f"y2='{y(t):.1f}' class='grid'/>"
+                f"<text x='{self.left - 6}' y='{y(t) + 4:.1f}' class='axis' "
+                f"text-anchor='end'>{y_fmt(t)}</text>"
+                for t in ys
+            )
+            + "".join(
+                f"<text x='{x(t):.1f}' y='{self.height - 8}' class='axis' "
+                f"text-anchor='middle'>{x_fmt(t)}</text>"
+                for t in xs
+            )
+            + "".join(marks)
+            + "</svg>"
+        )
+
+
 def _imbalance_svg(
     snapshots: list[HealthSnapshot],
     events: list[HealthEvent],
@@ -315,40 +353,20 @@ def _imbalance_svg(
         return "<p class='muted'>no imbalance signal in this run's trace</p>"
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    width, height = 920, 220
-    left, right, top, bottom = 56, 12, 10, 28
     y_max = max(max(ys) * 1.15, bound_pct * 1.25, 1.0)
-    x = _Scale(min(xs), max(xs) or 1, left, width - right)
-    y = _Scale(0.0, y_max, height - bottom, top)
-    parts = [
-        f"<svg viewBox='0 0 {width} {height}' width='100%' role='img' "
-        f"aria-label='residual imbalance per iteration' "
-        f"xmlns='http://www.w3.org/2000/svg'>"
-    ]
-    for t in _ticks(0.0, y_max, 4):
-        parts.append(
-            f"<line x1='{left}' y1='{y(t):.1f}' x2='{width - right}' "
-            f"y2='{y(t):.1f}' class='grid'/>"
-            f"<text x='{left - 6}' y='{y(t) + 4:.1f}' class='axis' "
-            f"text-anchor='end'>{t:g}%</text>"
-        )
-    for t in _ticks(min(xs), max(xs)):
-        parts.append(
-            f"<text x='{x(t):.1f}' y='{height - 8}' class='axis' "
-            f"text-anchor='middle'>{t:g}</text>"
-        )
+    chart = _LineChart(220, (min(xs), max(xs) or 1), (0.0, y_max))
+    x, y = chart.x, chart.y
     # The paper's bound, drawn as a reference line with its own label.
     by = y(bound_pct)
-    parts.append(
-        f"<line x1='{left}' y1='{by:.1f}' x2='{width - right}' "
+    x1 = chart.width - chart.right
+    parts = [
+        f"<line x1='{chart.left}' y1='{by:.1f}' x2='{x1}' "
         f"y2='{by:.1f}' class='bound'/>"
-        f"<text x='{width - right}' y='{by - 5:.1f}' class='bound-label' "
-        f"text-anchor='end'>{bound_pct:g}% paper bound</text>"
-    )
-    parts.append(
+        f"<text x='{x1}' y='{by - 5:.1f}' class='bound-label' "
+        f"text-anchor='end'>{bound_pct:g}% paper bound</text>",
         f"<polyline fill='none' class='line-imb' "
-        f"points='{_line_path([(x(a), y(b)) for a, b in pts])}'/>"
-    )
+        f"points='{_line_path([(x(a), y(b)) for a, b in pts])}'/>",
+    ]
     for a, b in pts:
         parts.append(
             f"<circle cx='{x(a):.1f}' cy='{y(b):.1f}' r='2.5' "
@@ -368,7 +386,12 @@ def _imbalance_svg(
             f"<title>{_esc(f'[{event.severity}] {event.message}')}</title>"
             f"</circle>"
         )
-    parts.append("</svg>")
+    svg = chart.render(
+        "residual imbalance per iteration",
+        (_ticks(min(xs), max(xs)), "{:g}".format),
+        (_ticks(0.0, y_max, 4), "{:g}%".format),
+        parts,
+    )
     legend = (
         "<div class='legend'>"
         "<span class='chip'><i class='sw' style='background:var(--s1)'></i>"
@@ -378,7 +401,7 @@ def _imbalance_svg(
         "<span class='chip'><i class='sw ring-critical'></i>anomaly "
         "(critical)</span></div>"
     )
-    return legend + "".join(parts)
+    return legend + svg
 
 
 def _capacity_svg(run: RunView) -> str:
@@ -399,31 +422,13 @@ def _capacity_svg(run: RunView) -> str:
         return "<p class='muted'>no capacity history in this run's trace</p>"
     shown = sorted(series)[:MAX_CAPACITY_LINES]
     hidden = len(series) - len(shown)
-    width, height = 920, 200
-    left, right, top, bottom = 56, 12, 10, 28
     all_pts = [p for n in shown for p in series[n]]
     t_lo = min(p[0] for p in all_pts)
     t_hi = max(p[0] for p in all_pts)
     c_hi = max(max(p[1] for p in all_pts) * 1.2, 1e-6)
-    x = _Scale(t_lo, t_hi, left, width - right)
-    y = _Scale(0.0, c_hi, height - bottom, top)
-    parts = [
-        f"<svg viewBox='0 0 {width} {height}' width='100%' role='img' "
-        f"aria-label='sensed relative capacity per node' "
-        f"xmlns='http://www.w3.org/2000/svg'>"
-    ]
-    for t in _ticks(0.0, c_hi, 3):
-        parts.append(
-            f"<line x1='{left}' y1='{y(t):.1f}' x2='{width - right}' "
-            f"y2='{y(t):.1f}' class='grid'/>"
-            f"<text x='{left - 6}' y='{y(t) + 4:.1f}' class='axis' "
-            f"text-anchor='end'>{t:.2g}</text>"
-        )
-    for t in _ticks(t_lo, t_hi):
-        parts.append(
-            f"<text x='{x(t):.1f}' y='{height - 8}' class='axis' "
-            f"text-anchor='middle'>{t:g}s</text>"
-        )
+    chart = _LineChart(200, (t_lo, t_hi), (0.0, c_hi))
+    x, y = chart.x, chart.y
+    parts = []
     for i, node in enumerate(shown):
         pts = series[node]
         parts.append(
@@ -437,7 +442,12 @@ def _capacity_svg(run: RunView) -> str:
                 f"{_esc(f'node {node} @ t={a:.1f}s: C={b:.4f}')}"
                 f"</title></circle>"
             )
-    parts.append("</svg>")
+    svg = chart.render(
+        "sensed relative capacity per node",
+        (_ticks(t_lo, t_hi), "{:g}s".format),
+        (_ticks(0.0, c_hi, 3), "{:.2g}".format),
+        parts,
+    )
     legend = "".join(
         f"<span class='chip'><i class='sw cap-sw-{i}'></i>node {node}</span>"
         for i, node in enumerate(shown)
@@ -447,7 +457,7 @@ def _capacity_svg(run: RunView) -> str:
         if hidden > 0
         else ""
     )
-    return f"<div class='legend'>{legend}{note}</div>{''.join(parts)}"
+    return f"<div class='legend'>{legend}{note}</div>{svg}"
 
 
 # ----------------------------------------------------------------------
@@ -1003,37 +1013,18 @@ def _calibration_svg(rows: list[dict[str, Any]]) -> str:
     y_lo = min(min(p[2] for p in pts), min(p[4] for p in pts))
     y_hi = max(max(p[3] for p in pts), max(p[4] for p in pts))
     pad = 0.05 * (y_hi - y_lo or 1.0)
-    width, height = 920, 220
-    left, right, top, bottom = 56, 12, 10, 28
-    x = _Scale(min(xs), max(xs) or 1, left, width - right)
-    y = _Scale(y_lo - pad, y_hi + pad, height - bottom, top)
-    parts = [
-        f"<svg viewBox='0 0 {width} {height}' width='100%' role='img' "
-        f"aria-label='predicted iteration cost with 95% CI vs measured' "
-        f"xmlns='http://www.w3.org/2000/svg'>"
-    ]
-    for t in _ticks(y_lo, y_hi, 4):
-        parts.append(
-            f"<line x1='{left}' y1='{y(t):.1f}' x2='{width - right}' "
-            f"y2='{y(t):.1f}' class='grid'/>"
-            f"<text x='{left - 6}' y='{y(t) + 4:.1f}' class='axis' "
-            f"text-anchor='end'>{t:.3g}s</text>"
-        )
-    for t in _ticks(min(xs), max(xs)):
-        parts.append(
-            f"<text x='{x(t):.1f}' y='{height - 8}' class='axis' "
-            f"text-anchor='middle'>{t:g}</text>"
-        )
+    chart = _LineChart(220, (min(xs), max(xs) or 1), (y_lo - pad, y_hi + pad))
+    x, y = chart.x, chart.y
     band = " ".join(
         f"{x(p[0]):.1f},{y(p[3]):.1f}" for p in pts
     ) + " " + " ".join(
         f"{x(p[0]):.1f},{y(p[2]):.1f}" for p in reversed(pts)
     )
-    parts.append(f"<polygon points='{band}' class='cal-band'/>")
-    parts.append(
+    parts = [
+        f"<polygon points='{band}' class='cal-band'/>",
         f"<polyline fill='none' class='cal-line' "
-        f"points='{_line_path([(x(p[0]), y(p[1])) for p in pts])}'/>"
-    )
+        f"points='{_line_path([(x(p[0]), y(p[1])) for p in pts])}'/>",
+    ]
     for it, predicted, lo, hi, actual in pts:
         covered = lo <= actual <= hi
         cls = "cal-hit" if covered else "cal-miss"
@@ -1043,7 +1034,12 @@ def _calibration_svg(rows: list[dict[str, Any]]) -> str:
             f"{_esc(f'iteration {it}: measured {actual:.4f}s, predicted {predicted:.4f}s, 95% CI [{lo:.4f}, {hi:.4f}]' + ('' if covered else ' — missed'))}"
             f"</title></circle>"
         )
-    parts.append("</svg>")
+    svg = chart.render(
+        "predicted iteration cost with 95% CI vs measured",
+        (_ticks(min(xs), max(xs)), "{:g}".format),
+        (_ticks(y_lo, y_hi, 4), "{:.3g}s".format),
+        parts,
+    )
     legend = (
         "<div class='legend'>"
         "<span class='chip'><i class='sw' style='background:var(--s1)'>"
@@ -1052,7 +1048,7 @@ def _calibration_svg(rows: list[dict[str, Any]]) -> str:
         "style='background:var(--critical)'></i>measured outside the CI"
         "</span></div>"
     )
-    return legend + "".join(parts)
+    return legend + svg
 
 
 def _decision_section(runs: list[RunView]) -> str:

@@ -41,9 +41,11 @@ NOT_ON_THE_CHEAP_PATH = (
     "repro.runtime.reporting",
 )
 
+#: ``repro [ARGS] --help``; the ``repro`` root and every group stop
+#: at argparse and run no handler.
 HELP = """\
 import contextlib, io, runpy, sys
-sys.argv = ["repro", "--help"]
+sys.argv = ["repro", {args}"--help"]
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         runpy.run_module("repro", run_name="__main__", alter_sys=True)
@@ -83,10 +85,23 @@ def matching(modules: set[str], prefixes) -> list[str]:
     )
 
 
+GROUPS = ("run", "campaign", "learn", "explain")
+
+
 @pytest.mark.parametrize(
     "code",
-    ["import repro", "import repro.partition", HELP],
-    ids=["import repro", "import repro.partition", "repro --help"],
+    [
+        "import repro",
+        "import repro.partition",
+        HELP.format(args=""),
+        *(HELP.format(args=f"{group!r}, ") for group in GROUPS),
+    ],
+    ids=[
+        "import repro",
+        "import repro.partition",
+        "repro --help",
+        *(f"repro {group} --help" for group in GROUPS),
+    ],
 )
 def test_cheap_entry_points_load_no_subsystem(code):
     modules = loaded_modules(code)

@@ -1,6 +1,7 @@
 """Repo hygiene: one benchmark file at the root, CI runs what exists,
-numpy is the only third-party package the code imports, and trace
-readers leave record routing to the trace model.
+numpy is the only third-party package the code imports, trace readers
+leave record routing to the trace model, and the command modules import
+their subsystems inside the handlers.
 
 ``bench/`` + ``BENCHMARK.json`` is the only performance harness (ROADMAP
 item 8).  A half-done retirement -- a script deleted and its CI step
@@ -219,3 +220,80 @@ def test_routing_check_flags_a_planted_offender():
         "attribute = [s for s in snapshots if s.pid == pid]\n"
     )
     assert record_routing(planted) == [1, 2, 3, 5]
+
+
+#: The command table: ``repro --help`` imports every module here, so a
+#: subsystem one of them imports at module level is loaded by every call.
+CLI_PACKAGE = REPO / "src" / "repro" / "cli"
+
+
+def _type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _outside_the_cli(module: str) -> bool:
+    inside = module == "repro.cli" or module.startswith("repro.cli.")
+    return (module == "repro" or module.startswith("repro.")) and not inside
+
+
+def eager_repro_imports(source: str) -> list[int]:
+    """Line of every import of a ``repro`` package other than
+    ``repro.cli`` that runs when the module itself is imported."""
+    lines = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and _type_checking(node.test):
+            pending.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # ``from . import x`` stays inside the package; ``from ..``
+            # reaches the rest of ``repro``.
+            modules = [node.module or ""] if node.level == 0 else (
+                ["repro"] if node.level > 1 else []
+            )
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+            continue
+        if any(_outside_the_cli(m) for m in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_command_modules_import_subsystems_only_in_handlers():
+    modules = sorted(CLI_PACKAGE.glob("*.py"))
+    assert CLI_PACKAGE / "__init__.py" in modules and len(modules) > 1
+    offenders = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in modules
+        for line in eager_repro_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_eager_import_check_flags_a_planted_offender():
+    planted = (
+        "import argparse\n"
+        "from repro.cli import experiments\n"
+        "from repro.telemetry import Tracer\n"
+        "from . import common\n"
+        "from .. import partition\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.telemetry import HealthMonitor\n"
+        "try:\n"
+        "    import repro.learn\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class Table:\n"
+        "    import repro\n"
+        "def handler(args):\n"
+        "    from repro.campaign import CampaignRunner\n"
+        "import repro.cli.common, repro.runtime as rt\n"
+    )
+    assert eager_repro_imports(planted) == [3, 5, 9, 13, 16]
