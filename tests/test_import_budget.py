@@ -41,8 +41,8 @@ NOT_ON_THE_CHEAP_PATH = (
     "repro.runtime.reporting",
 )
 
-#: ``repro [ARGS] --help``; the ``repro`` root and every group stop
-#: at argparse and run no handler.
+#: ``repro [COMMAND] --help``: argparse prints the help and exits before
+#: any handler runs, so only the command table itself may load.
 HELP = """\
 import contextlib, io, runpy, sys
 sys.argv = ["repro", {args}"--help"]
