@@ -1,4 +1,4 @@
-"""Every trace reader's output, pinned byte for byte on three fixed traces.
+"""Every trace reader's output, pinned byte for byte on four fixed traces.
 
 The readers -- dashboard, critical path, comm matrices, collapsed and
 speedscope flamegraphs, OpenMetrics, offline health analysis, the cell
@@ -8,7 +8,7 @@ which node gated each step are read off them.  A refactor of how they
 read a trace must leave every byte alone, so each output's sha256 is
 compared with ``data/reader_digests.json``.
 
-The three traces come from :func:`~repro.telemetry.deterministic_tracer`
+The four traces come from :func:`~repro.telemetry.deterministic_tracer`
 (wall clock pinned at zero, so the bytes are a function of the code):
 
 - ``multi``: two runs of one experiment in one tracer, on a four-node
@@ -16,7 +16,10 @@ The three traces come from :func:`~repro.telemetry.deterministic_tracer`
 - ``chaos``: a kill-and-recover run of the advection kernel, with fault
   and recovery events and replayed steps;
 - ``learned``: a run under the learned controller with a decision
-  ledger, so the trace carries ``decision.*`` events.
+  ledger, so the trace carries ``decision.*`` events;
+- ``rm3d32``: the paper's RM3D run on 32 dynamic nodes through two
+  regrids, so migration and ghost-exchange comm events interleave and
+  rank ids reach two digits.
 
 Each trace is read from the live tracer and from its exported JSONL
 file.
@@ -103,7 +106,26 @@ def learned_trace(tmp_path: Path):
     return tracer
 
 
-TRACES = {"multi": multi_trace, "chaos": chaos_trace, "learned": learned_trace}
+def rm3d32_trace(tmp_path: Path):
+    tracer = deterministic_tracer()
+    SamrRuntime(
+        paper_rm3d_trace(num_regrids=3),
+        Cluster.paper_linux_cluster(32, seed=11, dynamic=True, horizon_s=600.0),
+        ACEHeterogeneous(),
+        config=RuntimeConfig(
+            iterations=12, regrid_interval=4, sensing_interval=4
+        ),
+        tracer=tracer,
+    ).run()
+    return tracer
+
+
+TRACES = {
+    "multi": multi_trace,
+    "chaos": chaos_trace,
+    "learned": learned_trace,
+    "rm3d32": rm3d32_trace,
+}
 
 
 def sha(text: str | bytes) -> str:
