@@ -25,8 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
-from typing import Any, Iterable, Iterator
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
 from repro.telemetry.spans import NullTracer, Span, Tracer
@@ -176,20 +179,64 @@ def write_chrome_trace(tracer: Tracer | NullTracer, path: str | os.PathLike) -> 
         fh.write(_dumps(chrome_trace_events(tracer)))
 
 
+#: A span record's JSONL line, keys in :meth:`Span.to_dict` order.
+_SPAN_LINE = (
+    '{"type": "span", "name": %s, "span_id": %s, "parent_id": %s, '
+    '"pid": %s, "rank": %s, "start_wall": %s, "end_wall": %s, '
+    '"start_sim": %s, "end_sim": %s, "attributes": %s}\n'
+)
+_SPAN_FIELDS = (
+    "name", "span_id", "parent_id", "pid", "rank",
+    "start_wall", "end_wall", "start_sim", "end_sim",
+)  # fmt: skip
+
+
+def _texts(values: list[Any]) -> Iterable[str]:
+    """Each value as :data:`_ENCODER` writes it, a column at a time.
+
+    A column of finite floats, of ``int`` and ``None``, or of strings is
+    spelled without a call into the encoder per value (the encoder's own
+    float, int and string rules); any other column goes value by value
+    through :func:`_dumps`, so NaN and infinities still come out as
+    ``NaN`` / ``Infinity``.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if kinds <= {int, type(None)}:
+        return ["null" if v is None else int.__repr__(v) for v in values]
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    return map(_dumps, values)
+
+
+def _span_lines(spans: Sequence[Span]) -> list[str]:
+    """Each span's JSONL line: the fixed-key template filled column by
+    column, the line ``_dumps(span.to_dict())`` writes."""
+    columns = [_texts(list(map(attrgetter(f), spans))) for f in _SPAN_FIELDS]
+    columns.append(
+        "{}" if a.__class__ is dict and not a else _dumps(a)
+        for a in map(attrgetter("attributes"), spans)
+    )
+    return list(map(_SPAN_LINE.__mod__, zip(*columns)))
+
+
 def jsonl_lines(tracer: Tracer | NullTracer) -> Iterator[str]:
     """The raw span + event log, one JSON object per line.
 
     Records are ordered by simulated start time (ties broken by span id)
     so the log reads chronologically.
     """
-    records: list[dict[str, Any]] = [s.to_dict() for s in tracer.spans]
-    records += [e.to_dict() for e in tracer.events]
-    records.sort(
-        key=lambda r: (r.get("start_sim", r.get("sim", 0.0)) or 0.0,
-                       r.get("span_id", 0))
-    )
-    for record in records:
-        yield _dumps(record) + "\n"
+    spans, events = tracer.spans, tracer.events
+    lines = _span_lines(spans)
+    keys = [(s.start_sim or 0.0, s.span_id) for s in spans]
+    keys += [(e.sim or 0.0, 0) for e in events]
+    n_spans = len(spans)
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if i < n_spans:
+            yield lines[i]
+        else:
+            yield _dumps(events[i - n_spans].to_dict()) + "\n"
 
 
 def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:

@@ -16,11 +16,12 @@ run label
     name show :attr:`RunView.title`, ``label or f"run {pid}"``.
 
 iteration slot
-    A closed rank-track or ``sync`` span belongs to the last iteration
-    starting by ``start + _EPS`` if it also ends by that iteration's
-    end ``+ _EPS``, else to none (replayed work, say).  The critical
-    path buckets rank phases by it; the flamegraph nests rank spans
-    under it.  The health analysis keeps an older rule for its phase
+    A closed span belongs to the last iteration starting by
+    ``start + _EPS`` if it also ends by that iteration's end ``+ _EPS``,
+    else to none (replayed work, say): the ``slot`` column of
+    :class:`SpanColumns`.  The critical path buckets rank phases and
+    ``sync`` spans by it; the flamegraph nests rank spans under it.  The
+    health analysis keeps an older rule for its phase
     breakdown: ``bisect_right(starts, start) - 1`` over all iterations,
     open spans included, no epsilon, no end check.  The two part on
     spans that leave their iteration, as ``tests/telemetry/test_model.py``
@@ -29,15 +30,24 @@ iteration slot
 
 from __future__ import annotations
 
+import math
 import os
 from bisect import bisect_right
 from functools import cached_property
-from typing import Any, Iterable
+from itertools import repeat
+from operator import add, itemgetter
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.telemetry.spans import NullTracer, Tracer
 from repro.util import durable
 
-__all__ = ["TraceModel", "RunView", "TraceSource", "load_trace_records"]
+__all__ = [
+    "TraceModel",
+    "RunView",
+    "SpanColumns",
+    "TraceSource",
+    "load_trace_records",
+]
 
 #: Numerical tolerance for "does this rank span lie inside that
 #: iteration" containment tests on the simulated clock.
@@ -53,6 +63,25 @@ def load_trace_records(path: str | os.PathLike) -> list[dict[str, Any]]:
     """
     os.stat(path)  # ``read_rows`` reads a missing file as empty
     return durable.read_rows(path, "type")[0]
+
+
+class SpanColumns(NamedTuple):
+    """A run's closed spans as columns, row ``i`` being ``closed[i]``.
+
+    Most rows are the rank track -- the per-rank ``compute`` /
+    ``ghost-exchange`` spans, nine in ten records of a paper run; the
+    rest are the control track (``rank is None``).  The critical path,
+    the flamegraphs and the dashboard timeline read spans from these
+    columns, not from the record dicts.
+    """
+
+    name: Sequence[str]
+    rank: Sequence[int | None]  # as recorded; None on the control track
+    start: Sequence[float]  # ``float(start_sim)``
+    end: Sequence[float]  # ``float(end_sim)``
+    span_id: Sequence[int]
+    parent_id: Sequence[int | None]
+    slot: Sequence[int | None]  # iteration index, by the module rule
 
 
 class RunView:
@@ -73,11 +102,6 @@ class RunView:
         return self.label or f"run {self.pid}"
 
     @cached_property
-    def control(self) -> list[dict[str, Any]]:
-        """Closed spans of the runtime control track (``rank is None``)."""
-        return [s for s in self.closed if s.get("rank") is None]
-
-    @cached_property
     def iterations(self) -> list[dict[str, Any]]:
         """Closed ``iteration`` spans sorted by ``(start_sim, end_sim)``."""
         return sorted(
@@ -90,19 +114,30 @@ class RunView:
         return [float(s["start_sim"]) for s in self.iterations]
 
     @cached_property
-    def slots(self) -> list[int | None]:
-        """Iteration index of each span in :attr:`closed` (module rule)."""
-        starts = self.iteration_starts
-        ends = [float(s["end_sim"]) + _EPS for s in self.iterations]
-        slots: list[int | None] = []
-        for s in self.closed:
-            if not starts or (s.get("rank") is None and s["name"] != "sync"):
-                slots.append(None)
-                continue
-            idx = bisect_right(starts, float(s["start_sim"]) + _EPS) - 1
-            inside = idx >= 0 and float(s["end_sim"]) <= ends[idx]
-            slots.append(idx if inside else None)
-        return slots
+    def columns(self) -> SpanColumns:
+        """:attr:`closed` as :class:`SpanColumns`, one C-level pass a column."""
+        closed = self.closed
+        start = list(map(float, map(itemgetter("start_sim"), closed)))
+        end = list(map(float, map(itemgetter("end_sim"), closed)))
+        if self.iterations:
+            # ``after[i] - 1`` is the last iteration starting by ``start + _EPS``;
+            # the NaN in front answers "no iteration" for ``after[i] == 0``.
+            ends = [math.nan] + [float(s["end_sim"]) + _EPS for s in self.iterations]
+            after = map(
+                bisect_right, repeat(self.iteration_starts), map(add, start, repeat(_EPS))
+            )
+            slot = [k - 1 if e <= ends[k] else None for k, e in zip(after, end)]
+        else:
+            slot = [None] * len(closed)
+        return SpanColumns(
+            name=[s["name"] for s in closed],
+            rank=[s.get("rank") for s in closed],
+            start=start,
+            end=end,
+            span_id=[s.get("span_id") for s in closed],
+            parent_id=[s.get("parent_id") for s in closed],
+            slot=slot,
+        )
 
 
 class TraceModel:

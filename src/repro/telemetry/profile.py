@@ -47,7 +47,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
+from operator import sub
 from typing import Any, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -74,14 +74,6 @@ __all__ = [
 #: Rank-track phase names (the simulated per-rank spans the pipeline
 #: emits); everything else with ``rank is None`` is runtime control.
 _RANK_PHASES = ("compute", "ghost-exchange")
-
-
-def _start(record: dict[str, Any]) -> float:
-    return float(record["start_sim"])
-
-
-def _segment(phase: str, rank: int | None, span: dict[str, Any]) -> PathSegment:
-    return PathSegment(phase, rank, _start(span), float(span["end_sim"]))
 
 
 def _duration(record: dict[str, Any]) -> float:
@@ -271,25 +263,33 @@ def analyze_critical_path(
         if not iterations:
             continue
         run = RunCriticalPath(pid=view.pid, label=view.title)
-        # Bucket rank phases and sync spans by containing iteration.
-        rank_spans: list[list[dict[str, Any]]] = [[] for _ in iterations]
-        sync_spans: list[list[dict[str, Any]]] = [[] for _ in iterations]
+        cols = view.columns
+        names, ranks, starts, ends = cols.name, cols.rank, cols.start, cols.end
+        durations = list(map(sub, ends, starts))
+        # ``(rank, row)`` of rank phases and rows of sync spans, bucketed
+        # by iteration slot; rows outside every iteration (e.g. replayed
+        # work) have none.
+        rank_rows: list[list[tuple[int, int]]] = [[] for _ in iterations]
+        sync_rows: list[list[int]] = [[] for _ in iterations]
         num_ranks = 0
-        for s, idx in zip(view.closed, view.slots):
+        for i, idx in enumerate(cols.slot):
             if idx is None:
-                continue  # outside every iteration (e.g. replayed work)
-            if s.get("rank") is not None and s["name"] in _RANK_PHASES:
-                rank_spans[idx].append(s)
-                num_ranks = max(num_ranks, int(s["rank"]) + 1)
-            elif s["name"] == "sync":
-                sync_spans[idx].append(s)
+                continue
+            if ranks[i] is not None and names[i] in _RANK_PHASES:
+                rank = int(ranks[i])
+                rank_rows[idx].append((rank, i))
+                if rank >= num_ranks:
+                    num_ranks = rank + 1
+            elif names[i] == "sync":
+                sync_rows[idx].append(i)
+        by_start = starts.__getitem__
         for idx, it in enumerate(iterations):
             attrs = it.get("attributes") or {}
             start = float(it["start_sim"])
             end = float(it["end_sim"])
             busy: dict[int, float] = {r: 0.0 for r in range(num_ranks)}
-            for s in rank_spans[idx]:
-                busy[int(s["rank"])] = busy.get(int(s["rank"]), 0.0) + _duration(s)
+            for rank, i in rank_rows[idx]:
+                busy[rank] = busy.get(rank, 0.0) + durations[i]
             critical = attrs.get("critical_rank")
             if critical is None and busy:
                 busiest = max(busy.values())
@@ -298,20 +298,19 @@ def analyze_critical_path(
             compute_s = comm_s = 0.0
             if critical is not None:
                 critical = int(critical)
-                own = sorted(
-                    (s for s in rank_spans[idx] if int(s["rank"]) == critical),
-                    key=_start,
-                )
-                for s in own:
-                    segments.append(_segment(s["name"], critical, s))
-                    if s["name"] == "compute":
-                        compute_s += _duration(s)
+                own = [i for rank, i in rank_rows[idx] if rank == critical]
+                for i in sorted(own, key=by_start):
+                    segments.append(
+                        PathSegment(names[i], critical, starts[i], ends[i])
+                    )
+                    if names[i] == "compute":
+                        compute_s += durations[i]
                     else:
-                        comm_s += _duration(s)
-            sync_s = sum(_duration(s) for s in sync_spans[idx])
+                        comm_s += durations[i]
+            sync_s = sum(map(durations.__getitem__, sync_rows[idx]))
             segments += [
-                _segment("sync", None, s)
-                for s in sorted(sync_spans[idx], key=_start)
+                PathSegment("sync", None, starts[i], ends[i])
+                for i in sorted(sync_rows[idx], key=by_start)
             ]
             covered = compute_s + comm_s + sync_s
             barrier_s = max(0.0, (end - start) - covered)
@@ -413,8 +412,11 @@ class CommMatrix:
                 matrix.append([filler] * size)
         self.size = size
 
-    def add_pairs(self, rows: Sequence[Sequence[Any]]) -> None:
-        """Fold one event's ``(src, dst, bytes, seconds, derated)`` rows.
+    def add_pairs(
+        self, rows: Sequence[Sequence[Any]], total: CommMatrix | None = None
+    ) -> None:
+        """Fold one event's ``(src, dst, bytes, seconds, derated)`` rows
+        into this matrix and, if given, into ``total`` too.
 
         Grows once, to the largest rank named, then adds row by row in
         the given order, so each cell sums its terms in event order.
@@ -426,16 +428,20 @@ class CommMatrix:
                 top = src
             if dst > top:
                 top = dst
-        self.grow(top + 1)
-        nbytes_m, seconds_m = self.bytes, self.seconds
-        messages_m, derated_m = self.messages, self.derated_bytes
+        into = [self] if total is None else [self, total]
+        for matrix in into:
+            matrix.grow(top + 1)
+        cells = [
+            (m.bytes, m.seconds, m.messages, m.derated_bytes) for m in into
+        ]
         for src, dst, nbytes, seconds, derated in rows:
             src, dst = int(src), int(dst)
-            nbytes_m[src][dst] += nbytes
-            seconds_m[src][dst] += seconds
-            messages_m[src][dst] += 1
-            if derated:
-                derated_m[src][dst] += nbytes
+            for nbytes_m, seconds_m, messages_m, derated_m in cells:
+                nbytes_m[src][dst] += nbytes
+                seconds_m[src][dst] += seconds
+                messages_m[src][dst] += 1
+                if derated:
+                    derated_m[src][dst] += nbytes
 
     @property
     def bytes_total(self) -> float:
@@ -530,9 +536,7 @@ def comm_profile(
                 matrix = profile.phases[phase] = CommMatrix.zeros(size)
             matrix.grow(size)
             profile.total.grow(size)
-            pairs = attrs.get("pairs", ())
-            matrix.add_pairs(pairs)
-            profile.total.add_pairs(pairs)
+            matrix.add_pairs(attrs.get("pairs", ()), profile.total)
             profile.events += 1
             profile.pairs_dropped += int(attrs.get("pairs_dropped", 0))
         profiles.append(profile)
@@ -543,40 +547,48 @@ def comm_profile(
 # Flamegraphs
 # ----------------------------------------------------------------------
 def _span_forest(
-    spans: list[dict[str, Any]], view: RunView | None = None
-) -> tuple[list[dict[str, Any]], dict[int, list[dict[str, Any]]]]:
-    """(roots, children-by-span-id) for one run's spans.
+    view: RunView, ranks: bool
+) -> tuple[list[int], dict[Any, list[int]]]:
+    """(roots, children-by-span-id) of one run's closed spans, as rows of
+    its :attr:`~RunView.columns`, each list in ``(start, span_id)`` order.
 
     Control spans nest by their recorded ``parent_id`` (the tracer's
     stack discipline makes those exact).  Rank spans, recorded flat
-    against the ``run`` span, nest under the iteration of their slot
-    when ``view`` -- whose :attr:`~RunView.closed` these are -- is given.
+    against the ``run`` span, are left out unless ``ranks``; then they
+    nest under the iteration of their slot, else by ``parent_id``.
     """
-    by_id = {s["span_id"]: s for s in spans}
-    slots = repeat(None) if view is None else view.slots
-    children: dict[int, list[dict[str, Any]]] = {}
-    roots: list[dict[str, Any]] = []
-    for s, slot in zip(spans, slots):
-        parent_id = s.get("parent_id")
-        if slot is not None and s.get("rank") is not None:
-            parent_id = view.iterations[slot]["span_id"]
-        if parent_id is not None and parent_id in by_id:
-            children.setdefault(parent_id, []).append(s)
+    cols = view.columns
+    rank_of, parent_of, slots = cols.rank, cols.parent_id, cols.slot
+    if ranks:
+        rows: Sequence[int] = range(len(rank_of))
+    else:
+        rows = [i for i, rank in enumerate(rank_of) if rank is None]
+    span_ids = cols.span_id
+    known = {span_ids[i] for i in rows}
+    iteration_ids = [it["span_id"] for it in view.iterations]
+    children: dict[Any, list[int]] = {}
+    roots: list[int] = []
+    for i in rows:
+        parent_id = parent_of[i]
+        if slots[i] is not None and rank_of[i] is not None:
+            parent_id = iteration_ids[slots[i]]
+        if parent_id is not None and parent_id in known:
+            children.setdefault(parent_id, []).append(i)
         else:
-            roots.append(s)
-    order = lambda s: (float(s["start_sim"]), s["span_id"])  # noqa: E731
+            roots.append(i)
+    order = list(zip(cols.start, span_ids)).__getitem__
     roots.sort(key=order)
     for kids in children.values():
         kids.sort(key=order)
     return roots, children
 
 
-def _frame_name(span: dict[str, Any], label: str) -> str:
-    if span["name"] == "run":
+def _frame_name(name: Any, rank: Any, label: str) -> str:
+    if name == "run":
         return f"run: {label}"
-    if span.get("rank") is not None:
-        return f"{span['name']} (rank {span['rank']})"
-    return str(span["name"])
+    if rank is not None:
+        return f"{name} (rank {rank})"
+    return str(name)
 
 
 def flamegraph_collapsed(
@@ -595,18 +607,28 @@ def flamegraph_collapsed(
     weights: dict[tuple[str, ...], int] = {}
 
     for view in TraceModel.of(source, run_labels).runs:
-        roots, children = _span_forest(view.closed, view)
+        roots, children = _span_forest(view, ranks=True)
+        cols = view.columns
+        names, ranks, span_ids = cols.name, cols.rank, cols.span_id
+        durations = list(map(sub, cols.end, cols.start))
         label = view.title
 
-        def walk(span: dict[str, Any], stack: tuple[str, ...]) -> None:
-            stack = stack + (_frame_name(span, label),)
-            kids = children.get(span["span_id"], [])
-            child_s = sum(_duration(k) for k in kids)
-            self_us = int(round(max(0.0, _duration(span) - child_s) * 1e6))
+        def walk(i: int, stack: tuple[str, ...]) -> None:
+            stack = stack + (_frame_name(names[i], ranks[i], label),)
+            kids = children.get(span_ids[i], [])
+            child_s = sum(map(durations.__getitem__, kids))
+            self_us = int(round(max(0.0, durations[i] - child_s) * 1e6))
             if self_us > 0 or not kids:
                 weights[stack] = weights.get(stack, 0) + self_us
             for kid in kids:
-                walk(kid, stack)
+                if span_ids[kid] in children:
+                    walk(kid, stack)
+                    continue
+                # A leaf -- every rank span: its self time is its duration.
+                leaf = stack + (_frame_name(names[kid], ranks[kid], label),)
+                weights[leaf] = weights.get(leaf, 0) + int(
+                    round(max(0.0, durations[kid] - 0) * 1e6)
+                )
 
         for root in roots:
             walk(root, ())
@@ -650,7 +672,9 @@ def speedscope_document(
         if not view.closed:
             continue
         label = view.title
-        t0 = min(_start(s) for s in view.closed)
+        cols = view.columns
+        names, ranks, starts, ends = cols.name, cols.rank, cols.start, cols.end
+        t0 = min(starts)
 
         def us(t: float) -> int:
             return int(round((t - t0) * 1e6))
@@ -669,22 +693,20 @@ def speedscope_document(
                 )
 
         # Control timeline: the nested span tree, rank tracks excluded.
-        roots, children = _span_forest(view.control)
+        roots, children = _span_forest(view, ranks=False)
         events: list[dict[str, Any]] = []
         end_value = 0
 
-        def emit(
-            span: dict[str, Any], lo: float, hi: float, cursor: float
-        ) -> float:
+        def emit(i: int, lo: float, hi: float, cursor: float) -> float:
             nonlocal end_value
-            start = max(float(span["start_sim"]), lo, cursor)
-            end = min(float(span["end_sim"]), hi)
+            start = max(starts[i], lo, cursor)
+            end = min(ends[i], hi)
             if end <= start + 0.0:
                 return cursor
-            idx = frame_of(_frame_name(span, label))
+            idx = frame_of(_frame_name(names[i], None, label))
             events.append({"type": "O", "frame": idx, "at": us(start)})
             child_cursor = start
-            for kid in children.get(span["span_id"], []):
+            for kid in children.get(cols.span_id[i], []):
                 child_cursor = emit(kid, start, end, child_cursor)
             events.append({"type": "C", "frame": idx, "at": us(end)})
             end_value = max(end_value, us(end))
@@ -695,21 +717,22 @@ def speedscope_document(
             cursor = emit(root, -math.inf, math.inf, cursor)
         timeline("runtime", events, end_value)
         # One flat timeline per rank: that rank's simulated phases.
-        by_rank: dict[int, list[dict[str, Any]]] = {}
-        for s in view.closed:
-            if s.get("rank") is not None:
-                by_rank.setdefault(s["rank"], []).append(s)
+        by_rank: dict[Any, list[int]] = {}
+        for i, rank in enumerate(ranks):
+            if rank is not None:
+                by_rank.setdefault(rank, []).append(i)
+        order = list(zip(starts, cols.span_id)).__getitem__
         for rank in sorted(by_rank):
-            own = sorted(by_rank[rank], key=lambda s: (_start(s), s["span_id"]))
+            own = sorted(by_rank[rank], key=order)
             events = []
             end_value = 0
             cursor = -math.inf
-            for s in own:
-                start = max(float(s["start_sim"]), cursor)
-                end = float(s["end_sim"])
+            for i in own:
+                start = max(starts[i], cursor)
+                end = ends[i]
                 if end <= start:
                     continue
-                idx = frame_of(str(s["name"]))
+                idx = frame_of(str(names[i]))
                 events.append({"type": "O", "frame": idx, "at": us(start)})
                 events.append({"type": "C", "frame": idx, "at": us(end)})
                 end_value = max(end_value, us(end))

@@ -103,7 +103,7 @@ class _RunPage(NamedTuple):
 
 def _sim_extent(run: RunView) -> float:
     """Simulated seconds from the run's first span start to its last end."""
-    ends = [s["end_sim"] for s in run.closed]
+    ends = run.columns.end
     return (max(ends) - min(s["start_sim"] for s in run.spans)) if ends else 0.0
 
 
@@ -193,17 +193,17 @@ def _timeline_svg(run: RunView, critical: set[tuple] | None = None) -> str:
     get the ``crit`` outline: they gate the iteration's wall time.
     """
     critical = critical or set()
-    spans = [s for s in run.closed if s["name"] in _TIMELINE_PHASES]
-    if not spans:
+    cols = run.columns
+    names, ranks, starts, ends = cols.name, cols.rank, cols.start, cols.end
+    drawn = [i for i, name in enumerate(names) if name in _TIMELINE_PHASES]
+    if not drawn:
         return "<p class='muted'>no phase spans recorded for this run</p>"
-    t0 = min(s["start_sim"] for s in spans)
-    t1 = max(s["end_sim"] for s in spans)
-    ranks = sorted(
-        {s["rank"] for s in spans if s.get("rank") is not None}
-    )
-    rows = ["runtime"] + [f"rank {r}" for r in ranks]
+    t0 = min(starts[i] for i in drawn)
+    t1 = max(ends[i] for i in drawn)
+    rank_rows = sorted({ranks[i] for i in drawn if ranks[i] is not None})
+    rows = ["runtime"] + [f"rank {r}" for r in rank_rows]
     row_of = {None: 0}
-    row_of.update({r: i + 1 for i, r in enumerate(ranks)})
+    row_of.update({r: i + 1 for i, r in enumerate(rank_rows)})
     row_h, gap, left, right, top = 16, 4, 72, 12, 8
     width = 920
     height = top + len(rows) * (row_h + gap) + 24
@@ -224,32 +224,26 @@ def _timeline_svg(run: RunView, critical: set[tuple] | None = None) -> str:
             f"y2='{y + row_h}' class='grid'/>"
         )
     truncated = 0
-    if len(spans) > MAX_TIMELINE_RECTS:
-        truncated = len(spans) - MAX_TIMELINE_RECTS
-        spans = spans[:MAX_TIMELINE_RECTS]
+    if len(drawn) > MAX_TIMELINE_RECTS:
+        truncated = len(drawn) - MAX_TIMELINE_RECTS
+        drawn = drawn[:MAX_TIMELINE_RECTS]
     n_crit = 0
-    for s in spans:
-        y = top + row_of.get(s.get("rank"), 0) * (row_h + gap)
-        x0 = x(s["start_sim"])
-        w = max(x(s["end_sim"]) - x0, 0.6)
-        on_path = (
-            s["name"],
-            s.get("rank"),
-            round(s["start_sim"], 9),
-            round(s["end_sim"], 9),
-        ) in critical
-        tip = (
-            f"{s['name']}: {s['end_sim'] - s['start_sim']:.3f} sim s "
-            f"@ t={s['start_sim']:.2f}"
-        )
+    for i in drawn:
+        name, rank, start, end = names[i], ranks[i], starts[i], ends[i]
+        y = top + row_of.get(rank, 0) * (row_h + gap)
+        x0 = x(start)
+        w = max(x(end) - x0, 0.6)
+        on_path = (name, rank, round(start, 9), round(end, 9)) in critical
+        # A phase name and two numbers: nothing in the tip needs escaping.
+        tip = f"{name}: {end - start:.3f} sim s @ t={start:.2f}"
         if on_path:
             n_crit += 1
             tip += " [critical path]"
-        cls = f"ph-{s['name']} crit" if on_path else f"ph-{s['name']}"
+        cls = f"ph-{name} crit" if on_path else f"ph-{name}"
         parts.append(
             f"<rect x='{x0:.2f}' y='{y + 2}' width='{w:.2f}' "
             f"height='{row_h - 4}' rx='1.5' class='{cls}'>"
-            f"<title>{_esc(tip)}</title></rect>"
+            f"<title>{tip}</title></rect>"
         )
     axis_y = top + len(rows) * (row_h + gap) + 4
     fault_marks = [

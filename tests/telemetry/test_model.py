@@ -115,7 +115,7 @@ def model_slots(view) -> dict[int, int | None]:
     """Iteration span id of each health-phase span, by the model's rule."""
     placed = {
         s["span_id"]: view.iterations[slot]["span_id"]
-        for s, slot in zip(view.closed, view.slots)
+        for s, slot in zip(view.closed, view.columns.slot)
         if slot is not None
     }
     return {
