@@ -120,11 +120,14 @@ class RunView:
         start = list(map(float, map(itemgetter("start_sim"), closed)))
         end = list(map(float, map(itemgetter("end_sim"), closed)))
         if self.iterations:
-            # ``after[i] - 1`` is the last iteration starting by ``start + _EPS``;
-            # the NaN in front answers "no iteration" for ``after[i] == 0``.
-            ends = [math.nan] + [float(s["end_sim"]) + _EPS for s in self.iterations]
+            # ``k - 1`` is the last iteration starting by ``start + _EPS``;
+            # the NaN in front answers "no iteration" for ``k == 0``.
+            ends = [math.nan]
+            ends += [float(s["end_sim"]) + _EPS for s in self.iterations]
             after = map(
-                bisect_right, repeat(self.iteration_starts), map(add, start, repeat(_EPS))
+                bisect_right,
+                repeat(self.iteration_starts),
+                map(add, start, repeat(_EPS)),
             )
             slot = [k - 1 if e <= ends[k] else None for k, e in zip(after, end)]
         else:

@@ -47,7 +47,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from operator import sub
+from operator import itemgetter, sub
 from typing import Any, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -421,13 +421,12 @@ class CommMatrix:
         Grows once, to the largest rank named, then adds row by row in
         the given order, so each cell sums its terms in event order.
         """
-        top = -1
-        for row in rows:
-            src, dst = int(row[0]), int(row[1])
-            if src > top:
-                top = src
-            if dst > top:
-                top = dst
+        top = int(
+            max(
+                max(map(itemgetter(0), rows), default=-1),
+                max(map(itemgetter(1), rows), default=-1),
+            )
+        )
         into = [self] if total is None else [self, total]
         for matrix in into:
             matrix.grow(top + 1)
