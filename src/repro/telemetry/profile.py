@@ -623,10 +623,11 @@ def flamegraph_collapsed(
                 if span_ids[kid] in children:
                     walk(kid, stack)
                     continue
-                # A leaf -- every rank span: its self time is its duration.
+                # A leaf (every rank span), walked without a call: its
+                # self time is its duration.
                 leaf = stack + (_frame_name(names[kid], ranks[kid], label),)
                 weights[leaf] = weights.get(leaf, 0) + int(
-                    round(max(0.0, durations[kid] - 0) * 1e6)
+                    round(max(0.0, durations[kid]) * 1e6)
                 )
 
         for root in roots:
