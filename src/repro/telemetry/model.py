@@ -35,7 +35,7 @@ import os
 from bisect import bisect_right
 from functools import cached_property
 from itertools import repeat
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.telemetry.spans import NullTracer, Tracer
@@ -79,6 +79,7 @@ class SpanColumns(NamedTuple):
     rank: Sequence[int | None]  # as recorded; None on the control track
     start: Sequence[float]  # ``float(start_sim)``
     end: Sequence[float]  # ``float(end_sim)``
+    duration: Sequence[float]  # ``end - start``
     span_id: Sequence[int]
     parent_id: Sequence[int | None]
     slot: Sequence[int | None]  # iteration index, by the module rule
@@ -137,10 +138,17 @@ class RunView:
             rank=[s.get("rank") for s in closed],
             start=start,
             end=end,
+            duration=list(map(sub, end, start)),
             span_id=[s.get("span_id") for s in closed],
             parent_id=[s.get("parent_id") for s in closed],
             slot=slot,
         )
+
+    @cached_property
+    def order_keys(self) -> list[tuple[float, Any]]:
+        """Each row's ``(start, span_id)`` of :attr:`columns`: the key
+        the flamegraph and speedscope readers sort spans by."""
+        return list(zip(self.columns.start, self.columns.span_id))
 
 
 class TraceModel:

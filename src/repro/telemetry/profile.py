@@ -47,7 +47,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Any, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -265,7 +265,7 @@ def analyze_critical_path(
         run = RunCriticalPath(pid=view.pid, label=view.title)
         cols = view.columns
         names, ranks, starts, ends = cols.name, cols.rank, cols.start, cols.end
-        durations = list(map(sub, ends, starts))
+        durations = cols.duration
         # ``(rank, row)`` of rank phases and rows of sync spans, bucketed
         # by iteration slot; rows outside every iteration (e.g. replayed
         # work) have none.
@@ -575,7 +575,7 @@ def _span_forest(
             children.setdefault(parent_id, []).append(i)
         else:
             roots.append(i)
-    order = list(zip(cols.start, span_ids)).__getitem__
+    order = view.order_keys.__getitem__
     roots.sort(key=order)
     for kids in children.values():
         kids.sort(key=order)
@@ -609,7 +609,7 @@ def flamegraph_collapsed(
         roots, children = _span_forest(view, ranks=True)
         cols = view.columns
         names, ranks, span_ids = cols.name, cols.rank, cols.span_id
-        durations = list(map(sub, cols.end, cols.start))
+        durations = cols.duration
         label = view.title
 
         def walk(i: int, stack: tuple[str, ...]) -> None:
@@ -620,15 +620,7 @@ def flamegraph_collapsed(
             if self_us > 0 or not kids:
                 weights[stack] = weights.get(stack, 0) + self_us
             for kid in kids:
-                if span_ids[kid] in children:
-                    walk(kid, stack)
-                    continue
-                # A leaf (every rank span), walked without a call: its
-                # self time is its duration.
-                leaf = stack + (_frame_name(names[kid], ranks[kid], label),)
-                weights[leaf] = weights.get(leaf, 0) + int(
-                    round(max(0.0, durations[kid]) * 1e6)
-                )
+                walk(kid, stack)
 
         for root in roots:
             walk(root, ())
@@ -721,7 +713,7 @@ def speedscope_document(
         for i, rank in enumerate(ranks):
             if rank is not None:
                 by_rank.setdefault(rank, []).append(i)
-        order = list(zip(starts, cols.span_id)).__getitem__
+        order = view.order_keys.__getitem__
         for rank in sorted(by_rank):
             own = sorted(by_rank[rank], key=order)
             events = []

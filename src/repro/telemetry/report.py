@@ -235,7 +235,7 @@ def _timeline_svg(run: RunView, critical: set[tuple] | None = None) -> str:
         w = max(x(end) - x0, 0.6)
         on_path = (name, rank, round(start, 9), round(end, 9)) in critical
         # A phase name and two numbers: nothing in the tip needs escaping.
-        tip = f"{name}: {end - start:.3f} sim s @ t={start:.2f}"
+        tip = f"{name}: {cols.duration[i]:.3f} sim s @ t={start:.2f}"
         if on_path:
             n_crit += 1
             tip += " [critical path]"
