@@ -13,18 +13,22 @@ from repro.cli.common import add_experiment, add_out_dir, at_least
 from repro.cli.experiments import lookup_experiment
 
 if TYPE_CHECKING:
-    from repro.telemetry import HealthMonitor, Tracer
+    from repro.telemetry import HealthMonitor, TraceModel, Tracer
 
 _TARGET_HELP = "experiment id from 'list', or path to an exported .events.jsonl trace"
 
 
-def _load_records_or_fail(path: Path) -> list[dict] | None:
-    """Parse a JSONL trace, or print one clear line and return ``None``.
+def _load_model_or_fail(path: Path) -> TraceModel | None:
+    """Read a JSONL trace into its model, or print one clear line and
+    return ``None``.
 
     Every CLI path that reads a user-supplied trace file funnels through
-    here so a missing, unreadable or corrupt file is always a one-line
-    error and exit code 2, never a traceback.
+    here so a missing, unreadable, corrupt or older-format file is always
+    a one-line error and exit code 2, never a traceback.
     """
+    from repro.telemetry import TraceModel
+    from repro.util.errors import TelemetryError
+
     if not path.is_file():
         print(f"trace file not found: {path}", file=sys.stderr)
         return None
@@ -48,18 +52,22 @@ def _load_records_or_fail(path: Path) -> list[dict] | None:
     if not records:
         print(f"trace file {path} contains no records", file=sys.stderr)
         return None
-    return records
+    try:
+        return TraceModel(records)
+    except TelemetryError as exc:
+        print(f"cannot read trace file {path}: {exc}", file=sys.stderr)
+        return None
 
 
-def _trace_file(target: str) -> tuple[list[dict] | None, str] | None:
-    """``(records, stem)`` when ``target`` names an exported trace file
-    rather than an experiment id; ``records`` is ``None`` (the error
+def _trace_file(target: str) -> tuple[TraceModel | None, str] | None:
+    """``(model, stem)`` when ``target`` names an exported trace file
+    rather than an experiment id; ``model`` is ``None`` (the error
     printed) for a file that cannot be read."""
     path = Path(target)
     if path.suffix != ".jsonl" and not path.is_file():
         return None
     stem = path.name.removesuffix(".jsonl").removesuffix(".events")
-    return _load_records_or_fail(path), stem
+    return _load_model_or_fail(path), stem
 
 
 def _run_experiment(experiment: str, quick: bool, tracer: Tracer) -> str | None:
@@ -165,13 +173,13 @@ def _report(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     trace_file = _trace_file(args.target)
     if trace_file is not None:
-        records, stem = trace_file
-        if records is None:
+        model, stem = trace_file
+        if model is None:
             return 2
         out.mkdir(parents=True, exist_ok=True)
         dashboard_path = out / f"{stem}.dashboard.html"
         title = f"Health dashboard — {Path(args.target).name}"
-        write_dashboard(records, dashboard_path, title=title)
+        write_dashboard(model, dashboard_path, title=title)
         print(f"health dashboard (self-contained): {dashboard_path}")
         return 0
     tracer = Tracer()
@@ -265,10 +273,10 @@ def _profile(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     trace_file = _trace_file(args.target)
     if trace_file is not None:
-        records, stem = trace_file
-        if records is None:
+        model, stem = trace_file
+        if model is None:
             return 2
-        return _write_profile_artifacts(records, out, stem)
+        return _write_profile_artifacts(model, out, stem)
     tracer = Tracer()
     output = _run_experiment(args.target, args.quick, tracer)
     if output is None:

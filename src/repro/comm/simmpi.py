@@ -84,6 +84,8 @@ class SimCommunicator:
         self._tracer = NULL_TRACER
         self._bytes_total = None
         self._messages_total = None
+        #: phase -> ``((pid, ends, bytes), id)`` of its last pair table
+        self._tables: dict[str, tuple] = {}
         if tracer is not None:
             self.bind_tracer(tracer)
 
@@ -95,6 +97,7 @@ class SimCommunicator:
         either way.
         """
         self._tracer = tracer
+        self._tables = {}
         if tracer is not None and tracer.enabled:
             self._bytes_total = tracer.metrics.counter("comm.bytes_total")
             self._messages_total = tracer.metrics.counter("comm.messages_total")
@@ -219,6 +222,12 @@ class SimCommunicator:
         busy: np.ndarray,
         t: float | None,
     ) -> None:
+        """One ``comm.exchange`` event: totals, ``pair_seconds`` /
+        ``pair_derated`` columns and the id of its ``(src, dst, bytes)``
+        table, written (``pair_table``) only when it differs from the
+        phase's last one in this run.  The id is the event's index among
+        the tracer's events."""
+        tracer = self._tracer
         messages = len(nbytes)
         makespan = float(busy.max()) if busy.size else 0.0
         attrs = {
@@ -237,22 +246,26 @@ class SimCommunicator:
             if dropped
             else slice(None)
         )
-        attrs["pairs"] = [
-            list(row)
-            for row in zip(
-                ends[rows, 0].tolist(),
-                ends[rows, 1].tolist(),
-                nbytes[rows].tolist(),
-                seconds[rows].tolist(),
-                derated[rows].tolist(),
-            )
-        ]
+        ends, nbytes = ends[rows], nbytes[rows]
+        key = (tracer.pid, ends.tobytes(), nbytes.tobytes())
+        last_key, attrs["table"] = self._tables.get(phase, (None, None))
+        if key != last_key:
+            attrs["table"] = len(tracer.events)
+            attrs["pair_table"] = [
+                list(row)
+                for row in zip(
+                    ends[:, 0].tolist(), ends[:, 1].tolist(), nbytes.tolist()
+                )
+            ]
+            self._tables[phase] = (key, attrs["table"])
+        attrs["pair_seconds"] = seconds[rows].tolist()
+        attrs["pair_derated"] = derated[rows].tolist()
         if dropped:
             attrs["pairs_dropped"] = dropped
         if t is not None:
             attrs["t"] = float(t)
-        self._tracer.event("comm.exchange", **attrs)
-        self._tracer.metrics.histogram("comm.phase_seconds", phase=phase).observe(
+        tracer.event("comm.exchange", **attrs)
+        tracer.metrics.histogram("comm.phase_seconds", phase=phase).observe(
             makespan
         )
 

@@ -37,7 +37,7 @@ from repro.partition.capacity import CapacityCalculator
 from repro.resilience.checkpoint import ResilienceConfig
 from repro.runtime.pipeline import RepartitionPipeline
 from repro.runtime.timemodel import IterationCost, TimeModel
-from repro.telemetry.spans import NullTracer, Tracer, get_active_tracer
+from repro.telemetry.spans import TRACE_FORMAT, NullTracer, Tracer, get_active_tracer
 from repro.util.errors import SimulationError
 
 __all__ = [
@@ -373,6 +373,7 @@ class StepEngine:
             partitioner=self.partitioner.name,
             num_nodes=self.cluster.num_nodes,
             **{f"{self.step_attr}s": self.num_steps},
+            trace_format=TRACE_FORMAT,
         ):
             self._result = result = self.result_type()
             self._sense(forecast=True)  # sense once before the start

@@ -40,6 +40,7 @@ from repro.partition.base import Partitioner
 from repro.partition.capacity import CapacityCalculator, CapacityWeights
 from repro.runtime.engine import RunResult, RuntimeConfig, SamrRuntime
 from repro.telemetry.analysis import HealthMonitor, fault_summary
+from repro.telemetry.export import aggregate_phases
 from repro.telemetry.live import deterministic_tracer
 from repro.telemetry.spans import Tracer, activate
 from repro.util.errors import ExperimentError
@@ -197,11 +198,6 @@ def campaign_cell(
         result = run_once(workload, cluster, make_partitioner(partitioner), cfg)
     health.finish()
 
-    phases: dict[str, dict] = {}
-    for span in tracer.spans:
-        agg = phases.setdefault(span.name, {"count": 0, "sim_seconds": 0.0})
-        agg["count"] += 1
-        agg["sim_seconds"] += span.sim_duration
     summary = health.summary()
     return {
         "scenario": scenario,
@@ -227,7 +223,7 @@ def campaign_cell(
             "worst_imbalance_pct": summary["worst_imbalance_pct"],
             "imbalance_bound_pct": summary["imbalance_bound_pct"],
         },
-        "phases": phases,
+        "phases": aggregate_phases(tracer, wall=False),
     }
 
 

@@ -22,8 +22,8 @@ one loop driving it.
 ``health_attrs()`` / ``emit_iteration_spans()``
     Per-step observability stamping: the health attributes the
     :class:`~repro.telemetry.analysis.HealthMonitor` and the HTML
-    dashboard consume, and the per-rank compute/ghost-exchange/sync
-    simulated-time tracks.
+    dashboard consume, and the ``iteration`` span carrying the per-rank
+    compute/comm vectors, then the collective ``sync`` span.
 
 Executor-specific details are wired once at construction (how a partition
 is applied, the dashboard's extra gauges) or enter as span attributes.
@@ -415,15 +415,16 @@ class RepartitionPipeline:
     def emit_iteration_spans(
         self, start_sim: float, cost: IterationCost, attrs: dict
     ) -> None:
-        """Per-rank compute/ghost-exchange tracks for one priced iteration.
+        """The ``iteration`` span of one priced iteration, then its
+        collective ``sync`` span.
 
-        The time model prices the whole iteration at once; this decomposes
-        the per-rank breakdown into simulated-time spans (compute first,
-        then the rank's serialized ghost exchange, then the collective
-        sync gating everyone).  ``attrs`` land on the enclosing
-        ``iteration`` span (loop counter plus :meth:`health_attrs`),
-        alongside the critical-path attribution the profiler keys on:
-        which rank's busy time gated the step, and the sync tax.
+        The time model prices the whole iteration at once; the span keeps
+        the per-rank ``compute`` and ``comm`` vectors, which readers
+        expand into each rank's compute and then serialized ghost
+        exchange (:func:`repro.telemetry.model.rank_rows`).  ``attrs``
+        (loop counter plus :meth:`health_attrs`) follow the critical-path
+        attribution the profiler keys on: which rank's busy time gated
+        the step, and the sync tax.
         """
         tracer = self.tracer
         busy_per_rank = cost.compute + cost.comm
@@ -436,22 +437,10 @@ class RepartitionPipeline:
             start_sim + cost.total,
             critical_rank=critical_rank,
             sync_s=float(cost.sync),
+            compute=cost.compute.tolist(),
+            comm=cost.comm.tolist(),
             **attrs,
         )
-        for rank in range(len(cost.compute)):
-            compute = float(cost.compute[rank])
-            comm = float(cost.comm[rank])
-            if compute > 0.0:
-                tracer.add_span(
-                    "compute", start_sim, start_sim + compute, rank=rank
-                )
-            if comm > 0.0:
-                tracer.add_span(
-                    "ghost-exchange",
-                    start_sim + compute,
-                    start_sim + compute + comm,
-                    rank=rank,
-                )
         if cost.sync > 0.0:
             busy = float(busy_per_rank.max())
             tracer.add_span(

@@ -36,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.telemetry.model import TraceModel, TraceSource
+from repro.telemetry.model import TraceModel, TraceSource, rank_rows
 from repro.telemetry.spans import NullTracer, Span, Tracer
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
 #: keeps per-rank imbalance within 40 % on a loaded cluster (section 4).
 PAPER_IMBALANCE_BOUND_PCT = 40.0
 
-#: Phase names folded into a snapshot's per-phase breakdown.
-_RANK_PHASES = ("compute", "ghost-exchange", "sync")
 
 
 @dataclass(slots=True)
@@ -414,21 +412,37 @@ def _attr_float(attrs: dict[str, Any], *names: str) -> float | None:
     return None
 
 
+#: The spans a run's health analysis reads.
+_BUFFERED = ("iteration", "sense", "migrate", "sync")
+
+
 class _RunAccumulator:
     """Raw per-run span buffers, grouped as they close.
 
-    Rank phases, the bulk of a trace, are kept as ``(name, start_sim,
-    sim_duration)`` tuples: that is all the analysis reads of them.
+    ``sync`` spans are kept as ``(start_sim, sim_duration)`` pairs: that
+    is all the analysis reads of them.
     """
 
-    __slots__ = ("label", "iterations", "senses", "migrations", "phases")
+    __slots__ = ("label", "iterations", "senses", "migrations", "syncs")
 
     def __init__(self, label: str):
         self.label = label
         self.iterations: list[Span] = []
         self.senses: list[Span] = []
         self.migrations: list[Span] = []
-        self.phases: list[tuple[str, float, float]] = []
+        self.syncs: list[tuple[float, float]] = []
+
+    def add(self, span: Span) -> None:
+        """Buffer one closed (or crash-truncated) span of the run."""
+        name = span.name
+        if name == "iteration":
+            self.iterations.append(span)
+        elif name == "sense":
+            self.senses.append(span)
+        elif name == "migrate":
+            self.migrations.append(span)
+        elif name == "sync":
+            self.syncs.append((span.start_sim, span.sim_duration))
 
 
 def _analyze_run(pid: int, acc: _RunAccumulator) -> list[HealthSnapshot]:
@@ -465,14 +479,17 @@ def _analyze_run(pid: int, acc: _RunAccumulator) -> list[HealthSnapshot]:
             )
         )
 
-    # Per-phase breakdown: each rank-phase span lands in the iteration
-    # whose [start, end) interval contains its start time.
-    for name, start, duration in acc.phases:
+    # Per-phase breakdown: an iteration's rank rows, then each ``sync``
+    # span in the iteration whose [start, end) interval holds its start.
+    for span, snap in zip(iterations, snapshots):
+        seconds = snap.phase_seconds
+        for name, _, start, end in rank_rows(span.start_sim, span.attributes):
+            seconds[name] = seconds.get(name, 0.0) + (end - start)
+    for start, duration in acc.syncs:
         slot = bisect_right(starts, start) - 1
-        if slot < 0:
-            continue
-        seconds = snapshots[slot].phase_seconds
-        seconds[name] = seconds.get(name, 0.0) + duration
+        if slot >= 0:
+            seconds = snapshots[slot].phase_seconds
+            seconds["sync"] = seconds.get("sync", 0.0) + duration
 
     # Migration churn: bytes/seconds of every migrate span up to (and
     # including) each iteration's end, charged to the first iteration that
@@ -600,20 +617,10 @@ class HealthMonitor:
         return acc
 
     def _on_span_close(self, span: Span) -> None:
-        name = span.name
-        if name == "run":
+        if span.name == "run":
             self._finish_run(span.pid)
-            return
-        if name == "iteration":
-            self._accumulator(span.pid).iterations.append(span)
-        elif name == "sense":
-            self._accumulator(span.pid).senses.append(span)
-        elif name == "migrate":
-            self._accumulator(span.pid).migrations.append(span)
-        elif name in _RANK_PHASES:
-            self._accumulator(span.pid).phases.append(
-                (name, span.start_sim, span.sim_duration)
-            )
+        elif span.name in _BUFFERED:
+            self._accumulator(span.pid).add(span)
 
     def _finish_run(self, pid: int) -> None:
         acc = self._runs.pop(pid, None)
@@ -709,22 +716,9 @@ def analyze_records(
             continue
         # Each run's span records, buffered as the live monitor buffers them.
         acc = _RunAccumulator(view.label)
-        buffers = {
-            "iteration": acc.iterations,
-            "sense": acc.senses,
-            "migrate": acc.migrations,
-        }
         for record in view.spans:
-            name = record["name"]
-            if name in _RANK_PHASES:
-                # ``Span.sim_duration`` of the record, without the ``Span``.
-                start = float(record.get("start_sim") or 0.0)
-                end = record.get("end_sim")
-                acc.phases.append(
-                    (name, start, 0.0 if end is None else float(end) - start)
-                )
-            elif name in buffers:
-                buffers[name].append(_span_from_record(record))
+            if record["name"] in _BUFFERED:
+                acc.add(_span_from_record(record))
         run_snapshots = _analyze_run(view.pid, acc)
         snapshots.extend(run_snapshots)
         events.extend(_detect(run_snapshots, list(factory())))

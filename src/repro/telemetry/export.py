@@ -25,13 +25,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator
 
 from repro.telemetry.metrics import MetricsRegistry, NullMetricsRegistry
+from repro.telemetry.model import rank_rows
 from repro.telemetry.spans import NullTracer, Span, Tracer
 
 __all__ = [
@@ -102,6 +100,20 @@ def _tid(span_rank: int | None) -> int:
     return RUNTIME_TID if span_rank is None else span_rank + 1
 
 
+def _span_rows(span: Span) -> list[tuple[str, int | None, float, float, float]]:
+    """``(name, rank, start, sim seconds, wall seconds)`` of a span and,
+    after an ``iteration``, of its rank rows (no wall time)."""
+    rows = [
+        (span.name, span.rank, span.start_sim, span.sim_duration, span.wall_duration)
+    ]
+    if span.name == "iteration":
+        rows += [
+            (name, rank, start, end - start, 0.0)
+            for name, rank, start, end in rank_rows(span.start_sim, span.attributes)
+        ]
+    return rows
+
+
 def chrome_trace_events(
     tracer: Tracer | NullTracer,
 ) -> list[dict[str, Any]]:
@@ -116,22 +128,24 @@ def chrome_trace_events(
     out: list[dict[str, Any]] = []
     threads_seen: set[tuple[int, int]] = set()
     for span in tracer.spans:
-        tid = _tid(span.rank)
-        threads_seen.add((span.pid, tid))
         args = dict(span.attributes)
-        args["wall_seconds"] = span.wall_duration
-        out.append(
-            {
-                "name": span.name,
-                "cat": "sim",
-                "ph": "X",
-                "ts": span.start_sim * 1e6,
-                "dur": span.sim_duration * 1e6,
-                "pid": span.pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
+        for name, rank, start, duration, wall in _span_rows(span):
+            args["wall_seconds"] = wall
+            tid = _tid(rank)
+            threads_seen.add((span.pid, tid))
+            out.append(
+                {
+                    "name": name,
+                    "cat": "sim",
+                    "ph": "X",
+                    "ts": start * 1e6,
+                    "dur": duration * 1e6,
+                    "pid": span.pid,
+                    "tid": tid,
+                    "args": args,
+                }
+            )
+            args = {}
     for event in tracer.events:
         tid = _tid(event.rank)
         threads_seen.add((event.pid, tid))
@@ -179,64 +193,17 @@ def write_chrome_trace(tracer: Tracer | NullTracer, path: str | os.PathLike) -> 
         fh.write(_dumps(chrome_trace_events(tracer)))
 
 
-#: A span record's JSONL line, keys in :meth:`Span.to_dict` order.
-_SPAN_LINE = (
-    '{"type": "span", "name": %s, "span_id": %s, "parent_id": %s, '
-    '"pid": %s, "rank": %s, "start_wall": %s, "end_wall": %s, '
-    '"start_sim": %s, "end_sim": %s, "attributes": %s}\n'
-)
-_SPAN_FIELDS = (
-    "name", "span_id", "parent_id", "pid", "rank",
-    "start_wall", "end_wall", "start_sim", "end_sim",
-)  # fmt: skip
-
-
-def _texts(values: list[Any]) -> Iterable[str]:
-    """Each value as :data:`_ENCODER` writes it, a column at a time.
-
-    A column of finite floats, of ``int`` and ``None``, or of strings is
-    spelled without a call into the encoder per value (the encoder's own
-    float, int and string rules); any other column goes value by value
-    through :func:`_dumps`, so NaN and infinities still come out as
-    ``NaN`` / ``Infinity``.
-    """
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    if kinds <= {int, type(None)}:
-        return ["null" if v is None else int.__repr__(v) for v in values]
-    if kinds == {str}:
-        return map(encode_basestring_ascii, values)
-    return map(_dumps, values)
-
-
-def _span_lines(spans: Sequence[Span]) -> list[str]:
-    """Each span's JSONL line: the fixed-key template filled column by
-    column, the line ``_dumps(span.to_dict())`` writes."""
-    columns = [_texts(list(map(attrgetter(f), spans))) for f in _SPAN_FIELDS]
-    columns.append(
-        "{}" if a.__class__ is dict and not a else _dumps(a)
-        for a in map(attrgetter("attributes"), spans)
-    )
-    return list(map(_SPAN_LINE.__mod__, zip(*columns)))
-
-
 def jsonl_lines(tracer: Tracer | NullTracer) -> Iterator[str]:
     """The raw span + event log, one JSON object per line.
 
     Records are ordered by simulated start time (ties broken by span id)
     so the log reads chronologically.
     """
-    spans, events = tracer.spans, tracer.events
-    lines = _span_lines(spans)
-    keys = [(s.start_sim or 0.0, s.span_id) for s in spans]
-    keys += [(e.sim or 0.0, 0) for e in events]
-    n_spans = len(spans)
+    records = [*tracer.spans, *tracer.events]
+    keys = [(s.start_sim or 0.0, s.span_id) for s in tracer.spans]
+    keys += [(e.sim or 0.0, 0) for e in tracer.events]
     for i in sorted(range(len(keys)), key=keys.__getitem__):
-        if i < n_spans:
-            yield lines[i]
-        else:
-            yield _dumps(events[i - n_spans].to_dict()) + "\n"
+        yield _dumps(records[i].to_dict()) + "\n"
 
 
 def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
@@ -246,23 +213,30 @@ def write_jsonl(tracer: Tracer | NullTracer, path: str | os.PathLike) -> None:
 
 
 def aggregate_phases(
-    tracer: Tracer | NullTracer,
-    spans: Iterable[Span] | None = None,
+    tracer: Tracer | NullTracer, wall: bool = True
 ) -> dict[str, dict[str, float]]:
-    """Per-phase totals: ``{name: {count, wall_seconds, sim_seconds}}``.
+    """Per-phase totals: ``{name: {count, wall_seconds, sim_seconds}}``,
+    without ``wall_seconds`` if not ``wall``.
 
-    Child spans are *not* subtracted from parents, so "run" will roughly
-    equal the sum of its parts; compare siblings, not a child against its
-    parent.
+    Every span counts, and every rank row of an ``iteration`` span right
+    after it (wall time zero).  Child spans are *not* subtracted from
+    parents, so "run" will roughly equal the sum of its parts; compare
+    siblings, not a child against its parent.
     """
     out: dict[str, dict[str, float]] = {}
-    for span in (tracer.spans if spans is None else spans):
-        agg = out.setdefault(
-            span.name, {"count": 0, "wall_seconds": 0.0, "sim_seconds": 0.0}
-        )
-        agg["count"] += 1
-        agg["wall_seconds"] += span.wall_duration
-        agg["sim_seconds"] += span.sim_duration
+    for span in tracer.spans:
+        for name, _, _, sim_s, wall_s in _span_rows(span):
+            agg = out.get(name)
+            if agg is None:
+                agg = out[name] = (
+                    {"count": 0, "wall_seconds": 0.0, "sim_seconds": 0.0}
+                    if wall
+                    else {"count": 0, "sim_seconds": 0.0}
+                )
+            agg["count"] += 1
+            if wall:
+                agg["wall_seconds"] += wall_s
+            agg["sim_seconds"] += sim_s
     return out
 
 

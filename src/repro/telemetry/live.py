@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.telemetry.export import _coerce, _jsonable, jsonl_lines
+from repro.telemetry.export import _coerce, _jsonable, aggregate_phases, jsonl_lines
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.model import TraceModel
 from repro.telemetry.profile import (
@@ -137,17 +137,12 @@ def write_cell_bundle(
     records = [r.to_dict() for r in tracer.spans + tracer.events]
     model = TraceModel(records, tracer.run_labels)
 
-    phases: dict[str, dict[str, Any]] = {}
-    for span in tracer.spans:
-        agg = phases.setdefault(span.name, {"count": 0, "sim_seconds": 0.0})
-        agg["count"] += 1
-        agg["sim_seconds"] += span.sim_duration
     profile_doc = {
         "schema_version": BUNDLE_SCHEMA_VERSION,
         "cell_key": cell_key,
         "critical_path": [r.to_dict() for r in analyze_critical_path(model)],
         "comm": [p.to_dict() for p in comm_profile(model)],
-        "phases": phases,
+        "phases": aggregate_phases(tracer, wall=False),
         "metrics": registry_from_records(model).summary(),
     }
 

@@ -42,9 +42,12 @@ SPAN_NAMES = frozenset(
         "partition",
         "split",
         "migrate",
-        # per-rank simulated-time tracks
+        # rank-track row names: no span is recorded under these; readers
+        # expand an ``iteration`` span's ``compute`` / ``comm`` vectors
+        # into rows so named (repro.telemetry.model.rank_rows)
         "compute",
         "ghost-exchange",
+        # the collective join after the busiest rank
         "sync",
         # monitor internals
         "probe",

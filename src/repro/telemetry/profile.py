@@ -51,7 +51,14 @@ from operator import itemgetter
 from typing import Any, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.model import RunView, TraceModel, TraceSource
+from repro.telemetry.model import (
+    RANK_TRACK,
+    RunView,
+    TraceModel,
+    TraceSource,
+    pair_rows,
+    rank_rows,
+)
 
 __all__ = [
     "PathSegment",
@@ -70,11 +77,6 @@ __all__ = [
     "write_openmetrics",
     "LiveTop",
 ]
-
-#: Rank-track phase names (the simulated per-rank spans the pipeline
-#: emits); everything else with ``rank is None`` is runtime control.
-_RANK_PHASES = ("compute", "ghost-exchange")
-
 
 def _duration(record: dict[str, Any]) -> float:
     end = record.get("end_sim")
@@ -275,7 +277,7 @@ def analyze_critical_path(
         for i, idx in enumerate(cols.slot):
             if idx is None:
                 continue
-            if ranks[i] is not None and names[i] in _RANK_PHASES:
+            if ranks[i] is not None and names[i] in RANK_TRACK:
                 rank = int(ranks[i])
                 rank_rows[idx].append((rank, i))
                 if rank >= num_ranks:
@@ -535,7 +537,7 @@ def comm_profile(
                 matrix = profile.phases[phase] = CommMatrix.zeros(size)
             matrix.grow(size)
             profile.total.grow(size)
-            matrix.add_pairs(attrs.get("pairs", ()), profile.total)
+            matrix.add_pairs(pair_rows(attrs, view.pair_tables), profile.total)
             profile.events += 1
             profile.pairs_dropped += int(attrs.get("pairs_dropped", 0))
         profiles.append(profile)
@@ -548,34 +550,30 @@ def comm_profile(
 def _span_forest(
     view: RunView, ranks: bool
 ) -> tuple[list[int], dict[Any, list[int]]]:
-    """(roots, children-by-span-id) of one run's closed spans, as rows of
-    its :attr:`~RunView.columns`, each list in ``(start, span_id)`` order.
+    """(roots, children-by-span-id) of one run's closed spans and rank
+    rows, as rows of its :attr:`~RunView.columns`, each list in
+    :attr:`~repro.telemetry.model.SpanColumns.order`.
 
-    Control spans nest by their recorded ``parent_id`` (the tracer's
-    stack discipline makes those exact).  Rank spans, recorded flat
-    against the ``run`` span, are left out unless ``ranks``; then they
-    nest under the iteration of their slot, else by ``parent_id``.
+    Rows nest by their ``parent_id``: the tracer's stack discipline
+    makes a span's exact, and a rank row's is its iteration.  Rank rows
+    (and any rank-tagged span) are left out unless ``ranks``.
     """
     cols = view.columns
-    rank_of, parent_of, slots = cols.rank, cols.parent_id, cols.slot
+    rank_of, parent_of = cols.rank, cols.parent_id
     if ranks:
         rows: Sequence[int] = range(len(rank_of))
     else:
         rows = [i for i, rank in enumerate(rank_of) if rank is None]
-    span_ids = cols.span_id
-    known = {span_ids[i] for i in rows}
-    iteration_ids = [it["span_id"] for it in view.iterations]
+    known = {cols.span_id[i] for i in rows}
     children: dict[Any, list[int]] = {}
     roots: list[int] = []
     for i in rows:
         parent_id = parent_of[i]
-        if slots[i] is not None and rank_of[i] is not None:
-            parent_id = iteration_ids[slots[i]]
         if parent_id is not None and parent_id in known:
             children.setdefault(parent_id, []).append(i)
         else:
             roots.append(i)
-    order = view.order_keys.__getitem__
+    order = cols.order.__getitem__
     roots.sort(key=order)
     for kids in children.values():
         kids.sort(key=order)
@@ -713,7 +711,7 @@ def speedscope_document(
         for i, rank in enumerate(ranks):
             if rank is not None:
                 by_rank.setdefault(rank, []).append(i)
-        order = view.order_keys.__getitem__
+        order = cols.order.__getitem__
         for rank in sorted(by_rank):
             own = sorted(by_rank[rank], key=order)
             events = []
@@ -766,6 +764,10 @@ def registry_from_records(source: TraceSource) -> MetricsRegistry:
         )
         if span["name"] == "iteration":
             registry.histogram("iteration_seconds").observe(_duration(span))
+            for name, _, start, end in rank_rows(float(span["start_sim"]), attrs):
+                registry.histogram("phase_sim_seconds", phase=name).observe(
+                    end - start
+                )
         elif span["name"] == "migrate":
             registry.counter("migration_bytes").inc(
                 float(attrs.get("bytes", 0))
@@ -841,13 +843,8 @@ class LiveTop:
 
     def on_span_close(self, span) -> None:
         duration = span.sim_duration
-        self.phase_seconds[span.name] = (
-            self.phase_seconds.get(span.name, 0.0) + duration
-        )
-        if span.rank is not None and span.name in _RANK_PHASES:
-            self.rank_busy[span.rank] = (
-                self.rank_busy.get(span.rank, 0.0) + duration
-            )
+        phase_seconds = self.phase_seconds
+        phase_seconds[span.name] = phase_seconds.get(span.name, 0.0) + duration
         if span.name == "iteration":
             self.iterations += 1
             self.last_iteration_s = duration
@@ -857,6 +854,12 @@ class LiveTop:
                 self.critical_counts[int(critical)] = (
                     self.critical_counts.get(int(critical), 0) + 1
                 )
+            busy = self.rank_busy
+            for name, rank, start, end in rank_rows(
+                span.start_sim, span.attributes
+            ):
+                phase_seconds[name] = phase_seconds.get(name, 0.0) + (end - start)
+                busy[rank] = busy.get(rank, 0.0) + (end - start)
 
     def render(self) -> str:
         lines = [

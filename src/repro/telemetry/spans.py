@@ -11,9 +11,9 @@ capacity, partition, migrate, ghost-exchange, compute, sync -- as nested
   the tracer is bound to): what the phase costs the modelled application --
   probe overhead, migration transfer time, iteration makespan.
 
-Spans also carry structured attributes (node id, epoch, bytes, imbalance)
-and an optional ``rank``, which the Chrome-trace exporter turns into one
-track per simulated rank.
+Spans also carry structured attributes (node id, epoch, bytes, imbalance);
+an ``iteration`` span's per-rank ``compute`` / ``comm`` vectors become
+one Chrome-trace track per simulated rank.
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose ``span()``
 returns one shared no-op context manager -- hot paths pay one attribute
@@ -47,9 +47,14 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
+    "TRACE_FORMAT",
     "get_active_tracer",
     "activate",
 ]
+
+#: The record layout a ``run`` span names as ``trace_format``
+#: (:mod:`repro.telemetry.model` reads it).
+TRACE_FORMAT = 2
 
 
 @dataclass(slots=True)
@@ -266,8 +271,8 @@ class Tracer:
         """Record a completed span over *simulated* time directly.
 
         The runtime prices a whole iteration at once, then knows exactly
-        when each rank's compute/ghost-exchange phase started and ended on
-        the simulated clock -- those intervals arrive here rather than
+        when it and its collective sync started and ended on the
+        simulated clock -- those intervals arrive here rather than
         through enter/exit pairs.  Wall time is a point (now) since no host
         work corresponds to the interval.
         """

@@ -228,6 +228,14 @@ class TestExchangeFaults:
         assert comm.stats.messages == 1
 
 
+def exchange_pairs(tracer) -> list[list[tuple]]:
+    """Each ``comm.exchange`` event's pair rows, as every reader reads them."""
+    from repro.telemetry.model import TraceModel, pair_rows
+
+    (view,) = TraceModel.of(tracer).runs
+    return [pair_rows(e["attributes"], view.pair_tables) for e in view.comm_events]
+
+
 class TestCommTelemetry:
     """Traffic accounting promoted into the tracer (S2 of the profiling PR)."""
 
@@ -254,8 +262,29 @@ class TestCommTelemetry:
         assert event.attributes["phase"] == "exchange"
         assert event.attributes["bytes"] == pytest.approx(3e6)  # no self-pair
         assert event.attributes["messages"] == 2
-        pairs = {(p[0], p[1]): p[2] for p in event.attributes["pairs"]}
+        (rows,) = exchange_pairs(tracer)
+        pairs = {(p[0], p[1]): p[2] for p in rows}
         assert pairs == {(0, 1): 1_000_000, (1, 2): 2_000_000}
+
+    def test_pair_table_is_recorded_once_per_layout(self):
+        comm, tracer = self.traced_comm(3)
+        layout = {(0, 1): 1e6, (1, 2): 2e6}
+        comm.exchange_time(layout, phase="ghost-exchange")
+        comm.exchange_time(layout, phase="ghost-exchange")
+        comm.exchange_time({(1, 2): 5e5}, phase="migration")
+        comm.exchange_time({(0, 1): 1e6, (1, 2): 3e6}, phase="ghost-exchange")
+        events = [e.attributes for e in tracer.events]
+        assert [e["table"] for e in events] == [0, 0, 2, 3]
+        assert ["pair_table" in e for e in events] == [True, False, True, True]
+        first, again = exchange_pairs(tracer)[:2]
+        assert first == again == [
+            (0, 1, 1_000_000, *first[0][3:]),
+            (1, 2, 2_000_000, *first[1][3:]),
+        ]
+        # A new run records its tables afresh.
+        tracer.begin_run("second")
+        comm.exchange_time(layout, phase="ghost-exchange")
+        assert "pair_table" in tracer.events[-1].attributes
 
     def test_empty_exchange_still_emits_its_event(self):
         comm, tracer = self.traced_comm(3)
@@ -269,7 +298,10 @@ class TestCommTelemetry:
             "messages": 0,
             "seconds": 0.0,
             "derated_bytes": 0,
-            "pairs": [],
+            "table": 0,
+            "pair_table": [],
+            "pair_seconds": [],
+            "pair_derated": [],
             "t": 2.5,
         }
 
@@ -284,7 +316,7 @@ class TestCommTelemetry:
         comm.exchange_time({(0, 1): 1e6})
         (event,) = [e for e in tracer.events if e.name == "comm.exchange"]
         assert event.attributes["derated_bytes"] == pytest.approx(1e6)
-        src, dst, nbytes, seconds, derated = event.attributes["pairs"][0]
+        ((src, dst, nbytes, seconds, derated),) = exchange_pairs(tracer)[0]
         assert (src, dst, derated) == (0, 1, True)
 
     def test_collective_timing_histograms(self):

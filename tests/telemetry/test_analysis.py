@@ -63,12 +63,11 @@ def emit_synthetic_run(tracer, imbalances=(10.0, 20.0, 30.0)):
     )
     t = 0.5
     for i, imb in enumerate(imbalances):
-        tracer.add_span("compute", t, t + 0.8, rank=0)
-        tracer.add_span("compute", t, t + 0.6, rank=1)
         tracer.add_span("sync", t + 0.8, t + 1.0)
         tracer.add_span(
-            "iteration", t, t + 1.0, iteration=i, epoch=0, imbalance_pct=imb
-        )
+            "iteration", t, t + 1.0, iteration=i, epoch=0, imbalance_pct=imb,
+            compute=[0.8, 0.6], comm=[0.0, 0.0],
+        )  # fmt: skip
         t += 1.0
     tracer.add_span("run", 0.0, t)
     return pid
@@ -328,19 +327,21 @@ class TestHealthMonitorLive:
         ]
 
     def test_two_runs_and_a_crashed_one_match_offline(self, tmp_path):
-        # Live rank phases are buffered from the closing Span, offline
+        # Live sync spans are buffered from the closing Span, offline
         # ones straight from the record: the two tuples must agree,
-        # including for a rank phase a crash left without an end.
+        # including for a sync span a crash left without an end.
         tracer = Tracer()
         monitor = HealthMonitor().attach(tracer)
         make_runtime(tracer).run()
         make_runtime(tracer, iterations=8).run()
         tracer.begin_run("crashed")
-        tracer.add_span("iteration", 0.0, 1.0, iteration=0)
-        tracer.add_span("compute", 0.0, 0.75, rank=0)
+        tracer.add_span(
+            "iteration", 0.0, 1.0, iteration=0, compute=[0.75, 0.0],
+            comm=[0.0, 0.0],
+        )  # fmt: skip
         unfinished = Span(
-            name="ghost-exchange", span_id=10**6, parent_id=None,
-            pid=tracer.pid, start_wall=0.0, start_sim=0.5, rank=1,
+            name="sync", span_id=10**6, parent_id=None,
+            pid=tracer.pid, start_wall=0.0, start_sim=0.5,
         )  # fmt: skip
         # What the tracer does on close, minus the end stamps.
         tracer.spans.append(unfinished)
@@ -351,7 +352,7 @@ class TestHealthMonitorLive:
         write_jsonl(tracer, path)
         records = load_trace_records(path)
         assert any(
-            r.get("end_sim") is None and r["name"] == "ghost-exchange"
+            r.get("end_sim") is None and r["name"] == "sync"
             for r in records
         )
         snapshots, events = analyze_records(
@@ -365,7 +366,7 @@ class TestHealthMonitorLive:
             e.to_dict() for e in monitor.events
         ]
         crashed = snapshots[-1].phase_seconds
-        assert crashed == {"compute": 0.75, "ghost-exchange": 0.0}
+        assert crashed == {"compute": 0.75, "sync": 0.0}
 
 
 class TestAnalyzeRecords:

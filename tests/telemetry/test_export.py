@@ -32,8 +32,7 @@ def sample_tracer() -> Tracer:
     with tracer.span("run", partitioner="ACEHeterogeneous"):
         with tracer.span("sense") as span:
             span.set(capacities=np.array([0.25, 0.75]))
-        tracer.add_span("compute", 1.0, 3.0, rank=0)
-        tracer.add_span("compute", 1.0, 2.0, rank=1)
+        tracer.add_span("iteration", 1.0, 3.0, compute=[2.0, 1.0], comm=[0.0, 0.0])
         tracer.event("split", count=int(np.int64(2)))
     tracer.metrics.counter("migration_bytes").inc(4096)
     tracer.metrics.gauge("node_utilization", node=0).set(0.9)
@@ -176,7 +175,7 @@ def traced(span_attrs, event_attrs) -> Tracer:
     tracer = Tracer(wall_clock=lambda: 0.0)
     tracer.begin_run("encoder")
     for i, attrs in enumerate(span_attrs):
-        tracer.add_span("compute", float(i), float(i) + 0.5, rank=i)
+        tracer.add_span("sync", float(i), float(i) + 0.5, rank=i)
         tracer.spans[-1].attributes.update(attrs)
     for attrs in event_attrs:
         tracer.event("comm.exchange")
@@ -261,7 +260,8 @@ class TestAggregation:
         path = tmp_path / "metrics.json"
         write_metrics_json(sample_tracer(), path)
         data = json.loads(path.read_text())
-        assert data["num_spans"] == 4
+        assert data["num_spans"] == 3  # run, sense, iteration (rows inside)
+        assert data["phases"]["compute"]["count"] == 2
 
 
 class TestCsv:

@@ -73,7 +73,10 @@ class TestCellBundle:
             "comm.exchange",
             phase="replay",
             ranks=2,
-            pairs=[[0, 1, np.float64(10.0), np.float32(0.5), np.bool_(True)]],
+            table=len(tracer.events),
+            pair_table=[[0, 1, np.float64(10.0)]],
+            pair_seconds=[np.float32(0.5)],
+            pair_derated=[np.bool_(True)],
         )
         write_cell_bundle(tracer, tmp_path / "cell", cell_key="k")
         text = (tmp_path / "cell" / "profile.json").read_text(encoding="utf-8")

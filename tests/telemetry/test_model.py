@@ -111,24 +111,33 @@ class TestRunLabel:
 
 
 # ----------------------------------------------------------------------
+def _row_key(cols, i):
+    """A health-phase row's identity: a span's id, else (its iteration's
+    id, its place in the iteration's rank track)."""
+    span_id = cols.span_id[i]
+    return span_id if span_id is not None else (cols.parent_id[i], cols.order[i][2])
+
+
 def model_slots(view) -> dict[int, int | None]:
-    """Iteration span id of each health-phase span, by the model's rule."""
-    placed = {
-        s["span_id"]: view.iterations[slot]["span_id"]
-        for s, slot in zip(view.closed, view.columns.slot)
-        if slot is not None
+    """Iteration span id of each health-phase row, by the model's rule."""
+    cols = view.columns
+    slots = {
+        s["span_id"]: None for s in view.spans if s["name"] in HEALTH_PHASES
     }
-    return {
-        s["span_id"]: placed.get(s["span_id"])
-        for s in view.spans
-        if s["name"] in HEALTH_PHASES
-    }
+    for i, name in enumerate(cols.name):
+        if name in HEALTH_PHASES:
+            slot = cols.slot[i]
+            slots[_row_key(cols, i)] = (
+                None if slot is None else view.iterations[slot]["span_id"]
+            )
+    return slots
 
 
 def health_slots(view) -> dict[int, int | None]:
-    """The same, by the health analysis's rule: ``bisect_right(starts,
-    start) - 1`` over every iteration sorted by start, no epsilon, no
-    end check, open spans included."""
+    """The same, by the health analysis's rules: a rank row is its
+    iteration's; a ``sync`` span goes by ``bisect_right(starts, start) -
+    1`` over every iteration sorted by start, no epsilon, no end check,
+    open spans included."""
     iterations = sorted(
         (s for s in view.spans if s["name"] == "iteration"),
         key=lambda s: s["start_sim"],
@@ -139,6 +148,10 @@ def health_slots(view) -> dict[int, int | None]:
         if s["name"] in HEALTH_PHASES:
             idx = bisect_right(starts, s["start_sim"]) - 1
             slots[s["span_id"]] = iterations[idx]["span_id"] if idx >= 0 else None
+    cols = view.columns
+    for i, name in enumerate(cols.name):
+        if name in HEALTH_PHASES and cols.span_id[i] is None:
+            slots[_row_key(cols, i)] = cols.parent_id[i]
     return slots
 
 
@@ -155,11 +168,11 @@ def rule_differences(model) -> list[tuple[int, int, int | None, int | None]]:
     return out
 
 
-def span(span_id, name, start, end, rank=None):
+def span(span_id, name, start, end, rank=None, **attributes):
     return {
         "type": "span", "name": name, "span_id": span_id, "pid": 1,
         "parent_id": None, "rank": rank, "start_sim": start,
-        "end_sim": end, "attributes": {},
+        "end_sim": end, "attributes": attributes,
     }  # fmt: skip
 
 
@@ -177,13 +190,22 @@ class TestIterationSlotRules:
         iteration_ids: list[int] = []
         for view in model.runs:
             slots = health_slots(view)
-            for s in view.spans:
-                target = slots.get(s["span_id"])
-                if s["name"] in HEALTH_PHASES and target is not None:
+            cols = view.columns
+            # Rank rows in recorded order, then the sync spans.
+            rows = [
+                (_row_key(cols, i), cols.name[i], cols.start[i], cols.end[i])
+                for i in range(len(cols.name))
+                if cols.span_id[i] is None
+            ] + [
+                (s["span_id"], s["name"], s["start_sim"], s["end_sim"])
+                for s in view.spans
+                if s["name"] == "sync"
+            ]
+            for key, name, start, end in rows:
+                target = slots.get(key)
+                if name in HEALTH_PHASES and target is not None:
                     phases = by_iteration.setdefault(target, {})
-                    phases[s["name"]] = phases.get(s["name"], 0.0) + (
-                        s["end_sim"] - s["start_sim"]
-                    )
+                    phases[name] = phases.get(name, 0.0) + (end - start)
             iteration_ids += [
                 s["span_id"]
                 for s in sorted(
@@ -202,14 +224,15 @@ class TestIterationSlotRules:
 
     def test_rules_part_on_spans_that_leave_their_iteration(self):
         records = [
-            span(1, "iteration", 0.0, 1.0),
+            # A rank row lies in its iteration: both agree.
+            span(1, "iteration", 0.0, 1.0, compute=[0.8], comm=[0.0]),
             span(2, "iteration", 1.0, 2.0),
-            span(3, "compute", 0.2, 0.8, rank=0),  # inside: both agree
-            span(4, "compute", 0.5, 1.5, rank=1),  # outlives iteration 1
-            span(5, "compute", 1.0 - 1e-12, 1.5, rank=2),  # within epsilon
-            span(6, "compute", 0.3, None, rank=3),  # never closed
+            span(3, "sync", 0.2, 0.8),  # inside: both agree
+            span(4, "sync", 0.5, 1.5),  # outlives iteration 1
+            span(5, "sync", 1.0 - 1e-12, 1.5),  # within epsilon
+            span(6, "sync", 0.3, None),  # never closed
             span(7, "sync", 1.2, 2.0),  # inside: both agree
-            span(8, "compute", -1.0, -0.5, rank=0),  # before any iteration
+            span(8, "sync", -1.0, -0.5),  # before any iteration
         ]
         assert rule_differences(TraceModel.of(records)) == [
             (1, 4, 1, None),

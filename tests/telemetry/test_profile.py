@@ -38,7 +38,8 @@ from repro.telemetry.profile import CommMatrix, CommProfile, LiveTop
 
 #: ``comm.exchange`` records as a trace file holds them: ``ranks`` from 0
 #: up, pairs naming ranks above it, bool or 0/1 ``derated``, two pids,
-#: optional ``pairs_dropped``.
+#: optional ``pairs_dropped``; an event records its ``(src, dst, bytes)``
+#: table or, if ``share``, names the last table of its pid.
 _PAIRS = st.lists(
     st.tuples(
         st.integers(0, 9),
@@ -49,24 +50,77 @@ _PAIRS = st.lists(
     ).map(list),
     max_size=12,
 )
-_EXCHANGE_EVENTS = st.builds(
-    lambda pid, phase, ranks, pairs, dropped: {
-        "type": "event",
-        "name": "comm.exchange",
-        "pid": pid,
-        "attributes": {
-            "phase": phase,
-            "ranks": ranks,
-            "pairs": pairs,
-            **({"pairs_dropped": dropped} if dropped else {}),
-        },
-    },
+_EXCHANGES = st.tuples(
     st.sampled_from([1, 2]),
     st.sampled_from(["ghost-exchange", "migration", "sync"]),
     st.integers(0, 6),
     _PAIRS,
     st.integers(0, 3),
+    st.booleans(),
 )
+
+
+def exchange_events(drawn) -> list[dict]:
+    """``comm.exchange`` records of drawn ``(pid, phase, ranks, pairs,
+    dropped, share)``: a shared table keeps the rows' seconds and derate
+    flags, cut to the table's length."""
+    events = []
+    last: dict[int, tuple[int, list]] = {}
+    for i, (pid, phase, ranks, pairs, dropped, share) in enumerate(drawn):
+        if share and pid in last:
+            table, rows = last[pid]
+            pairs = [
+                [*row, *pair[3:]] for row, pair in zip(rows, pairs)
+            ]
+            columns = {"table": table}
+        else:
+            last[pid] = (i, [pair[:3] for pair in pairs])
+            columns = {"table": i, "pair_table": last[pid][1]}
+        events.append(
+            {
+                "type": "event",
+                "name": "comm.exchange",
+                "pid": pid,
+                "attributes": {
+                    "phase": phase,
+                    "ranks": ranks,
+                    **columns,
+                    "pair_seconds": [pair[3] for pair in pairs],
+                    "pair_derated": [pair[4] for pair in pairs],
+                    **({"pairs_dropped": dropped} if dropped else {}),
+                },
+            }
+        )
+    return events
+
+
+def listed_records(records: list[dict]) -> list[dict]:
+    """The records with every exchange's pairs listed in full, as
+    ``pairs``: the form the reference fold reads."""
+    tables: dict = {}
+    for record in records:
+        attrs = record.get("attributes") or {}
+        if record.get("name") == "comm.exchange" and "pair_table" in attrs:
+            tables[record["pid"], attrs["table"]] = attrs["pair_table"]
+    out = []
+    for record in records:
+        attrs = record.get("attributes") or {}
+        if record.get("name") == "comm.exchange":
+            table = tables[record["pid"], attrs["table"]]
+            pairs = [
+                [*row, seconds, derated]
+                for row, seconds, derated in zip(
+                    table, attrs["pair_seconds"], attrs["pair_derated"]
+                )
+            ]
+            attrs = {
+                k: v
+                for k, v in attrs.items()
+                if k not in ("table", "pair_table", "pair_seconds", "pair_derated")
+            }
+            record = {**record, "attributes": {**attrs, "pairs": pairs}}
+        out.append(record)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -183,20 +237,22 @@ class TestCommProfile:
         assert times == sorted(times, reverse=True)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_EXCHANGE_EVENTS, max_size=8))
-    def test_batch_fold_equals_per_pair_fold(self, events):
+    @given(st.lists(_EXCHANGES, max_size=8))
+    def test_batch_fold_equals_per_pair_fold(self, drawn):
         records = [
             {"type": "span", "name": "run", "pid": 1, "span_id": 1,
              "attributes": {"partitioner": "ACEHeterogeneous"}},
-            *events,
+            *exchange_events(drawn),
         ]  # fmt: skip
         assert [p.to_dict() for p in comm_profile(records)] == [
-            p.to_dict() for p in reference_comm_profile(records)
+            p.to_dict() for p in reference_comm_profile(listed_records(records))
         ]
 
     def test_batch_fold_on_a_real_trace(self, traced_run):
+        records = listed_records(reference_as_records(traced_run))
         assert [p.to_dict() for p in comm_profile(traced_run)] == [
-            p.to_dict() for p in reference_comm_profile(traced_run)
+            p.to_dict()
+            for p in reference_comm_profile(records, dict(traced_run.run_labels))
         ]
 
 
@@ -369,10 +425,10 @@ class TestDamagedTraceFile:
         )
         return clean, damaged
 
-    def test_well_formed_file_loads_line_for_line(self, paths):
+    def test_well_formed_file_loads_line_for_line(self, paths, traced_run):
         clean, _ = paths
         lines = clean.read_text(encoding="utf-8").splitlines()
-        assert len(lines) > 100
+        assert len(lines) == len(traced_run.spans) + len(traced_run.events) > 50
         assert load_trace_records(clean) == [json.loads(ln) for ln in lines]
 
     def test_load_skips_torn_tail_and_foreign_lines(self, paths):

@@ -37,11 +37,10 @@ def synthetic_tracer(imbalances=(10.0, 80.0, 15.0)):
     )
     t = 0.5
     for i, imb in enumerate(imbalances):
-        tracer.add_span("compute", t, t + 0.8, rank=0)
-        tracer.add_span("compute", t, t + 0.6, rank=1)
         tracer.add_span(
-            "iteration", t, t + 1.0, iteration=i, epoch=0, imbalance_pct=imb
-        )
+            "iteration", t, t + 1.0, iteration=i, epoch=0, imbalance_pct=imb,
+            compute=[0.8, 0.6], comm=[0.0, 0.0],
+        )  # fmt: skip
         t += 1.0
     tracer.add_span("run", 0.0, t)
     return tracer

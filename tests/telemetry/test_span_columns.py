@@ -1,16 +1,19 @@
 """The span columns against the per-record code they replaced.
 
-``RunView.columns`` holds a run's closed spans as columns, and the
-critical path, the flamegraphs and the dashboard timeline read rank
-spans from them; ``export.jsonl_lines`` writes span records through a
-fixed-key template.  The functions below are the per-dict code these
-replaced, copied verbatim (renamed ``reference_*``; the old
-``RunView.slots`` property is :func:`reference_slots`).  Generated
-traces -- several pids, spans outside every iteration and open ones, a
-span straddling an iteration end, ``start_sim`` ties broken by span id,
-NaN / infinite times, numpy fields, ``None`` parents and ranks, names
-with quotes or non-ASCII characters -- must give equal outputs, or
-raise the same exception.
+``RunView.columns`` holds a run's closed spans and the rank rows of its
+``iteration`` spans as columns, and the critical path, the flamegraphs
+and the dashboard timeline read rank rows from them; ``export.jsonl_lines``
+writes each record's ``to_dict()`` through the C encoder.  The functions
+below are the per-dict code these replaced, copied verbatim (renamed
+``reference_*``; the old ``RunView.slots`` property is
+:func:`reference_slots`).  They read traces of the older form, one span
+per rank phase, so they are fed :func:`old_form` of each trace: the rank
+rows as spans right after their iteration.  Generated traces -- several
+pids, spans outside every iteration and open ones, a span straddling an
+iteration end, ``start_sim`` ties broken by span id, NaN / infinite
+times, numpy fields, ``None`` parents and ranks, names with quotes or
+non-ASCII characters -- must give equal outputs, or raise the same
+exception.
 """
 
 from __future__ import annotations
@@ -330,11 +333,18 @@ _NAMES = st.sampled_from(
 _RANKS = st.one_of(
     st.none(), st.integers(0, 12), st.integers(0, 12).map(np.int64)
 )
+#: A rank track's entries as fractions of its iteration's duration.
+_SHARES = st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5])
 
 
 @st.composite
 def traces(draw) -> list[dict[str, Any]]:
-    """Span and event records of up to three runs, in a drawn order."""
+    """Span and event records of up to three runs, in a drawn order.
+
+    A closed ``iteration`` span may carry a rank track; a track its
+    iteration would not hold under the old slot rule is dropped
+    (:func:`placed_tracks`), as no pipeline writes one.
+    """
     n = draw(st.integers(0, 24))
     span_ids = draw(st.permutations(range(1, n + 1)))
     # One trace in four may hold a NaN or infinite time.
@@ -357,6 +367,13 @@ def traces(draw) -> list[dict[str, Any]]:
         if name == "iteration" and draw(st.booleans()):
             attributes["iteration"] = draw(st.integers(0, 99))
             attributes["critical_rank"] = draw(st.none() | st.integers(0, 12))
+        rank = None  # only a rank row has a rank; rows are not spans
+        if name == "iteration" and closed and draw(st.booleans()):
+            size = draw(st.integers(1, 4))
+            shares = draw(st.lists(st.tuples(_SHARES, _SHARES), min_size=size, max_size=size))
+            duration = float(end) - float(start)
+            attributes["compute"] = [c * duration for c, _ in shares]
+            attributes["comm"] = [m * duration for _, m in shares]
         records.append(
             {
                 "type": "span",
@@ -364,7 +381,7 @@ def traces(draw) -> list[dict[str, Any]]:
                 "span_id": draw(st.sampled_from([span_id, np.int64(span_id)])),
                 "parent_id": draw(st.none() | st.integers(0, n + 2)),
                 "pid": draw(st.sampled_from([1, 2, 3])),
-                "rank": draw(_RANKS),
+                "rank": rank,
                 "start_wall": 0.0,
                 "end_wall": 0.0 if closed else None,
                 "start_sim": start,
@@ -384,7 +401,97 @@ def traces(draw) -> list[dict[str, Any]]:
                 "attributes": {},
             }
         )
-    return draw(st.permutations(records))
+    return placed_tracks(draw(st.permutations(records)))
+
+
+# ----------------------------------------------------------------------
+# The older form the reference code reads
+# ----------------------------------------------------------------------
+def old_form(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """``records`` as the per-rank writer recorded them: each closed
+    iteration's rank rows as spans right after it, on the iteration's
+    parent.  Span ids are scaled by 1000 and the iteration's ``j``-th row
+    takes its id ``+ j``, the order the rows' ids had.  ``_of`` on a row
+    and ``_at`` on an iteration give the iteration's index in
+    ``records``."""
+
+    def scaled(span_id):
+        return None if span_id is None else span_id * 1000
+
+    out: list[dict[str, Any]] = []
+    for at, record in enumerate(records):
+        if record["type"] != "span":
+            out.append(record)
+            continue
+        attrs = dict(record["attributes"])
+        compute, comm = attrs.pop("compute", None), attrs.pop("comm", None)
+        span_id = scaled(record["span_id"])
+        out.append(
+            {**record, "span_id": span_id, "parent_id": scaled(record["parent_id"]),
+             "attributes": attrs, "_at": at}
+        )  # fmt: skip
+        if record["name"] != "iteration" or record["end_sim"] is None:
+            continue
+        start = float(record["start_sim"])
+        for j, (name, rank, lo, hi) in enumerate(
+            reference_rank_rows(start, compute or [], comm or []), 1
+        ):
+            out.append(
+                {"type": "span", "name": name, "span_id": span_id + j,
+                 "parent_id": scaled(record["parent_id"]), "pid": record["pid"],
+                 "rank": rank, "start_wall": 0.0, "end_wall": 0.0,
+                 "start_sim": lo, "end_sim": hi, "attributes": {}, "_of": at}
+            )  # fmt: skip
+    return out
+
+
+def reference_rank_rows(start_sim, compute_vector, comm_vector):
+    """The per-rank loop of the writer before rank tracks, its
+    ``add_span`` calls returning ``(name, rank, start, end)``."""
+    rows = []
+    for rank in range(len(compute_vector)):
+        compute = float(compute_vector[rank])
+        comm = float(comm_vector[rank])
+        if compute > 0.0:
+            rows.append(("compute", rank, start_sim, start_sim + compute))
+        if comm > 0.0:
+            rows.append(
+                (
+                    "ghost-exchange",
+                    rank,
+                    start_sim + compute,
+                    start_sim + compute + comm,
+                )
+            )
+    return rows
+
+
+def old_model(records: list[dict[str, Any]]) -> TraceModel:
+    """The model of ``records`` with every run's spans in :func:`old_form`:
+    what the reference readers read (a model is read as is)."""
+    model = TraceModel.of(records)
+    old = [r for r in old_form(records) if r["type"] == "span"]
+    for view in model.runs:
+        view.spans = [r for r in old if r["pid"] == view.pid]
+        view.closed = [r for r in view.spans if r["end_sim"] is not None]
+    return model
+
+
+def placed_tracks(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """``records`` without the rank tracks some of whose rows the old
+    slot rule places outside their own iteration."""
+    misplaced = set()
+    for view in old_model(records).runs:
+        own = {s["_at"]: k for k, s in enumerate(view.iterations)}
+        for s, slot in zip(view.closed, reference_slots(view)):
+            if "_of" in s and slot != own[s["_of"]]:
+                misplaced.add(s["_of"])
+    out = list(records)
+    for at in misplaced:
+        attrs = dict(out[at]["attributes"])
+        del attrs["compute"], attrs["comm"]
+        out[at] = {**out[at], "attributes": attrs}
+    return out
 
 
 def outcome(fn, *args) -> tuple[str, Any]:
@@ -404,21 +511,23 @@ def reference_critical_dicts(source) -> list[dict[str, Any]]:
 
 
 def assert_readers_match(records: list[dict[str, Any]]) -> None:
-    for view in TraceModel.of(records).runs:
+    old = old_model(records)
+    for view, old_view in zip(TraceModel.of(records).runs, old.runs):
         # The old rule placed rank-track and ``sync`` spans only.
+        cols = view.columns
         placed = [
-            slot if s.get("rank") is not None or s["name"] == "sync" else None
-            for s, slot in zip(view.closed, view.columns.slot)
+            slot if rank is not None or name == "sync" else None
+            for name, rank, slot in zip(cols.name, cols.rank, cols.slot)
         ]
-        assert placed == reference_slots(view)
+        assert placed == reference_slots(old_view)
     assert outcome(critical_dicts, records) == outcome(
-        reference_critical_dicts, records
+        reference_critical_dicts, old
     )
     assert outcome(flamegraph_collapsed, records) == outcome(
-        reference_flamegraph_collapsed, records
+        reference_flamegraph_collapsed, old
     )
     assert outcome(speedscope_document, records) == outcome(
-        reference_speedscope_document, records
+        reference_speedscope_document, old
     )
 
 
@@ -442,30 +551,34 @@ class TestReadersMatchTheReplacedCode:
         assert_readers_match(records)
 
     def test_handpicked_trace(self):
-        def span(span_id, name, start, end, rank=None, pid=1, parent=None):
+        def span(span_id, name, start, end, rank=None, pid=1, parent=None, **attrs):
             return {
                 "type": "span", "name": name, "span_id": span_id,
                 "parent_id": parent, "pid": pid, "rank": rank,
-                "start_sim": start, "end_sim": end, "attributes": {},
+                "start_sim": start, "end_sim": end, "attributes": attrs,
             }  # fmt: skip
 
+        idle = [0.0] * 9
         records = [
             span(1, "run", 0.0, 3.0),
-            span(2, "iteration", 0.0, 1.0, parent=1),
+            # Ranks 9 and 10: rows tying on start, one ending on the end.
+            span(2, "iteration", 0.0, 1.0, parent=1,
+                 compute=[*idle, 0.6, 0.4], comm=[*idle, 0.4, 0.6]),
             span(3, "iteration", 1.0, 2.0, parent=1),
-            span(5, "compute", 0.0, 0.4, rank=10, parent=1),
-            span(4, "compute", 0.0, 0.6, rank=10, parent=1),  # tie on start
-            span(6, "ghost-exchange", 0.6, 1.5, rank=10, parent=1),  # straddles
-            span(12, "ghost-exchange", 0.6, 1.0 + _EPS, rank=9, parent=1),
-            span(7, "compute", 2.5, 2.9, rank=np.int64(3), parent=1),  # outside
-            span(8, "compute", 1.2, None, rank=3, parent=1),  # open
+            span(6, "sync", 0.6, 1.5, parent=1),  # straddles
+            span(12, "sync", 0.6, 1.0 + _EPS, parent=1),
+            span(7, "sync", 2.5, 2.9, parent=np.int64(1)),  # outside
+            span(8, "sync", 1.2, None, parent=1),  # open
             span(9, "sync", 1.5, 2.0, parent=1),
-            span(10, "compute", 1.0, 1.5, rank=3, pid=2),  # a second pid
-            span(11, "iteration", 1.0, 2.0, pid=2),
-        ]
+            span(11, "iteration", 1.0, 2.0, pid=2,
+                 compute=[0.0, 0.0, 0.0, 0.5], comm=[0.0] * 4),  # a second pid
+        ]  # fmt: skip
+        assert placed_tracks(records) == records
         assert_readers_match(records)
-        (run, _) = TraceModel.of(records).runs
-        assert reference_slots(run) == [None, None, None, 0, 0, None, 0, None, 1]
+        (run, _) = old_model(records).runs
+        assert reference_slots(run) == [
+            None, None, 0, 0, 0, 0, None, None, 0, None, 1,
+        ]  # fmt: skip
 
     def test_pinned_traces(self, tmp_path):
         for make in (chaos_trace, rm3d32_trace):

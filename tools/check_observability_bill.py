@@ -25,10 +25,10 @@ import sys
 from pathlib import Path
 
 #: Budget for ``rm3d32_observed.wall_s / rm3d32_trace.wall_s``: the
-#: largest of ten ``bench/run.py --seconds 2`` readings (4.14-4.69,
+#: largest of ten ``bench/run.py --seconds 2`` readings (2.27-3.06,
 #: seed 11; 2-core x86_64, Python 3.11, numpy 2.4) times 1.25.  Lower it
 #: when a change makes the observed run cheaper; never raise it to pass.
-MAX_RATIO = 5.86
+MAX_RATIO = 3.82
 
 TRACE, OBSERVED = "rm3d32_trace", "rm3d32_observed"
 
