@@ -70,7 +70,6 @@ _EXPORTS = {
     "RM3DKernel": "kernels.rm3d",
     "BuckleyLeverettKernel": "kernels.buckley_leverett",
     "SyntheticWorkload": "kernels.workloads",
-    "moving_blob_trace": "kernels.workloads",
     "paper_rm3d_trace": "kernels.workloads",
     # cluster + monitoring
     "Cluster": "cluster.cluster",

@@ -329,16 +329,6 @@ class GhostFiller:
     def __init__(self, hierarchy):
         self.hierarchy = hierarchy
 
-    @property
-    def plan_builds(self) -> int:
-        """Level plans built for this hierarchy so far."""
-        return self.hierarchy.ghost_plans.builds
-
-    @property
-    def plan_replays(self) -> int:
-        """Ghost fills (level or single patch) served from a plan so far."""
-        return self.hierarchy.ghost_plans.replays
-
     # ------------------------------------------------------------------
     def fetch(self, region: Box, level: int) -> np.ndarray:
         """Composite-grid read: data for ``region`` (inside the domain at
@@ -368,18 +358,6 @@ class GhostFiller:
         plan = self._plan(level)
         _replay(plan.ops)
         self._replicate_outflow(plan.sources[level], level)
-
-    def fill_patch_ghosts(self, patch, level: int) -> None:
-        """Fill one patch's ghost frame (interior data left untouched)."""
-        plan = self._plan(level)
-        try:
-            i = plan.sources[level].index(patch)
-        except ValueError:
-            raise GeometryError(
-                f"{patch!r} is not a patch of level {level}"
-            ) from None
-        _replay(plan.ops[plan.bounds[i] : plan.bounds[i + 1]])
-        self._replicate_outflow((patch,), level)
 
     def _plan(self, level: int) -> LevelPlan:
         cache = self.hierarchy.ghost_plans

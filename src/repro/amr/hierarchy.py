@@ -155,10 +155,6 @@ class GridHierarchy:
             dtype=np.int64,
         )
 
-    def total_work(self) -> int:
-        """Total work units for one coarse step over the whole hierarchy."""
-        return int(self.work_by_level().sum())
-
     # ------------------------------------------------------------------
     # Nesting
     # ------------------------------------------------------------------

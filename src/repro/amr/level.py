@@ -54,13 +54,6 @@ class GridLevel:
     def total_cells(self) -> int:
         return sum(p.box.num_cells for p in self.patches)
 
-    def patch_containing(self, point: tuple[int, ...]) -> GridPatch | None:
-        """The patch whose interior holds ``point`` (level coords), if any."""
-        for p in self.patches:
-            if point in p.box:
-                return p
-        return None
-
     def covers(self, box: Box) -> bool:
         """True if the union of patch boxes covers every cell of ``box``."""
         remaining = [box]

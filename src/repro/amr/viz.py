@@ -2,8 +2,7 @@
 
 Renders a 2-D hierarchy (or an axis-plane slice of a 3-D one) as a
 character map: digits mark the finest refinement level covering each base
-cell, or -- given an assignment -- letters mark the owning rank.  Used by
-examples and handy in a REPL; no plotting dependency.
+cell.  Used by examples and handy in a REPL; no plotting dependency.
 """
 
 from __future__ import annotations
@@ -11,11 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxList, Layout
+from repro.util.geometry import Box, BoxList
 
-__all__ = ["render_levels", "render_owners"]
-
-_RANK_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+__all__ = ["render_levels"]
 
 
 def _slice_boxes(
@@ -91,42 +88,6 @@ def render_levels(
     for j in range(shape[1] - 1, -1, -1):  # y upward
         row = "".join(
             "." if grid[i, j] == 0 else str(min(grid[i, j], 9))
-            for i in range(shape[0])
-        )
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def render_owners(
-    layout: Layout,
-    domain: Box,
-    refine_factor: int = 2,
-    level: int = 0,
-    slice_axis: int = 2,
-    slice_index: int = 0,
-) -> str:
-    """Character map of rank ownership at one refinement level.
-
-    Letters a, b, c, ... mark ranks; ``' '`` marks base cells the level
-    does not cover.
-    """
-    ranks = {b: r for b, r in layout.pairs() if b.level == level}
-    level_boxes = BoxList(ranks)
-    if domain.ndim == 3:
-        keep = [d for d in range(3) if d != slice_axis]
-        shape = tuple(domain.shape[d] for d in keep)
-        pairs = _slice_boxes(level_boxes, slice_axis, slice_index, refine_factor)
-    else:
-        shape = domain.shape
-        pairs = [(b, b) for b in level_boxes]
-    grid = np.full(shape, -1, dtype=int)
-    for original, b2 in pairs:
-        sl = _base_footprint(b2, refine_factor)
-        grid[sl] = ranks[original]
-    lines = []
-    for j in range(shape[1] - 1, -1, -1):
-        row = "".join(
-            " " if grid[i, j] < 0 else _RANK_CHARS[grid[i, j] % len(_RANK_CHARS)]
             for i in range(shape[0])
         )
         lines.append(row)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.cli.common import add_experiment, add_out_dir, at_least
+from repro.cli.common import add_experiment, add_out_dir, at_least, user_errors
 from repro.cli.experiments import lookup_experiment
 
 if TYPE_CHECKING:
@@ -323,18 +323,12 @@ def _top(args: argparse.Namespace) -> int:
     return 0
 
 
+@user_errors("ExperimentError", "chaos")
 def _chaos(args: argparse.Namespace) -> int:
     """Run the chaos experiment; print recovery + integrity stats."""
     from repro.runtime.experiment import chaos_experiment
     from repro.telemetry import Tracer, activate
 
-    if not 0 < args.kill < args.nodes:
-        print(
-            f"--kill must leave at least one survivor: "
-            f"kill={args.kill}, nodes={args.nodes}",
-            file=sys.stderr,
-        )
-        return 2
     tracer = Tracer()
     with activate(tracer):
         stats = chaos_experiment(

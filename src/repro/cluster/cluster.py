@@ -156,20 +156,9 @@ class Cluster:
         self._check_node(node)
         self._down_since.pop(node, None)
 
-    def down_since(self, node: int) -> float | None:
-        """Sim time ``node`` went down, or ``None`` if it is up."""
-        self._check_node(node)
-        return self._down_since.get(node)
-
     @property
     def down_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(self._down_since))
-
-    @property
-    def live_nodes(self) -> tuple[int, ...]:
-        return tuple(
-            k for k in range(self.num_nodes) if k not in self._down_since
-        )
 
     def live_mask(self) -> np.ndarray:
         """Boolean per-node liveness vector."""
@@ -192,10 +181,6 @@ class Cluster:
         """Lift any NIC derating on ``node``; idempotent."""
         self._check_node(node)
         self._link_derate.pop(node, None)
-
-    def link_derate(self, node: int) -> float:
-        self._check_node(node)
-        return self._link_derate.get(node, 1.0)
 
     # ------------------------------------------------------------------
     def _gen_columns(self) -> tuple[np.ndarray, ...]:
@@ -287,21 +272,6 @@ class Cluster:
             float(mem_used[node]),
             float(bw_used[node]),
         )
-
-    def states(self, t: float | None = None) -> list[NodeState]:
-        """Ground-truth state of every node (one columnar pass)."""
-        t = self.clock.now if t is None else t
-        load, mem_used, bw_used = self._node_sums(t)
-        return [
-            self._state_at(
-                k, float(load[k]), float(mem_used[k]), float(bw_used[k])
-            )
-            for k in range(self.num_nodes)
-        ]
-
-    def effective_speed(self, node: int, t: float | None = None) -> float:
-        """Deliverable work units per second on ``node`` at ``t``."""
-        return self.state_of(node, t).effective_speed(self.nodes[node])
 
     def effective_speeds(self, t: float | None = None) -> np.ndarray:
         """Per-node deliverable speeds, computed without NodeState objects."""

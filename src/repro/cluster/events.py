@@ -45,12 +45,6 @@ class SimClock:
             )
         heapq.heappush(self._queue, (float(when), next(self._counter), callback))
 
-    def schedule_in(self, delay: float, callback: Callable[["SimClock"], None]) -> None:
-        """Register ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.schedule(self._now + delay, callback)
-
     def advance(self, dt: float) -> None:
         """Move time forward by ``dt`` seconds, firing due events in order."""
         if dt < 0:
@@ -84,7 +78,3 @@ class SimClock:
         finally:
             self._advancing = False
         self._now = t
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue)

@@ -86,15 +86,3 @@ class SyntheticLoadGenerator:
                 "bandwidth_fraction_per_unit must be in [0, 1], got "
                 f"{self.bandwidth_fraction_per_unit}"
             )
-
-    def level_at(self, t: float) -> float:
-        """Load level contributed at simulated time ``t``."""
-        if t < self.start_time:
-            return 0.0
-        if self.stop_time is not None and t >= self.stop_time:
-            return 0.0
-        return min(self.target_level, self.ramp_rate * (t - self.start_time))
-
-    def memory_at(self, t: float) -> float:
-        """Memory (MB) pinned at simulated time ``t``."""
-        return self.level_at(t) * self.memory_per_unit_mb

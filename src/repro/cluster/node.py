@@ -94,7 +94,3 @@ class NodeState:
             raise SimulationError(
                 f"bandwidth_mbps must be >= 0, got {self.bandwidth_mbps}"
             )
-
-    def effective_speed(self, spec: NodeSpec) -> float:
-        """Deliverable compute rate right now, in work units per second."""
-        return spec.cpu_speed * self.cpu_available

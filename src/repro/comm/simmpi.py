@@ -172,12 +172,6 @@ class SimCommunicator:
             self._bytes_total.inc(sum(sent))
         return ends, seconds, nbytes, link_mbps
 
-    def p2p_time(
-        self, src: int, dst: int, nbytes: float, t: float | None = None
-    ) -> float:
-        """Seconds for one message from ``src`` to ``dst`` at time ``t``."""
-        return float(self._price([(src, dst)], [nbytes], t)[1][0])
-
     def exchange_time(
         self,
         pair_bytes: Mapping[tuple[int, int], float],
@@ -292,10 +286,6 @@ class SimCommunicator:
                 "comm.collective_seconds", op=op
             ).observe(seconds)
         return seconds
-
-    def broadcast_time(self, nbytes: float, t: float | None = None) -> float:
-        """Binomial-tree broadcast; same round structure as allreduce."""
-        return self.allreduce_time(nbytes, t, op="broadcast")
 
     # ------------------------------------------------------------------
     def migration_time(

@@ -1,12 +1,11 @@
 """The Hierarchical Distributed Dynamic Array facade.
 
 :class:`HDDA` ties together the hierarchical index space and per-processor
-block stores, and exposes the two operations the GrACE runtime needs:
-
-- **grow/shrink**: register and drop blocks as the hierarchy regrids;
-- **redistribute**: given a partitioner's new :class:`~repro.util.geometry.Layout`,
-  compute a :class:`MigrationPlan` (which blocks move where, and how many
-  bytes that is) and apply it.
+block stores, and exposes the one operation the GrACE runtime needs:
+given a partitioner's new :class:`~repro.util.geometry.Layout`,
+:meth:`HDDA.apply_assignment` grows and shrinks the block set as the
+hierarchy regrids and returns the :class:`MigrationPlan` (which blocks
+moved where, and how many bytes that is).
 
 The migration plan is what couples partitioning quality to redistribution
 cost in the simulated runtime: a partitioner that churns ownership pays for
@@ -21,7 +20,7 @@ import numpy as np
 from repro.hdda.index import HierarchicalIndexSpace
 from repro.hdda.storage import Block, BlockStore
 from repro.util.errors import HDDAError
-from repro.util.geometry import Box, BoxList, Layout
+from repro.util.geometry import Box, Layout
 
 __all__ = ["OwnershipMap", "MigrationPlan", "HDDA"]
 
@@ -51,9 +50,6 @@ class OwnershipMap:
 
     def drop(self, key: int) -> None:
         self._owner.pop(key, None)
-
-    def keys_of(self, rank: int) -> list[int]:
-        return [k for k, r in self._owner.items() if r == rank]
 
     def __len__(self) -> int:
         return len(self._owner)
@@ -94,9 +90,6 @@ class MigrationPlan:
     def total_bytes(self) -> int:
         return sum(self.bytes_moved.values())
 
-    def is_empty(self) -> bool:
-        return not self.moves
-
 
 class HDDA:
     """Distributed dynamic array over a simulated set of address spaces.
@@ -123,65 +116,14 @@ class HDDA:
         self.stores: list[BlockStore] = [BlockStore() for _ in range(num_procs)]
         self.ownership = OwnershipMap(num_procs)
 
-    # ------------------------------------------------------------------
-    # Grow / shrink
-    # ------------------------------------------------------------------
-    def register_box(self, box: Box, rank: int, payload=None) -> int:
-        """Create a block for ``box`` owned by ``rank``; returns its key."""
-        key = self.index_space.key_for_box(box)
-        if key in self.ownership:
-            raise HDDAError(f"box {box} already registered (key {key})")
-        self._create_block(key, box, rank, payload)
-        return key
-
-    def _create_block(self, key: int, box: Box, rank: int, payload=None) -> None:
-        blk = Block(
-            key=key,
-            box=box,
-            payload=payload,
-            nbytes=box.num_cells * self.bytes_per_cell,
-        )
+    def _create_block(self, key: int, box: Box, rank: int) -> None:
+        blk = Block(key=key, box=box, nbytes=box.num_cells * self.bytes_per_cell)
         self.stores[rank].put(blk)
         self.ownership.assign(key, rank)
-
-    def unregister_box(self, box: Box) -> None:
-        """Drop the block for ``box`` (hierarchy shrank at regrid)."""
-        key = self.index_space.key_for_box(box)
-        rank = self.ownership.owner(key)
-        self.stores[rank].pop(key)
-        self.ownership.drop(key)
-
-    def clear(self) -> None:
-        """Drop every block (full hierarchy rebuild)."""
-        self.stores = [BlockStore() for _ in range(self.num_procs)]
-        self.ownership = OwnershipMap(self.num_procs)
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-    def get_block(self, box: Box) -> Block:
-        key = self.index_space.key_for_box(box)
-        return self.stores[self.ownership.owner(key)].get(key)
-
-    def owner_of(self, box: Box) -> int:
-        return self.ownership.owner(self.index_space.key_for_box(box))
-
-    def boxes_of(self, rank: int) -> BoxList:
-        """All boxes owned by ``rank``, in index order."""
-        blocks = [self.stores[rank].get(k) for k in self.ownership.keys_of(rank)]
-        return BoxList(
-            b.box for b in sorted(blocks, key=lambda blk: blk.key)
-        )
 
     @property
     def total_blocks(self) -> int:
         return len(self.ownership)
-
-    def cells_per_rank(self) -> np.ndarray:
-        out = np.zeros(self.num_procs, dtype=np.int64)
-        for rank in range(self.num_procs):
-            out[rank] = self.stores[rank].total_cells
-        return out
 
     # ------------------------------------------------------------------
     # Redistribution
@@ -201,15 +143,6 @@ class HDDA:
                 nbytes = self.stores[src].get(key).nbytes
                 plan.add(src, dst, key, nbytes)
         return plan, keys
-
-    def plan_redistribution(self, layout: Layout) -> MigrationPlan:
-        """Plan the block moves needed to realize a new layout.
-
-        Boxes in the layout that are not yet registered are ignored here
-        (they are *new* blocks, created by :meth:`apply_assignment`); blocks
-        not mentioned in the layout keep their current owner.
-        """
-        return self._plan(layout)[0]
 
     def apply_assignment(self, layout: Layout) -> MigrationPlan:
         """Make the array match a partitioner's layout exactly.
@@ -236,23 +169,6 @@ class HDDA:
                 self.stores[rank].pop(key)
                 self.ownership.drop(key)
         return plan
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def locality_score(self) -> float:
-        """Fraction of index-adjacent block pairs owned by one rank.
-
-        1.0 means the ownership map is a set of contiguous curve spans (the
-        ideal the SFC layout aims for); values near ``1/num_procs`` indicate
-        ownership uncorrelated with curve position.
-        """
-        keys = sorted(self.ownership._owner)
-        if len(keys) < 2:
-            return 1.0
-        owners = [self.ownership.owner(k) for k in keys]
-        same = sum(1 for a, b in zip(owners, owners[1:]) if a == b)
-        return same / (len(keys) - 1)
 
     def check_invariants(self) -> None:
         """Ownership map and stores must agree exactly."""

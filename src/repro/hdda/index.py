@@ -12,7 +12,7 @@ region it refines).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.util.errors import GeometryError, HDDAError
 from repro.util.geometry import Box, BoxList
@@ -79,11 +79,6 @@ class HierarchicalIndexSpace:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def bits_per_axis(self) -> int:
-        """Bits used per axis at the finest level."""
-        return self._bits
-
     def _encode(self, coords: Sequence[int]) -> int:
         if self.curve == "hilbert":
             return hilbert_encode(coords, self._bits)
@@ -138,23 +133,3 @@ class HierarchicalIndexSpace:
         # Nothing to encode, or a box is unaddressable: the scalar walk
         # raises for the first offender.
         return [self.key_for_box(b) for b in boxes]
-
-    def level_of_key(self, key: int) -> int:
-        """Recover the refinement level from a key."""
-        if key < 0:
-            raise HDDAError(f"negative key {key}")
-        level = key & ((1 << self._level_bits) - 1)
-        if level >= self.max_levels:
-            raise HDDAError(f"key {key} encodes invalid level {level}")
-        return level
-
-    def order_boxes(self, boxes: Iterable[Box]) -> BoxList:
-        """Boxes sorted by their global key (the HDDA storage order)."""
-        return BoxList(sorted(boxes, key=self.key_for_box))
-
-    def span_for_boxes(self, boxes: Iterable[Box]) -> tuple[int, int]:
-        """Inclusive (min_key, max_key) span covered by a set of boxes."""
-        keys = [self.key_for_box(b) for b in boxes]
-        if not keys:
-            raise HDDAError("span of an empty box set")
-        return min(keys), max(keys)

@@ -11,7 +11,7 @@ at regrid time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.util.errors import HDDAError
 from repro.util.geometry import Box
@@ -83,11 +83,6 @@ class BlockStore:
     @property
     def total_cells(self) -> int:
         return sum(b.box.num_cells for b in self.blocks())
-
-    def map_payloads(self, fn: Callable[[Block], Any]) -> None:
-        """Apply ``fn`` to every block, storing its return as the new payload."""
-        for blk in list(self.blocks()):
-            blk.payload = fn(blk)
 
     def stats(self) -> dict[str, float]:
         s = self._table.stats()

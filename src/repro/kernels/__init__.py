@@ -19,7 +19,6 @@ from repro.kernels.rm3d import RM3DKernel
 from repro.kernels.buckley_leverett import BuckleyLeverettKernel
 from repro.kernels.workloads import (
     SyntheticWorkload,
-    moving_blob_trace,
     paper_rm3d_trace,
     record_workload,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "RM3DKernel",
     "BuckleyLeverettKernel",
     "SyntheticWorkload",
-    "moving_blob_trace",
     "paper_rm3d_trace",
     "record_workload",
 ]

@@ -9,7 +9,7 @@ deterministically to match the qualitative dynamics of the real
 application: a refined slab tracking the shocked interface, with a growing
 population of instability "fingers" at the deepest level.
 
-Both trace generators below produce hierarchies that satisfy the same
+The trace generator below produces hierarchies that satisfy the same
 structural invariants as real regrids (per-level disjointness, proper
 nesting, domain containment), which the test suite verifies.
 """
@@ -26,7 +26,6 @@ from repro.util.geometry import Box, BoxList
 
 __all__ = [
     "SyntheticWorkload",
-    "moving_blob_trace",
     "paper_rm3d_trace",
     "record_workload",
 ]
@@ -180,57 +179,6 @@ def _chop(box: Box, axis: int, pieces: int) -> list[Box]:
         lo = cut
     out.append(rest)
     return out
-
-
-def moving_blob_trace(
-    domain_shape: tuple[int, ...] = (64, 64),
-    num_regrids: int = 10,
-    max_levels: int = 3,
-    refine_factor: int = 2,
-    blob_cells: int = 12,
-    chop_pieces: int = 2,
-) -> SyntheticWorkload:
-    """A refined blob sweeping diagonally across the domain.
-
-    The generic moving-feature workload: level-1 follows the blob loosely,
-    level-2 tightly.  Works in any dimensionality.
-    """
-    if num_regrids < 1:
-        raise GeometryError(f"num_regrids must be >= 1, got {num_regrids}")
-    domain = Box((0,) * len(domain_shape), domain_shape)
-    epochs: list[BoxList] = []
-    for r in range(num_regrids):
-        frac = r / max(1, num_regrids - 1)
-        center = tuple(
-            int(frac * (s - blob_cells - 2)) + blob_cells // 2 + 1
-            for s in domain_shape
-        )
-        boxes: list[Box] = [domain]
-        parent_footprint = domain
-        for level in range(1, max_levels):
-            half = max(2, blob_cells // (2 * level))
-            lo = tuple(max(0, c - half) for c in center)
-            hi = tuple(
-                min(s, c + half) for c, s in zip(center, domain_shape)
-            )
-            if any(h <= l for l, h in zip(lo, hi)):
-                break
-            coarse = Box(lo, hi)  # in level-0 coords
-            nested = coarse.intersection(parent_footprint)
-            if nested is None:
-                break
-            fine = nested
-            for _ in range(level):
-                fine = fine.refine(refine_factor)
-            boxes.extend(_chop(fine, axis=0, pieces=chop_pieces))
-            parent_footprint = nested
-        epochs.append(BoxList(boxes))
-    return SyntheticWorkload(
-        name="moving-blob",
-        domain=domain,
-        refine_factor=refine_factor,
-        box_lists=tuple(epochs),
-    )
 
 
 def paper_rm3d_trace(

@@ -21,7 +21,7 @@ must carry to count as a row) and may override
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 from repro.util import durable
 
@@ -61,6 +61,3 @@ class DurableJsonlStore:
     # -- queries -------------------------------------------------------
     def __len__(self) -> int:
         return len(self._rows)
-
-    def iter_rows(self) -> Iterable[dict[str, Any]]:
-        return iter(self._rows)

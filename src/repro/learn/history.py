@@ -213,10 +213,3 @@ class ExecutionHistoryStore(DurableJsonlStore):
         if cell_key is not None:
             mask &= table["cell_key"] == cell_key
         return {name: col[mask] for name, col in table.items()}
-
-    def work_series(
-        self, phase: str, node: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(work, seconds) pairs for one phase on one node."""
-        view = self.query(phase=phase, node=node)
-        return view["work"], view["seconds"]

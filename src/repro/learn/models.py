@@ -159,19 +159,6 @@ class OnlineLinearModel:
             return self.sy / self.n if self.n else 0.0
         return self.intercept + self.slope * float(x)
 
-    def predict_interval(self, x: float) -> tuple[float, float]:
-        """95 % CI of the *mean response* at ``x`` (closed form)."""
-        if self.is_cold:
-            return (-math.inf, math.inf)
-        x = float(x)
-        var = self.residual_variance()
-        sxx_c = self._sxx_centered
-        mean_x = self.sx / self.n
-        se = math.sqrt(var * (1.0 / self.n + (x - mean_x) ** 2 / sxx_c))
-        yhat = self.predict(x)
-        half = _t95(self.n - 2) * se
-        return (yhat - half, yhat + half)
-
     def prediction_interval(self, x: float) -> tuple[float, float]:
         """95 % interval for one *new observation* at ``x``.
 
@@ -327,16 +314,10 @@ class AmdahlCostModel:
     def predict(self, node: int, work: float) -> float:
         return self._node(node).predict(work)
 
-    def predict_interval(self, node: int, work: float) -> tuple[float, float]:
-        return self._node(node).predict_interval(work)
-
     def capacity(self, node: int) -> float:
         """Fitted work units per second on ``node`` (inf if free)."""
         slope = self._node(node).slope
         return 1.0 / slope if slope > 0.0 else math.inf
-
-    def serial_seconds(self, node: int) -> float:
-        return self._node(node).intercept
 
     def to_dict(self) -> dict:
         return {

@@ -210,13 +210,6 @@ class AdaptiveEnsembleForecaster(Forecaster):
                 best, best_mae = i, mae
         return best if best_mae < float("inf") else 0
 
-    def member_mae(self) -> list[float]:
-        """Observed MAE per member (inf where unscored)."""
-        return [
-            self._errors[i] / self._counts[i] if self._counts[i] else float("inf")
-            for i in range(len(self.members))
-        ]
-
 
 class ModelBackedForecaster(Forecaster):
     """Windowed least-squares trend fit over the measurement series.
@@ -263,12 +256,6 @@ class ModelBackedForecaster(Forecaster):
         if model.is_cold:  # degenerate x-spread cannot happen; paranoia
             return float(self._buf[-1])
         return float(model.predict(self._seen))
-
-    def forecast_interval(self) -> tuple[float, float]:
-        """95 % CI of the one-step-ahead mean response (inf while cold)."""
-        if len(self._buf) < self.min_points:
-            return (-np.inf, np.inf)
-        return self._fit().predict_interval(self._seen)
 
 
 _FACTORIES: dict[str, Callable[[], Forecaster]] = {

@@ -166,10 +166,6 @@ class ResourceMonitor:
         """Lift a sensor blackout; idempotent."""
         self._blackouts.discard(node)
 
-    @property
-    def blacked_out_nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self._blackouts))
-
     # ------------------------------------------------------------------
     def _read_sensor(self, metric: str, node: int, t: float | None) -> float:
         """One probe attempt; unreachable nodes fail like dead sensors."""
@@ -310,13 +306,6 @@ class ResourceMonitor:
                 NodeProbeStatus.EVICTED,
             ):
                 self.tracer.event("recovery.probe_healthy", node=node)
-
-    def node_status(self, node: int) -> NodeProbeStatus:
-        """Where ``node`` sits on the escalation ladder (always HEALTHY
-        when no retry policy is attached)."""
-        if not 0 <= node < self.cluster.num_nodes:
-            raise MonitorError(f"unknown node index {node}")
-        return self._status[node]
 
     @property
     def evicted_nodes(self) -> tuple[int, ...]:

@@ -505,10 +505,10 @@ def chaos_experiment(
         DistributedAmrRun,
         DistributedRunConfig,
     )
-    if not 0 < kill < num_nodes:
+    if not 1 <= kill < num_nodes:
         raise ExperimentError(
-            f"kill must leave at least one survivor: kill={kill}, "
-            f"nodes={num_nodes}"
+            f"kill must satisfy 1 <= kill < nodes (one node killed, one"
+            f" survivor): kill={kill}, nodes={num_nodes}"
         )
     # 1. Sequential reference.
     h_ref = _chaos_hierarchy()

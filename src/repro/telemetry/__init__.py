@@ -78,8 +78,6 @@ _EXPORTS = {
     "write_jsonl": "export",
     "aggregate_phases": "export",
     "metrics_summary": "export",
-    "metrics_csv": "export",
-    "write_metrics_csv": "export",
     "write_metrics_json": "export",
     # analysis
     "PAPER_IMBALANCE_BOUND_PCT": "analysis",

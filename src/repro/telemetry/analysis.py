@@ -579,15 +579,10 @@ class HealthMonitor:
     simulation results.
     """
 
-    def __init__(
-        self,
-        detectors: Sequence[AnomalyDetector] | None = None,
-        imbalance_bound_pct: float = PAPER_IMBALANCE_BOUND_PCT,
-    ):
+    def __init__(self, detectors: Sequence[AnomalyDetector] | None = None):
         self.detectors: list[AnomalyDetector] = (
             list(detectors) if detectors is not None else default_detectors()
         )
-        self.imbalance_bound_pct = imbalance_bound_pct
         self.snapshots: list[HealthSnapshot] = []
         self.events: list[HealthEvent] = []
         self._tracer: Tracer | None = None
@@ -600,11 +595,6 @@ class HealthMonitor:
             self._tracer = tracer  # type: ignore[assignment]
             tracer.add_observer(self._on_span_close)
         return self
-
-    def detach(self) -> None:
-        if self._tracer is not None:
-            self._tracer.remove_observer(self._on_span_close)
-            self._tracer = None
 
     # -- span routing ---------------------------------------------------
     def _accumulator(self, pid: int) -> _RunAccumulator:
@@ -672,7 +662,7 @@ class HealthMonitor:
             "num_events": len(self.events),
             "events_by_severity": by_severity,
             "worst_imbalance_pct": self.worst_imbalance(),
-            "imbalance_bound_pct": self.imbalance_bound_pct,
+            "imbalance_bound_pct": PAPER_IMBALANCE_BOUND_PCT,
             "num_fault_events": faults["num_fault_events"],
             "num_recovery_events": faults["num_recovery_events"],
             "mean_time_to_recover_s": faults["mean_time_to_recover_s"],

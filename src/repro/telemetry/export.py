@@ -9,9 +9,9 @@ Three output shapes, one tracer:
   is a process (``pid``), the runtime control flow is thread 0 and every
   simulated rank gets its own thread track, timestamped in *simulated*
   microseconds;
-- :func:`metrics_summary` / :func:`write_metrics_json` /
-  :func:`write_metrics_csv` -- flat quantitative summaries (the benchmark
-  suite consumes these to track the perf trajectory across PRs).
+- :func:`metrics_summary` / :func:`write_metrics_json` -- flat
+  quantitative summaries (the benchmark suite consumes these to track
+  performance from one change to the next).
 
 All serialization tolerates numpy scalars/arrays in span attributes
 without importing numpy (duck-typed via ``item``/``tolist``), keeping the
@@ -22,8 +22,6 @@ for, instead of walking every value in Python first.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from typing import Any, Iterator
@@ -40,7 +38,6 @@ __all__ = [
     "aggregate_phases",
     "metrics_summary",
     "write_metrics_json",
-    "write_metrics_csv",
 ]
 
 #: Chrome thread id of the runtime control track; rank ``k`` maps to
@@ -266,26 +263,3 @@ def write_metrics_json(
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(metrics_summary(source), fh, indent=2, default=_coerce)
         fh.write("\n")
-
-
-def metrics_csv(registry: MetricsRegistry | NullMetricsRegistry) -> str:
-    """The registry's flat rows as CSV text (union of all columns)."""
-    rows = registry.rows()
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, restval="")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _jsonable(v) for k, v in row.items()})
-    return buf.getvalue()
-
-
-def write_metrics_csv(
-    registry: MetricsRegistry | NullMetricsRegistry, path: str | os.PathLike
-) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(metrics_csv(registry))

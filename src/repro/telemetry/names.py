@@ -7,10 +7,10 @@ produces spans nobody aggregates, so *every* name the instrumentation
 emits must be declared here first.  ``tools/check_span_names.py`` lints
 ``src/repro`` for literal names passed to ``Tracer.span`` /
 ``Tracer.add_span`` / ``Tracer.event`` and fails CI on any literal that
-is not registered below.
+is not registered below exactly.
 
-Dynamically composed names (``health.<kind>``, ``comm.<phase>``) cannot
-be checked literally; they must fall under one of the registered
+Dynamically composed names (``health.<kind>``) cannot be checked
+literally; an f-string name must fall under one of the registered
 :data:`EVENT_PREFIXES` instead.
 
 This module stays pure data + two predicates so the lint tool can import
@@ -25,7 +25,6 @@ __all__ = [
     "EVENT_PREFIXES",
     "METRIC_NAMES",
     "is_known_span",
-    "is_known_event",
     "is_known_metric",
 ]
 
@@ -55,8 +54,6 @@ SPAN_NAMES = frozenset(
         # resilience
         "recover",
         "recovery",
-        "checkpoint.save",
-        "checkpoint.restore",
         # campaign orchestration (one span per completed grid cell)
         "campaign.cell",
         # artifact-bundle publication recorded at cell commit
@@ -70,17 +67,29 @@ EVENT_NAMES = frozenset(
         "cluster",
         "load_generator",
         "split",
+        # communication: one per exchange phase, with its pair detail
+        "comm.exchange",
+        # faults, probe escalation and recovery
         "fault.step_aborted",
+        "fault.probe_suspect",
+        "fault.probe_evicted",
+        "recovery.probe_healthy",
         "recovery.repartition",
+        "recovery.restore",
         "recovery.complete",
-        # campaign artifact bundles (emitted by the orchestrator tracer)
+        # checkpoints
+        "checkpoint.save",
+        # campaign lifecycle and artifact bundles (emitted by the
+        # orchestrator tracer)
+        "campaign.started",
+        "campaign.completed",
+        "campaign.cell_failed",
         "campaign.artifact.written",
         # live progress-log records (written by ProgressLog, mirrored
         # here so stream consumers share one registry with the tracer)
         "live.cell_started",
         "live.cell_finished",
         "live.cell_failed",
-        "live.heartbeat",
         # forecaster cold-start degradation (last-value fallback taken)
         "forecast.cold",
         # learned-policy decision points (repro.learn)
@@ -98,8 +107,8 @@ EVENT_NAMES = frozenset(
     }
 )
 
-#: Prefixes under which dynamically composed event names are sanctioned
-#: (``tracer.event(f"health.{kind}", ...)`` and friends).
+#: Prefixes under which dynamically composed (f-string) event names are
+#: sanctioned (``tracer.event(f"health.{kind}", ...)`` and friends).
 EVENT_PREFIXES = (
     "health.",
     "fault.",
@@ -186,11 +195,6 @@ METRIC_NAMES = frozenset(
 def is_known_span(name: str) -> bool:
     """Whether ``name`` is a registered span name."""
     return name in SPAN_NAMES
-
-
-def is_known_event(name: str) -> bool:
-    """Whether ``name`` is a registered event name or prefixed family."""
-    return name in EVENT_NAMES or name.startswith(EVENT_PREFIXES)
 
 
 def is_known_metric(name: str) -> bool:

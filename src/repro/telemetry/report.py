@@ -333,9 +333,7 @@ class _LineChart:
 
 
 def _imbalance_svg(
-    snapshots: list[HealthSnapshot],
-    events: list[HealthEvent],
-    bound_pct: float = PAPER_IMBALANCE_BOUND_PCT,
+    snapshots: list[HealthSnapshot], events: list[HealthEvent]
 ) -> str:
     """Imbalance trajectory with the paper bound and anomaly markers."""
     pts = [
@@ -347,6 +345,7 @@ def _imbalance_svg(
         return "<p class='muted'>no imbalance signal in this run's trace</p>"
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
+    bound_pct = PAPER_IMBALANCE_BOUND_PCT
     y_max = max(max(ys) * 1.15, bound_pct * 1.25, 1.0)
     chart = _LineChart(220, (min(xs), max(xs) or 1), (0.0, y_max))
     x, y = chart.x, chart.y

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.telemetry.metrics import (
     NULL_REGISTRY,
@@ -184,10 +184,6 @@ class Tracer:
     def _sim_now(self) -> float:
         return self._sim_clock() if self._sim_clock is not None else 0.0
 
-    def bind_sim_clock(self, sim_clock: Callable[[], float] | None) -> None:
-        """Point the simulated-time column at a (new) clock source."""
-        self._sim_clock = sim_clock
-
     def begin_run(
         self,
         label: str,
@@ -310,9 +306,6 @@ class Tracer:
         )
 
     # ------------------------------------------------------------------
-    def spans_named(self, name: str) -> Iterator[Span]:
-        return (s for s in self.spans if s.name == name)
-
     def __len__(self) -> int:
         return len(self.spans)
 
@@ -358,9 +351,6 @@ class NullTracer:
     run_labels: dict[int, str] = {}
     metrics: NullMetricsRegistry = NULL_REGISTRY
 
-    def bind_sim_clock(self, sim_clock: Callable[[], float] | None) -> None:
-        pass
-
     def add_observer(self, callback: Callable[[Span], None]) -> None:
         pass
 
@@ -387,9 +377,6 @@ class NullTracer:
 
     def event(self, name: str, rank: int | None = None, **attrs: Any) -> None:
         pass
-
-    def spans_named(self, name: str) -> Iterator[Span]:
-        return iter(())
 
     def __len__(self) -> int:
         return 0

@@ -144,31 +144,6 @@ class Box:
             n *= s
         return n
 
-    @property
-    def longest_axis(self) -> int:
-        """Index of the axis with the largest extent (ties -> lowest axis)."""
-        shp = self.shape
-        return int(np.argmax(shp))
-
-    @property
-    def shortest_side(self) -> int:
-        """Smallest extent over all axes."""
-        return min(self.shape)
-
-    @property
-    def longest_side(self) -> int:
-        """Largest extent over all axes."""
-        return max(self.shape)
-
-    @property
-    def aspect_ratio(self) -> float:
-        """Ratio of the longest side to the shortest side (>= 1.0).
-
-        The paper's box-splitting constraint keeps this ratio low by always
-        cutting along the longest dimension.
-        """
-        return self.longest_side / self.shortest_side
-
     def __contains__(self, point: Sequence[int]) -> bool:
         if len(point) != self.ndim:
             return False
@@ -274,17 +249,6 @@ class Box:
             Box(tuple(lo_b), self.upper, self.level),
         )
 
-    def halve(self, axis: int | None = None) -> tuple["Box", "Box"]:
-        """Split into two (near-)equal halves, by default along the longest axis."""
-        if axis is None:
-            axis = self.longest_axis
-        if self.shape[axis] < 2:
-            raise GeometryError(
-                f"cannot halve axis {axis} of extent {self.shape[axis]}"
-            )
-        mid = self.lower[axis] + self.shape[axis] // 2
-        return self.split(axis, mid)
-
     # ------------------------------------------------------------------
     # Level changes and ghosting
     # ------------------------------------------------------------------
@@ -320,17 +284,6 @@ class Box:
         """Intersection with ``domain`` (alias with intent: keep in-bounds)."""
         return self.intersection(domain)
 
-    def translate(self, offset: Sequence[int]) -> "Box":
-        """Shift the box by ``offset`` cells along each axis."""
-        off = _as_int_tuple(offset, "offset")
-        if len(off) != self.ndim:
-            raise GeometryError("offset dimensionality mismatch")
-        return Box(
-            tuple(l + o for l, o in zip(self.lower, off)),
-            tuple(u + o for u, o in zip(self.upper, off)),
-            self.level,
-        )
-
     # ------------------------------------------------------------------
     # Conversions / iteration
     # ------------------------------------------------------------------
@@ -344,16 +297,6 @@ class Box:
         return tuple(
             slice(l - o, u - o) for l, u, o in zip(self.lower, self.upper, org)
         )
-
-    def cell_centers(self) -> Iterator[tuple[int, ...]]:
-        """Iterate all integer cell coordinates in the box (row-major)."""
-        return itertools.product(
-            *(range(l, u) for l, u in zip(self.lower, self.upper))
-        )
-
-    def corner_key(self) -> tuple[int, ...]:
-        """Sort key: (level, lower...) -- deterministic box ordering."""
-        return (self.level, *self.lower)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Box(L{self.level} {self.lower}->{self.upper})"
@@ -579,8 +522,8 @@ class BoxArray:
         """Stable sort indices by ``(primary, level, lower...)``.
 
         The columnar equivalent of ``sorted(range(n), key=lambda i:
-        (primary[i], *boxes[i].corner_key()))`` -- ``np.lexsort`` is stable
-        exactly like ``sorted``, so orders (and therefore downstream
+        (primary[i], boxes[i].level, *boxes[i].lower))`` -- ``np.lexsort``
+        is stable exactly like ``sorted``, so orders (and therefore downstream
         assignments) are identical to the object path.  With ``primary``
         omitted this is the canonical ``(level, lower)`` ordering.
         """
@@ -863,11 +806,6 @@ class BoxList:
             self._array = BoxArray.from_boxes(self._boxes)
         return self._array
 
-    @property
-    def is_materialized(self) -> bool:
-        """True when per-box objects exist (False for pure-columnar lists)."""
-        return self._boxes is not None
-
     def _tuple(self) -> tuple[Box, ...]:
         if self._boxes is None:
             self._boxes = self._array.to_boxes()
@@ -969,30 +907,6 @@ class BoxList:
                 BoxArray.concatenate([self._array, boxes._array])
             )
         return BoxList((*self._tuple(), *boxes))
-
-    def sorted_by_cells(self, reverse: bool = False) -> "BoxList":
-        """Stable sort by cell count (the paper sorts boxes ascending)."""
-        if self._boxes is not None:
-            return BoxList(
-                sorted(self._boxes, key=lambda b: (b.num_cells, b.corner_key()),
-                       reverse=reverse)
-            )
-        arr = self._array
-        keys = [arr.lower[:, d] for d in range(arr.ndim - 1, -1, -1)]
-        keys.append(arr.level)
-        keys.append(arr.num_cells())
-        if reverse:
-            # Negating every key column reverses the tuple comparison while
-            # lexsort's stability keeps equal keys in original order --
-            # exactly ``sorted(..., reverse=True)``.
-            keys = [-k for k in keys]
-        return self.take(np.lexsort(keys))
-
-    def sorted_canonical(self) -> "BoxList":
-        """Deterministic (level, lower-corner) ordering."""
-        if self._boxes is not None:
-            return BoxList(sorted(self._boxes, key=Box.corner_key))
-        return self.take(self._array.corner_lexsort())
 
     def is_disjoint(self) -> bool:
         """True when no two same-level boxes overlap.

@@ -12,21 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rng"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | None) -> np.random.Generator:
     """A fresh PCG64 generator; ``None`` gives OS entropy (tests always seed)."""
     return np.random.default_rng(seed)
-
-
-def spawn_rng(rng: np.random.Generator, stream: int) -> np.random.Generator:
-    """Derive an independent child stream from a parent generator.
-
-    Used to give each node / load generator / sensor its own stream so adding
-    one component never perturbs the draws of another (replay stability).
-    """
-    seed_seq = np.random.SeedSequence(
-        entropy=int(rng.integers(0, 2**63 - 1)), spawn_key=(stream,)
-    )
-    return np.random.Generator(np.random.PCG64(seed_seq))

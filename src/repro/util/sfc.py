@@ -18,23 +18,20 @@ NumPy coordinate arrays for bulk ordering.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxArray, BoxList
+from repro.util.geometry import BoxArray
 
 __all__ = [
     "morton_encode",
-    "morton_decode",
     "morton_encode_many",
     "hilbert_encode",
-    "hilbert_decode",
     "hilbert_encode_many",
     "sfc_keys_array",
     "sfc_sort_order",
-    "sfc_order_boxes",
 ]
 
 
@@ -71,17 +68,6 @@ def morton_encode(coords: Sequence[int], bits: int) -> int:
     return key
 
 
-def morton_decode(key: int, ndim: int, bits: int) -> tuple[int, ...]:
-    """Inverse of :func:`morton_encode`."""
-    if key < 0:
-        raise GeometryError(f"negative Morton key {key}")
-    coords = [0] * ndim
-    for b in range(bits):
-        for d in range(ndim):
-            coords[d] |= ((key >> (b * ndim + d)) & 1) << b
-    return tuple(coords)
-
-
 def morton_encode_many(coords: np.ndarray, bits: int) -> np.ndarray:
     """Vectorized Morton encoding.
 
@@ -111,19 +97,6 @@ def morton_encode_many(coords: np.ndarray, bits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Hilbert (Skilling's transpose algorithm)
 # ---------------------------------------------------------------------------
-def _hilbert_to_transpose(key: int, ndim: int, bits: int) -> list[int]:
-    """Spread a Hilbert key into its 'transpose' form: ndim words of `bits`
-    bits, where word d holds key bits d, d+ndim, d+2*ndim, ..."""
-    x = [0] * ndim
-    for b in range(bits * ndim):
-        if (key >> b) & 1:
-            # Most-significant key bits come first across the words.
-            word = (bits * ndim - 1 - b) % ndim
-            bit = (bits * ndim - 1 - b) // ndim
-            x[word] |= 1 << (bits - 1 - bit)
-    return x
-
-
 def _transpose_to_hilbert(x: Sequence[int], ndim: int, bits: int) -> int:
     key = 0
     for word in range(ndim):
@@ -166,36 +139,6 @@ def hilbert_encode(coords: Sequence[int], bits: int) -> int:
     for i in range(ndim):
         x[i] ^= t
     return _transpose_to_hilbert(x, ndim, bits)
-
-
-def hilbert_decode(key: int, ndim: int, bits: int) -> tuple[int, ...]:
-    """Inverse of :func:`hilbert_encode`."""
-    if key < 0 or key >= (1 << (ndim * bits)):
-        raise GeometryError(
-            f"Hilbert key {key} out of range for ndim={ndim}, bits={bits}"
-        )
-    if ndim == 1:
-        return (key,)
-    x = _hilbert_to_transpose(key, ndim, bits)
-    n = 1 << bits
-    # Gray decode by H ^ (H/2).
-    t = x[ndim - 1] >> 1
-    for i in range(ndim - 1, 0, -1):
-        x[i] ^= x[i - 1]
-    x[0] ^= t
-    # Undo excess work (Skilling, TransposetoAxes).
-    q = 2
-    while q != n:
-        p = q - 1
-        for i in range(ndim - 1, -1, -1):
-            if x[i] & q:
-                x[0] ^= p
-            else:
-                t = (x[0] ^ x[i]) & p
-                x[0] ^= t
-                x[i] ^= t
-        q <<= 1
-    return tuple(x)
 
 
 def hilbert_encode_many(coords: np.ndarray, bits: int) -> np.ndarray:
@@ -330,26 +273,3 @@ def sfc_sort_order(
     """
     keys = sfc_keys_array(arr, curve=curve, refine_factor=refine_factor)
     return np.lexsort((arr.level, keys))
-
-
-def sfc_order_boxes(
-    boxes: "Iterable[Box] | BoxList",
-    curve: str = "hilbert",
-    refine_factor: int = 2,
-) -> BoxList:
-    """Order boxes by the SFC index of their lower corner on the finest level.
-
-    All corners are first promoted to the index space of the finest level
-    present (multiplying by ``refine_factor`` per level difference) so boxes
-    from different levels interleave along one common curve -- this is how the
-    HDDA linearizes the whole hierarchy, and what ACEComposite walks.
-
-    The keys and sort order are computed over the list's cached columns
-    (:func:`sfc_keys_array` / :func:`sfc_sort_order`); a columnar input
-    stays columnar, an object-backed input keeps its Box objects.
-    """
-    bl = boxes if isinstance(boxes, BoxList) else BoxList(boxes)
-    if not len(bl):
-        return BoxList()
-    order = sfc_sort_order(bl.array, curve=curve, refine_factor=refine_factor)
-    return bl.take(order)

@@ -110,7 +110,7 @@ def hierarchies(draw) -> tuple[BoxList, list[int], int]:
         pieces = [region]
         for _ in range(draw(st.integers(0, 5))):
             i = draw(st.integers(0, len(pieces) - 1))
-            axis = pieces[i].longest_axis
+            axis = int(np.argmax(pieces[i].shape))
             if pieces[i].shape[axis] < 2:
                 continue
             cut = draw(

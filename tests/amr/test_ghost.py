@@ -57,7 +57,7 @@ class TestPeriodicGhosts:
         h.set_level_boxes(1, BoxList([Box((4, 4), (10, 10), 1)]))
         filler = GhostFiller(h)
         patch = h.levels[1].patches[0]
-        filler.fill_patch_ghosts(patch, 1)
+        filler.fill_level_ghosts(1)
         # Ghost column left of the patch = prolonged coarse data at fine
         # coords (3, 4..10) -> coarse (1, 2..5) -> values 12,12,13,13,14,14.
         got = patch.data[0, 0, 1:-1]
@@ -67,7 +67,7 @@ class TestPeriodicGhosts:
         h = make_hierarchy()
         filler = GhostFiller(h)
         patch = h.levels[0].patches[0]
-        filler.fill_patch_ghosts(patch, 0)
+        filler.fill_level_ghosts(0)
         # Left ghost column (i=-1) wraps to i=7 row: values 70..77.
         np.testing.assert_array_equal(
             patch.data[0, 0, 1:-1], [70, 71, 72, 73, 74, 75, 76, 77]
@@ -79,7 +79,7 @@ class TestPeriodicGhosts:
         h = make_hierarchy(boundary="outflow")
         filler = GhostFiller(h)
         patch = h.levels[0].patches[0]
-        filler.fill_patch_ghosts(patch, 0)
+        filler.fill_level_ghosts(0)
         # Left ghost column replicates row i=0: 0..7.
         np.testing.assert_array_equal(
             patch.data[0, 0, 1:-1], [0, 1, 2, 3, 4, 5, 6, 7]
@@ -96,7 +96,7 @@ class TestPeriodicGhosts:
         left, right = h.levels[1].patches
         left.interior = np.full((1, 4, 4), 1.0)
         right.interior = np.full((1, 4, 4), 2.0)
-        GhostFiller(h).fill_patch_ghosts(left, 1)
+        GhostFiller(h).fill_level_ghosts(1)
         # Left patch's right ghost column must hold the sibling's value 2.
         np.testing.assert_allclose(left.data[0, -1, 1:-1], 2.0)
 

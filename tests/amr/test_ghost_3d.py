@@ -8,6 +8,7 @@ from repro.amr.ghost import GhostFiller
 from repro.amr.hierarchy import GridHierarchy
 from repro.kernels.advection import AdvectionKernel
 from repro.util.geometry import Box, BoxList
+from tests.conftest import halves
 
 
 def make_hierarchy(boundary: str = "periodic") -> GridHierarchy:
@@ -25,7 +26,7 @@ class TestPeriodic3D:
     def test_corner_wraps_all_axes(self):
         h = make_hierarchy()
         patch = h.levels[0].patches[0]
-        GhostFiller(h).fill_patch_ghosts(patch, 0)
+        GhostFiller(h).fill_level_ghosts(0)
         # Ghost at (-1,-1,-1) wraps to (3,3,3) = 333.
         assert patch.data[0, 0, 0, 0] == 333.0
         # Ghost at (4,4,4) wraps to (0,0,0) = 0.
@@ -34,14 +35,14 @@ class TestPeriodic3D:
     def test_edge_wraps_two_axes(self):
         h = make_hierarchy()
         patch = h.levels[0].patches[0]
-        GhostFiller(h).fill_patch_ghosts(patch, 0)
+        GhostFiller(h).fill_level_ghosts(0)
         # Ghost at (-1, -1, 1) wraps x and y only -> (3, 3, 1) = 331.
         assert patch.data[0, 0, 0, 2] == 331.0
 
     def test_outflow_corner_replicates(self):
         h = make_hierarchy(boundary="outflow")
         patch = h.levels[0].patches[0]
-        GhostFiller(h).fill_patch_ghosts(patch, 0)
+        GhostFiller(h).fill_level_ghosts(0)
         assert patch.data[0, 0, 0, 0] == 0.0  # replicates cell (0,0,0)
         assert patch.data[0, -1, -1, -1] == 333.0
 
@@ -54,8 +55,7 @@ class TestRepatchFineLevel:
             1, 4, 4, 4
         )
         before = GhostFiller(h).fetch(Box((0, 0, 0), (4, 4, 4), 1), 1).copy()
-        halves = Box((0, 0, 0), (4, 4, 4), 1).halve(axis=0)
-        h.repatch_level(1, BoxList(halves))
+        h.repatch_level(1, BoxList(halves(Box((0, 0, 0), (4, 4, 4), 1), 0)))
         assert len(h.levels[1]) == 2
         after = GhostFiller(h).fetch(Box((0, 0, 0), (4, 4, 4), 1), 1)
         np.testing.assert_array_equal(before, after)

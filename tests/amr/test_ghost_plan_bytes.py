@@ -21,6 +21,7 @@ from repro.kernels.advection import AdvectionKernel
 from repro.util.errors import GeometryError
 from repro.util.geometry import Box, BoxList
 from tests.amr.test_ghost_plan_identity import hierarchies
+from tests.conftest import halves
 
 
 @settings(max_examples=100, deadline=None)
@@ -52,7 +53,7 @@ def test_terms_on_a_layout_worked_by_hand():
     k = AdvectionKernel(velocity=(1.0, 0.5))
     h = GridHierarchy(Box((0, 0), (8, 8)), k, max_levels=2)
     h.initialize()
-    h.repatch_level(0, BoxList(h.domain.halve(axis=0)))
+    h.repatch_level(0, BoxList(halves(h.domain, 0)))
     h.set_level_boxes(1, BoxList([Box((4, 4), (12, 12), 1)]))
     moved = ghost_plan_bytes(h.ghost_plans.level_plan(h, 0), [0, 1], 8.0)
     # Each half needs the other's facing row across the cut (8 cells)...

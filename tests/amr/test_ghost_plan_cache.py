@@ -25,6 +25,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.util.geometry import Box, BoxList
 from tests.amr.test_ghost_plan_identity import ReferenceGhostFiller
+from tests.conftest import halves
 
 
 def make_hierarchy(boundary: str = "periodic") -> GridHierarchy:
@@ -55,24 +56,24 @@ class TestStalePlans:
         h = make_hierarchy()
         filler = GhostFiller(h)
         filler.fill_level_ghosts(0)
-        h.repatch_level(0, BoxList(h.domain.halve(axis=0)))
+        h.repatch_level(0, BoxList(halves(h.domain, 0)))
         assert_fill_matches_reference(h, 0)
         left, right = h.levels[0].patches
         # The left half's upper ghost row is the right half's first row.
         np.testing.assert_array_equal(
             left.data[0, -1, 1:-1], right.interior[0, 0]
         )
-        assert filler.plan_builds == 2
+        assert h.ghost_plans.builds == 2
 
     def test_restore_to_equal_boxes_but_new_arrays(self):
         h = make_hierarchy()
-        h.repatch_level(0, BoxList(h.domain.halve(axis=1)))
+        h.repatch_level(0, BoxList(halves(h.domain, 1)))
         GhostFiller(h).fill_level_ghosts(0)
         dead = weakref.ref(h.levels[0].patches[0].data)  # the field array
         state = hierarchy_state(h)
         restore_hierarchy_state(h, state)
         live = h.levels[0].patches
-        assert [p.box for p in live] == list(h.domain.halve(axis=1))
+        assert [p.box for p in live] == list(halves(h.domain, 1))
         # Restored ghosts hold the snapshot's; scrub them so only a fill
         # that writes into the *live* arrays can put them back.
         for p in live:
@@ -122,7 +123,7 @@ class TestStalePlans:
         filler = GhostFiller(h)
         filler.fill_level_ghosts(1)
         fine = h.levels[1].patches[0]
-        h.repatch_level(0, BoxList(h.domain.halve(axis=1)))
+        h.repatch_level(0, BoxList(halves(h.domain, 1)))
         for p in h.levels[0]:
             p.interior = -p.interior  # only the new level-0 arrays change
         assert h.levels[1].patches[0] is fine
@@ -130,14 +131,14 @@ class TestStalePlans:
         np.testing.assert_array_equal(
             fine.data[0, 0, 1:-1], [-12, -12, -13, -13, -14, -14]
         )
-        assert filler.plan_builds == 2
+        assert h.ghost_plans.builds == 2
 
     def test_restriction_partners_follow_a_repatched_parent(self):
         h = make_hierarchy()
         h.set_level_boxes(1, BoxList([Box((4, 4), (10, 10), 1)]))
         h.levels[1].patches[0].interior = np.full((1, 6, 6), 5.0)
         h.restrict_level(1)
-        h.repatch_level(0, BoxList(h.domain.halve(axis=0)))
+        h.repatch_level(0, BoxList(halves(h.domain, 0)))
         for p in h.levels[0]:
             p.interior = np.zeros_like(p.interior)
         h.restrict_level(1)
@@ -161,7 +162,7 @@ class TestSteadyState:
         assert h.num_levels == 3
         filler = integ.filler
         integ.advance()  # first fill of every level builds its plan
-        assert filler.plan_builds == 3
+        assert h.ghost_plans.builds == 3
 
         made = {"boxes": 0, "sweeps": 0}
         post_init = Box.__post_init__
@@ -177,15 +178,14 @@ class TestSteadyState:
 
         monkeypatch.setattr(Box, "__post_init__", counting_post_init)
         monkeypatch.setattr(ghost_module, "overlap_pairs", counting_sweep)
-        replays = filler.plan_replays
+        replays = h.ghost_plans.replays
         for level in range(3):
             filler.fill_level_ghosts(level)
-            filler.fill_patch_ghosts(h.levels[level].patches[-1], level)
         h.restrict_level(2)
         h.restrict_level(1)
         assert made == {"boxes": 0, "sweeps": 0}
-        assert filler.plan_builds == 3
-        assert filler.plan_replays == replays + 6
+        assert h.ghost_plans.builds == 3
+        assert h.ghost_plans.replays == replays + 3
 
     def test_builds_follow_layout_changes_not_fills(self, monkeypatch):
         """Over a whole kill-and-recover experiment a plan is built once
@@ -211,10 +211,10 @@ class TestSteadyState:
         monkeypatch.setattr(GhostFiller, "fill_level_ghosts", watching_fill)
         stats = chaos_experiment()
         assert stats["bitwise_identical"] and stats["num_restores"] >= 1
-        fillers = [GhostFiller(h) for h in hierarchies.values()]
-        assert len(fillers) == 3  # sequential, fault-free, chaos
-        assert sum(f.plan_builds for f in fillers) == sum(fills)
-        assert sum(f.plan_replays for f in fillers) == len(fills)
+        caches = [h.ghost_plans for h in hierarchies.values()]
+        assert len(caches) == 3  # sequential, fault-free, chaos
+        assert sum(c.builds for c in caches) == sum(fills)
+        assert sum(c.replays for c in caches) == len(fills)
         assert 4 * sum(fills) < len(fills)
 
 

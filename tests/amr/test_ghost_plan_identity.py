@@ -28,6 +28,15 @@ from repro.util.errors import GeometryError
 from repro.util.geometry import Box, BoxList
 
 
+def _translate(box: Box, offset) -> Box:
+    """``box`` shifted by ``offset`` cells along each axis."""
+    return Box(
+        tuple(l + o for l, o in zip(box.lower, offset)),
+        tuple(u + o for u, o in zip(box.upper, offset)),
+        box.level,
+    )
+
+
 class ReferenceGhostFiller:
     """The recursive per-fill walk ``GhostFiller`` replaced, verbatim."""
 
@@ -100,11 +109,11 @@ class ReferenceGhostFiller:
         extents = dom.shape
         shifts = itertools.product(*[(-e, 0, e) for e in extents])
         for shift in shifts:
-            shifted_dom = dom.translate(shift)
+            shifted_dom = _translate(dom, shift)
             part = piece.intersection(shifted_dom)
             if part is None:
                 continue
-            source = part.translate(tuple(-s for s in shift))
+            source = _translate(part, tuple(-s for s in shift))
             patch.view_for(part)[...] = self.fetch(source, level)
 
     def _replicate_outflow(self, patch, dom: Box) -> None:
@@ -230,13 +239,6 @@ def test_plan_matches_recursive_walk(h, data):
         GhostFiller(h).fill_level_ghosts(level)
     assert snapshot(h) == expected
 
-    # One patch at a time: that patch's slice of the same plan.
-    restore(h, start)
-    for lvl in h.levels:
-        for patch in lvl:
-            GhostFiller(h).fill_patch_ghosts(patch, lvl.level)
-    assert snapshot(h) == expected
-
     # Composite reads, up to the first level not instantiated yet.
     for level in range(h.num_levels + 1):
         region = draw_sub_box(data.draw, h.domain_at(level))
@@ -268,11 +270,6 @@ class TestEdges:
             GhostFiller(h).fetch(region, 2),
             ReferenceGhostFiller(h).fetch(region, 2),
         )
-
-    def test_foreign_patch_is_rejected(self):
-        h, other = self.make(), self.make()
-        with pytest.raises(GeometryError, match="not a patch of level 0"):
-            GhostFiller(h).fill_patch_ghosts(other.levels[0].patches[0], 0)
 
     def test_fetch_before_initialize_is_an_error(self):
         k = AdvectionKernel(velocity=(1.0, 0.5))

@@ -69,7 +69,6 @@ class TestGeometry:
         h = make_hierarchy()
         h.set_level_boxes(1, BoxList([Box((4, 4), (12, 12), 1)]))
         np.testing.assert_array_equal(h.work_by_level(), [256, 128])
-        assert h.total_work() == 384
 
 
 class TestSetLevelBoxes:

@@ -98,13 +98,6 @@ class TestGridLevel:
         with pytest.raises(GeometryError):
             GridLevel(-1)
 
-    def test_patch_containing(self):
-        lvl = GridLevel(0)
-        p = GridPatch(Box((0, 0), (4, 4)))
-        lvl.add_patch(p)
-        assert lvl.patch_containing((1, 1)) is p
-        assert lvl.patch_containing((9, 9)) is None
-
     def test_covers(self):
         lvl = GridLevel(0)
         lvl.add_patch(GridPatch(Box((0, 0), (4, 4))))

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.amr.viz import render_levels, render_owners
+from repro.amr.viz import render_levels
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxList, Layout
+from repro.util.geometry import Box, BoxList
 
 
 class TestRenderLevels:
@@ -43,24 +43,3 @@ class TestRenderLevels:
     def test_1d_rejected(self):
         with pytest.raises(GeometryError):
             render_levels(BoxList([Box((0,), (4,))]), Box((0,), (4,)))
-
-
-class TestRenderOwners:
-    def test_2d_ownership(self):
-        domain = Box((0, 0), (4, 2))
-        left, right = domain.halve(axis=0)
-        out = render_owners(Layout.from_pairs([(left, 0), (right, 1)]), domain)
-        rows = out.splitlines()
-        assert rows[0] == "aabb"
-        assert rows[1] == "aabb"
-
-    def test_uncovered_cells_blank(self):
-        domain = Box((0, 0), (4, 2))
-        fine = Box((0, 0), (4, 4), 1)  # covers left half of base
-        out = render_owners(Layout.from_pairs([(fine, 2)]), domain, level=1)
-        assert out.splitlines()[0] == "cc  "
-
-    def test_list_input(self):
-        domain = Box((0, 0), (2, 2))
-        out = render_owners(Layout.from_pairs([(domain, 0)]), domain)
-        assert out == "aa\naa"

@@ -209,7 +209,7 @@ class TestTelemetry:
     def test_cell_spans_and_counters(self, tmp_path):
         tracer = Tracer()
         CampaignRunner(small_spec(), tmp_path / "c", tracer=tracer).run()
-        spans = list(tracer.spans_named("campaign.cell"))
+        spans = [s for s in tracer.spans if s.name == "campaign.cell"]
         assert len(spans) == 4
         assert all(s.attributes["cell_key"] for s in spans)
         assert all(s.sim_duration > 0 for s in spans)

@@ -62,7 +62,8 @@ class TestBandwidthLoad:
         loaded = SimCommunicator(network_loaded_cluster(0.8))
         loaded.cluster.clock.advance(5.0)
         idle = SimCommunicator(Cluster.homogeneous(2))
-        assert loaded.p2p_time(0, 1, 1e6) > idle.p2p_time(0, 1, 1e6)
+        message = {(0, 1): 1e6}
+        assert loaded.exchange_time(message).max() > idle.exchange_time(message).max()
 
     def test_monitor_sees_reduced_bandwidth(self):
         c = network_loaded_cluster(0.6)

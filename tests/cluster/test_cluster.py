@@ -71,9 +71,9 @@ class TestStateDynamics:
     def test_state_is_pure_function_of_time(self):
         """Replaying queries at the same t gives identical states."""
         c = Cluster.paper_linux_cluster(8, dynamic=True)
-        s1 = c.states(t=123.0)
+        s1 = [c.state_of(k, t=123.0) for k in range(c.num_nodes)]
         c.clock.advance(500.0)
-        s2 = c.states(t=123.0)
+        s2 = [c.state_of(k, t=123.0) for k in range(c.num_nodes)]
         assert s1 == s2
 
     def test_effective_speed_combines_spec_and_load(self):
@@ -81,9 +81,9 @@ class TestStateDynamics:
         c.add_load_generator(
             SyntheticLoadGenerator(node=0, ramp_rate=10.0, target_level=1.0)
         )
-        assert c.effective_speed(0, t=10.0) == pytest.approx(2.0 * 0.97 / 2)
         speeds = c.effective_speeds(t=10.0)
         assert speeds.shape == (1,)
+        assert speeds[0] == pytest.approx(2.0 * 0.97 / 2)
 
 
 class TestPresets:
@@ -103,7 +103,7 @@ class TestPresets:
         """Equal-weight relative capacities ~ 16/19/31/34 % (section 6.1.3)."""
         c = Cluster.paper_four_node()
         t = 5.0  # ramps plateau within the first second
-        states = c.states(t)
+        states = [c.state_of(k, t) for k in range(c.num_nodes)]
         p = np.array([s.cpu_available for s in states])
         m = np.array([s.free_memory_mb for s in states])
         b = np.array([s.bandwidth_mbps for s in states])

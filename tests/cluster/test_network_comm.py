@@ -9,6 +9,11 @@ from repro.comm import SimCommunicator
 from repro.util.errors import SimulationError
 
 
+def p2p(comm: SimCommunicator, src, dst, nbytes, t=None) -> float:
+    """Seconds for one message: the one-pair exchange phase's makespan."""
+    return float(comm.exchange_time({(src, dst): nbytes}, t).max())
+
+
 class TestLinkModel:
     def test_zero_bytes_is_free(self):
         assert LinkModel().transfer_time(0, 100, 100) == 0.0
@@ -46,11 +51,11 @@ class TestLinkModel:
 class TestSimCommunicator:
     def test_self_message_free(self):
         comm = SimCommunicator(Cluster.homogeneous(2))
-        assert comm.p2p_time(0, 0, 1e6) == 0.0
+        assert p2p(comm, 0, 0, 1e6) == 0.0
 
     def test_p2p_records_stats(self):
         comm = SimCommunicator(Cluster.homogeneous(2))
-        t = comm.p2p_time(0, 1, 1e6)
+        t = p2p(comm, 0, 1, 1e6)
         assert t > 0
         assert comm.stats.messages == 1
         assert comm.stats.bytes_sent == 1_000_000
@@ -59,7 +64,7 @@ class TestSimCommunicator:
     def test_rank_guard(self):
         comm = SimCommunicator(Cluster.homogeneous(2))
         with pytest.raises(SimulationError):
-            comm.p2p_time(0, 5, 10)
+            p2p(comm, 0, 5, 10)
 
     def test_exchange_busy_times(self):
         comm = SimCommunicator(Cluster.homogeneous(3))
@@ -85,7 +90,7 @@ class TestSimCommunicator:
         moved = {(0, 1): int(1e6), (2, 3): int(2e6)}
         t = comm.migration_time(moved)
         # Pair (2,3) carries twice the bytes -> defines the makespan.
-        solo = SimCommunicator(Cluster.homogeneous(4)).p2p_time(2, 3, 2e6)
+        solo = p2p(SimCommunicator(Cluster.homogeneous(4)), 2, 3, 2e6)
         assert t == pytest.approx(solo)
 
     def test_slow_nic_node_slows_exchange(self):
@@ -95,7 +100,7 @@ class TestSimCommunicator:
         ]
         comm = SimCommunicator(Cluster(nodes))
         fast = SimCommunicator(Cluster.homogeneous(2))
-        assert comm.p2p_time(0, 1, 1e6) > fast.p2p_time(0, 1, 1e6)
+        assert p2p(comm, 0, 1, 1e6) > p2p(fast, 0, 1, 1e6)
 
 
 class TestDegenerateAndFaultedComm:
@@ -104,14 +109,13 @@ class TestDegenerateAndFaultedComm:
     def test_zero_byte_message_is_free_but_counted(self):
         cluster = Cluster.homogeneous(2)
         comm = SimCommunicator(cluster)
-        assert comm.p2p_time(0, 1, 0) == 0.0
+        assert p2p(comm, 0, 1, 0) == 0.0
         assert comm.stats.messages == 1
         assert comm.stats.bytes_sent == 0
 
     def test_zero_byte_collectives_on_single_rank(self):
         comm = SimCommunicator(Cluster.homogeneous(1))
         assert comm.allreduce_time(0) == 0.0
-        assert comm.broadcast_time(0) == 0.0
         assert comm.migration_time({}) == 0.0
         assert comm.exchange_time({}).shape == (1,)
 
@@ -119,18 +123,18 @@ class TestDegenerateAndFaultedComm:
         """rank==rank short-circuits before the liveness check."""
         cluster = Cluster.homogeneous(2)
         cluster.mark_down(0)
-        assert SimCommunicator(cluster).p2p_time(0, 0, 1e6) == 0.0
+        assert p2p(SimCommunicator(cluster), 0, 0, 1e6) == 0.0
 
     def test_p2p_with_down_endpoint_raises(self):
         cluster = Cluster.homogeneous(3)
         comm = SimCommunicator(cluster)
         cluster.mark_down(1)
         with pytest.raises(SimulationError, match="down endpoint"):
-            comm.p2p_time(0, 1, 1e6)
+            p2p(comm, 0, 1, 1e6)
         with pytest.raises(SimulationError, match="down endpoint"):
-            comm.p2p_time(1, 2, 1e6)
+            p2p(comm, 1, 2, 1e6)
         # Live pairs keep working around the dead node.
-        assert comm.p2p_time(0, 2, 1e6) > 0.0
+        assert p2p(comm, 0, 2, 1e6) > 0.0
 
     def test_allreduce_shrinks_around_down_nodes(self):
         cluster = Cluster.homogeneous(8)
@@ -147,25 +151,25 @@ class TestDegenerateAndFaultedComm:
     def test_degraded_link_slows_exchange_and_recovers(self):
         cluster = Cluster.homogeneous(2)
         comm = SimCommunicator(cluster)
-        healthy = comm.p2p_time(0, 1, 1e6)
+        healthy = p2p(comm, 0, 1, 1e6)
         cluster.degrade_link(1, 0.1)
-        degraded = comm.p2p_time(0, 1, 1e6)
+        degraded = p2p(comm, 0, 1, 1e6)
         # The slower (derated) endpoint throttles the transfer.
         assert degraded == pytest.approx(
             cluster.link.transfer_time(1e6, 100.0, 10.0)
         )
         assert degraded > 9 * healthy
         cluster.restore_link(1)
-        assert comm.p2p_time(0, 1, 1e6) == pytest.approx(healthy)
+        assert p2p(comm, 0, 1, 1e6) == pytest.approx(healthy)
 
     def test_link_degrade_mid_run_changes_prices_at_probe_time(self):
         """Derating applies from the simulated instant it lands."""
         cluster = Cluster.homogeneous(2)
         comm = SimCommunicator(cluster)
-        before = comm.p2p_time(0, 1, 1e6, t=0.0)
+        before = p2p(comm, 0, 1, 1e6, t=0.0)
         cluster.clock.schedule(5.0, lambda _: cluster.degrade_link(0, 0.5))
         cluster.clock.advance_to(10.0)
-        after = comm.p2p_time(0, 1, 1e6)
+        after = p2p(comm, 0, 1, 1e6)
         assert after == pytest.approx(
             cluster.link.transfer_time(1e6, 50.0, 100.0)
         )
@@ -207,7 +211,7 @@ class TestExchangeFaults:
             comm.exchange_time({(0, 1): 1e3, bad_pair: nbytes, (1, 0): 1e3})
         assert str(exc.value) == message
         with pytest.raises(SimulationError) as exc:
-            comm.p2p_time(*bad_pair, nbytes)
+            p2p(comm, *bad_pair, nbytes)
         assert str(exc.value) == message
         assert comm.stats.messages == 0
 
@@ -249,8 +253,8 @@ class TestCommTelemetry:
 
     def test_p2p_increments_counters(self):
         comm, tracer = self.traced_comm(2)
-        comm.p2p_time(0, 1, 1e6)
-        comm.p2p_time(1, 0, 5e5)
+        p2p(comm, 0, 1, 1e6)
+        p2p(comm, 1, 0, 5e5)
         by_name = {m.name: m for m in tracer.metrics}
         assert by_name["comm.bytes_total"].value == pytest.approx(1.5e6)
         assert by_name["comm.messages_total"].value == 2
@@ -322,10 +326,10 @@ class TestCommTelemetry:
     def test_collective_timing_histograms(self):
         comm, tracer = self.traced_comm(4)
         comm.allreduce_time(64.0)
-        comm.broadcast_time(128.0)
+        comm.allreduce_time(128.0, op="sync")
         names = {(m.name, m.labels.get("op")) for m in tracer.metrics}
         assert ("comm.collective_seconds", "allreduce") in names
-        assert ("comm.collective_seconds", "broadcast") in names
+        assert ("comm.collective_seconds", "sync") in names
 
     def test_phase_seconds_histogram_per_phase(self):
         comm, tracer = self.traced_comm(3)
@@ -340,12 +344,12 @@ class TestCommTelemetry:
 
     def test_untraced_communicator_stays_silent(self):
         comm = SimCommunicator(Cluster.homogeneous(2))
-        comm.p2p_time(0, 1, 1e6)
+        p2p(comm, 0, 1, 1e6)
         comm.exchange_time({(0, 1): 1e6})  # no tracer bound: no error
 
     def test_per_pair_seconds_and_messages_in_stats(self):
         comm = SimCommunicator(Cluster.homogeneous(2))
-        comm.p2p_time(0, 1, 1e6)
-        comm.p2p_time(0, 1, 1e6)
+        p2p(comm, 0, 1, 1e6)
+        p2p(comm, 0, 1, 1e6)
         assert comm.stats.per_pair_messages[(0, 1)] == 2
         assert comm.stats.per_pair_seconds[(0, 1)] > 0

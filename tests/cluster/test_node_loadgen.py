@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.cluster.loadgen import SyntheticLoadGenerator, cpu_share_under_load
 from repro.cluster.node import NodeSpec, NodeState
 from repro.util.errors import SimulationError
@@ -32,11 +33,6 @@ class TestNodeSpec:
 
 
 class TestNodeState:
-    def test_effective_speed(self):
-        spec = NodeSpec(name="n", cpu_speed=2.0)
-        st = NodeState(cpu_available=0.5, free_memory_mb=100, bandwidth_mbps=100)
-        assert st.effective_speed(spec) == 1.0
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -69,31 +65,33 @@ class TestCpuShare:
             cpu_share_under_load(-0.5)
 
 
+def loaded(**kwargs) -> Cluster:
+    """One node under one generator: the cluster prices its load."""
+    c = Cluster([NodeSpec(name="n0")])
+    c.add_load_generator(SyntheticLoadGenerator(node=0, **kwargs))
+    return c
+
+
 class TestSyntheticLoadGenerator:
     def test_linear_ramp_then_plateau(self):
-        g = SyntheticLoadGenerator(
-            node=0, start_time=10.0, ramp_rate=0.5, target_level=2.0
-        )
-        assert g.level_at(0.0) == 0.0
-        assert g.level_at(10.0) == 0.0
-        assert g.level_at(12.0) == pytest.approx(1.0)
-        assert g.level_at(14.0) == pytest.approx(2.0)
-        assert g.level_at(100.0) == pytest.approx(2.0)  # plateau
+        c = loaded(start_time=10.0, ramp_rate=0.5, target_level=2.0)
+        assert c.load_level(0, 0.0) == 0.0
+        assert c.load_level(0, 10.0) == 0.0
+        assert c.load_level(0, 12.0) == pytest.approx(1.0)
+        assert c.load_level(0, 14.0) == pytest.approx(2.0)
+        assert c.load_level(0, 100.0) == pytest.approx(2.0)  # plateau
 
     def test_stop_time_removes_load(self):
-        g = SyntheticLoadGenerator(
-            node=0, ramp_rate=1.0, target_level=1.0, stop_time=50.0
-        )
-        assert g.level_at(49.9) == 1.0
-        assert g.level_at(50.0) == 0.0
-        assert g.level_at(60.0) == 0.0
+        c = loaded(ramp_rate=1.0, target_level=1.0, stop_time=50.0)
+        assert c.load_level(0, 49.9) == 1.0
+        assert c.load_level(0, 50.0) == 0.0
+        assert c.load_level(0, 60.0) == 0.0
 
     def test_memory_tracks_level(self):
-        g = SyntheticLoadGenerator(
-            node=0, ramp_rate=1.0, target_level=2.0, memory_per_unit_mb=10.0
-        )
-        assert g.memory_at(1.0) == pytest.approx(10.0)
-        assert g.memory_at(5.0) == pytest.approx(20.0)
+        c = loaded(ramp_rate=1.0, target_level=2.0, memory_per_unit_mb=10.0)
+        free = c.state_of(0, 0.0).free_memory_mb
+        assert free - c.state_of(0, 1.0).free_memory_mb == pytest.approx(10.0)
+        assert free - c.state_of(0, 5.0).free_memory_mb == pytest.approx(20.0)
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -190,7 +190,8 @@ def traffic(cluster: Cluster, faults: bool) -> st.SearchStrategy[dict]:
     """Pair sets with self-pairs, zero-byte pairs and repeated ranks; with
     ``faults`` also down endpoints, unknown ranks and negative sizes."""
     n = cluster.num_nodes
-    ranks = st.integers(-1, n) if faults else st.sampled_from(cluster.live_nodes)
+    live = [k for k in range(n) if cluster.is_up(k)]
+    ranks = st.integers(-1, n) if faults else st.sampled_from(live)
     sizes = st.one_of(
         st.sampled_from([0, 0.0, 1, 8, 1e6, 12345.678]),
         st.floats(-1.0 if faults else 0.0, 1e9, allow_nan=False),
@@ -244,7 +245,7 @@ def test_bandwidth_vector_matches_state_of(cluster, t):
 @given(data=st.data(), t=TIMES, faults=st.booleans())
 def test_exchange_matches_scalar_walk(data, t, faults):
     cluster = data.draw(clusters())
-    if not cluster.live_nodes:
+    if not any(map(cluster.is_up, range(cluster.num_nodes))):
         faults = True
     # Two phases back to back: the running CommStats sums must carry over.
     phases = [data.draw(traffic(cluster, faults)) for _ in range(2)]

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.kernels.workloads import SyntheticWorkload, _chop
 from repro.partition.splitting import split_row_to_target
-from repro.util.geometry import Box
+from repro.util.errors import GeometryError
+from repro.util.geometry import Box, BoxList
+from repro.util.sfc import sfc_sort_order
 
 
 @pytest.fixture
@@ -62,3 +65,72 @@ def split_box(box: Box, target: float, model, constraints=None):
         return None
     piece, rest = out
     return Box(*piece), [Box(*r) for r in rest]
+
+
+def sfc_ordered(boxes, curve: str = "hilbert") -> BoxList:
+    """``boxes`` in the order ``sfc_sort_order`` gives their columns: the
+    SFC walk the HDDA index space and ACEComposite use."""
+    bl = BoxList(boxes)
+    return bl.take(sfc_sort_order(bl.array, curve=curve))
+
+
+def halves(box: Box, axis: int) -> tuple[Box, Box]:
+    """``box`` split in two (near-)equal halves along ``axis``."""
+    return box.split(axis, box.lower[axis] + box.shape[axis] // 2)
+
+
+def corner_key(box: Box) -> tuple[int, ...]:
+    """The canonical ``(level, lower...)`` sort key of one box."""
+    return (box.level, *box.lower)
+
+
+def moving_blob_trace(
+    domain_shape: tuple[int, ...] = (64, 64),
+    num_regrids: int = 10,
+    max_levels: int = 3,
+    refine_factor: int = 2,
+    blob_cells: int = 12,
+    chop_pieces: int = 2,
+) -> SyntheticWorkload:
+    """A refined blob sweeping diagonally across the domain.
+
+    The generic moving-feature workload the tests run the runtime,
+    partitioners and readers on: level-1 follows the blob loosely, level-2
+    tightly.  Works in any dimensionality.
+    """
+    if num_regrids < 1:
+        raise GeometryError(f"num_regrids must be >= 1, got {num_regrids}")
+    domain = Box((0,) * len(domain_shape), domain_shape)
+    epochs: list[BoxList] = []
+    for r in range(num_regrids):
+        frac = r / max(1, num_regrids - 1)
+        center = tuple(
+            int(frac * (s - blob_cells - 2)) + blob_cells // 2 + 1
+            for s in domain_shape
+        )
+        boxes: list[Box] = [domain]
+        parent_footprint = domain
+        for level in range(1, max_levels):
+            half = max(2, blob_cells // (2 * level))
+            lo = tuple(max(0, c - half) for c in center)
+            hi = tuple(
+                min(s, c + half) for c, s in zip(center, domain_shape)
+            )
+            if any(h <= l for l, h in zip(lo, hi)):
+                break
+            coarse = Box(lo, hi)  # in level-0 coords
+            nested = coarse.intersection(parent_footprint)
+            if nested is None:
+                break
+            fine = nested
+            for _ in range(level):
+                fine = fine.refine(refine_factor)
+            boxes.extend(_chop(fine, axis=0, pieces=chop_pieces))
+            parent_footprint = nested
+        epochs.append(BoxList(boxes))
+    return SyntheticWorkload(
+        name="moving-blob",
+        domain=domain,
+        refine_factor=refine_factor,
+        box_lists=tuple(epochs),
+    )

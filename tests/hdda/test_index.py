@@ -41,7 +41,7 @@ class TestConstruction:
 
     def test_bits_cover_finest_level(self, space2d):
         # 16 cells at level 0, x4 at level 2 -> 64 cells -> 6 bits.
-        assert space2d.bits_per_axis == 6
+        assert space2d._bits == 6
 
 
 class TestKeys:
@@ -50,9 +50,8 @@ class TestKeys:
         k1 = space2d.key_for_point((6, 6), 1)  # same physical location
         k2 = space2d.key_for_point((12, 12), 2)
         assert len({k0, k1, k2}) == 3
-        assert space2d.level_of_key(k0) == 0
-        assert space2d.level_of_key(k1) == 1
-        assert space2d.level_of_key(k2) == 2
+        # The low level bits (two for three levels) name each key's level.
+        assert [k & 0b11 for k in (k0, k1, k2)] == [0, 1, 2]
 
     def test_colocated_levels_are_curve_adjacent(self, space2d):
         """Same physical point on different levels differs only in level bits."""
@@ -73,12 +72,6 @@ class TestKeys:
     def test_out_of_domain_point_rejected(self, space2d):
         with pytest.raises(HDDAError):
             space2d.key_for_point((-1, 0), 0)
-
-    def test_level_of_key_guards(self, space2d):
-        with pytest.raises(HDDAError):
-            space2d.level_of_key(-1)
-        with pytest.raises(HDDAError):
-            space2d.level_of_key(3)  # level bits say 3, invalid
 
     def test_keys_unique_over_small_domain(self):
         space = HierarchicalIndexSpace(Box((0, 0), (4, 4)), max_levels=2)
@@ -138,20 +131,9 @@ class TestOrdering:
             Box((8, 0), (16, 8)),
             Box((0, 8), (8, 16)),
         ]
-        ordered = list(space2d.order_boxes(quads))
+        ordered = sorted(quads, key=space2d.key_for_box)
         lowers = [b.lower for b in ordered]
         assert lowers == [(0, 0), (0, 8), (8, 8), (8, 0)]  # Hilbert tour
-
-    def test_span_for_boxes(self, space2d):
-        boxes = [Box((0, 0), (4, 4)), Box((8, 8), (12, 12))]
-        lo, hi = space2d.span_for_boxes(boxes)
-        assert lo == space2d.key_for_box(boxes[0])
-        assert hi == space2d.key_for_box(boxes[1])
-        assert lo < hi
-
-    def test_span_empty_rejected(self, space2d):
-        with pytest.raises(HDDAError):
-            space2d.span_for_boxes([])
 
     def test_morton_space(self):
         space = HierarchicalIndexSpace(

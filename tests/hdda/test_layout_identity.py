@@ -1,9 +1,9 @@
 """HDDA from a ``Layout``'s columns equals HDDA from ``(Box, rank)`` pairs.
 
-``HDDA.apply_assignment`` / ``plan_redistribution`` used to take a
-Box-keyed mapping (or an iterable of pairs), materialise every Box and
-lower the lot back to a ``BoxArray`` to batch the index keys.  They now
-key a ``Layout`` straight off its columns.  The deleted pair path is kept
+``HDDA.apply_assignment`` used to take a Box-keyed mapping (or an
+iterable of pairs), materialise every Box and lower the lot back to a
+``BoxArray`` to batch the index keys.  It now keys a ``Layout`` straight
+off its columns.  The deleted pair path is kept
 here verbatim as the reference: same ``MigrationPlan`` (values *and* key
 insertion order), same final ownership, same error before anything moved.
 """
@@ -55,9 +55,6 @@ class ReferenceHDDA(HDDA):
                 nbytes = self.stores[src].get(key).nbytes
                 plan.add(src, dst, key, nbytes)
         return plan
-
-    def plan_redistribution(self, assignment) -> MigrationPlan:
-        return self._plan(*self._keyed_items(assignment))
 
     def apply_assignment(self, assignment) -> MigrationPlan:
         items, keys = self._keyed_items(assignment)
@@ -128,13 +125,6 @@ def test_columns_equal_pairs(first, second):
             ref.apply_assignment(first),
         )
         assert _state(new) == _state(ref)
-        # Planning alone moves nothing.
-        before = _state(new)
-        _assert_same_plan(
-            new.plan_redistribution(_layouts(second)[backing]),
-            ref.plan_redistribution(second),
-        )
-        assert _state(new) == before
         _assert_same_plan(
             new.apply_assignment(_layouts(second)[backing]),
             ref.apply_assignment(second),
@@ -142,7 +132,7 @@ def test_columns_equal_pairs(first, second):
         assert _state(new) == _state(ref)
         assert new.total_blocks == len(second)
         for box, rank in second.items():
-            assert new.owner_of(box) == rank
+            assert new.ownership.owner(new.index_space.key_for_box(box)) == rank
         new.check_invariants()
         ref.check_invariants()
 
@@ -158,9 +148,8 @@ def test_out_of_range_rank_raises_before_any_block_moves(first, second, data):
         ref.apply_assignment(first)
         new.apply_assignment(_layouts(first)[backing])
         before = _state(new)
-        for call in (new.plan_redistribution, new.apply_assignment):
-            with pytest.raises(HDDAError, match=f"rank {NUM_PROCS} out of range"):
-                call(_layouts(second)[backing])
+        with pytest.raises(HDDAError, match=f"rank {NUM_PROCS} out of range"):
+            new.apply_assignment(_layouts(second)[backing])
         with pytest.raises(HDDAError, match=f"rank {NUM_PROCS} out of range"):
             ref.apply_assignment(second)
         assert _state(new) == before == _state(ref)

@@ -2,7 +2,8 @@
 arbitrary operation sequences.
 
 hypothesis drives random interleavings of register / unregister /
-reassign / lookup operations against a plain-dict model; after every step
+reassign / lookup operations (each a full ``apply_assignment``, as at a
+regrid) against a plain-dict model; after every step
 the structural invariants must hold and lookups must agree with the
 model.  This is the strongest guarantee we have that regrid-time churn
 (the paper's every-5-iterations repartitioning) can never corrupt the
@@ -99,46 +100,38 @@ class HddaMachine(RuleBasedStateMachine):
         self.hdda = HDDA(space, num_procs=self.NUM_PROCS)
         self.model: dict[int, int] = {}  # tile index -> rank
 
+    def _apply(self) -> None:
+        self.hdda.apply_assignment(
+            Layout.from_pairs((_TILES[t], r) for t, r in self.model.items())
+        )
+
     @rule(tile=st.integers(0, 15), rank=st.integers(0, NUM_PROCS - 1))
     def register(self, tile, rank):
-        box = _TILES[tile]
-        if tile in self.model:
-            with pytest.raises(HDDAError):
-                self.hdda.register_box(box, rank)
-        else:
-            self.hdda.register_box(box, rank)
-            self.model[tile] = rank
+        self.model[tile] = rank
+        self._apply()
 
     @rule(tile=st.integers(0, 15))
     def unregister(self, tile):
-        box = _TILES[tile]
-        if tile in self.model:
-            self.hdda.unregister_box(box)
-            del self.model[tile]
-        else:
-            with pytest.raises(HDDAError):
-                self.hdda.unregister_box(box)
+        self.model.pop(tile, None)
+        self._apply()
 
     @rule(data=st.data())
     def reassign_everything(self, data):
         """Full repartition: every registered tile gets a (new) rank."""
-        assignment = {}
         for tile in self.model:
-            rank = data.draw(
+            self.model[tile] = data.draw(
                 st.integers(0, self.NUM_PROCS - 1), label=f"rank[{tile}]"
             )
-            assignment[_TILES[tile]] = rank
-            self.model[tile] = rank
-        self.hdda.apply_assignment(Layout.from_pairs(assignment.items()))
+        self._apply()
 
     @rule(tile=st.integers(0, 15))
     def lookup(self, tile):
-        box = _TILES[tile]
+        key = self.hdda.index_space.key_for_box(_TILES[tile])
         if tile in self.model:
-            assert self.hdda.owner_of(box) == self.model[tile]
+            assert self.hdda.ownership.owner(key) == self.model[tile]
         else:
             with pytest.raises(HDDAError):
-                self.hdda.owner_of(box)
+                self.hdda.ownership.owner(key)
 
     @invariant()
     def block_count_agrees(self):

@@ -58,13 +58,6 @@ class TestBlockStore:
         assert sorted(s.keys()) == [1, 3, 7]
         assert sorted(b.key for b in s.blocks()) == [1, 3, 7]
 
-    def test_map_payloads(self):
-        s = BlockStore()
-        for k in range(5):
-            s.put(make_block(k))
-        s.map_payloads(lambda blk: blk.key * 2)
-        assert sorted(b.payload for b in s.blocks()) == [0, 2, 4, 6, 8]
-
     def test_grows_past_bucket_capacity(self):
         s = BlockStore(bucket_capacity=2)
         for k in range(100):

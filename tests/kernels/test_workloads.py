@@ -6,11 +6,11 @@ import pytest
 
 from repro.kernels.workloads import (
     SyntheticWorkload,
-    moving_blob_trace,
     paper_rm3d_trace,
 )
 from repro.util.errors import GeometryError
 from repro.util.geometry import Box, BoxList
+from tests.conftest import moving_blob_trace
 
 
 def assert_valid_hierarchy_epoch(bl: BoxList, domain: Box, factor: int) -> None:

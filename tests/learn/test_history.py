@@ -39,9 +39,9 @@ class TestDurability:
     def test_reopen_replays_identical_rows(self, tmp_path):
         store = ExecutionHistoryStore(tmp_path / "h")
         fill(store)
-        rows = canon(store.iter_rows())
+        rows = canon(store._rows)
         reopened = ExecutionHistoryStore(tmp_path / "h")
-        assert canon(reopened.iter_rows()) == rows
+        assert canon(reopened._rows) == rows
 
     def test_interrupt_resume_byte_identical(self, tmp_path):
         """Appending 6+6 rows across a reopen == appending 12 rows."""
@@ -77,7 +77,7 @@ class TestDurability:
         reopened.record(source="t", phase="sense", seconds=1.0)
         again = ExecutionHistoryStore(tmp_path / "h")
         assert len(again) == 9
-        assert [r["seq"] for r in again.iter_rows()] == list(range(9))
+        assert [r["seq"] for r in again._rows] == list(range(9))
 
     def test_stale_index_revalidated(self, tmp_path):
         """A store an older version left its sidecar in loads every row.
@@ -91,11 +91,11 @@ class TestDurability:
         (tmp_path / "h" / "index.json").write_text(
             json.dumps({"bytes": size, "records": 5, "schema_version": 1})
         )
-        rows = canon(store.iter_rows())
+        rows = canon(store._rows)
         store.record(source="t", phase="sense", seconds=2.0)
         reopened = ExecutionHistoryStore(tmp_path / "h")
         assert len(reopened) == 6
-        assert canon(reopened.iter_rows())[:5] == rows
+        assert canon(reopened._rows)[:5] == rows
 
     def test_corrupt_index_ignored(self, tmp_path):
         """A stray ``index.json`` left by an older version is not read."""
@@ -120,7 +120,7 @@ class TestColumnar:
         assert len(view["seconds"]) == len(
             [
                 r
-                for r in store.iter_rows()
+                for r in store._rows
                 if r["phase"] == "compute" and r["node"] == 0
             ]
         )
@@ -139,9 +139,9 @@ class TestColumnar:
                      work=9.0, seconds=0.9)
         store.record(source="t", phase="compute", node=1, t=6.0,
                      work=1.0, seconds=0.1)
-        work, seconds = store.work_series("compute", 1)
-        assert list(work) == [2.0, 1.0]
-        assert list(seconds) == [0.2, 0.1]
+        view = store.query(phase="compute", node=1)
+        assert list(view["work"]) == [2.0, 1.0]
+        assert list(view["seconds"]) == [0.2, 0.1]
 
 
 class TestIngestion:

@@ -115,14 +115,6 @@ class TestAdaptiveEnsemble:
         best = f.members[f.best_member_index()]
         assert isinstance(best, SlidingMedianForecaster)
 
-    def test_member_mae_reported(self):
-        f = AdaptiveEnsembleForecaster()
-        for v in (1.0, 2.0, 3.0):
-            f.update(v)
-        maes = f.member_mae()
-        assert len(maes) == 4
-        assert all(m >= 0 for m in maes)
-
     def test_empty_members_rejected(self):
         with pytest.raises(MonitorError):
             AdaptiveEnsembleForecaster(members=[])
@@ -161,14 +153,6 @@ class TestModelBacked:
         with activate(tracer):
             f.forecast()
         assert not any(e.name == "forecast.cold" for e in tracer.events)
-
-    def test_interval_brackets_forecast(self):
-        rng = np.random.default_rng(5)
-        f = ModelBackedForecaster(window=20)
-        for i in range(20):
-            f.update(0.2 + 0.01 * i + float(rng.normal(0, 0.005)))
-        lo, hi = f.forecast_interval()
-        assert lo < f.forecast() < hi
 
     def test_bad_params(self):
         with pytest.raises(MonitorError):

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.kernels.workloads import moving_blob_trace
 from repro.monitor.service import MonitorSnapshot
 from repro.partition.base import PartitionResult, Partitioner, WorkModel, as_work_model
 from repro.partition.capacity import CapacityCalculator
@@ -38,8 +37,13 @@ from repro.partition.levelwise import LevelPartitioner
 from repro.partition.metrics import redistribution_volume_columns
 from repro.partition.splitting import SplitConstraints
 from repro.util.geometry import Box, BoxList, Layout
-from repro.util.sfc import sfc_order_boxes
-from tests.conftest import box_row, split_box
+from tests.conftest import (
+    box_row,
+    corner_key,
+    moving_blob_trace,
+    sfc_ordered,
+    split_box,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +60,7 @@ def reference_greedy(boxes: BoxList, capacities, model) -> PartitionResult:
     rank_range = range(num_ranks)
     order = sorted(
         range(len(boxes)),
-        key=lambda i: (-works[i], boxes[i].corner_key()),
+        key=lambda i: (-works[i], corner_key(boxes[i])),
     )
     for i in order:
         w = works[i]
@@ -78,7 +82,7 @@ def reference_heterogeneous(
     for seq, i in enumerate(
         sorted(
             range(len(boxes)),
-            key=lambda j: (works[j], boxes[j].corner_key()),
+            key=lambda j: (works[j], corner_key(boxes[j])),
         )
     ):
         queue.append((works[i], seq, boxes[i]))
@@ -191,7 +195,7 @@ def reference_curve(
     else:
         targets = caps * total
     pairs: list[tuple[Box, int]] = []
-    ordered = list(sfc_order_boxes(boxes, curve="hilbert"))
+    ordered = list(sfc_ordered(boxes, curve="hilbert"))
     num_splits = assign_curve_spans(ordered, targets, model, constraints, pairs)
     return PartitionResult(Layout.from_pairs(pairs), targets, num_splits, model)
 
@@ -299,7 +303,7 @@ def reference_redistribution(prev, new, bytes_per_cell=8.0):
 def _paper_capacities() -> np.ndarray:
     """Capacity vector through the real CapacityCalculator path."""
     cluster = Cluster.paper_four_node()
-    states = cluster.states(t=5.0)
+    states = [cluster.state_of(k, t=5.0) for k in range(cluster.num_nodes)]
     snapshot = MonitorSnapshot(
         time=5.0,
         cpu=np.array([s.cpu_available for s in states]),

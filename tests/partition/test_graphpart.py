@@ -7,10 +7,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.kernels.workloads import moving_blob_trace, paper_rm3d_trace
+from repro.kernels.workloads import paper_rm3d_trace
 from repro.partition import GraphPartitioner, build_box_graph
 from repro.util.geometry import Box, BoxList
-from tests.conftest import box_work
+from tests.conftest import box_work, moving_blob_trace
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 EIGHT_CAPS = [0.05, 0.07, 0.09, 0.11, 0.13, 0.15, 0.19, 0.21]

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr.ghost import plan_exchange_volumes
-from repro.kernels.workloads import moving_blob_trace
 from repro.partition import ACEHeterogeneous, ACEComposite
 from repro.partition.base import PartitionResult
 from repro.partition.metrics import (
@@ -18,6 +17,7 @@ from repro.partition.metrics import (
 )
 from repro.util.errors import PartitionError
 from repro.util.geometry import Box, Layout
+from tests.conftest import halves, moving_blob_trace
 
 
 def redistribution_volume(prev, new, bytes_per_cell=8.0):
@@ -49,7 +49,7 @@ class TestRedistributionVolume:
         split across owners moves exactly the foreign part."""
         big = Box((0, 0), (8, 4))
         before = [(big, 0)]
-        left, right = big.halve(axis=0)
+        left, right = halves(big, 0)
         assert redistribution_volume(before, [(left, 0), (right, 0)]) == {}
         moved = redistribution_volume(
             before, [(left, 0), (right, 1)], bytes_per_cell=1.0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.workloads import moving_blob_trace, paper_rm3d_trace
+from repro.kernels.workloads import paper_rm3d_trace
 from repro.partition import (
     ACEComposite,
     ACEHeterogeneous,
@@ -19,7 +19,7 @@ from repro.partition import (
 )
 from repro.util.errors import PartitionError
 from repro.util.geometry import BoxList, Layout
-from tests.conftest import box_work as default_work
+from tests.conftest import box_work as default_work, moving_blob_trace
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 
@@ -131,12 +131,12 @@ class TestACEComposite:
     def test_contiguous_spans_preserve_locality(self):
         """Each rank's level-0 boxes form a contiguous region (few owner
         changes along the curve)."""
-        from repro.util.sfc import sfc_order_boxes
+        from tests.conftest import sfc_ordered
 
         bl = epoch()
         r = ACEComposite().partition(bl, PAPER_CAPS)
         owners = dict(r.layout.pairs())
-        ordered = sfc_order_boxes(r.boxes())
+        ordered = sfc_ordered(r.boxes())
         ranks = [owners[b] for b in ordered]
         changes = sum(1 for a, b in zip(ranks, ranks[1:]) if a != b)
         assert changes <= 2 * len(PAPER_CAPS) + len(bl.levels) * 2
@@ -150,12 +150,12 @@ class TestSFCHybrid:
 
     def test_contiguous_spans(self):
         """Hybrid keeps the curve-span locality of the default scheme."""
-        from repro.util.sfc import sfc_order_boxes
+        from tests.conftest import sfc_ordered
 
         bl = epoch()
         r = SFCHybrid().partition(bl, PAPER_CAPS)
         owners = dict(r.layout.pairs())
-        ordered = sfc_order_boxes(r.boxes())
+        ordered = sfc_ordered(r.boxes())
         ranks = [owners[b] for b in ordered]
         changes = sum(1 for a, b in zip(ranks, ranks[1:]) if a != b)
         assert changes <= 2 * len(PAPER_CAPS) + len(bl.levels) * 2

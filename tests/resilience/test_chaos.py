@@ -106,9 +106,11 @@ class TestFaultInjector:
         plan = FaultPlan.node_outage([0], at=2.0, duration=3.0)
         cluster = Cluster.homogeneous(2)
         FaultInjector(cluster).arm(plan)
+        cluster.clock.advance_to(1.99)
+        assert cluster.is_up(0)
         cluster.clock.advance_to(3.0)
         assert not cluster.is_up(0)
-        assert cluster.down_since(0) == 2.0
+        assert cluster.down_nodes == (0,)
         assert cluster.state_of(0).cpu_available == 0.0
         cluster.clock.advance_to(6.0)
         assert cluster.is_up(0)
@@ -125,11 +127,11 @@ class TestFaultInjector:
             )
         )
         cluster, monitor, _, _ = _run_plan(plan, horizon=2.0)
-        assert monitor.blacked_out_nodes == (0,)
-        assert cluster.link_derate(1) == 0.25
+        assert monitor.probe_all().stale_nodes == (0,)
+        assert cluster.bandwidths()[1] == 0.25 * 100.0
         cluster.clock.advance_to(10.0)
-        assert monitor.blacked_out_nodes == ()
-        assert cluster.link_derate(1) == 1.0
+        assert monitor.probe_all().stale_nodes == ()
+        assert cluster.bandwidths()[1] == 100.0
 
     def test_double_arm_rejected(self):
         cluster = Cluster.homogeneous(2)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels.workloads import moving_blob_trace
 from repro.partition import ACEComposite, ACEHeterogeneous, GreedyLPT
 from repro.runtime.characterization import CharacterizationRow, characterize
+from tests.conftest import moving_blob_trace
 
 CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 

@@ -61,6 +61,20 @@ def test_number_below_its_range_is_a_usage_error(
     assert f"argument {flag}: must be at least {low}, got {value}" in err
 
 
+@pytest.mark.parametrize(
+    "kill", [["--kill", "0"], ["--kill", "-1"], ["--kill", "8", "--nodes", "8"]],
+    ids=["none killed", "negative", "no survivor"],
+)
+def test_chaos_kill_out_of_range_is_one_line(kill, tmp_path, capsys):
+    assert main(["chaos", *kill, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"chaos error: kill must satisfy 1 <= kill < nodes (one node killed,"
+        f" one survivor): kill={kill[1]}, nodes=8"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_replay_iterations_below_one_is_a_usage_error(tmp_path, capsys):
     err = usage_error(
         ["learn", "replay", str(tmp_path), "--iterations", "0"], capsys

@@ -24,6 +24,7 @@ from repro.runtime.distributed import (
 )
 from repro.util.errors import SimulationError
 from repro.util.geometry import Box
+from tests.conftest import halves
 
 
 def advection_hierarchy() -> GridHierarchy:
@@ -176,7 +177,7 @@ class TestRepatchLevel:
         h = advection_hierarchy()
         h.initialize()
         before = GhostFiller(h).fetch(h.domain, 0).copy()
-        left, right = h.domain.halve()
+        left, right = halves(h.domain, 0)
         from repro.util.geometry import BoxList
 
         h.repatch_level(0, BoxList([left, right]))
@@ -192,7 +193,7 @@ class TestRepatchLevel:
             h.repatch_level(3, BoxList([h.domain]))  # no such level
         with pytest.raises(Exception):
             # coverage change (half the domain) is rejected
-            h.repatch_level(0, BoxList([h.domain.halve()[0]]))
+            h.repatch_level(0, BoxList([halves(h.domain, 0)[0]]))
         with pytest.raises(Exception):
             # wrong level on the boxes
             h.repatch_level(0, BoxList([h.domain.refine(2)]))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.kernels.workloads import moving_blob_trace, paper_rm3d_trace
+from repro.kernels.workloads import paper_rm3d_trace
 from repro.partition import ACEComposite, ACEHeterogeneous
 from repro.runtime import RuntimeConfig, SamrRuntime
 from repro.util.errors import SimulationError
+from tests.conftest import moving_blob_trace
 
 
 def small_workload():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster
-from repro.kernels.workloads import moving_blob_trace
 from repro.partition import ACEHeterogeneous
 from repro.runtime import RuntimeConfig, SamrRuntime
 from repro.telemetry import (
@@ -29,6 +28,7 @@ from repro.telemetry import (
     load_trace_records,
     write_jsonl,
 )
+from tests.conftest import moving_blob_trace
 
 
 def make_snapshot(iteration=0, duration_s=1.0, epoch=0, **overrides):
@@ -264,17 +264,9 @@ class TestHealthMonitorSynthetic:
         monitor.finish()
         assert len(monitor.snapshots) == 1
 
-    def test_detach_stops_observing(self):
-        tracer = Tracer()
-        monitor = HealthMonitor().attach(tracer)
-        monitor.detach()
-        emit_synthetic_run(tracer)
-        assert monitor.snapshots == []
-
     def test_attach_to_null_tracer_is_a_noop(self):
         monitor = HealthMonitor().attach(NULL_TRACER)
         assert monitor.snapshots == []
-        monitor.detach()
 
     def test_custom_detector_suite(self):
         tracer = Tracer()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
@@ -16,11 +14,9 @@ from repro.telemetry import (
     Tracer,
     aggregate_phases,
     chrome_trace_events,
-    metrics_csv,
     metrics_summary,
     write_chrome_trace,
     write_jsonl,
-    write_metrics_csv,
     write_metrics_json,
 )
 from repro.telemetry.export import jsonl_lines
@@ -262,44 +258,3 @@ class TestAggregation:
         data = json.loads(path.read_text())
         assert data["num_spans"] == 3  # run, sense, iteration (rows inside)
         assert data["phases"]["compute"]["count"] == 2
-
-
-class TestCsv:
-    def test_csv_round_trips(self, tmp_path):
-        tracer = sample_tracer()
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(tracer.metrics, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        names = {row["name"] for row in rows}
-        assert names == {
-            "migration_bytes", "node_utilization", "iteration_seconds",
-        }
-
-    def test_csv_text_has_union_header(self):
-        text = metrics_csv(sample_tracer().metrics)
-        header = text.splitlines()[0].split(",")
-        assert "label_node" in header and "value" in header
-
-    def test_label_values_with_commas_quotes_newlines_round_trip(self):
-        from repro.telemetry import MetricsRegistry
-
-        nasty = 'a,b "quoted"\nsecond line'
-        registry = MetricsRegistry()
-        registry.counter("c", tag=nasty).inc(2)
-        text = metrics_csv(registry)
-        (row,) = list(csv.DictReader(io.StringIO(text)))
-        assert row["label_tag"] == nasty
-        assert float(row["value"]) == 2.0
-
-    def test_csv_file_round_trips_nasty_labels(self, tmp_path):
-        from repro.telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.gauge("g", path='x,"y"').set(1.5)
-        registry.gauge("g", path="plain").set(2.5)
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(registry, path)
-        with open(path, newline="") as fh:
-            rows = {r["label_path"]: float(r["value"]) for r in csv.DictReader(fh)}
-        assert rows == {'x,"y"': 1.5, "plain": 2.5}

@@ -15,7 +15,6 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.kernels.advection import AdvectionKernel
 from repro.amr.hierarchy import GridHierarchy
-from repro.kernels.workloads import moving_blob_trace
 from repro.monitor import ResourceMonitor
 from repro.partition import ACEHeterogeneous, LevelPartitioner
 from repro.runtime import RuntimeConfig, SamrRuntime
@@ -29,6 +28,11 @@ from repro.telemetry import (
     chrome_trace_events,
 )
 from repro.util.geometry import Box
+from tests.conftest import moving_blob_trace
+
+
+def spans_named(tracer: Tracer, name: str) -> list:
+    return [s for s in tracer.spans if s.name == name]
 
 
 def small_workload():
@@ -58,21 +62,21 @@ class TestSamrRuntimeInstrumentation:
     def test_spans_nested_under_run(self):
         tracer = Tracer()
         make_runtime(tracer).run()
-        (run_span,) = tracer.spans_named("run")
-        for sense in tracer.spans_named("sense"):
+        (run_span,) = spans_named(tracer, "run")
+        for sense in spans_named(tracer, "sense"):
             assert sense.parent_id == run_span.span_id
 
     def test_simulated_durations_match_result(self):
         tracer = Tracer()
         result = make_runtime(tracer).run()
-        (run_span,) = tracer.spans_named("run")
+        (run_span,) = spans_named(tracer, "run")
         assert run_span.sim_duration == result.total_seconds
         iteration_sim = sum(
-            s.sim_duration for s in tracer.spans_named("iteration")
+            s.sim_duration for s in spans_named(tracer, "iteration")
         )
         assert np.isclose(iteration_sim, sum(result.iteration_times))
         migrate_sim = sum(
-            s.sim_duration for s in tracer.spans_named("migrate")
+            s.sim_duration for s in spans_named(tracer, "migrate")
         )
         assert np.isclose(migrate_sim, result.migration_seconds)
 
@@ -114,7 +118,7 @@ class TestSamrRuntimeInstrumentation:
         event_names = {e.name for e in tracer.events}
         assert "cluster" in event_names
         assert "load_generator" in event_names
-        assert len(list(tracer.spans_named("probe"))) >= 1
+        assert len(list(spans_named(tracer, "probe"))) >= 1
 
     def test_nested_partitioners_share_tracer(self):
         tracer = Tracer()
@@ -128,7 +132,7 @@ class TestSamrRuntimeInstrumentation:
         runtime.run()
         partitioners = {
             s.attributes["partitioner"]
-            for s in tracer.spans_named("partition")
+            for s in spans_named(tracer, "partition")
         }
         assert len(partitioners) >= 2  # outer levelwise + inner per-level
 
@@ -152,11 +156,11 @@ class TestDistributedInstrumentation:
         assert {
             "run", "sense", "partition", "migrate", "advance", "iteration",
         } <= names
-        (run_span,) = tracer.spans_named("run")
+        (run_span,) = spans_named(tracer, "run")
         assert run_span.sim_duration == result.total_seconds
         # Real numerics executed under the advance spans: wall time > 0.
         assert sum(
-            s.wall_duration for s in tracer.spans_named("advance")
+            s.wall_duration for s in spans_named(tracer, "advance")
         ) > 0.0
 
 

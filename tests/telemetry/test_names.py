@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from repro.telemetry import EVENT_NAMES, EVENT_PREFIXES, SPAN_NAMES
-from repro.telemetry.names import is_known_event, is_known_span
+from repro.telemetry.names import is_known_span
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestRegistry:
@@ -18,10 +24,11 @@ class TestRegistry:
         assert not is_known_span("computee")
 
     def test_event_predicate_exact_and_prefix(self):
-        assert is_known_event("cluster")
-        assert is_known_event("comm.exchange")  # via the comm. prefix
-        assert is_known_event("health.imbalance")
-        assert not is_known_event("made.up.event")
+        assert "cluster" in EVENT_NAMES
+        assert "comm.exchange" in EVENT_NAMES  # literal: registered exactly
+        assert "health.imbalance".startswith(EVENT_PREFIXES)  # f-string family
+        assert "made.up.event" not in EVENT_NAMES
+        assert not "made.up.event".startswith(EVENT_PREFIXES)
 
     def test_prefixes_end_with_dot(self):
         # A prefix without the dot would match unrelated names
@@ -38,13 +45,25 @@ class TestLintTool:
     def test_src_tree_is_clean(self):
         """The committed tree must pass its own span-name lint."""
         import subprocess
-        import sys
-        from pathlib import Path
 
-        repo = Path(__file__).resolve().parents[2]
         proc = subprocess.run(
-            [sys.executable, str(repo / "tools" / "check_span_names.py")],
+            [sys.executable, str(REPO / "tools" / "check_span_names.py")],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_a_prefix_family_admits_only_fstring_names(self):
+        spec = importlib.util.spec_from_file_location(
+            "check_span_names", REPO / "tools" / "check_span_names.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        planted = (
+            'tracer.event("checkpoint.save")\n'
+            'tracer.event("checkpoint.bogus")\n'
+            'tracer.event(f"health.{kind}")\n'
+            'tracer.event(f"bogus.{kind}")\n'
+        )
+        flagged = tool.check_source(planted, "planted.py")
+        assert [v.split(": ")[0] for v in flagged] == ["planted.py:2", "planted.py:4"]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import re
 
 from repro.cluster import Cluster
-from repro.kernels.workloads import moving_blob_trace
 from repro.partition import ACEHeterogeneous
 from repro.runtime import RuntimeConfig, SamrRuntime
 from repro.telemetry import (
@@ -15,6 +14,7 @@ from repro.telemetry import (
     write_dashboard,
     write_jsonl,
 )
+from tests.conftest import moving_blob_trace
 
 
 def traced_run(iterations=10):

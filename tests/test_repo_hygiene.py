@@ -1,7 +1,8 @@
 """Repo hygiene: one benchmark file at the root, CI runs what exists,
 numpy is the only third-party package the code imports, trace readers
-leave record routing to the trace model, and the command modules import
-their subsystems inside the handlers.
+leave record routing to the trace model, the command modules import
+their subsystems inside the handlers, and nothing in ``src/`` is reached
+only from the tests.
 
 ``bench/`` + ``BENCHMARK.json`` is the only performance harness (ROADMAP
 item 8).  A half-done retirement -- a script deleted and its CI step
@@ -15,6 +16,9 @@ from __future__ import annotations
 import ast
 import importlib.util
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -297,3 +301,81 @@ def test_eager_import_check_flags_a_planted_offender():
         "import repro.cli.common, repro.runtime as rt\n"
     )
     assert eager_repro_imports(planted) == [3, 5, 9, 13, 16]
+
+
+def run_reachability(root: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(root / "tools" / "check_reachability.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def reachability_tree(tmp_path: Path) -> Path:
+    """A copy of everything the reachability check reads."""
+    for name in ("src", "bench", "benchmarks", "examples", "tools"):
+        shutil.copytree(
+            REPO / name,
+            tmp_path / name,
+            ignore=shutil.ignore_patterns("__pycache__", "out"),
+        )
+    return tmp_path
+
+
+def test_ci_runs_the_reachability_check():
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8"
+    )
+    assert "python tools/check_reachability.py" in run_commands(workflow)
+
+
+def test_nothing_in_src_is_reached_only_from_tests():
+    result = run_reachability(REPO)
+    assert result.returncode == 0, result.stdout
+
+
+def test_reachability_allowlist_cites_open_roadmap_items(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "check_reachability", REPO / "tools" / "check_reachability.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    # Its dataclass resolves annotations through ``sys.modules``.
+    monkeypatch.setitem(sys.modules, spec.name, tool)
+    spec.loader.exec_module(tool)
+    roadmap = (REPO / "ROADMAP.md").read_text(encoding="utf-8")
+    for entry, owner in tool.ALLOWLIST.items():
+        match = re.fullmatch(r"ROADMAP item (\d+)", owner)
+        assert match, f"{entry}: {owner!r} names no ROADMAP item"
+        # Open items open with a bold title; closed ones with "*(Closed".
+        assert re.search(rf"^{match[1]}\. \*\*", roadmap, re.M), (
+            f"{entry}: ROADMAP item {match[1]} is not open"
+        )
+
+
+def test_reachability_flags_a_planted_orphan(tmp_path):
+    root = reachability_tree(tmp_path)
+    with open(root / "src" / "repro" / "util" / "rng.py", "a") as fh:
+        fh.write(
+            "\n\ndef planted_orphan():\n    return _planted_helper()\n"
+            "\n\ndef _planted_helper():\n    return make_rng(0)\n"
+        )
+    result = run_reachability(root)
+    assert result.returncode == 1
+    flagged = [line for line in result.stdout.splitlines() if "planted" in line]
+    # The helper only the orphan calls is an orphan too.
+    assert [line.split()[0] for line in flagged] == [
+        "repro.util.rng:_planted_helper",
+        "repro.util.rng:planted_orphan",
+    ]
+
+
+def test_reachability_flags_a_stale_allowlist_entry(tmp_path):
+    root = reachability_tree(tmp_path)
+    (root / "examples" / "planted.py").write_text(
+        "def owned(layout):\n    return layout.of_rank(0)\n", encoding="utf-8"
+    )
+    result = run_reachability(root)
+    assert result.returncode == 1
+    assert "repro.util.geometry:Layout.of_rank" in result.stdout
+    assert "referenced now" in result.stdout

@@ -68,14 +68,6 @@ class TestBoxConstruction:
 
 
 class TestBoxMeasures:
-    def test_longest_axis_tie_breaks_low(self):
-        assert Box((0, 0), (4, 4)).longest_axis == 0
-        assert Box((0, 0), (2, 4)).longest_axis == 1
-
-    def test_aspect_ratio(self):
-        assert Box((0, 0), (8, 2)).aspect_ratio == 4.0
-        assert Box((0, 0, 0), (4, 4, 4)).aspect_ratio == 1.0
-
     def test_contains_point(self):
         b = Box((0, 0), (4, 4))
         assert (0, 0) in b
@@ -156,16 +148,6 @@ class TestBoxSplit:
         with pytest.raises(GeometryError):
             b.split(0, 4)
 
-    def test_halve_default_longest_axis(self):
-        b = Box((0, 0), (4, 16))
-        lo, hi = b.halve()
-        assert lo.shape == (4, 8) and hi.shape == (4, 8)
-
-    def test_halve_unit_extent_rejected(self):
-        with pytest.raises(GeometryError):
-            Box((0, 0), (1, 8)).halve(axis=0)
-
-
 class TestBoxLevelOps:
     def test_refine_roundtrip(self):
         b = Box((1, 2), (3, 5), level=0)
@@ -196,19 +178,10 @@ class TestBoxLevelOps:
         with pytest.raises(GeometryError):
             Box((0, 0), (2, 2)).grow(-1)
 
-    def test_translate(self):
-        b = Box((0, 0), (2, 2)).translate((5, -1))
-        assert b == Box((5, -1), (7, 1))
-
     def test_slices_local_and_global(self):
         b = Box((2, 4), (5, 6))
         assert b.slices() == (slice(0, 3), slice(0, 2))
         assert b.slices(origin=(0, 0)) == (slice(2, 5), slice(4, 6))
-
-    def test_cell_centers_count(self):
-        b = Box((0, 0), (3, 2))
-        assert len(list(b.cell_centers())) == 6
-
 
 class TestBoxList:
     def test_total_cells_and_levels(self):
@@ -232,14 +205,6 @@ class TestBoxList:
     def test_non_box_rejected(self):
         with pytest.raises(GeometryError):
             BoxList(["not a box"])  # type: ignore[list-item]
-
-    def test_sorted_by_cells(self):
-        big = Box((0, 0), (8, 8))
-        small = Box((20, 20), (21, 21))
-        bl = BoxList([big, small]).sorted_by_cells()
-        assert bl[0] == small and bl[1] == big
-        desc = BoxList([small, big]).sorted_by_cells(reverse=True)
-        assert desc[0] == big
 
     def test_is_disjoint_cross_level_ok(self):
         # Same footprint on different levels is fine.
@@ -335,17 +300,6 @@ class TestDisjointMemo:
 # ---------------------------------------------------------------------------
 # Property-based tests
 # ---------------------------------------------------------------------------
-@settings(max_examples=200)
-@given(boxes())
-def test_halve_conserves_cells(b: Box):
-    if b.longest_side < 2:
-        return
-    lo, hi = b.halve()
-    assert lo.num_cells + hi.num_cells == b.num_cells
-    assert lo.intersection(hi) is None
-    assert b.contains_box(lo) and b.contains_box(hi)
-
-
 @settings(max_examples=200)
 @given(boxes(), st.data())
 def test_split_conserves_cells_any_position(b: Box, data):

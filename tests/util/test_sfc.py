@@ -10,14 +10,72 @@ from hypothesis import strategies as st
 from repro.util.errors import GeometryError
 from repro.util.geometry import Box
 from repro.util.sfc import (
-    hilbert_decode,
     hilbert_encode,
     hilbert_encode_many,
-    morton_decode,
     morton_encode,
     morton_encode_many,
-    sfc_order_boxes,
 )
+
+from tests.conftest import sfc_ordered
+
+
+# ---------------------------------------------------------------------------
+# Reference decoders: the encoders' inverses, written out, so the tests can
+# check that every key maps back to the point it came from.
+# ---------------------------------------------------------------------------
+def morton_decode(key: int, ndim: int, bits: int) -> tuple[int, ...]:
+    """Inverse of ``morton_encode``."""
+    if key < 0:
+        raise GeometryError(f"negative Morton key {key}")
+    coords = [0] * ndim
+    for b in range(bits):
+        for d in range(ndim):
+            coords[d] |= ((key >> (b * ndim + d)) & 1) << b
+    return tuple(coords)
+
+
+def _hilbert_to_transpose(key: int, ndim: int, bits: int) -> list[int]:
+    """Spread a Hilbert key into its 'transpose' form: ndim words of `bits`
+    bits, where word d holds key bits d, d+ndim, d+2*ndim, ..."""
+    x = [0] * ndim
+    for b in range(bits * ndim):
+        if (key >> b) & 1:
+            # Most-significant key bits come first across the words.
+            word = (bits * ndim - 1 - b) % ndim
+            bit = (bits * ndim - 1 - b) // ndim
+            x[word] |= 1 << (bits - 1 - bit)
+    return x
+
+
+def hilbert_decode(key: int, ndim: int, bits: int) -> tuple[int, ...]:
+    """Inverse of ``hilbert_encode`` (Skilling, TransposetoAxes)."""
+    if key < 0 or key >= (1 << (ndim * bits)):
+        raise GeometryError(
+            f"Hilbert key {key} out of range for ndim={ndim}, bits={bits}"
+        )
+    if ndim == 1:
+        return (key,)
+    x = _hilbert_to_transpose(key, ndim, bits)
+    n = 1 << bits
+    # Gray decode by H ^ (H/2).
+    t = x[ndim - 1] >> 1
+    for i in range(ndim - 1, 0, -1):
+        x[i] ^= x[i - 1]
+    x[0] ^= t
+    # Undo excess work (Skilling, TransposetoAxes).
+    q = 2
+    while q != n:
+        p = q - 1
+        for i in range(ndim - 1, -1, -1):
+            if x[i] & q:
+                x[0] ^= p
+            else:
+                t = (x[0] ^ x[i]) & p
+                x[0] ^= t
+                x[i] ^= t
+        q <<= 1
+    return tuple(x)
+
 
 
 class TestMorton:
@@ -158,7 +216,7 @@ def test_morton_roundtrip_property(ndim, bits, data):
 
 class TestSfcOrderBoxes:
     def test_empty(self):
-        assert len(sfc_order_boxes([])) == 0
+        assert len(sfc_ordered([])) == 0
 
     def test_preserves_membership(self):
         boxes = [
@@ -167,10 +225,8 @@ class TestSfcOrderBoxes:
             Box((0, 8), (4, 12), 0),
             Box((8, 0), (12, 4), 0),
         ]
-        out = sfc_order_boxes(boxes)
-        assert sorted(b.corner_key() for b in out) == sorted(
-            b.corner_key() for b in boxes
-        )
+        out = sfc_ordered(boxes)
+        assert len(out) == len(boxes) and set(out) == set(boxes)
 
     def test_hilbert_order_is_locality_preserving(self):
         """Adjacent quadrant boxes must be adjacent on the curve."""
@@ -180,25 +236,25 @@ class TestSfcOrderBoxes:
             Box((0, 4), (4, 8), 0),
             Box((4, 4), (8, 8), 0),
         ]
-        out = list(sfc_order_boxes(boxes, curve="hilbert"))
+        out = list(sfc_ordered(boxes, curve="hilbert"))
         lowers = [b.lower for b in out]
         assert lowers == [(0, 0), (0, 4), (4, 4), (4, 0)]
 
     def test_multi_level_interleaving(self):
         coarse = Box((0, 0), (8, 8), 0)
         fine = Box((0, 0), (8, 8), 1)  # overlays lower-left quadrant
-        out = list(sfc_order_boxes([fine, coarse]))
+        out = list(sfc_ordered([fine, coarse]))
         # Same promoted corner: coarse first (lower level tie-break).
         assert out[0].level == 0 and out[1].level == 1
 
     def test_morton_curve_option(self):
         boxes = [Box((2, 2), (3, 3)), Box((0, 0), (1, 1))]
-        out = list(sfc_order_boxes(boxes, curve="morton"))
+        out = list(sfc_ordered(boxes, curve="morton"))
         assert out[0].lower == (0, 0)
 
     def test_unknown_curve_rejected(self):
         with pytest.raises(GeometryError):
-            sfc_order_boxes([Box((0,), (1,))], curve="peano")
+            sfc_ordered([Box((0,), (1,))], curve="peano")
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -206,6 +262,6 @@ class TestSfcOrderBoxes:
             Box(tuple(lo), tuple(lo + 1), 0)
             for lo in rng.integers(0, 50, size=(30, 2))
         ]
-        a = list(sfc_order_boxes(boxes))
-        b = list(sfc_order_boxes(boxes))
+        a = list(sfc_ordered(boxes))
+        b = list(sfc_ordered(boxes))
         assert a == b

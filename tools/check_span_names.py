@@ -15,9 +15,10 @@ consumer.  This check walks the AST of ``src/`` for calls of the form::
     metrics.histogram("name", ...)
 
 and fails when a literal first argument is not a registered span/event/
-metric name (f-string names must start with a registered
-``EVENT_PREFIXES`` family such as ``health.`` or ``comm.``).
-Non-literal names cannot be checked statically and are skipped.
+metric name.  A literal must be registered exactly; only an f-string
+name, whose tail is not known statically, may instead start with a
+registered ``EVENT_PREFIXES`` family such as ``health.``.  Non-literal
+names cannot be checked statically and are skipped.
 
 Run from the repo root (CI does)::
 
@@ -35,8 +36,8 @@ SRC = REPO_ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 from repro.telemetry.names import (  # noqa: E402
+    EVENT_NAMES,
     EVENT_PREFIXES,
-    is_known_event,
     is_known_metric,
     is_known_span,
 )
@@ -74,11 +75,10 @@ def _first_arg_literal(call: ast.Call) -> tuple[str | None, bool]:
     return None, False
 
 
-def check_file(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    rel = path.relative_to(REPO_ROOT)
+def check_source(source: str, rel: str) -> list[str]:
+    """Every emission in ``source`` whose name is not registered."""
     violations = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source, filename=rel)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -89,13 +89,13 @@ def check_file(path: Path) -> list[str]:
         if text is None:
             continue  # dynamic name: not statically checkable
         if prefix_only:
-            ok = any(text.startswith(p) for p in EVENT_PREFIXES)
+            ok = text.startswith(EVENT_PREFIXES)
         elif kind == "span":
             ok = is_known_span(text)
         elif kind == "metric":
             ok = is_known_metric(text)
         else:
-            ok = is_known_event(text)
+            ok = text in EVENT_NAMES
         if not ok:
             violations.append(
                 f"{rel}:{node.lineno}: .{func.attr}({text!r}) -- name not "
@@ -108,7 +108,11 @@ def check_file(path: Path) -> list[str]:
 def main() -> int:
     violations: list[str] = []
     for path in sorted((SRC / "repro").rglob("*.py")):
-        violations.extend(check_file(path))
+        violations.extend(
+            check_source(
+                path.read_text(encoding="utf-8"), str(path.relative_to(REPO_ROOT))
+            )
+        )
     if violations:
         print("unregistered span/event names:")
         for v in violations:

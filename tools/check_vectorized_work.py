@@ -69,9 +69,6 @@ columns to per-box objects only for some consumer to lower them back::
     dict(zip(boxes, ranks))               # Layout(boxes, ranks)
     for box, rank in pairs: ...           # layout.boxes.array / layout.ranks
 
-``amr/viz.py`` renders a few dozen boxes to text from ``layout.pairs()``
-and is not checked.
-
 **Self-checks** (all of ``src/``): a partitioner certifies its output
 from provenance (``check_tiling``: O(rows), grid-hashing only the split
 pieces).  ``validate_covers`` grid-hashes the whole output and is the
@@ -182,9 +179,6 @@ BOX_WALKS = frozenset({"intersection", "translate", "difference"})
 #: Loop targets that spell a ``(box, rank)`` pair.
 PAIR_BOX_NAMES = frozenset({"b", "box", "_"})
 PAIR_RANK_NAMES = frozenset({"r", "rank", "owner", "_"})
-
-#: The text renderer: per-box objects are its job.
-ALLOWED_PAIR_FACES = {SRC / "repro" / "amr" / "viz.py"}
 
 _PLANTED_PAIR_FACES = """\
 pairs = result.assignment
@@ -444,12 +438,11 @@ def main() -> int:
                 f"{rel}:{lineno}: {what.format(pattern)} instead"
                 for lineno, pattern in substring_hits(source, patterns)
             )
-        if path not in ALLOWED_PAIR_FACES:
-            violations.extend(
-                f"{rel}:{lineno}: box ownership spelled as pairs or a"
-                f" Box-keyed dict -- pass the Layout (boxes + ranks columns)"
-                for lineno in pair_faces(source)
-            )
+        violations.extend(
+            f"{rel}:{lineno}: box ownership spelled as pairs or a"
+            f" Box-keyed dict -- pass the Layout (boxes + ranks columns)"
+            for lineno in pair_faces(source)
+        )
         for lineno, line in enumerate(source.splitlines(), start=1):
             if line.strip().startswith("#"):
                 continue
