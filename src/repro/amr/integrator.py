@@ -51,7 +51,7 @@ class BergerOligerIntegrator:
         regrid_params: RegridParams | None = None,
         on_regrid: Callable[[GridHierarchy], None] | None = None,
     ):
-        if cfl <= 0 or cfl > 1:
+        if not 0 < cfl <= 1:
             raise KernelError(f"cfl must be in (0, 1], got {cfl}")
         if regrid_interval < 0:
             raise KernelError(f"negative regrid_interval {regrid_interval}")

@@ -9,7 +9,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cli.common import add_group, add_pool, user_errors
+from repro.cli.common import add_group, add_pool, positive_seconds, user_errors
 
 
 def _execute_campaign(spec, directory: Path, args: argparse.Namespace) -> int:
@@ -278,11 +278,11 @@ def register(subparsers: argparse._SubParsersAction) -> None:
         help="campaign directory, or an http(s) URL of a serve live stream",
     )
     cwatch.add_argument(
-        "--interval", type=float, default=0.5,
+        "--interval", type=positive_seconds, default=0.5,
         help="poll interval in seconds for directory mode (default: 0.5)",
     )
     cwatch.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=positive_seconds, default=None,
         help="give up (exit 1) after this many seconds (default: no limit)",
     )
     cwatch.set_defaults(run=_campaign_watch)

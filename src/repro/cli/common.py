@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from typing import Callable
 
@@ -23,6 +24,20 @@ def at_least(low: int) -> Callable[[str], int]:
 
     parse.__name__ = "int"  # argparse's "invalid int value: ..." for non-numbers
     return parse
+
+
+def positive_seconds(text: str) -> float:
+    """An argparse ``type=``: a finite number of seconds above 0, else a
+    one-line usage error (exit 2) before the command runs."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text}"
+        )
+    return value
+
+
+positive_seconds.__name__ = "float"  # argparse's "invalid float value: ..."
 
 
 def add_out_dir(parser: argparse.ArgumentParser, what: str) -> None:

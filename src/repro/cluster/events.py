@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 from repro.util.errors import SimulationError
@@ -65,6 +66,8 @@ class SimClock:
                 "re-entrant advance: an event callback tried to move the "
                 "clock; callbacks may only schedule() further events"
             )
+        if not math.isfinite(t):
+            raise SimulationError(f"cannot move time to non-finite t={t}")
         if t < self._now:
             raise SimulationError(
                 f"cannot move time backwards: now={self._now}, target={t}"

@@ -14,6 +14,7 @@ communicate at once through one switch fabric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ class LinkModel:
         dst_bandwidth_mbps: float,
     ) -> float:
         """Seconds to move ``nbytes`` between two endpoints."""
+        if not math.isfinite(nbytes):
+            raise SimulationError(f"non-finite transfer size {nbytes}")
         if nbytes < 0:
             raise SimulationError(f"negative transfer size {nbytes}")
         if nbytes == 0:

@@ -11,14 +11,12 @@ Model
   the slowest-pair point-to-point cost.
 
 The communicator never moves payloads -- the HDDA already holds them; here
-we only price the pattern and tally statistics.
+we only price the pattern.  A bound tracer records the traffic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,40 +25,12 @@ from repro.cluster.cluster import Cluster
 from repro.telemetry.spans import NULL_TRACER
 from repro.util.errors import SimulationError
 
-__all__ = ["CommStats", "SimCommunicator"]
+__all__ = ["SimCommunicator"]
 
 #: Exchange events carry at most this many per-pair rows; beyond it only
 #: the heaviest pairs (by bytes) are kept and ``pairs_dropped`` says how
 #: many fell off.  Keeps JSONL traces bounded on large clusters.
 EVENT_PAIR_CAP = 512
-
-
-@dataclass(slots=True)
-class CommStats:
-    """Cumulative traffic counters."""
-
-    messages: int = 0
-    bytes_sent: int = 0
-    point_to_point_time: float = 0.0
-    collective_time: float = 0.0
-    per_pair_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
-    per_pair_seconds: dict[tuple[int, int], float] = field(default_factory=dict)
-    per_pair_messages: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def record_messages(
-        self, pairs: Iterable[tuple[int, int]], sizes: list[int], seconds: list[float]
-    ) -> None:
-        """Tally one message per ``(src, dst)`` pair, in order (the running
-        ``point_to_point_time`` is an order-sensitive float sum)."""
-        self.messages += len(sizes)
-        self.bytes_sent += sum(sizes)
-        total = self.point_to_point_time
-        for pair, nbytes, secs in zip(pairs, sizes, seconds):
-            total += secs
-            self.per_pair_bytes[pair] = self.per_pair_bytes.get(pair, 0) + nbytes
-            self.per_pair_seconds[pair] = self.per_pair_seconds.get(pair, 0.0) + secs
-            self.per_pair_messages[pair] = self.per_pair_messages.get(pair, 0) + 1
-        self.point_to_point_time = total
 
 
 class SimCommunicator:
@@ -70,8 +40,8 @@ class SimCommunicator:
     :meth:`~repro.cluster.cluster.Cluster.bandwidths` vector in one
     alpha-beta evaluation -- no per-pair state query.
 
-    With a tracer bound (:meth:`bind_tracer`), traffic is also promoted
-    into telemetry: ``comm.bytes_total``/``comm.messages_total`` counters,
+    With a tracer bound (:meth:`bind_tracer`), traffic is recorded in
+    telemetry: ``comm.bytes_total``/``comm.messages_total`` counters,
     per-collective timing histograms, and one ``comm.exchange`` event per
     exchange phase carrying the per-pair volume/time/derating detail the
     communication profiler turns into rank-by-rank matrices.
@@ -79,7 +49,6 @@ class SimCommunicator:
 
     def __init__(self, cluster: Cluster, tracer=None):
         self.cluster = cluster
-        self.stats = CommStats()
         self._nominal_mbps = np.array([s.bandwidth_mbps for s in cluster.nodes])
         self._tracer = NULL_TRACER
         self._bytes_total = None
@@ -121,11 +90,11 @@ class SimCommunicator:
         sizes: Iterable[float],
         t: float | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Price and tally one message per ``(src, dst)`` pair at time ``t``.
+        """Price one message per ``(src, dst)`` pair at time ``t``.
 
         Returns, row per pair: the ``(n, 2)`` rank array, the seconds, the
         integer sizes and the slower endpoint's deliverable Mbit/s.  A
-        self-message is a local copy (free, not tallied, never checked);
+        self-message is a local copy (free, not counted, never checked);
         an unpriceable message raises for the first offender in pair order.
         """
         n = len(pairs)
@@ -139,12 +108,8 @@ class SimCommunicator:
             up = self.cluster.live_mask()
             link_mbps = np.minimum(mbps[src], mbps[dst])
             paid = wire & (nbytes != 0)  # a zero-byte message costs nothing
-            fault = bool(
-                (
-                    wire & ~(up[src] & up[dst] & (nbytes >= 0))
-                    | paid & (link_mbps <= 0)
-                ).any()
-            )
+            sendable = up[src] & up[dst] & (nbytes >= 0) & np.isfinite(nbytes)
+            fault = bool((wire & ~sendable | paid & (link_mbps <= 0)).any())
         if fault:
             for (a, b), size in zip(pairs, sizes):
                 self._check_rank(a)
@@ -156,18 +121,16 @@ class SimCommunicator:
                         f"point-to-point {a}->{b} has a down endpoint; "
                         "recovery must evacuate or re-route this transfer"
                     )
-                # Negative size, zero bandwidth: the link model's checks.
+                # Negative or non-finite size, zero bandwidth: the link
+                # model's checks.
                 self.cluster.link.transfer_time(size, mbps[a], mbps[b])
         seconds = np.zeros(n)
         seconds[paid] = self.cluster.link.transfer_times(
             nbytes[paid], link_mbps[paid]
         )
         nbytes = nbytes.astype(np.int64)
-        sent = nbytes[wire].tolist()
-        self.stats.record_messages(
-            itertools.compress(pairs, wire.tolist()), sent, seconds[wire].tolist()
-        )
         if self._messages_total is not None:
+            sent = nbytes[wire].tolist()
             self._messages_total.inc(len(sent))
             self._bytes_total.inc(sum(sent))
         return ends, seconds, nbytes, link_mbps
@@ -280,7 +243,6 @@ class SimCommunicator:
         slowest_bw = float(self.cluster.bandwidths(t)[up].min())
         per_round = self.cluster.link.transfer_time(nbytes, slowest_bw, slowest_bw)
         seconds = rounds * per_round
-        self.stats.collective_time += seconds
         if self._tracer.enabled:
             self._tracer.metrics.histogram(
                 "comm.collective_seconds", op=op

@@ -22,7 +22,6 @@ from repro.learn.audit import (
 )
 from repro.learn.history import ExecutionHistoryStore
 from repro.learn.models import (
-    AmdahlCostModel,
     OnlineLinearModel,
     OnlineMeanModel,
     TransientCapacityModel,
@@ -41,7 +40,6 @@ __all__ = [
     "ExecutionHistoryStore",
     "OnlineLinearModel",
     "OnlineMeanModel",
-    "AmdahlCostModel",
     "TransientCapacityModel",
     "LearnConfig",
     "AdaptiveSensingPolicy",

@@ -6,14 +6,11 @@ adaptive policies need priced:
 
 - :class:`OnlineLinearModel` -- streaming ordinary least squares over
   ``y = intercept + slope * x`` with exact sufficient statistics and
-  closed-form confidence intervals.  Every other model composes it.
+  closed-form confidence intervals: the iteration cost model whose slope
+  is the repartition gate's ``beta``.
 - :class:`OnlineMeanModel` -- streaming mean/variance with a CI, for
   quantities with no useful regressor (migration cost per repartition,
   probe overhead per sweep).
-- :class:`AmdahlCostModel` -- the per-phase, per-node execution model
-  ``t(w, n) = serial(n) + w / capacity(n)``: one linear fit per node of
-  phase time against work, whose slope is the node's inverse effective
-  capacity and whose intercept is the phase's serial floor.
 - :class:`TransientCapacityModel` -- per-node capacity *trend* over a
   sliding window of sensed relative capacities: instead of reacting to a
   load transient after it lands, predict where each node's capacity is
@@ -41,7 +38,6 @@ from repro.util.errors import ExperimentError
 __all__ = [
     "OnlineLinearModel",
     "OnlineMeanModel",
-    "AmdahlCostModel",
     "TransientCapacityModel",
 ]
 
@@ -269,75 +265,6 @@ class OnlineMeanModel:
         model.n = int(data["n"])
         model.s = float(data["s"])
         model.ss = float(data["ss"])
-        return model
-
-
-class AmdahlCostModel:
-    """Per-phase execution model ``t(w, n) = serial(n) + w / capacity(n)``.
-
-    One :class:`OnlineLinearModel` per node regresses the phase's
-    duration on the work units it processed; the fitted slope is the
-    node's inverse effective capacity for this phase (seconds per work
-    unit) and the intercept its Amdahl serial floor.  The model is the
-    ARBO estimator pattern: fit from history, predict deliverable time
-    per configuration, update online after every run.
-    """
-
-    def __init__(self, phase: str = "iteration", min_points: int = 4):
-        self.phase = str(phase)
-        self.min_points = int(min_points)
-        self._nodes: dict[int, OnlineLinearModel] = {}
-
-    def _node(self, node: int) -> OnlineLinearModel:
-        model = self._nodes.get(int(node))
-        if model is None:
-            model = OnlineLinearModel(min_points=self.min_points)
-            self._nodes[int(node)] = model
-        return model
-
-    def observe(self, node: int, work: float, seconds: float) -> None:
-        self._node(node).observe(work, seconds)
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self._nodes))
-
-    def is_cold(self, node: int | None = None) -> bool:
-        """Whether ``node`` (or, with ``None``, every node) is unfitted."""
-        if node is not None:
-            model = self._nodes.get(int(node))
-            return model is None or model.is_cold
-        if not self._nodes:
-            return True
-        return any(m.is_cold for m in self._nodes.values())
-
-    def predict(self, node: int, work: float) -> float:
-        return self._node(node).predict(work)
-
-    def capacity(self, node: int) -> float:
-        """Fitted work units per second on ``node`` (inf if free)."""
-        slope = self._node(node).slope
-        return 1.0 / slope if slope > 0.0 else math.inf
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "amdahl",
-            "phase": self.phase,
-            "min_points": self.min_points,
-            "nodes": {
-                str(node): model.to_dict()
-                for node, model in sorted(self._nodes.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AmdahlCostModel":
-        model = cls(
-            phase=str(data.get("phase", "iteration")),
-            min_points=int(data.get("min_points", 4)),
-        )
-        for node, sub in data.get("nodes", {}).items():
-            model._nodes[int(node)] = OnlineLinearModel.from_dict(sub)
         return model
 
 

@@ -38,7 +38,6 @@ import numpy as np
 from repro.learn.audit import DecisionLedger, encode_float
 from repro.learn.history import ExecutionHistoryStore
 from repro.learn.models import (
-    AmdahlCostModel,
     OnlineLinearModel,
     OnlineMeanModel,
     TransientCapacityModel,
@@ -55,6 +54,23 @@ __all__ = [
     "NULL_LEARNER",
 ]
 
+#: Clamp on the learned sensing interval (iterations).
+MIN_INTERVAL = 2
+MAX_INTERVAL = 80
+#: Observations before any model considers itself fitted.
+MIN_FIT_POINTS = 4
+#: Sliding-window length of the transient capacity model.
+CAPACITY_WINDOW = 12
+#: Sensings before the transient capacity model is warm.  Lower than
+#: :data:`MIN_FIT_POINTS` because sensings are scarce (one per fallback
+#: interval, not one per iteration) and the drift fit needs to engage
+#: within a single fallback-cadence run.
+CAPACITY_MIN_POINTS = 3
+#: Fraction of the sensing interval the transient model predicts ahead
+#: when substituting forecast capacities (0.5 targets the middle of the
+#: upcoming sensing window).
+FORECAST_LEAD = 0.5
+
 
 @dataclass(frozen=True, slots=True)
 class LearnConfig:
@@ -68,8 +84,6 @@ class LearnConfig:
     fallback_interval:
         Sensing cadence (iterations) while the drift model is cold --
         the paper's hand-tuned f (default 20).
-    min_interval / max_interval:
-        Clamp on the learned sensing interval.
     drift_tolerance:
         Relative-capacity drift (fraction of total) tolerated between
         sensings; the learned interval is the predicted time to drift
@@ -77,55 +91,27 @@ class LearnConfig:
     gate_safety:
         Multiplier on the modeled repartition cost the predicted payoff
         must beat (>1 biases toward the paper's always-repartition).
-    min_fit_points:
-        Observations before any model considers itself fitted.
-    capacity_window:
-        Sliding-window length of the transient capacity model.
-    capacity_min_points:
-        Sensings before the transient capacity model is warm.  Lower
-        than ``min_fit_points`` because sensings are scarce (one per
-        fallback interval, not one per iteration) and the drift fit
-        needs to engage within a single fallback-cadence run.
-    forecast_lead:
-        Fraction of the sensing interval the transient model predicts
-        ahead when substituting forecast capacities (0.5 targets the
-        middle of the upcoming sensing window).
     """
 
     adaptive_sensing: bool = True
     payoff_gate: bool = True
     transient_forecast: bool = True
     fallback_interval: int = 20
-    min_interval: int = 2
-    max_interval: int = 80
     drift_tolerance: float = 0.02
     gate_safety: float = 1.0
-    min_fit_points: int = 4
-    capacity_window: int = 12
-    capacity_min_points: int = 3
-    forecast_lead: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.fallback_interval < 1:
+        if not self.fallback_interval >= 1:
             raise ExperimentError(
                 f"fallback_interval must be >= 1, got {self.fallback_interval}"
             )
-        if not 1 <= self.min_interval <= self.max_interval:
-            raise ExperimentError(
-                "need 1 <= min_interval <= max_interval, got "
-                f"[{self.min_interval}, {self.max_interval}]"
-            )
-        if self.drift_tolerance <= 0:
+        if not self.drift_tolerance > 0:
             raise ExperimentError(
                 f"drift_tolerance must be positive, got {self.drift_tolerance}"
             )
-        if self.gate_safety <= 0:
+        if not self.gate_safety > 0:
             raise ExperimentError(
                 f"gate_safety must be positive, got {self.gate_safety}"
-            )
-        if self.forecast_lead < 0:
-            raise ExperimentError(
-                f"forecast_lead must be >= 0, got {self.forecast_lead}"
             )
 
 
@@ -133,7 +119,7 @@ class AdaptiveSensingPolicy:
     """Sensing interval from predicted capacity drift.
 
     ``interval = drift_tolerance / (drift_rate * seconds_per_iteration)``
-    iterations, clamped to ``[min_interval, max_interval]``: the number
+    iterations, clamped to ``[MIN_INTERVAL, MAX_INTERVAL]``: the number
     of iterations until the fitted transient model predicts the capacity
     vector has moved ``drift_tolerance`` from what the partitioner last
     saw.  A cold drift model or unfitted iteration-time model yields the
@@ -152,9 +138,7 @@ class AdaptiveSensingPolicy:
             return cfg.fallback_interval, False
         seconds_to_drift = cfg.drift_tolerance / drift_rate
         iters = seconds_to_drift / seconds_per_iteration
-        clamped = int(
-            min(max(math.floor(iters), cfg.min_interval), cfg.max_interval)
-        )
+        clamped = int(min(max(math.floor(iters), MIN_INTERVAL), MAX_INTERVAL))
         return clamped, True
 
 
@@ -247,17 +231,13 @@ class LearnController:
         self.ledger = ledger
         self.run_id = str(run_id)
         self.tracer = None  # bound by the runtime (see bind())
-        cfg = self.config
-        self.sensing_policy = AdaptiveSensingPolicy(cfg)
-        self.gate = RepartitionGate(cfg)
+        self.sensing_policy = AdaptiveSensingPolicy(self.config)
+        self.gate = RepartitionGate(self.config)
         self.capacity_model: TransientCapacityModel | None = None
-        self.compute_model = AmdahlCostModel(
-            phase="compute", min_points=cfg.min_fit_points
-        )
         #: iteration seconds ~ bottleneck work (max_k W_k / c_k): the
         #: slope is the gate's beta, the intercept the comm+sync floor.
-        self.iter_model = OnlineLinearModel(min_points=cfg.min_fit_points)
-        self.iter_seconds = OnlineMeanModel(min_points=cfg.min_fit_points)
+        self.iter_model = OnlineLinearModel(min_points=MIN_FIT_POINTS)
+        self.iter_seconds = OnlineMeanModel(min_points=MIN_FIT_POINTS)
         self.migration_model = OnlineMeanModel(min_points=2)
         self.probe_model = OnlineMeanModel(min_points=2)
         self._last_interval: int | None = None
@@ -273,8 +253,8 @@ class LearnController:
         ):
             self.capacity_model = TransientCapacityModel(
                 num_nodes=int(num_nodes),
-                window=self.config.capacity_window,
-                min_points=self.config.capacity_min_points,
+                window=CAPACITY_WINDOW,
+                min_points=CAPACITY_MIN_POINTS,
             )
 
     def _event(self, name: str, **attrs) -> None:
@@ -350,12 +330,6 @@ class LearnController:
         """
         loads = np.asarray(loads, dtype=float)
         caps = np.maximum(np.asarray(capacities, dtype=float), 1e-9)
-        compute = np.asarray(cost.compute, dtype=float)
-        for node in range(len(loads)):
-            if loads[node] > 0.0:
-                self.compute_model.observe(
-                    node, loads[node], float(compute[node])
-                )
         bottleneck = float((loads / caps).max()) if loads.size else 0.0
         if self.ledger is not None:
             # One-step-ahead prediction, captured *before* the measured
@@ -379,6 +353,7 @@ class LearnController:
         if metrics is not None:
             metrics.counter("learn.observations").inc()
         if self.history is not None:
+            compute = np.asarray(cost.compute, dtype=float)
             for node in range(len(loads)):
                 self.history.record(
                     source=self.run_id,
@@ -485,8 +460,8 @@ class LearnController:
                 seconds_per_iteration=float(spi),
                 drift_tolerance=cfg.drift_tolerance,
                 fallback_interval=cfg.fallback_interval,
-                min_interval=cfg.min_interval,
-                max_interval=cfg.max_interval,
+                min_interval=MIN_INTERVAL,
+                max_interval=MAX_INTERVAL,
             )
             self._last_interval = interval
         metrics = self._metrics()
@@ -611,7 +586,7 @@ class LearnController:
     ) -> np.ndarray:
         """Substitute the transient forecast for the raw sensed vector.
 
-        Predicts ``forecast_lead`` of the upcoming sensing window ahead,
+        Predicts :data:`FORECAST_LEAD` of the upcoming sensing window ahead,
         so the partitioner balances against where capacities are heading
         rather than where they were at probe time.  Cold model: the
         sensed vector passes through untouched.
@@ -620,9 +595,7 @@ class LearnController:
         if model is None or model.is_cold or self.iter_seconds.is_cold:
             return capacities
         interval = self.sensing_interval()
-        lead = (
-            self.config.forecast_lead * interval * self.iter_seconds.mean
-        )
+        lead = FORECAST_LEAD * interval * self.iter_seconds.mean
         predicted = model.predict(float(t) + lead)
         if predicted is None:
             return capacities
@@ -707,21 +680,12 @@ class LearnController:
     def warm_start(self, store: ExecutionHistoryStore) -> dict:
         """Seed the cost models from a persisted history store.
 
-        Replays compute/iteration/migrate rows through the online
-        models; returns counts per model.  The transient capacity model
-        is *not* seeded -- capacity transients are a property of the
-        live cluster, not of history from another run.
+        Replays iteration/migrate rows through the online models;
+        returns counts per model.  The transient capacity model is *not*
+        seeded -- capacity transients are a property of the live cluster,
+        not of history from another run.
         """
-        counts = {"compute": 0, "iteration": 0, "migrate": 0}
-        view = store.query(phase="compute")
-        for node, work, seconds in zip(
-            view["node"], view["work"], view["seconds"]
-        ):
-            if work > 0.0:
-                self.compute_model.observe(
-                    int(node), float(work), float(seconds)
-                )
-                counts["compute"] += 1
+        counts = {"iteration": 0, "migrate": 0}
         view = store.query(phase="iteration")
         for work, seconds in zip(view["work"], view["seconds"]):
             self.iter_model.observe(float(work), float(seconds))

@@ -45,10 +45,22 @@ __all__ = [
     "ResilienceConfig",
     "hierarchy_state",
     "restore_hierarchy_state",
+    "storage_seconds",
 ]
 
 #: On-disk/in-memory snapshot format version.
 CHECKPOINT_FORMAT_VERSION = 1
+
+#: Checkpoint storage bandwidth: it prices checkpoint writes and recovery
+#: reads (the cost of evacuating a dead rank's boxes is a read from stable
+#: storage, not a transfer from the dead NIC).
+STORAGE_BANDWIDTH_MBPS = 400.0
+
+
+def storage_seconds(nbytes: float) -> float:
+    """Sim seconds to stream ``nbytes`` to/from checkpoint storage."""
+    return nbytes / (STORAGE_BANDWIDTH_MBPS * 125_000.0)
+
 
 #: Magic prefix of serialized snapshot files.
 _MAGIC = b"RPCK"
@@ -333,28 +345,19 @@ class DirectoryCheckpointStore(CheckpointStore):
 class ResilienceConfig:
     """How a runtime participates in checkpoint/restart.
 
-    ``checkpoint_interval`` is in coarse steps; ``storage_bandwidth_mbps``
-    prices checkpoint writes and recovery reads (the cost of evacuating a
-    dead rank's boxes is a read from stable storage, not a transfer from
-    the dead NIC).  ``charge_io_time`` lets benchmarks measure pure
-    serialization throughput without perturbing the simulated clock.
+    ``checkpoint_interval`` is in coarse steps; every checkpoint write
+    and restore read is charged to the simulated clock at
+    :data:`STORAGE_BANDWIDTH_MBPS` (:func:`storage_seconds`).
     """
 
     store: CheckpointStore = field(default_factory=MemoryCheckpointStore)
     checkpoint_interval: int = 5
-    storage_bandwidth_mbps: float = 400.0
-    charge_io_time: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_interval < 1:
             raise CheckpointError(
                 "checkpoint_interval must be >= 1, got "
                 f"{self.checkpoint_interval}"
-            )
-        if self.storage_bandwidth_mbps <= 0:
-            raise CheckpointError(
-                "storage_bandwidth_mbps must be > 0, got "
-                f"{self.storage_bandwidth_mbps}"
             )
 
 
@@ -369,11 +372,6 @@ class CheckpointManager:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.num_saves = 0
         self.num_restores = 0
-
-    # -- pricing -------------------------------------------------------
-    def io_seconds(self, nbytes: int) -> float:
-        """Sim seconds to stream ``nbytes`` to/from checkpoint storage."""
-        return nbytes / (self.config.storage_bandwidth_mbps * 125_000.0)
 
     # -- save ----------------------------------------------------------
     def due(self, step: int) -> bool:
@@ -406,7 +404,7 @@ class CheckpointManager:
             "checkpoint.save",
             step=ckpt.step,
             nbytes=ckpt.nbytes,
-            io_seconds=self.io_seconds(ckpt.nbytes),
+            io_seconds=storage_seconds(ckpt.nbytes),
         )
         return ckpt
 
@@ -431,6 +429,6 @@ class CheckpointManager:
             "recovery.restore",
             step=ckpt.step,
             nbytes=ckpt.nbytes,
-            io_seconds=self.io_seconds(ckpt.nbytes),
+            io_seconds=storage_seconds(ckpt.nbytes),
         )
         return ckpt, _decode_layout(state["assignment"])

@@ -34,13 +34,20 @@ from repro.cluster.cluster import Cluster
 from repro.monitor.service import ResourceMonitor
 from repro.partition.base import Partitioner
 from repro.partition.capacity import CapacityCalculator
-from repro.resilience.checkpoint import CheckpointManager, ResilienceConfig
+from repro.resilience.checkpoint import (
+    CheckpointManager,
+    ResilienceConfig,
+    storage_seconds,
+)
 from repro.runtime.engine import StepEngine
 from repro.runtime.timemodel import IterationCost, TimeModel
 from repro.telemetry.spans import NullTracer, Tracer
 from repro.util.errors import SimulationError
 
 __all__ = ["DistributedRunConfig", "DistributedRunResult", "DistributedAmrRun"]
+
+#: Ghost/migration payload per cell and field (one float64).
+BYTES_PER_FIELD_CELL = 8.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +58,6 @@ class DistributedRunConfig:
     regrid_interval: int = 5
     sensing_interval: int = 0  # 0 = sense once before the start
     cfl: float = 0.4
-    bytes_per_field_cell: float = 8.0
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -127,7 +133,7 @@ class DistributedAmrRun(StepEngine):
             cluster, partitioner, monitor, capacity_calculator,
             time_model, tracer, resilience, learn,
             refine_factor=hierarchy.refine_factor,
-            bytes_per_cell=self.bytes_per_cell,
+            bytes_per_cell=BYTES_PER_FIELD_CELL * hierarchy.kernel.num_fields,
             ghost_width=hierarchy.kernel.ghost_width,
             before_migrate=self._repatch,
         )
@@ -150,10 +156,6 @@ class DistributedAmrRun(StepEngine):
             if resilience is not None
             else None
         )
-
-    @property
-    def bytes_per_cell(self) -> float:
-        return self.config.bytes_per_field_cell * self.hierarchy.kernel.num_fields
 
     def _step(self) -> int:
         return self.hierarchy.step_count
@@ -222,9 +224,8 @@ class DistributedAmrRun(StepEngine):
         ckpt = manager.save(
             self.hierarchy, self.pipeline.layout, self.cluster.clock.now
         )
-        io_s = manager.io_seconds(ckpt.nbytes)
-        if self.resilience.charge_io_time:
-            self.cluster.clock.advance(io_s)
+        io_s = storage_seconds(ckpt.nbytes)
+        self.cluster.clock.advance(io_s)
         self._result.num_checkpoints += 1
         self._result.checkpoint_seconds += io_s
 
@@ -248,8 +249,7 @@ class DistributedAmrRun(StepEngine):
         ):
             if data_lost:
                 ckpt, saved = manager.restore_latest(self.hierarchy)
-                if self.resilience.charge_io_time:
-                    clock.advance(manager.io_seconds(ckpt.nbytes))
+                clock.advance(storage_seconds(ckpt.nbytes))
                 if saved is not None:
                     # Price evacuation against the layout that was live at
                     # save time, not the doomed post-crash layout.

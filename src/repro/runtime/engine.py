@@ -35,7 +35,7 @@ from repro.monitor.service import ResourceMonitor
 from repro.partition.base import Partitioner
 from repro.partition.capacity import CapacityCalculator
 from repro.resilience.checkpoint import ResilienceConfig
-from repro.runtime.pipeline import RepartitionPipeline
+from repro.runtime.pipeline import BYTES_PER_CELL, RepartitionPipeline
 from repro.runtime.timemodel import IterationCost, TimeModel
 from repro.telemetry.spans import TRACE_FORMAT, NullTracer, Tracer, get_active_tracer
 from repro.util.errors import SimulationError
@@ -61,17 +61,6 @@ class RuntimeConfig:
         Iterations between regrids (paper experiments: 5).
     sensing_interval:
         Iterations between monitor probes; 0 = probe once at start only.
-    ghost_width:
-        Stencil radius used for exchange-volume planning.
-    bytes_per_cell:
-        Ghost/migration payload per cell (5 float64 fields for RM3D = 40).
-    use_forecast:
-        Use the monitor's forecaster output instead of raw probes.
-    repartition_on_sense:
-        Redistribute immediately after each sensing ("distributes the
-        workload based on these capacities", section 6.1.4) -- the
-        data-migration churn this causes is the overhead side of the
-        sensing-frequency trade-off.
     sync_mode:
         ``"bulk"`` (default) -- one barrier per coarse iteration, the
         favourable model for composite decompositions; ``"per_level"`` --
@@ -91,10 +80,6 @@ class RuntimeConfig:
     iterations: int = 40
     regrid_interval: int = 5
     sensing_interval: int = 0
-    ghost_width: int = 1
-    bytes_per_cell: float = 40.0
-    use_forecast: bool = False
-    repartition_on_sense: bool = True
     sync_mode: str = "bulk"
     adaptive_sensing_threshold: float | None = None
 
@@ -114,9 +99,8 @@ class RuntimeConfig:
                 f"sync_mode must be 'bulk' or 'per_level', got "
                 f"{self.sync_mode!r}"
             )
-        if (
-            self.adaptive_sensing_threshold is not None
-            and self.adaptive_sensing_threshold <= 0
+        if self.adaptive_sensing_threshold is not None and not (
+            self.adaptive_sensing_threshold > 0
         ):
             raise SimulationError(
                 "adaptive_sensing_threshold must be positive, got "
@@ -214,7 +198,6 @@ class StepEngine:
     # from the post-repartition reference (None: never).
     adaptive_sensing_threshold: float | None = None
     repartition_on_sense = False  # a mid-epoch sensing may repartition
-    use_forecast = False  # sense the forecaster's output, not raw probes
 
     def __init__(
         self, cluster, partitioner, monitor, capacity_calculator,
@@ -275,9 +258,7 @@ class StepEngine:
         partitions against what was actually measured.
         """
         stamp = {self.step_attr: self._step()} if self.full_telemetry else None
-        caps, overhead = self.pipeline.sense(
-            span_attrs=stamp, use_forecast=self.use_forecast
-        )
+        caps, overhead = self.pipeline.sense(span_attrs=stamp)
         self._result.sensing_seconds += overhead
         self._result.num_sensings += 1
         self._on_sense(caps)
@@ -300,11 +281,7 @@ class StepEngine:
             trigger == "recovery" or not self.monitor.trusted_mask().all()
         ):
             trigger = "recovery"
-            out = self.pipeline.recover(
-                self._boxes(),
-                self._capacities,
-                storage_bandwidth_mbps=resilience.storage_bandwidth_mbps,
-            )
+            out = self.pipeline.recover(self._boxes(), self._capacities)
         else:
             labelled = self.full_telemetry or trigger != "regrid"
             out = self.pipeline.repartition(
@@ -483,6 +460,11 @@ class SamrRuntime(StepEngine):
 
     result_type = RunResult
     step_attr = "iteration"
+    # Redistribute immediately after each sensing ("distributes the
+    # workload based on these capacities", section 6.1.4) -- the
+    # data-migration churn this causes is the overhead side of the
+    # sensing-frequency trade-off.
+    repartition_on_sense = True
     full_telemetry = True
     reprice_after_abort = True
     recovery_trigger = "regrid"
@@ -503,8 +485,6 @@ class SamrRuntime(StepEngine):
         self.workload = workload
         self.config = config = config or RuntimeConfig()
         self.num_steps = config.iterations
-        self.use_forecast = config.use_forecast
-        self.repartition_on_sense = config.repartition_on_sense
         self.adaptive_sensing_threshold = config.adaptive_sensing_threshold
         space = HierarchicalIndexSpace(
             workload.domain,
@@ -516,14 +496,12 @@ class SamrRuntime(StepEngine):
         self.hdda = HDDA(
             space,
             num_procs=cluster.num_nodes,
-            bytes_per_cell=int(config.bytes_per_cell),
+            bytes_per_cell=int(BYTES_PER_CELL),
         )
         super().__init__(
             cluster, partitioner, monitor, capacity_calculator,
             time_model, tracer, resilience, learn,
             refine_factor=workload.refine_factor,
-            bytes_per_cell=config.bytes_per_cell,
-            ghost_width=config.ghost_width,
             on_apply=self.hdda.apply_assignment,
         )
 

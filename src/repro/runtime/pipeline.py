@@ -7,9 +7,8 @@ one loop driving it.
 
 ``sense()``
     Probe the resource monitor, charge the probe overhead to the cluster
-    clock, optionally swap in the forecaster's view, and compute fresh
-    relative capacities under a ``capacity`` span nested in a ``sense``
-    span.
+    clock, and compute fresh relative capacities under a ``capacity`` span
+    nested in a ``sense`` span.
 ``repartition()`` / ``recover()``
     Partition a box list against capacities (``recover``: compacted over
     the surviving ranks) using the pipeline's
@@ -49,11 +48,16 @@ from repro.partition.metrics import (
     redistribution_volume_columns,
 )
 from repro.partition.workmodel import WorkModel
+from repro.resilience.checkpoint import storage_seconds
 from repro.runtime.timemodel import IterationCost, TimeModel
 from repro.util.errors import ResilienceError
 from repro.util.geometry import BoxList, Layout
 
 __all__ = ["RepartitionOutcome", "RepartitionPipeline"]
+
+#: Ghost/migration payload per cell of a trace run (5 float64 fields for
+#: RM3D = 40).
+BYTES_PER_CELL = 40.0
 
 
 @dataclass(slots=True)
@@ -105,7 +109,7 @@ class RepartitionPipeline:
         Telemetry sink; every stage stamps the same spans/metrics the
         runtime loops historically emitted.
     bytes_per_cell, ghost_width, refine_factor:
-        Payload and stencil parameters for migration pricing and
+        Payload per cell and stencil radius for migration pricing and
         ghost-exchange planning; ``refine_factor`` also fixes the
         Berger-Oliger :class:`WorkModel` pricing boxes throughout.
     learner:
@@ -133,7 +137,7 @@ class RepartitionPipeline:
         capacity: CapacityCalculator,
         time_model: TimeModel,
         tracer,
-        bytes_per_cell: float = 40.0,
+        bytes_per_cell: float = BYTES_PER_CELL,
         ghost_width: int = 1,
         refine_factor: int = 2,
         learner=None,
@@ -170,9 +174,7 @@ class RepartitionPipeline:
         self.last: RepartitionOutcome | None = None
 
     # -- Stage: sense + capacity ---------------------------------------
-    def sense(
-        self, *, span_attrs: dict | None = None, use_forecast: bool = False
-    ) -> tuple[np.ndarray, float]:
+    def sense(self, *, span_attrs: dict | None = None) -> tuple[np.ndarray, float]:
         """Probe the cluster, charge overhead, compute fresh capacities.
 
         Returns ``(capacities, probe overhead seconds)``.  ``span_attrs``
@@ -184,8 +186,6 @@ class RepartitionPipeline:
             snapshot = self.monitor.probe_all()
             overhead = snapshot.overhead_seconds
             self.cluster.clock.advance(overhead)
-            if use_forecast:
-                snapshot = self.monitor.forecast_all()
             # Dead/evicted nodes get exactly zero capacity; with everyone
             # trusted this is the original fixed-rank-set computation.
             live = self.monitor.trusted_mask()
@@ -224,7 +224,6 @@ class RepartitionPipeline:
         targets: np.ndarray,
         span_attrs: dict,
         recovery: dict | None = None,
-        storage_bandwidth_mbps: float = 0.0,
     ) -> RepartitionOutcome:
         """The one tail of :meth:`repartition` and :meth:`recover`: price
         and apply the migration to ``part``, stamp it, plan the ghost
@@ -233,7 +232,8 @@ class RepartitionPipeline:
         ``recovery`` (the recover stage's ``dead_ranks``/``num_live``
         attributes) switches on the one extra term: cells whose previous
         owner is down cannot come off the dead NIC and are priced as a
-        read from checkpoint storage at ``storage_bandwidth_mbps``.
+        read from checkpoint storage
+        (:func:`~repro.resilience.checkpoint.storage_seconds`).
         """
         tracer = self.tracer
         if self.before_migrate is not None:
@@ -255,7 +255,7 @@ class RepartitionPipeline:
                 live = {k: v for k, v in moved.items() if is_up(k[0])}
                 evac = sum(v for k, v in moved.items() if k not in live)
                 mig_seconds = self.time_model.migration_cost(live)
-                mig_seconds += evac / (storage_bandwidth_mbps * 125_000.0)
+                mig_seconds += storage_seconds(evac)
                 lost = int(evac)
             self.cluster.clock.advance(mig_seconds)
             mig_bytes = int(sum(moved.values()))
@@ -329,23 +329,16 @@ class RepartitionPipeline:
         """Whether any current box owner is a dead rank."""
         return bool(self.dead_owner_ranks())
 
-    def recover(
-        self,
-        boxes: BoxList,
-        capacities: np.ndarray,
-        *,
-        storage_bandwidth_mbps: float = 400.0,
-    ) -> RepartitionOutcome:
+    def recover(self, boxes: BoxList, capacities: np.ndarray) -> RepartitionOutcome:
         """Repartition over the surviving rank set, evacuating the dead.
 
         The partitioner runs over the *compacted* live capacities -- so no
         partitioning scheme can hand a box to a dead rank -- and the
         result is remapped back to true node indices.  Evacuation traffic
         (cells whose previous owner is down) cannot come off the dead NIC;
-        it is priced as a read from checkpoint storage at
-        ``storage_bandwidth_mbps``.  The same stage handles growth: when a
-        recovered node rejoins the trusted set, the partition simply
-        spreads over it again (no evacuation term).
+        it is priced as a read from checkpoint storage.  The same stage
+        handles growth: when a recovered node rejoins the trusted set, the
+        partition simply spreads over it again (no evacuation term).
         """
         live = self.monitor.trusted_mask()
         if not live.any():
@@ -381,7 +374,6 @@ class RepartitionPipeline:
                 targets_full,
                 {"trigger": "recovery"},
                 recovery=attrs,
-                storage_bandwidth_mbps=storage_bandwidth_mbps,
             )
 
     # -- Stage: observability stamping ---------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,8 @@ class TestIntegrator:
             BergerOligerIntegrator(h, cfl=0.0)
         with pytest.raises(KernelError):
             BergerOligerIntegrator(h, cfl=1.5)
+        with pytest.raises(KernelError):
+            BergerOligerIntegrator(h, cfl=math.nan)
         with pytest.raises(KernelError):
             BergerOligerIntegrator(h, regrid_interval=-1)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.events import SimClock
@@ -29,6 +31,15 @@ class TestSimClock:
             c.advance(-1.0)
         with pytest.raises(SimulationError):
             c.advance_to(4.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, value):
+        c = SimClock()
+        c.advance(5.0)
+        for move in (c.advance, c.advance_to):
+            with pytest.raises(SimulationError, match=f"non-finite t={value}"):
+                move(value)
+        assert c.now == 5.0
 
     def test_events_fire_in_order(self):
         c = SimClock()

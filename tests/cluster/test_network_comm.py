@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster import Cluster, LinkModel, NodeSpec
 from repro.comm import SimCommunicator
+from repro.telemetry import Tracer
 from repro.util.errors import SimulationError
 
 
 def p2p(comm: SimCommunicator, src, dst, nbytes, t=None) -> float:
     """Seconds for one message: the one-pair exchange phase's makespan."""
     return float(comm.exchange_time({(src, dst): nbytes}, t).max())
+
+
+def traced(cluster: Cluster) -> tuple[SimCommunicator, Tracer]:
+    tracer = Tracer()
+    return SimCommunicator(cluster, tracer), tracer
+
+
+def traffic(tracer: Tracer) -> tuple[float, float]:
+    """The ``(comm.messages_total, comm.bytes_total)`` counters."""
+    by_name = {m.name: m.value for m in tracer.metrics if m.kind == "counter"}
+    return by_name["comm.messages_total"], by_name["comm.bytes_total"]
 
 
 class TestLinkModel:
@@ -44,6 +58,9 @@ class TestLinkModel:
             LinkModel(contention_factor=0.5)
         with pytest.raises(SimulationError):
             LinkModel().transfer_time(-1, 100, 100)
+        for size in (math.nan, math.inf):
+            with pytest.raises(SimulationError, match=f"non-finite .* {size}"):
+                LinkModel().transfer_time(size, 100, 100)
         with pytest.raises(SimulationError):
             LinkModel().transfer_time(10, 0, 100)
 
@@ -54,12 +71,11 @@ class TestSimCommunicator:
         assert p2p(comm, 0, 0, 1e6) == 0.0
 
     def test_p2p_records_stats(self):
-        comm = SimCommunicator(Cluster.homogeneous(2))
+        comm, tracer = traced(Cluster.homogeneous(2))
         t = p2p(comm, 0, 1, 1e6)
         assert t > 0
-        assert comm.stats.messages == 1
-        assert comm.stats.bytes_sent == 1_000_000
-        assert comm.stats.per_pair_bytes[(0, 1)] == 1_000_000
+        assert traffic(tracer) == (1, 1_000_000)
+        assert [row[:3] for row in exchange_pairs(tracer)[0]] == [(0, 1, 1_000_000)]
 
     def test_rank_guard(self):
         comm = SimCommunicator(Cluster.homogeneous(2))
@@ -107,11 +123,9 @@ class TestDegenerateAndFaultedComm:
     """Single-rank collectives, zero-byte messages, dead and derated NICs."""
 
     def test_zero_byte_message_is_free_but_counted(self):
-        cluster = Cluster.homogeneous(2)
-        comm = SimCommunicator(cluster)
+        comm, tracer = traced(Cluster.homogeneous(2))
         assert p2p(comm, 0, 1, 0) == 0.0
-        assert comm.stats.messages == 1
-        assert comm.stats.bytes_sent == 0
+        assert traffic(tracer) == (1, 0)
 
     def test_zero_byte_collectives_on_single_rank(self):
         comm = SimCommunicator(Cluster.homogeneous(1))
@@ -178,9 +192,9 @@ class TestDegenerateAndFaultedComm:
 
 class TestExchangeFaults:
     """An unpriceable phase raises for the first offender in dict order,
-    with the text the per-message walk gave it, and tallies nothing."""
+    with the text the per-message walk gave it, and records nothing."""
 
-    def comm(self) -> SimCommunicator:
+    def comm(self) -> tuple[SimCommunicator, Tracer]:
         nodes = [NodeSpec(name=f"n{k}") for k in range(4)]
         # 5e-324 Mbit/s derated by half underflows to a zero-bandwidth NIC
         # on a node that is up.
@@ -188,7 +202,7 @@ class TestExchangeFaults:
         cluster = Cluster(nodes)
         cluster.degrade_link(4, 0.5)
         cluster.mark_down(3)
-        return SimCommunicator(cluster)
+        return traced(cluster)
 
     @pytest.mark.parametrize(
         "bad_pair, nbytes, message",
@@ -203,33 +217,36 @@ class TestExchangeFaults:
             ),
             ((1, 2), -8.5, "negative transfer size -8.5"),
             ((4, 0), 1.0, "transfer over a zero-bandwidth link"),
+            ((1, 2), math.nan, "non-finite transfer size nan"),
+            ((1, 2), math.inf, "non-finite transfer size inf"),
         ],
     )
     def test_each_fault_keeps_its_text(self, bad_pair, nbytes, message):
-        comm = self.comm()
+        comm, tracer = self.comm()
         with pytest.raises(SimulationError) as exc:
             comm.exchange_time({(0, 1): 1e3, bad_pair: nbytes, (1, 0): 1e3})
         assert str(exc.value) == message
         with pytest.raises(SimulationError) as exc:
             p2p(comm, *bad_pair, nbytes)
         assert str(exc.value) == message
-        assert comm.stats.messages == 0
+        assert traffic(tracer) == (0, 0)
+        assert not tracer.events
 
     def test_first_offender_in_dict_order_wins(self):
         phase = {(0, 1): 1e3, (1, 2): -1.0, (0, 9): 1.0, (3, 0): 1.0}
         with pytest.raises(SimulationError, match="negative transfer size -1.0"):
-            self.comm().exchange_time(phase)
+            self.comm()[0].exchange_time(phase)
         phase = dict(reversed(phase.items()))
         with pytest.raises(SimulationError, match="3->0 has a down endpoint"):
-            self.comm().exchange_time(phase)
+            self.comm()[0].exchange_time(phase)
 
     def test_faults_a_message_never_reaches_are_not_faults(self):
-        comm = self.comm()
+        comm, tracer = self.comm()
         # Self-messages are local copies: any size, even on a down node; a
         # zero-byte message is free before the bandwidth is looked at.
         busy = comm.exchange_time({(3, 3): -5.0, (2, 2): 1e6, (4, 0): 0})
         assert not busy.any()
-        assert comm.stats.messages == 1
+        assert traffic(tracer) == (1, 0)
 
 
 def exchange_pairs(tracer) -> list[list[tuple]]:
@@ -244,12 +261,7 @@ class TestCommTelemetry:
     """Traffic accounting promoted into the tracer (S2 of the profiling PR)."""
 
     def traced_comm(self, num_nodes=3):
-        from repro.telemetry import Tracer
-
-        tracer = Tracer()
-        comm = SimCommunicator(Cluster.homogeneous(num_nodes))
-        comm.bind_tracer(tracer)
-        return comm, tracer
+        return traced(Cluster.homogeneous(num_nodes))
 
     def test_p2p_increments_counters(self):
         comm, tracer = self.traced_comm(2)
@@ -310,8 +322,6 @@ class TestCommTelemetry:
         }
 
     def test_exchange_derated_attribution(self):
-        from repro.telemetry import Tracer
-
         cluster = Cluster.homogeneous(2)
         comm = SimCommunicator(cluster)
         tracer = Tracer()
@@ -348,8 +358,9 @@ class TestCommTelemetry:
         comm.exchange_time({(0, 1): 1e6})  # no tracer bound: no error
 
     def test_per_pair_seconds_and_messages_in_stats(self):
-        comm = SimCommunicator(Cluster.homogeneous(2))
+        comm, tracer = traced(Cluster.homogeneous(2))
         p2p(comm, 0, 1, 1e6)
         p2p(comm, 0, 1, 1e6)
-        assert comm.stats.per_pair_messages[(0, 1)] == 2
-        assert comm.stats.per_pair_seconds[(0, 1)] > 0
+        rows = [row for event in exchange_pairs(tracer) for row in event]
+        assert [row[:2] for row in rows] == [(0, 1), (0, 1)]
+        assert all(row[3] > 0 for row in rows)

@@ -4,10 +4,10 @@
 and ``SimCommunicator`` prices a whole phase from one such vector.  The
 references below are verbatim copies of the per-pair code they replaced
 (two ``state_of`` queries and one ``LinkModel.transfer_time`` per message,
-``busy`` and the statistics accumulated message by message); the new path
-must reproduce them bit for bit -- busy times, all seven ``CommStats``
-fields, tracer counters and the ``comm.exchange`` event -- and raise the
-same error for the first unpriceable message.
+``busy`` and the traffic counters accumulated message by message); the new
+path must reproduce them bit for bit -- busy times, tracer counters, the
+``comm.exchange`` event and the collective histogram -- and raise the same
+error for the first unpriceable message.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, LinkModel, NodeSpec, SyntheticLoadGenerator
 from repro.comm import SimCommunicator
-from repro.comm.simmpi import EVENT_PAIR_CAP, CommStats
+from repro.comm.simmpi import EVENT_PAIR_CAP
 from repro.telemetry import Tracer
 from repro.telemetry.model import pair_rows
 from repro.util.errors import SimulationError
@@ -35,7 +35,6 @@ class ScalarWalkCommunicator:
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
         self.size = cluster.num_nodes
-        self.stats = CommStats()
         self.messages_total = 0.0
         self.bytes_total = 0.0
         self.events: list[dict] = []
@@ -43,18 +42,6 @@ class ScalarWalkCommunicator:
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
             raise SimulationError(f"rank {rank} out of range [0, {self.size})")
-
-    def _record_message(self, src, dst, nbytes: int, seconds: float) -> None:
-        stats = self.stats
-        stats.messages += 1
-        stats.bytes_sent += nbytes
-        stats.point_to_point_time += seconds
-        pair = (src, dst)
-        stats.per_pair_bytes[pair] = stats.per_pair_bytes.get(pair, 0) + nbytes
-        stats.per_pair_seconds[pair] = (
-            stats.per_pair_seconds.get(pair, 0.0) + seconds
-        )
-        stats.per_pair_messages[pair] = stats.per_pair_messages.get(pair, 0) + 1
 
     def p2p_time(self, src, dst, nbytes, t=None) -> float:
         self._check_rank(src)
@@ -69,7 +56,6 @@ class ScalarWalkCommunicator:
         s_bw = self.cluster.state_of(src, t).bandwidth_mbps
         d_bw = self.cluster.state_of(dst, t).bandwidth_mbps
         seconds = self.cluster.link.transfer_time(nbytes, s_bw, d_bw)
-        self._record_message(src, dst, int(nbytes), seconds)
         self.messages_total += float(1.0)
         self.bytes_total += float(int(nbytes))
         return seconds
@@ -128,9 +114,7 @@ class ScalarWalkCommunicator:
         states = [self.cluster.state_of(k, t) for k in live]
         slowest_bw = min(s.bandwidth_mbps for s in states)
         per_round = self.cluster.link.transfer_time(nbytes, slowest_bw, slowest_bw)
-        seconds = rounds * per_round
-        self.stats.collective_time += seconds
-        return seconds
+        return rounds * per_round
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +124,12 @@ class ScalarWalkCommunicator:
 #: node delivers zero bandwidth -- and underated it prices any payload at
 #: ``inf`` seconds (hence the overflow filter).
 NIC_MBPS = [100.0, 10.0, 1000.0, 33.3, 5e-324]
-pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered")
+pytestmark = [
+    pytest.mark.filterwarnings("ignore:overflow encountered"),
+    # A self-message is never checked, so a non-finite one reaches the
+    # integer cast of the sizes (its row is then dropped).
+    pytest.mark.filterwarnings("ignore:invalid value encountered in cast"),
+]
 TIMES = st.one_of(st.none(), st.floats(-2.0, 50.0, allow_nan=False))
 
 
@@ -188,7 +177,8 @@ def clusters(draw) -> Cluster:
 
 def traffic(cluster: Cluster, faults: bool) -> st.SearchStrategy[dict]:
     """Pair sets with self-pairs, zero-byte pairs and repeated ranks; with
-    ``faults`` also down endpoints, unknown ranks and negative sizes."""
+    ``faults`` also down endpoints, unknown ranks, negative and non-finite
+    sizes."""
     n = cluster.num_nodes
     live = [k for k in range(n) if cluster.is_up(k)]
     ranks = st.integers(-1, n) if faults else st.sampled_from(live)
@@ -196,6 +186,7 @@ def traffic(cluster: Cluster, faults: bool) -> st.SearchStrategy[dict]:
         st.sampled_from([0, 0.0, 1, 8, 1e6, 12345.678]),
         st.floats(-1.0 if faults else 0.0, 1e9, allow_nan=False),
         st.integers(0, 10**9),
+        st.sampled_from([math.nan, math.inf] if faults else [0]),
     )
     return st.dictionaries(st.tuples(ranks, ranks), sizes, max_size=24)
 
@@ -247,7 +238,7 @@ def test_exchange_matches_scalar_walk(data, t, faults):
     cluster = data.draw(clusters())
     if not any(map(cluster.is_up, range(cluster.num_nodes))):
         faults = True
-    # Two phases back to back: the running CommStats sums must carry over.
+    # Two phases back to back: the running counters must carry over.
     phases = [data.draw(traffic(cluster, faults)) for _ in range(2)]
     tracer = Tracer()
     new = SimCommunicator(cluster, tracer)
@@ -258,12 +249,8 @@ def test_exchange_matches_scalar_walk(data, t, faults):
         want, want_error = outcome(lambda: ref.exchange_time(pair_bytes, t, phase))
         assert got_error == want_error
         if want_error is not None:
-            return  # the scalar walk leaves half-tallied stats behind
+            return  # the scalar walk leaves half-tallied counters behind
         assert same_bits(got, want)
-        assert new.stats == ref.stats
-        for name in ("per_pair_bytes", "per_pair_seconds", "per_pair_messages"):
-            assert list(getattr(new.stats, name)) == list(getattr(ref.stats, name))
-        assert type(new.stats.bytes_sent) is int
         counters = {m.name: m.value for m in tracer.metrics if m.kind == "counter"}
         assert counters["comm.messages_total"] == ref.messages_total
         assert counters["comm.bytes_total"] == ref.bytes_total
@@ -272,18 +259,23 @@ def test_exchange_matches_scalar_walk(data, t, faults):
     # The untraced communicator prices the same phases identically.
     silent = SimCommunicator(cluster)
     for pair_bytes in phases:
-        silent.exchange_time(pair_bytes, t)
-    assert silent.stats == ref.stats
+        assert same_bits(
+            silent.exchange_time(pair_bytes, t), ref.exchange_time(pair_bytes, t)
+        )
 
 
 @settings(max_examples=100, deadline=None)
 @given(cluster=clusters(), t=TIMES, nbytes=st.sampled_from([0, 64.0, 1e6]))
 def test_allreduce_matches_scalar_walk(cluster, t, nbytes):
-    new = SimCommunicator(cluster)
+    tracer = Tracer()
+    new = SimCommunicator(cluster, tracer)
     ref = ScalarWalkCommunicator(cluster)
-    got = outcome(lambda: new.allreduce_time(nbytes, t))
-    assert got == outcome(lambda: ref.allreduce_time(nbytes, t))
-    assert new.stats == ref.stats
+    got, error = outcome(lambda: new.allreduce_time(nbytes, t))
+    assert (got, error) == outcome(lambda: ref.allreduce_time(nbytes, t))
+    # A tree of one live rank or none costs nothing and records nothing.
+    tree = got is not None and sum(map(cluster.is_up, range(cluster.num_nodes))) > 1
+    observed = [m.total for m in tracer.metrics if m.name == "comm.collective_seconds"]
+    assert observed == ([got] if tree else [])
 
 
 def test_event_cap_keeps_heaviest_pairs_in_pair_order():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.learn import (
-    AmdahlCostModel,
     OnlineLinearModel,
     OnlineMeanModel,
     TransientCapacityModel,
@@ -139,27 +138,6 @@ class TestOnlineMean:
         restored = OnlineMeanModel.from_dict(m.to_dict())
         assert restored.to_dict() == m.to_dict()
         assert restored.mean == m.mean
-
-
-class TestAmdahl:
-    def test_capacity_from_slope(self):
-        m = AmdahlCostModel(phase="compute")
-        # node 0: t = 1 + w/4  (capacity 4); node 1: t = 0.5 + w/2.
-        for w in (10.0, 20.0, 30.0, 40.0):
-            m.observe(0, w, 1.0 + w / 4.0)
-            m.observe(1, w, 0.5 + w / 2.0)
-        assert m.capacity(0) == pytest.approx(4.0)
-        assert m.capacity(1) == pytest.approx(2.0)
-        assert not m.is_cold(0)
-        assert m.is_cold(7)  # never observed
-
-    def test_serialize_roundtrip(self):
-        m = AmdahlCostModel(phase="compute")
-        for w in range(1, 6):
-            m.observe(2, float(w), 0.1 + 0.3 * w)
-        restored = AmdahlCostModel.from_dict(m.to_dict())
-        assert restored.to_dict() == m.to_dict()
-        assert restored.predict(2, 10.0) == m.predict(2, 10.0)
 
 
 class TestTransientCapacity:

@@ -15,6 +15,7 @@ from repro.learn import (
     NULL_LEARNER,
     RepartitionGate,
 )
+from repro.learn.policy import MAX_INTERVAL, MIN_INTERVAL
 from repro.runtime.timemodel import IterationCost
 from repro.util.errors import ExperimentError
 
@@ -39,11 +40,11 @@ class TestConfig:
         "kw",
         [
             {"fallback_interval": 0},
-            {"min_interval": 0},
-            {"max_interval": 1, "min_interval": 5},
             {"drift_tolerance": 0.0},
             {"gate_safety": -1.0},
-            {"forecast_lead": -0.5},
+            {"fallback_interval": math.nan},
+            {"drift_tolerance": math.nan},
+            {"gate_safety": math.nan},
         ],
     )
     def test_bad_values_rejected(self, kw):
@@ -64,13 +65,13 @@ class TestSensingPolicy:
         fast, fitted_b = policy.interval(1e-2, 1.0)
         assert fitted_a and fitted_b
         assert fast < slow
-        assert cfg.min_interval <= fast <= slow <= cfg.max_interval
+        assert MIN_INTERVAL <= fast <= slow <= MAX_INTERVAL
 
     def test_clamped_to_bounds(self):
-        cfg = LearnConfig(min_interval=2, max_interval=40)
-        policy = AdaptiveSensingPolicy(cfg)
-        assert policy.interval(1e3, 1.0)[0] == 2
-        assert policy.interval(1e-12, 1.0)[0] == 40
+        policy = AdaptiveSensingPolicy(LearnConfig())
+        assert (MIN_INTERVAL, MAX_INTERVAL) == (2, 80)
+        assert policy.interval(1e3, 1.0)[0] == MIN_INTERVAL
+        assert policy.interval(1e-12, 1.0)[0] == MAX_INTERVAL
 
     def test_deterministic(self):
         policy = AdaptiveSensingPolicy(LearnConfig())

@@ -19,7 +19,7 @@ from repro.kernels.advection import AdvectionKernel
 from repro.monitor.service import ResourceMonitor
 from repro.partition import ACEHeterogeneous
 from repro.partition.capacity import CapacityCalculator
-from repro.resilience.checkpoint import MemoryCheckpointStore, ResilienceConfig
+from repro.resilience.checkpoint import ResilienceConfig, storage_seconds
 from repro.runtime.distributed import DistributedAmrRun, DistributedRunConfig
 from repro.runtime.experiment import chaos_experiment
 from repro.runtime.pipeline import RepartitionPipeline
@@ -87,21 +87,17 @@ class TestPipelineRecovery:
 
     def test_recover_charges_evacuation_to_storage(self):
         """Orphaned cells read from checkpoint storage, not the dead NIC."""
-        slow = make_pipeline(2)
-        fast = make_pipeline(2)
-        for pipe in (slow, fast):
-            pipe.repartition(strip_boxes(), uniform(2))
-            pipe.cluster.mark_down(0)
-        t0 = slow.cluster.clock.now
-        out = slow.recover(
-            strip_boxes(), uniform(2), storage_bandwidth_mbps=1.0
-        )
-        slow_seconds = slow.cluster.clock.now - t0
-        fast.recover(strip_boxes(), uniform(2), storage_bandwidth_mbps=1e6)
+        pipe = make_pipeline(2)
+        pipe.repartition(strip_boxes(), uniform(2))
+        pipe.cluster.mark_down(0)
+        t0 = pipe.cluster.clock.now
+        out = pipe.recover(strip_boxes(), uniform(2))
+        # Every moved cell was dead rank 0's: all of it is a storage read.
         assert out.migration_bytes > 0
-        assert out.migration_seconds > 0
-        assert slow_seconds == pytest.approx(out.migration_seconds)
-        assert out.migration_seconds > fast.last.migration_seconds
+        assert out.migration_seconds == pytest.approx(
+            storage_seconds(out.migration_bytes)
+        )
+        assert pipe.cluster.clock.now - t0 == pytest.approx(out.migration_seconds)
 
     def test_recover_grows_back_over_recovered_nodes(self):
         pipe = make_pipeline(4)
@@ -156,27 +152,7 @@ class TestResilientDistributedRun:
         assert result.num_restores == 0
         assert result.replayed_steps == 0
         assert result.num_checkpoints >= 2  # initial + cadence saves
-
-    def test_checkpoint_io_lands_on_the_clock(self):
-        def total(charge_io: bool) -> float:
-            h = advection_hierarchy()
-            run = DistributedAmrRun(
-                h,
-                Cluster.homogeneous(4),
-                ACEHeterogeneous(),
-                config=DistributedRunConfig(steps=4, regrid_interval=3),
-                resilience=ResilienceConfig(
-                    checkpoint_interval=1,
-                    store=MemoryCheckpointStore(),
-                    charge_io_time=charge_io,
-                ),
-            )
-            result = run.run()
-            if charge_io:
-                assert result.checkpoint_seconds > 0
-            return result.total_seconds
-
-        assert total(True) > total(False)
+        assert result.checkpoint_seconds > 0  # storage I/O is charged
 
 
 class TestChaosInvariance:

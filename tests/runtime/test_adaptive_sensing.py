@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster import Cluster
@@ -32,6 +34,8 @@ class TestAdaptiveSensing:
             RuntimeConfig(adaptive_sensing_threshold=0.0)
         with pytest.raises(SimulationError):
             RuntimeConfig(adaptive_sensing_threshold=-1.0)
+        with pytest.raises(SimulationError):
+            RuntimeConfig(adaptive_sensing_threshold=math.nan)
 
     def test_senses_when_load_moves(self):
         r = run(adaptive_sensing_threshold=0.2)

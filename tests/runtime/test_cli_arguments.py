@@ -103,6 +103,13 @@ def test_max_cells_zero_still_executes_nothing(spec_file, tmp_path, capsys):
     assert "(interrupted)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("flag", ["--timeout", "--interval"])
+def test_watch_seconds_must_be_finite_and_positive(flag, value, tmp_path, capsys):
+    err = usage_error(["campaign", "watch", str(tmp_path), flag, value], capsys)
+    assert f"argument {flag}: must be a finite number above 0, got {value}" in err
+
+
 def test_a_non_number_keeps_the_int_message(capsys):
     err = usage_error(["chaos", "--steps", "many"], capsys)
     assert "argument --steps: invalid int value: 'many'" in err

@@ -13,6 +13,7 @@ from repro.comm import SimCommunicator
 from repro.kernels.advection import AdvectionKernel
 from repro.partition import SFCHybrid
 from repro.runtime.distributed import DistributedAmrRun, DistributedRunConfig
+from repro.telemetry import Tracer
 from repro.util.geometry import Box
 
 
@@ -77,8 +78,10 @@ class TestDistributedSensing:
 
 class TestCollectives:
     def test_collective_stats_accumulate(self):
-        comm = SimCommunicator(Cluster.homogeneous(4))
+        tracer = Tracer()
+        comm = SimCommunicator(Cluster.homogeneous(4), tracer)
+        first = comm.allreduce_time(100.0)
         comm.allreduce_time(100.0)
-        first = comm.stats.collective_time
-        comm.allreduce_time(100.0)
-        assert comm.stats.collective_time == 2 * first > 0
+        (hist,) = [m for m in tracer.metrics if m.name == "comm.collective_seconds"]
+        assert (hist.count, hist.total) == (2, 2 * first)
+        assert first > 0

@@ -124,48 +124,6 @@ class TestLoop:
         assert r.migration_seconds > 0
         assert any(rec.migration_bytes > 0 for rec in r.regrids)
 
-    def test_forecast_mode_smooths_noisy_probes(self):
-        """With noisy sensors, forecast-driven capacities are steadier
-        than raw-probe capacities on a static cluster."""
-        from repro.monitor import ResourceMonitor
-
-        def run(use_forecast: bool):
-            c = Cluster.paper_linux_cluster(4, seed=3)
-            rt = SamrRuntime(
-                small_workload(),
-                c,
-                ACEHeterogeneous(),
-                monitor=ResourceMonitor(
-                    c, noise=0.3, forecaster="median", seed=4
-                ),
-                config=RuntimeConfig(
-                    iterations=24,
-                    regrid_interval=4,
-                    sensing_interval=2,
-                    use_forecast=use_forecast,
-                ),
-            )
-            r = rt.run()
-            caps = np.array([c for _, c in r.capacity_history])
-            return caps.std(axis=0).mean()
-
-        assert run(True) < run(False)
-
-    def test_repartition_on_sense_disabled(self):
-        rt = SamrRuntime(
-            small_workload(),
-            Cluster.homogeneous(2),
-            ACEHeterogeneous(),
-            config=RuntimeConfig(
-                iterations=12,
-                regrid_interval=4,
-                sensing_interval=6,
-                repartition_on_sense=False,
-            ),
-        )
-        r = rt.run()
-        assert all(rec.trigger == "regrid" for rec in r.regrids)
-
     def test_capacity_blind_partitioner_ignores_sensing(self):
         """ACEComposite runs fine in the same loop (baseline config)."""
         rt = SamrRuntime(

@@ -128,17 +128,12 @@ def engine_trace() -> dict:
     runtime.run()
 
     # Dynamic cluster with periodic sensing: exercises the sense-triggered
-    # repartition path and the forecast branch.
+    # repartition path.
     runtime = SamrRuntime(
         paper_rm3d_trace(num_regrids=5),
         Cluster.paper_linux_cluster(4, seed=5, dynamic=True, horizon_s=400.0),
         ACEHeterogeneous(),
-        config=RuntimeConfig(
-            iterations=15,
-            regrid_interval=5,
-            sensing_interval=3,
-            use_forecast=True,
-        ),
+        config=RuntimeConfig(iterations=15, regrid_interval=5, sensing_interval=3),
         tracer=tracer,
     )
     runtime.run()

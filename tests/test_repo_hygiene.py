@@ -370,6 +370,28 @@ def test_reachability_flags_a_planted_orphan(tmp_path):
     ]
 
 
+def test_reachability_flags_a_config_field_no_caller_sets(tmp_path):
+    root = reachability_tree(tmp_path)
+    module = root / "src" / "repro" / "resilience" / "checkpoint.py"
+    source = module.read_text(encoding="utf-8")
+    field = "    checkpoint_interval: int = 5\n"
+    assert source.count(field) == 1
+    # A field only its own (live, dunder) method passes as a keyword is
+    # still unset.
+    planted = field + "    planted_knob: float = 1.0\n"
+    planted += "\n    def __planted__(self):\n"
+    planted += "        return replace(self, planted_knob=2.0)\n"
+    module.write_text(source.replace(field, planted), encoding="utf-8")
+    result = run_reachability(root)
+    assert result.returncode == 1
+    flagged = [line for line in result.stdout.splitlines() if "planted" in line]
+    assert len(flagged) == 1
+    assert flagged[0].split()[0] == (
+        "repro.resilience.checkpoint:ResilienceConfig.planted_knob"
+    )
+    assert "no program path sets it" in flagged[0]
+
+
 def test_reachability_flags_a_stale_allowlist_entry(tmp_path):
     root = reachability_tree(tmp_path)
     (root / "examples" / "planted.py").write_text(

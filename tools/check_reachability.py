@@ -23,6 +23,11 @@ definition called only from orphans is an orphan as well.  Imports and
 the ``_EXPORTS`` / ``__all__`` string tables are not references: they
 publish a name, they do not use it.
 
+**Config fields** -- each field of a ``src/`` dataclass whose name ends
+in ``Config`` is a definition too, live when live code outside its
+class passes a keyword argument of its name to any call.  A knob no
+program path sets has one value, and belongs in a named constant.
+
 :data:`ALLOWLIST` names the orphans another open ROADMAP item owns; it
 may only shrink.  An entry that is referenced again is stale and fails
 the check like a new orphan, so the list cannot outlive its reasons.
@@ -65,6 +70,9 @@ ALLOWLIST = {
     "repro.resilience.checkpoint:DirectoryCheckpointStore.latest_valid": (
         "ROADMAP item 8"
     ),
+    # The store a run checkpoints to, unset until item 8 (iii) wires
+    # `repro chaos --out-dir` to a directory store.
+    "repro.resilience.checkpoint:ResilienceConfig.store": "ROADMAP item 8",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -79,6 +87,7 @@ class Definition:
     lineno: int
     parent: Definition | None
     uses: set[str] = field(default_factory=set)
+    is_field: bool = False
 
     @property
     def always_live(self) -> bool:
@@ -88,10 +97,17 @@ class Definition:
         ) or name in PROTOCOL_METHODS
 
 
+def _kwarg(name: str) -> str:
+    """The name under which passing keyword ``name`` is recorded (no
+    identifier ends in ``=``, so it never meets a plain name)."""
+    return f"{name}="
+
+
 def names_used(nodes: list[ast.AST], *, nested: bool = False) -> set[str]:
-    """Names referenced under ``nodes``.  Unless ``nested``, the bodies
-    of function and class definitions are skipped (they are units of
-    their own); their decorators, defaults and bases still count."""
+    """Names referenced under ``nodes``, keyword arguments as
+    :func:`_kwarg`.  Unless ``nested``, the bodies of function and class
+    definitions are skipped (they are units of their own); their
+    decorators, defaults and bases still count."""
     used: set[str] = set()
     stack = list(nodes)
     while stack:
@@ -100,6 +116,8 @@ def names_used(nodes: list[ast.AST], *, nested: bool = False) -> set[str]:
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            used.add(_kwarg(node.arg))
         elif (
             isinstance(node, ast.Call)
             and getattr(node.func, "id", None) == "getattr"
@@ -135,9 +153,30 @@ def _direct_defs(nodes: list[ast.AST]):
             yield from _direct_defs(list(ast.iter_child_nodes(node)))
 
 
+def config_fields(node: ast.AST) -> list[ast.AnnAssign]:
+    """The fields of a dataclass named ``*Config`` (none for anything
+    else)."""
+    if not (
+        isinstance(node, ast.ClassDef)
+        and node.name.endswith("Config")
+        and any(
+            "dataclass" in names_used([dec], nested=True)
+            for dec in node.decorator_list
+        )
+    ):
+        return []
+    return [
+        stmt
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and "ClassVar" not in names_used([stmt.annotation])
+    ]
+
+
 def definitions(module: str, tree: ast.Module) -> tuple[list[Definition], set[str]]:
-    """Every function/method/class definition of a module, and the names
-    its module-level statements use."""
+    """Every function/method/class definition and config field of a
+    module, and the names its module-level statements use."""
     defs: list[Definition] = []
 
     def visit(body: list[ast.stmt], parent: Definition | None, prefix: str) -> None:
@@ -145,8 +184,24 @@ def definitions(module: str, tree: ast.Module) -> tuple[list[Definition], set[st
             qual = f"{prefix}{node.name}"
             d = Definition(f"{module}:{qual}", node.name, node.lineno, parent)
             d.uses = names_used(_body(node))
+            first = len(defs)
             defs.append(d)
             visit(node.body, d, f"{qual}.")
+            fields = config_fields(node)
+            # Only a caller outside the class sets a field.
+            own = {_kwarg(f.target.id) for f in fields}
+            for inner in defs[first:]:
+                inner.uses -= own
+            defs.extend(
+                Definition(
+                    f"{module}:{qual}.{f.target.id}",
+                    _kwarg(f.target.id),
+                    f.lineno,
+                    d,
+                    is_field=True,
+                )
+                for f in fields
+            )
 
     visit(tree.body, None, "")
     # ``import x as y``: using ``y`` uses ``x``.
@@ -205,7 +260,10 @@ def orphans() -> list[Definition]:
 def main() -> int:
     found = {d.qualname: d for d in orphans()}
     violations = [
-        f"{q} (line {d.lineno}): no program path reaches it -- delete"
+        f"{q} (line {d.lineno}): no program path sets it -- make it a"
+        " named constant where it is read"
+        if d.is_field
+        else f"{q} (line {d.lineno}): no program path reaches it -- delete"
         " it, or call it from where it belongs"
         for q, d in sorted(found.items())
         if q not in ALLOWLIST
