@@ -2,8 +2,8 @@
 
 This package is the analogue of the paper's "system sensitive runtime
 management architecture" (section 5, fig. 5): it wires the resource monitor,
-the capacity calculator, a partitioner, the HDDA and the cluster simulator
-into the iteration loop of a SAMR application, and accounts simulated
+the capacity calculator, a partitioner and the cluster simulator into the
+iteration loop of a SAMR application, and accounts simulated
 execution time with :mod:`repro.runtime.timemodel`.
 
 - :mod:`repro.runtime.engine` -- :class:`StepEngine`, the one run loop,

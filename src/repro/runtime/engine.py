@@ -7,8 +7,8 @@ its *trace executor*, runs a SAMR workload trace on a simulated cluster:
 - every ``regrid_interval`` iterations the hierarchy regrids (the next epoch
   of the workload trace) and the partitioner redistributes the new
   bounding-box list using the *most recently sensed* relative capacities;
-  the HDDA turns the new assignment into a migration plan whose transfer
-  time is charged to the clock;
+  the cell-owner diff against the previous layout is the migration whose
+  transfer time is charged to the clock;
 - every ``sensing_interval`` iterations the resource monitor probes the
   cluster (charging ~0.5 s per node) and the capacity calculator refreshes
   the relative capacities -- ``sensing_interval=0`` reproduces the paper's
@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.hdda import HDDA, HierarchicalIndexSpace
 from repro.kernels.workloads import SyntheticWorkload
 from repro.learn.policy import NULL_LEARNER
 from repro.monitor.service import ResourceMonitor
 from repro.partition.base import Partitioner
 from repro.partition.capacity import CapacityCalculator
 from repro.resilience.checkpoint import ResilienceConfig
-from repro.runtime.pipeline import BYTES_PER_CELL, RepartitionPipeline
+from repro.runtime.pipeline import RepartitionPipeline
 from repro.runtime.timemodel import IterationCost, TimeModel
 from repro.telemetry.spans import TRACE_FORMAT, NullTracer, Tracer, get_active_tracer
 from repro.util.errors import SimulationError
@@ -165,8 +164,8 @@ class StepEngine:
     learner hooks.  An executor supplies only what genuinely differs:
 
     - ``_boxes()`` -- where the boxes to partition come from;
-    - ``on_apply=`` / ``before_migrate=`` -- how a partition is applied
-      (passed on to the pipeline);
+    - ``before_migrate=`` -- how a partition is applied (passed on to the
+      pipeline; the trace executor has nothing to apply);
     - ``_execute_step(step)`` -- what a step runs before it is priced;
     - ``_setup()`` / ``_regrid_if_due(step)`` -- when a regrid happens
       (at the loop level, or inside the step);
@@ -452,8 +451,9 @@ class SamrRuntime(StepEngine):
     """Drives one workload trace to completion on a simulated cluster.
 
     The trace executor: boxes come from the workload's epochs, a partition
-    is applied to the HDDA, a step is priced but executes nothing, regrids
-    happen at the loop level.  A trace run has no grid data to checkpoint
+    is only priced (the pipeline's layout is the one record of who owns
+    what), a step is priced but executes nothing, regrids happen at the
+    loop level.  A trace run has no grid data to checkpoint
     -- recovery here means re-sensing and repartitioning the current epoch
     over the survivors, orphaned boxes priced as checkpoint-storage reads.
     """
@@ -486,23 +486,10 @@ class SamrRuntime(StepEngine):
         self.config = config = config or RuntimeConfig()
         self.num_steps = config.iterations
         self.adaptive_sensing_threshold = config.adaptive_sensing_threshold
-        space = HierarchicalIndexSpace(
-            workload.domain,
-            max_levels=max(
-                max(bl.levels) + 1 for bl in workload.box_lists
-            ),
-            refine_factor=workload.refine_factor,
-        )
-        self.hdda = HDDA(
-            space,
-            num_procs=cluster.num_nodes,
-            bytes_per_cell=int(BYTES_PER_CELL),
-        )
         super().__init__(
             cluster, partitioner, monitor, capacity_calculator,
             time_model, tracer, resilience, learn,
             refine_factor=workload.refine_factor,
-            on_apply=self.hdda.apply_assignment,
         )
 
     def _step(self) -> int:

@@ -55,11 +55,6 @@ from repro.util.geometry import BoxList, Layout
 
 __all__ = ["RepartitionOutcome", "RepartitionPipeline"]
 
-#: Ghost/migration payload per cell of a trace run (5 float64 fields for
-#: RM3D = 40).
-BYTES_PER_CELL = 40.0
-
-
 @dataclass(slots=True)
 class RepartitionOutcome:
     """What one partition + migrate stage produced.
@@ -109,7 +104,8 @@ class RepartitionPipeline:
         Telemetry sink; every stage stamps the same spans/metrics the
         runtime loops historically emitted.
     bytes_per_cell, ghost_width, refine_factor:
-        Payload per cell and stencil radius for migration pricing and
+        Payload per cell (default: a trace run's 40 B, RM3D's five
+        float64 fields) and stencil radius for migration pricing and
         ghost-exchange planning; ``refine_factor`` also fixes the
         Berger-Oliger :class:`WorkModel` pricing boxes throughout.
     learner:
@@ -117,12 +113,10 @@ class RepartitionPipeline:
         stage, behind the same inert-default pattern as the tracer
         (``NULL_LEARNER`` has ``enabled = False``, every hook guards on
         it, the unlearned path is byte-identical).
-    before_migrate, on_apply:
+    before_migrate:
         How the executor applies a partition: ``before_migrate(part)``
         runs between partitioning and the migrate span (the kernel
-        executor repatches the hierarchy there), ``on_apply(layout)``
-        inside the span once the cell-owner diff is taken (the trace
-        executor applies the layout to the HDDA there).
+        executor repatches the hierarchy there).
     detail:
         Also publish the dashboard's per-node gauges (at every sensing
         and repartition) and the residual-imbalance histogram.
@@ -137,12 +131,11 @@ class RepartitionPipeline:
         capacity: CapacityCalculator,
         time_model: TimeModel,
         tracer,
-        bytes_per_cell: float = BYTES_PER_CELL,
+        bytes_per_cell: float = 40.0,
         ghost_width: int = 1,
         refine_factor: int = 2,
         learner=None,
         before_migrate: Callable[[PartitionResult], None] | None = None,
-        on_apply: Callable[[Layout], None] | None = None,
         detail: bool = False,
     ):
         self.cluster = cluster
@@ -159,7 +152,6 @@ class RepartitionPipeline:
         self.ghost_width = int(ghost_width)
         self.refine_factor = int(refine_factor)
         self.before_migrate = before_migrate
-        self.on_apply = on_apply
         self.detail = detail
         # Promote the communicator's traffic into telemetry (counters,
         # collective histograms, per-exchange comm.exchange events) so
@@ -245,8 +237,6 @@ class RepartitionPipeline:
             moved = redistribution_volume_columns(
                 self.layout, part.layout, self.bytes_per_cell
             )
-            if self.on_apply is not None:
-                self.on_apply(part.layout)
             self.layout = part.layout
             if recovery is None:
                 mig_seconds = self.time_model.migration_cost(moved)

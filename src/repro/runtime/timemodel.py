@@ -9,8 +9,8 @@ and the iteration's wall time is ``max_k(compute_k + comm_k)`` plus a
 (log P) synchronization term -- the slowest node gates everyone, which is
 precisely why capacity-blind equal partitions lose on loaded clusters.
 
-Regrid-time costs are separate: data migration (the HDDA's plan priced as a
-transfer makespan) and, at sensing points, the monitor's probe overhead
+Regrid-time costs are separate: data migration (the cell-owner diff priced
+as a transfer makespan) and, at sensing points, the monitor's probe overhead
 (~0.5 s per node, section 6.1.4).
 """
 

@@ -11,12 +11,13 @@ builds the model once and hands it to each.  Three rules live here:
 
 trace format (:data:`~repro.telemetry.spans.TRACE_FORMAT`)
     An ``iteration`` span holds the per-rank ``compute`` and ``comm``
-    vectors, expanded into rank rows by :func:`rank_rows`; a
-    ``comm.exchange`` event holds its ``pair_seconds`` / ``pair_derated``
-    columns and names a ``(src, dst, bytes)`` table recorded once,
-    joined by :func:`pair_rows`.  Every reader takes its rows from these
-    two.  The older form -- a span per rank phase, every pair listed on
-    every exchange -- raises :class:`~repro.util.errors.TelemetryError`.
+    vectors (:func:`rank_vectors`), expanded into rank rows by
+    :func:`rank_rows`; a ``comm.exchange`` event holds its
+    ``pair_seconds`` / ``pair_derated`` columns and names a ``(src, dst,
+    bytes)`` table recorded once (:func:`pair_table`).  Columns of
+    unequal length, and the older form -- a span per rank phase, every
+    pair listed on every exchange -- raise
+    :class:`~repro.util.errors.TelemetryError`.
 
 run label
     The label map (the tracer's or the caller's ``run_labels``), else
@@ -28,8 +29,9 @@ iteration slot
     A rank row belongs to the iteration that holds it.  Any other closed
     span belongs to the last iteration starting by ``start + _EPS`` if
     it also ends by that iteration's end ``+ _EPS``, else to none
-    (replayed work, say): the ``slot`` column of :class:`SpanColumns`.
-    The critical path buckets rank rows and ``sync`` spans by it; the
+    (replayed work, say): :attr:`RunView.slots`, and the ``slot``
+    column of :class:`SpanColumns`.  The critical path buckets ``sync``
+    spans by it (a rank row is its own iteration's); the
     flamegraph nests rank rows under it.  The health analysis keeps an
     older rule for ``sync`` in its phase breakdown: ``bisect_right(starts,
     start) - 1`` over all iterations, open spans included, no epsilon,
@@ -43,8 +45,7 @@ import math
 import os
 from bisect import bisect_right
 from functools import cached_property
-from itertools import repeat
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from repro.telemetry.spans import TRACE_FORMAT, NullTracer, Tracer
@@ -57,8 +58,9 @@ __all__ = [
     "SpanColumns",
     "TraceSource",
     "load_trace_records",
+    "rank_vectors",
     "rank_rows",
-    "pair_rows",
+    "pair_table",
     "RANK_TRACK",
 ]
 
@@ -70,17 +72,30 @@ _EPS = 1e-9
 RANK_TRACK = ("compute", "ghost-exchange")
 
 
+def rank_vectors(attributes: dict[str, Any]) -> tuple[Sequence, Sequence]:
+    """An ``iteration`` span's ``compute`` and ``comm`` vectors (empty if
+    absent); unequal lengths raise :class:`TelemetryError`."""
+    compute = attributes.get("compute") or ()
+    comm = attributes.get("comm") or ()
+    if len(compute) != len(comm):
+        number = attributes.get("iteration", attributes.get("step", "?"))
+        raise TelemetryError(
+            f"iteration span {number} has {len(compute)} compute entries "
+            f"but {len(comm)} comm entries"
+        )
+    return compute, comm
+
+
 def rank_rows(
     start: float, attributes: dict[str, Any]
 ) -> list[tuple[str, int, float, float]]:
     """An ``iteration`` span's rank rows ``(name, rank, start, end)``,
     ranks ascending: rank ``r`` computes over ``(start, start + c)``,
     then exchanges ghosts over ``(start + c, start + c + m)``, ``c`` and
-    ``m`` its ``compute`` and ``comm`` entries; no row for an entry that
-    is not positive."""
+    ``m`` its ``compute`` and ``comm`` entries (:func:`rank_vectors`); no
+    row for an entry that is not positive."""
     rows = []
-    vectors = zip(attributes.get("compute") or (), attributes.get("comm") or ())
-    for rank, (c, m) in enumerate(vectors):
+    for rank, (c, m) in enumerate(zip(*rank_vectors(attributes))):
         mid = start + c
         if c > 0.0:
             rows.append(("compute", rank, start, mid))
@@ -89,24 +104,25 @@ def rank_rows(
     return rows
 
 
-def pair_rows(
-    attributes: dict[str, Any], tables: dict[Any, list]
-) -> list[tuple[Any, Any, Any, Any, Any]]:
-    """A ``comm.exchange`` event's ``(src, dst, bytes, seconds,
-    derated)`` rows: its pair table (from ``tables``, by the event's
-    ``table``) joined with its own ``pair_seconds`` / ``pair_derated``."""
-    table = tables.get(attributes.get("table"))
+def pair_table(attributes: dict[str, Any], tables: dict[Any, list]) -> list:
+    """The ``(src, dst, bytes)`` table a ``comm.exchange`` event names,
+    a row per entry of its ``pair_seconds`` / ``pair_derated``; an
+    unknown table or a column of another length raise
+    :class:`TelemetryError`."""
+    key = attributes.get("table")
+    table = tables.get(key)
     if table is None:
         raise TelemetryError(
-            f"comm.exchange names pair table {attributes.get('table')!r}, "
+            f"comm.exchange names pair table {key!r}, "
             "which no exchange of its run recorded"
         )
-    return [
-        (src, dst, nbytes, seconds, derated)
-        for (src, dst, nbytes), seconds, derated in zip(
-            table, attributes["pair_seconds"], attributes["pair_derated"]
-        )
-    ]
+    for column in ("pair_seconds", "pair_derated"):
+        if len(attributes[column]) != len(table):
+            raise TelemetryError(
+                f"comm.exchange on pair table {key!r} has "
+                f"{len(attributes[column])} {column} entries for {len(table)} pairs"
+            )
+    return table
 
 
 def _old_format(what: str) -> TelemetryError:
@@ -134,8 +150,8 @@ class SpanColumns(NamedTuple):
     Most rows are the rank track, nine in ten of a paper run; the rest
     are the closed spans (``rank is None`` on the control track).  A
     rank row has no ``span_id``; its ``parent_id`` is its iteration's.
-    The critical path, the flamegraphs and the dashboard timeline read
-    spans from these columns, not from the record dicts.
+    The flamegraphs and the dashboard timeline read spans from these
+    columns, not from the record dicts.
     """
 
     name: Sequence[str]
@@ -184,27 +200,29 @@ class RunView:
         return [float(s["start_sim"]) for s in self.iterations]
 
     @cached_property
+    def slots(self) -> list[int | None]:
+        """Iteration slot of each span in :attr:`closed`, by the module rule."""
+        if not self.iterations:
+            return [None] * len(self.closed)
+        # ``k - 1`` is the last iteration starting by ``start + _EPS``;
+        # the NaN in front answers "no iteration" for ``k == 0``.
+        ends = [math.nan] + [float(s["end_sim"]) + _EPS for s in self.iterations]
+        starts = self.iteration_starts
+        return [
+            k - 1 if float(s["end_sim"]) <= ends[k] else None
+            for s in self.closed
+            for k in [bisect_right(starts, float(s["start_sim"]) + _EPS)]
+        ]
+
+    @cached_property
     def columns(self) -> SpanColumns:
         """:attr:`closed` and the rank track as :class:`SpanColumns`."""
         closed = self.closed
         start = list(map(float, map(itemgetter("start_sim"), closed)))
         end = list(map(float, map(itemgetter("end_sim"), closed)))
-        if self.iterations:
-            # ``k - 1`` is the last iteration starting by ``start + _EPS``;
-            # the NaN in front answers "no iteration" for ``k == 0``.
-            ends = [math.nan]
-            ends += [float(s["end_sim"]) + _EPS for s in self.iterations]
-            after = map(
-                bisect_right,
-                repeat(self.iteration_starts),
-                map(add, start, repeat(_EPS)),
-            )
-            slot = [k - 1 if e <= ends[k] else None for k, e in zip(after, end)]
-        else:
-            slot = [None] * len(closed)
         index = {id(s): k for k, s in enumerate(self.iterations)}
         rows = []
-        for s, lo, hi, k in zip(closed, start, end, slot):
+        for s, lo, hi, k in zip(closed, start, end, self.slots):
             sid = s.get("span_id")
             rows.append(
                 (s["name"], s.get("rank"), lo, hi, sid, s.get("parent_id"), k,

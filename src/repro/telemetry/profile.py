@@ -37,8 +37,8 @@ live view (:class:`LiveTop`)
     A span-close observer maintaining the rolling per-phase/per-rank
     totals behind the ``repro top`` terminal view.
 
-Everything here is pure stdlib (the telemetry package stays a
-zero-required-dependency leaf); matrices are lists of lists, not arrays.
+Rank vectors and pair tables are read with numpy; results hold Python
+numbers, and a matrix is a list of lists, not an array.
 """
 
 from __future__ import annotations
@@ -47,17 +47,20 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.model import (
-    RANK_TRACK,
     RunView,
     TraceModel,
     TraceSource,
-    pair_rows,
+    pair_table,
     rank_rows,
+    rank_vectors,
 )
 
 __all__ = [
@@ -249,8 +252,8 @@ def analyze_critical_path(
     """Reconstruct the per-iteration critical path of every traced run.
 
     For each ``iteration`` span the per-rank busy time is the sum of
-    that rank's ``compute``/``ghost-exchange`` spans inside the
-    iteration's simulated interval.  The critical rank is the iteration
+    that rank's ``compute``/``ghost-exchange`` rows, read straight off
+    the span's vectors.  The critical rank is the iteration
     span's ``critical_rank`` attribute when present (stamped by the
     pipeline), else the busiest rank observed; the path walks that
     rank's phases in order, then the ``sync`` collective, then a
@@ -258,6 +261,8 @@ def analyze_critical_path(
     under per-level synchronization, where barrier waits between level
     phases are real cost that belongs to no single span).  By
     construction ``path_length_s == duration_s`` for every iteration.
+    Durations are spelled as :func:`rank_rows` spells them:
+    ``(start + c) - start`` and ``(mid + m) - mid``, ``mid = start + c``.
     """
     results: list[RunCriticalPath] = []
     for view in TraceModel.of(source, run_labels).runs:
@@ -265,33 +270,40 @@ def analyze_critical_path(
         if not iterations:
             continue
         run = RunCriticalPath(pid=view.pid, label=view.title)
-        cols = view.columns
-        names, ranks, starts, ends = cols.name, cols.rank, cols.start, cols.end
-        durations = cols.duration
-        # ``(rank, row)`` of rank phases and rows of sync spans, bucketed
-        # by iteration slot; rows outside every iteration (e.g. replayed
-        # work) have none.
-        rank_rows: list[list[tuple[int, int]]] = [[] for _ in iterations]
-        sync_rows: list[list[int]] = [[] for _ in iterations]
-        num_ranks = 0
-        for i, idx in enumerate(cols.slot):
-            if idx is None:
-                continue
-            if ranks[i] is not None and names[i] in RANK_TRACK:
-                rank = int(ranks[i])
-                rank_rows[idx].append((rank, i))
-                if rank >= num_ranks:
-                    num_ranks = rank + 1
-            elif names[i] == "sync":
-                sync_rows[idx].append(i)
-        by_start = starts.__getitem__
+        vectors = [rank_vectors(it.get("attributes") or {}) for it in iterations]
+        starts = view.iteration_starts
+        sizes = [len(compute) for compute, _ in vectors]
+        # Every iteration's rank track end to end, one entry per rank.
+        c = np.array([x for compute, _ in vectors for x in compute], dtype=float)
+        m = np.array([x for _, comm in vectors for x in comm], dtype=float)
+        t0 = np.repeat(np.array(starts, dtype=float), sizes)
+        computes, comms = c > 0.0, m > 0.0
+        # Infinite times give NaN and overflow to infinity as the rows'
+        # Python floats do, silently.
+        with np.errstate(invalid="ignore", over="ignore"):
+            t1 = t0 + c
+            busy_all = (
+                np.where(computes, t1 - t0, 0.0) + np.where(comms, (t1 + m) - t1, 0.0)
+            ).tolist()
+        # One past the highest rank holding a row, over the whole run.
+        rank = np.arange(len(c)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        held = rank[computes | comms]
+        num_ranks = int(held.max()) + 1 if len(held) else 0
+        # ``sync`` spans bucketed by iteration slot, in recorded order.
+        sync_rows: list[list[tuple[float, float]]] = [[] for _ in iterations]
+        for s, idx in zip(view.closed, view.slots):
+            if idx is not None and s["name"] == "sync":
+                sync_rows[idx].append((float(s["start_sim"]), float(s["end_sim"])))
+        offset = 0
         for idx, it in enumerate(iterations):
             attrs = it.get("attributes") or {}
-            start = float(it["start_sim"])
+            start = starts[idx]
             end = float(it["end_sim"])
-            busy: dict[int, float] = {r: 0.0 for r in range(num_ranks)}
-            for rank, i in rank_rows[idx]:
-                busy[rank] = busy.get(rank, 0.0) + durations[i]
+            size = sizes[idx]
+            track = busy_all[offset : offset + min(size, num_ranks)]
+            offset += size
+            track += [0.0] * (num_ranks - len(track))
+            busy = dict(enumerate(track))
             critical = attrs.get("critical_rank")
             if critical is None and busy:
                 busiest = max(busy.values())
@@ -300,19 +312,23 @@ def analyze_critical_path(
             compute_s = comm_s = 0.0
             if critical is not None:
                 critical = int(critical)
-                own = [i for rank, i in rank_rows[idx] if rank == critical]
-                for i in sorted(own, key=by_start):
-                    segments.append(
-                        PathSegment(names[i], critical, starts[i], ends[i])
-                    )
-                    if names[i] == "compute":
-                        compute_s += durations[i]
-                    else:
-                        comm_s += durations[i]
-            sync_s = sum(map(durations.__getitem__, sync_rows[idx]))
+                if 0 <= critical < size:
+                    compute, comm = vectors[idx]
+                    cc, mm = compute[critical], comm[critical]
+                    mid = start + cc
+                    if cc > 0.0:
+                        segments.append(PathSegment("compute", critical, start, mid))
+                        compute_s += mid - start
+                    if mm > 0.0:
+                        segments.append(
+                            PathSegment("ghost-exchange", critical, mid, mid + mm)
+                        )
+                        comm_s += (mid + mm) - mid
+            syncs = sync_rows[idx]
+            sync_s = sum(hi - lo for lo, hi in syncs)
             segments += [
-                PathSegment("sync", None, starts[i], ends[i])
-                for i in sorted(sync_rows[idx], key=by_start)
+                PathSegment("sync", None, lo, hi)
+                for lo, hi in sorted(syncs, key=itemgetter(0))
             ]
             covered = compute_s + comm_s + sync_s
             barrier_s = max(0.0, (end - start) - covered)
@@ -391,59 +407,6 @@ class CommMatrix:
     messages: list[list[int]]
     derated_bytes: list[list[float]]
 
-    @classmethod
-    def zeros(cls, size: int) -> "CommMatrix":
-        return cls(
-            size=size,
-            bytes=[[0.0] * size for _ in range(size)],
-            seconds=[[0.0] * size for _ in range(size)],
-            messages=[[0] * size for _ in range(size)],
-            derated_bytes=[[0.0] * size for _ in range(size)],
-        )
-
-    def grow(self, size: int) -> None:
-        """Widen in place to ``size`` ranks (traces may mix cluster sizes)."""
-        if size <= self.size:
-            return
-        for name in ("bytes", "seconds", "messages", "derated_bytes"):
-            matrix = getattr(self, name)
-            filler = 0 if name == "messages" else 0.0
-            for row in matrix:
-                row.extend([filler] * (size - self.size))
-            for _ in range(size - self.size):
-                matrix.append([filler] * size)
-        self.size = size
-
-    def add_pairs(
-        self, rows: Sequence[Sequence[Any]], total: CommMatrix | None = None
-    ) -> None:
-        """Fold one event's ``(src, dst, bytes, seconds, derated)`` rows
-        into this matrix and, if given, into ``total`` too.
-
-        Grows once, to the largest rank named, then adds row by row in
-        the given order, so each cell sums its terms in event order.
-        """
-        top = int(
-            max(
-                max(map(itemgetter(0), rows), default=-1),
-                max(map(itemgetter(1), rows), default=-1),
-            )
-        )
-        into = [self] if total is None else [self, total]
-        for matrix in into:
-            matrix.grow(top + 1)
-        cells = [
-            (m.bytes, m.seconds, m.messages, m.derated_bytes) for m in into
-        ]
-        for src, dst, nbytes, seconds, derated in rows:
-            src, dst = int(src), int(dst)
-            for nbytes_m, seconds_m, messages_m, derated_m in cells:
-                nbytes_m[src][dst] += nbytes
-                seconds_m[src][dst] += seconds
-                messages_m[src][dst] += 1
-                if derated:
-                    derated_m[src][dst] += nbytes
-
     @property
     def bytes_total(self) -> float:
         return sum(map(sum, self.bytes))
@@ -495,7 +458,7 @@ class CommProfile:
     pid: int
     label: str
     phases: dict[str, CommMatrix] = field(default_factory=dict)
-    total: CommMatrix = field(default_factory=lambda: CommMatrix.zeros(0))
+    total: CommMatrix = field(default_factory=lambda: CommMatrix(0, [], [], [], []))
     events: int = 0
     pairs_dropped: int = 0
 
@@ -510,6 +473,29 @@ class CommProfile:
         }
 
 
+def _fold_pairs(size, src, dst, nbytes, seconds, derated) -> CommMatrix:
+    """A ``size``-wide matrix of pair rows given in event order.
+
+    ``np.add.at`` adds in index order, so each cell sums its terms in
+    event order, the floats of a per-pair ``+=`` fold (pairs repeat, so
+    never fancy ``+=``).
+    """
+
+    def fold(index, values) -> list[list[float]]:
+        cells = np.zeros((size, size))
+        np.add.at(cells, index, values)
+        return cells.tolist()
+
+    messages = np.bincount(src * size + dst, minlength=size * size)
+    return CommMatrix(
+        size=size,
+        bytes=fold((src, dst), nbytes),
+        seconds=fold((src, dst), seconds),
+        messages=messages.reshape(size, size).tolist(),
+        derated_bytes=fold((src[derated], dst[derated]), nbytes[derated]),
+    )
+
+
 def comm_profile(
     source: TraceSource,
     run_labels: dict[int, str] | None = None,
@@ -521,25 +507,42 @@ def comm_profile(
     the paper's system-sensitive scenario, where a partitioner that
     ignores NIC derating keeps routing ghost exchanges over the slow
     link.  ``pairs_dropped`` counts per-pair rows the communicator
-    truncated from oversized events (totals remain exact).
+    truncated from oversized events (totals remain exact).  A matrix is
+    as wide as its events' widest ``ranks`` and highest rank named.
     """
     profiles: list[CommProfile] = []
     for view in TraceModel.of(source, run_labels).runs:
         if not view.comm_events:
             continue
         profile = CommProfile(pid=view.pid, label=view.title)
+        tables: dict[Any, tuple] = {}  # id: ((src, dst, bytes) columns, width)
+        widths: dict[str, int] = {}  # by phase, in order of appearance
+        picked, phase_of, seconds, derated = [], [], [], []
         for event in view.comm_events:
             attrs = event.get("attributes") or {}
             phase = str(attrs.get("phase", "exchange"))
-            size = int(attrs.get("ranks", 0))
-            matrix = profile.phases.get(phase)
-            if matrix is None:
-                matrix = profile.phases[phase] = CommMatrix.zeros(size)
-            matrix.grow(size)
-            profile.total.grow(size)
-            matrix.add_pairs(pair_rows(attrs, view.pair_tables), profile.total)
+            table = pair_table(attrs, view.pair_tables)
+            if attrs["table"] not in tables:
+                flat = np.fromiter(chain.from_iterable(table), float, 3 * len(table))
+                ends = flat.reshape(-1, 3)[:, :2].astype(np.intp)
+                width = int(ends.max()) + 1 if len(table) else 0
+                tables[attrs["table"]] = ((*ends.T, flat[2::3]), width)
+            rows, width = tables[attrs["table"]]
+            ranks = int(attrs.get("ranks", 0))
+            widths[phase] = max(widths.get(phase, 0), ranks, width)
+            picked.append(rows)
+            phase_of.append(phase)
+            seconds += attrs["pair_seconds"]
+            derated += attrs["pair_derated"]
             profile.events += 1
             profile.pairs_dropped += int(attrs.get("pairs_dropped", 0))
+        columns = [*map(np.concatenate, zip(*picked))]
+        columns += [np.fromiter(seconds, float), np.fromiter(derated, bool)]
+        lengths = [len(rows[2]) for rows in picked]
+        for phase, width in widths.items():
+            chosen = np.repeat([p == phase for p in phase_of], lengths)
+            profile.phases[phase] = _fold_pairs(width, *(c[chosen] for c in columns))
+        profile.total = _fold_pairs(max(widths.values()), *columns)
         profiles.append(profile)
     return profiles
 

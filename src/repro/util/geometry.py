@@ -932,7 +932,7 @@ class Layout:
 
     The one value the repartition loop hands from stage to stage --
     partitioners produce it, the migrate stage diffs the previous one
-    against the new one, the HDDA applies it, checkpoints store it.
+    against the new one, checkpoints store it.
     ``ranks`` is an ``intp`` vector aligned with ``boxes``, checked on
     construction and frozen in place (not copied), so no holder can edit
     the ownership another holder prices from.  :meth:`from_pairs` and

@@ -251,7 +251,8 @@ class TestExchangeFaults:
 
 def exchange_pairs(tracer) -> list[list[tuple]]:
     """Each ``comm.exchange`` event's pair rows, as every reader reads them."""
-    from repro.telemetry.model import TraceModel, pair_rows
+    from repro.telemetry.model import TraceModel
+    from tests.telemetry.row_readers import pair_rows
 
     (view,) = TraceModel.of(tracer).runs
     return [pair_rows(e["attributes"], view.pair_tables) for e in view.comm_events]

@@ -24,8 +24,8 @@ from repro.cluster import Cluster, LinkModel, NodeSpec, SyntheticLoadGenerator
 from repro.comm import SimCommunicator
 from repro.comm.simmpi import EVENT_PAIR_CAP
 from repro.telemetry import Tracer
-from repro.telemetry.model import pair_rows
 from repro.util.errors import SimulationError
+from tests.telemetry.row_readers import pair_rows
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.kernels.workloads import paper_rm3d_trace
 from repro.partition import ACEComposite, ACEHeterogeneous
+from repro.partition.base import check_tiling
 from repro.runtime import RuntimeConfig, SamrRuntime
 from repro.util.errors import SimulationError
 from tests.conftest import moving_blob_trace
@@ -98,16 +99,32 @@ class TestLoop:
         assert a.total_seconds == b.total_seconds
         np.testing.assert_array_equal(a.loads_by_regrid(), b.loads_by_regrid())
 
-    def test_hdda_tracks_assignment(self):
+    def test_layout_tiles_the_final_epoch(self):
+        # The pipeline's layout is the run's one record of who owns what.
+        workload = small_workload()
         rt = SamrRuntime(
-            small_workload(),
+            workload,
             Cluster.homogeneous(2),
             ACEHeterogeneous(),
             config=RuntimeConfig(iterations=4, regrid_interval=2),
         )
         rt.run()
-        rt.hdda.check_invariants()
-        assert rt.hdda.total_blocks > 0
+        final = workload.epoch(1)  # regrids at iterations 0 and 2
+        layout = rt.pipeline.layout
+        # Each layout row's source: the final epoch's box it was cut from.
+        source = np.array(
+            [
+                next(
+                    j
+                    for j, box in enumerate(final)
+                    if box.level == piece.level and box.contains_box(piece)
+                )
+                for piece in layout.boxes
+            ],
+            dtype=np.int64,
+        )
+        check_tiling(final, layout, source, 2)  # ranks in range(2) too
+        assert len(final) > 0
 
     def test_migration_seconds_accumulate_under_churn(self):
         """Sensing-triggered repartitions on a changing cluster move data."""

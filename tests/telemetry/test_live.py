@@ -65,9 +65,9 @@ class TestCellBundle:
         assert "metrics" in doc
 
     def test_profile_json_coerces_numpy_in_the_pinned_format(self, tmp_path):
-        # numpy pair values leave numpy cells in the comm matrices (a
-        # float32 sum, a numpy-bool "derated"); the encoder hook writes
-        # them, in the sorted, indent=1 layout the pre-walk wrote.
+        # numpy pair values (a float32 second, a numpy-bool "derated")
+        # still give a profile the encoder writes in the sorted,
+        # indent=1 layout the pre-walk wrote.
         _, tracer = run_cell()
         tracer.event(
             "comm.exchange",

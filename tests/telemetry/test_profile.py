@@ -34,7 +34,8 @@ from repro.telemetry import (
     speedscope_document,
 )
 from repro.telemetry.export import write_jsonl
-from repro.telemetry.profile import CommMatrix, CommProfile, LiveTop
+from repro.telemetry.profile import CommProfile, LiveTop
+from tests.telemetry.row_readers import grow, zeros
 
 #: ``comm.exchange`` records as a trace file holds them: ``ranks`` from 0
 #: up, pairs naming ranks above it, bool or 0/1 ``derated``, two pids,
@@ -63,12 +64,14 @@ _EXCHANGES = st.tuples(
 def exchange_events(drawn) -> list[dict]:
     """``comm.exchange`` records of drawn ``(pid, phase, ranks, pairs,
     dropped, share)``: a shared table keeps the rows' seconds and derate
-    flags, cut to the table's length."""
+    flags, cut to the table's length or padded to it with idle, not
+    derated rows (an exchange has one column entry per table row)."""
     events = []
     last: dict[int, tuple[int, list]] = {}
     for i, (pid, phase, ranks, pairs, dropped, share) in enumerate(drawn):
         if share and pid in last:
             table, rows = last[pid]
+            pairs = pairs + [[0, 0, 0, 0.0, False]] * (len(rows) - len(pairs))
             pairs = [
                 [*row, *pair[3:]] for row, pair in zip(rows, pairs)
             ]
@@ -223,10 +226,14 @@ class TestCommProfile:
         for r in range(matrix.size):
             assert matrix.bytes[r][r] == 0.0
 
-    def test_matrix_grow_preserves_counts(self):
-        m = CommMatrix.zeros(2)
-        m.add_pairs([(0, 1, 100.0, 0.5, False), (3, 0, 50.0, 0.2, True)])
-        assert m.size == 4  # grown to the largest rank named
+    def test_matrix_grows_to_the_largest_rank_named(self):
+        (event,) = exchange_events(
+            [(1, "migration", 2,
+              [[0, 1, 100.0, 0.5, False], [3, 0, 50.0, 0.2, True]], 0, False)]
+        )  # fmt: skip
+        (profile,) = comm_profile([event])
+        m = profile.phases["migration"]
+        assert m.size == profile.total.size == 4  # wider than ``ranks``
         assert m.bytes_total == pytest.approx(150.0)
         assert m.derated_bytes_total == pytest.approx(50.0)
         assert m.messages[3][0] == 1
@@ -258,7 +265,7 @@ class TestCommProfile:
 
 def reference_add(matrix, src, dst, nbytes, seconds, derated):
     """The per-pair ``CommMatrix.add`` that ``add_pairs`` replaced."""
-    matrix.grow(max(src, dst) + 1)
+    grow(matrix, max(src, dst) + 1)
     matrix.bytes[src][dst] += nbytes
     matrix.seconds[src][dst] += seconds
     matrix.messages[src][dst] += 1
@@ -317,9 +324,9 @@ def reference_comm_profile(source, run_labels=None):
             size = int(attrs.get("ranks", 0))
             matrix = profile.phases.get(phase)
             if matrix is None:
-                matrix = profile.phases[phase] = CommMatrix.zeros(size)
-            matrix.grow(size)
-            profile.total.grow(size)
+                matrix = profile.phases[phase] = zeros(size)
+            grow(matrix, size)
+            grow(profile.total, size)
             for src, dst, nbytes, seconds, derated in attrs.get("pairs", ()):
                 reference_add(
                     matrix, int(src), int(dst), nbytes, seconds, bool(derated)

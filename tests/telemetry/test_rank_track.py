@@ -1,10 +1,10 @@
 """The rank track and the pair tables against the writers they replaced.
 
 An ``iteration`` span carries the priced per-rank ``compute`` / ``comm``
-vectors, and every reader expands them with
-:func:`repro.telemetry.model.rank_rows`; an exchange event carries its
-seconds and derate columns and names a ``(src, dst, bytes)`` table,
-joined by :func:`repro.telemetry.model.pair_rows`.  The writers that
+vectors, expanded by :func:`repro.telemetry.model.rank_rows`; an
+exchange event carries its seconds and derate columns and names a
+``(src, dst, bytes)`` table, joined row by row by
+:func:`tests.telemetry.row_readers.pair_rows`.  The writers that
 recorded one span per rank phase and listed every pair on every event
 are copied below verbatim (``reference_*``): the expansions must give
 their rows, in their order, bit for bit.  A trace in that older form is
@@ -35,8 +35,9 @@ from repro.telemetry import (
     load_trace_records,
     write_jsonl,
 )
-from repro.telemetry.model import pair_rows, rank_rows
+from repro.telemetry.model import pair_table, rank_rows
 from repro.util.errors import TelemetryError
+from tests.telemetry.row_readers import pair_rows
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +319,7 @@ class TestPairRows:
 
     def test_an_unknown_table_is_a_typed_error(self):
         with pytest.raises(TelemetryError, match="pair table 7"):
-            pair_rows({"table": 7, "pair_seconds": [], "pair_derated": []}, {})
+            pair_table({"table": 7, "pair_seconds": [], "pair_derated": []}, {})
 
 
 # ----------------------------------------------------------------------

@@ -65,7 +65,7 @@ it replaced -- a ``(Box, rank)`` pair list, a Box-keyed dict -- lift those
 columns to per-box objects only for some consumer to lower them back::
 
     result.assignment                     # result.layout
-    part.owners()                         # on_apply(part.layout)
+    part.owners()                         # part.layout
     dict(zip(boxes, ranks))               # Layout(boxes, ranks)
     for box, rank in pairs: ...           # layout.boxes.array / layout.ranks
 
