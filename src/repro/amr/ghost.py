@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -396,8 +396,8 @@ class GhostFiller:
 # Communication-volume planning
 # ---------------------------------------------------------------------------
 def plan_exchange_volumes(
-    boxes: BoxList | BoxArray,
-    owners: Mapping[Box, int] | Sequence[int] | np.ndarray,
+    boxes: BoxList,
+    owners: Sequence[int] | np.ndarray,
     ghost_width: int = 1,
     bytes_per_cell: float = 8.0,
     refine_factor: int = 2,
@@ -411,8 +411,7 @@ def plan_exchange_volumes(
     parent-level box it overlaps that lives on another rank.
 
     Parameters mirror the partitioner output: ``owners`` is the rank of
-    every row of ``boxes`` (``result.rank_vector()``), or a Box-keyed
-    mapping covering every box, lowered to that vector here.
+    every row of ``boxes`` (``result.rank_vector()``).
 
     Key insertion order is part of the contract
     (:meth:`~repro.comm.simmpi.SimCommunicator.exchange_time` sums busy
@@ -422,14 +421,7 @@ def plan_exchange_volumes(
     """
     if ghost_width < 0:
         raise GeometryError(f"negative ghost width {ghost_width}")
-    bl = boxes if isinstance(boxes, BoxList) else BoxList.from_array(boxes)
-    if isinstance(owners, Mapping):
-        owners = list(map(owners.get, bl))
-        if None in owners:
-            raise GeometryError(
-                f"box {bl[owners.index(None)]} missing from ownership map"
-            )
-    arr = bl.array
+    arr = boxes.array
     ranks = np.asarray(owners, dtype=np.int64)
     if ranks.shape != (len(arr),):
         raise GeometryError(f"{ranks.size} owner ranks for {len(arr)} boxes")

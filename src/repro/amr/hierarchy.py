@@ -133,10 +133,7 @@ class GridHierarchy:
             len(lvl) for lvl in self._levels
         ):
             return cached
-        out: list[Box] = []
-        for lvl in self._levels:
-            out.extend(lvl.boxes)
-        cached = BoxList(out)
+        cached = BoxList(p.box for lvl in self._levels for p in lvl.patches)
         self._flat_cache = cached
         return cached
 

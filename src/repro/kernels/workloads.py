@@ -66,9 +66,8 @@ class SyntheticWorkload:
 
     def work_of(self, r: int) -> int:
         """Work units of epoch ``r`` (cells weighted by time subcycling)."""
-        return sum(
-            b.num_cells * self.refine_factor**b.level for b in self.box_lists[r]
-        )
+        arr = self.box_lists[r].array
+        return int((arr.num_cells() * self.refine_factor**arr.level).sum())
 
     # ------------------------------------------------------------------
     # Persistence (record once with a real kernel, replay anywhere)

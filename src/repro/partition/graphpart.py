@@ -68,10 +68,9 @@ def build_box_graph(
     exact integers, identical to the old per-pair ``Box.intersection``
     walk.
     """
-    bl = boxes if isinstance(boxes, BoxList) else BoxList(boxes)
-    arr = bl.array
+    arr = boxes.array
     g = BoxGraph(
-        as_work_model(work_of).vector(bl).tolist(),
+        as_work_model(work_of).vector(boxes).tolist(),
         [{} for _ in range(len(arr))],
     )
 

@@ -39,7 +39,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.util.errors import PartitionError
-from repro.util.geometry import BoxArray, BoxList
+from repro.util.geometry import BoxList
 
 __all__ = ["WorkModel", "as_work_model"]
 
@@ -85,17 +85,17 @@ class WorkModel:
     # ------------------------------------------------------------------
     # Vector path
     # ------------------------------------------------------------------
-    def compute(self, boxes: BoxList | BoxArray) -> np.ndarray:
+    def compute(self, boxes: BoxList) -> np.ndarray:
         """Uncached per-box work vector, straight off the ``int64``
         columns (the vector hook of a custom model; override together
         with :meth:`work_row`)."""
-        arr = boxes.array if isinstance(boxes, BoxList) else boxes
+        arr = boxes.array
         if len(arr) == 0:
             return np.zeros(0)
         cells = arr.num_cells()
         return (cells * self.refine_factor**arr.level).astype(np.float64)
 
-    def vector(self, boxes: BoxList | BoxArray) -> np.ndarray:
+    def vector(self, boxes: BoxList) -> np.ndarray:
         """Per-box work of ``boxes`` as one read-only float64 array.
 
         Memoized on the list object's identity -- pass the same
@@ -112,7 +112,7 @@ class WorkModel:
             self._list_cache.popitem(last=False)
         return vec
 
-    def total(self, boxes: BoxList | BoxArray) -> float:
+    def total(self, boxes: BoxList) -> float:
         """Total work, summed left to right (a per-box accumulation
         loop gives the same float bit for bit)."""
         return float(sum(self.vector(boxes).tolist()))

@@ -18,12 +18,12 @@ Two representations coexist:
   index, the work model and the partitioners operate on these columns
   directly, so a million-box repartition never walks Python objects.
 
-:class:`BoxList` bridges the two: it can be built from either form and
-converts lazily.  A list created from columns (:meth:`BoxList.from_array`)
-stays columnar until some caller actually iterates box objects; a list
-built from objects exposes its column view through :attr:`BoxList.array`,
-computed once and cached.  :class:`Layout` pairs such a list with one rank
-per box: the value that says which rank owns which box.
+:class:`BoxList` is the list GrACE hands a partitioner, and it is exactly
+one :class:`BoxArray` (:attr:`BoxList.array`): boxes given as objects are
+lowered to columns once, on construction, and iterating or indexing the
+list builds :class:`Box` objects on demand without storing them.
+:class:`Layout` pairs such a list with one rank per box: the value that
+says which rank owns which box.
 
 Conventions
 -----------
@@ -37,6 +37,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -379,6 +380,12 @@ class BoxArray:
         seq = boxes if isinstance(boxes, (list, tuple)) else list(boxes)
         if not seq:
             return cls.empty()
+        for b in seq:
+            if not isinstance(b, Box):
+                raise GeometryError(f"BoxList items must be Box, got {type(b)!r}")
+        ndim = seq[0].ndim
+        if any(b.ndim != ndim for b in seq):
+            raise GeometryError("mixed dimensionality in BoxList")
         lower = np.array([b.lower for b in seq], dtype=np.int64)
         upper = np.array([b.upper for b in seq], dtype=np.int64)
         level = np.array([b.level for b in seq], dtype=np.int64)
@@ -763,88 +770,59 @@ class BoxList:
     This is the unit the GrACE runtime hands to a partitioner at every
     regrid: the flattened bounding-box list of the whole grid hierarchy.
 
-    A ``BoxList`` is backed by either per-box :class:`Box` objects, a
-    columnar :class:`BoxArray`, or both.  Lists built from objects expose
-    their column view through :attr:`array` (computed once, cached);
-    lists built from columns (:meth:`from_array`) defer materializing
-    Box objects until something actually iterates them.  Hot bulk paths
-    (cell accounting, level slicing, overlap sweeps, deterministic sorts)
-    run on the columns either way.
+    A ``BoxList`` is exactly one :class:`BoxArray`, its :attr:`array`.
+    Boxes passed as objects are lowered to columns once, on construction;
+    :meth:`from_array` wraps existing columns.  Iteration and integer
+    indexing build :class:`Box` objects on demand and never store them;
+    everything else (length, slicing, selection, equality, hashing, cell
+    accounting, overlap tests) reads the columns.
     """
 
-    __slots__ = ("_boxes", "_array")
+    __slots__ = ("array",)
 
     def __init__(self, boxes: Iterable[Box] = ()):
-        self._array: BoxArray | None = None
-        self._boxes: tuple[Box, ...] | None = tuple(boxes)
-        for b in self._boxes:
-            if not isinstance(b, Box):
-                raise GeometryError(f"BoxList items must be Box, got {type(b)!r}")
-        if self._boxes:
-            ndim = self._boxes[0].ndim
-            for b in self._boxes:
-                if b.ndim != ndim:
-                    raise GeometryError("mixed dimensionality in BoxList")
+        self.array = BoxArray.from_boxes(boxes)
 
     @classmethod
     def from_array(cls, array: BoxArray) -> "BoxList":
-        """A list backed purely by columns; Box objects materialize lazily."""
+        """A list over existing columns (shared, not copied)."""
         if not isinstance(array, BoxArray):
             raise GeometryError(
                 f"from_array expects a BoxArray, got {type(array)!r}"
             )
         self = object.__new__(cls)
-        self._boxes = None
-        self._array = array
+        self.array = array
         return self
-
-    # -- representation management -----------------------------------------
-    @property
-    def array(self) -> BoxArray:
-        """The columnar view (built once from the objects, then cached)."""
-        if self._array is None:
-            self._array = BoxArray.from_boxes(self._boxes)
-        return self._array
-
-    def _tuple(self) -> tuple[Box, ...]:
-        if self._boxes is None:
-            self._boxes = self._array.to_boxes()
-        return self._boxes
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
-        if self._boxes is not None:
-            return len(self._boxes)
-        return len(self._array)
+        return len(self.array)
 
     def __iter__(self) -> Iterator[Box]:
-        return iter(self._tuple())
+        return iter(self.array.to_boxes())
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            if self._boxes is not None:
-                return BoxList(self._boxes[i])
-            n = len(self._array)
-            return BoxList.from_array(self._array.take(np.arange(n)[i]))
-        if self._boxes is not None:
-            return self._boxes[i]
-        return self._array.box(i)
+            return self.take(np.arange(len(self))[i])
+        return self.array.box(i)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoxList):
             return NotImplemented
-        if self._boxes is None and other._boxes is None:
-            a, b = self._array, other._array
-            return (
-                a.lower.shape == b.lower.shape
-                and bool(np.array_equal(a.lower, b.lower))
+        a, b = self.array, other.array
+        # Empty lists are equal whatever their dimensionality.
+        return len(a) == len(b) and (
+            not len(a)
+            or (
+                bool(np.array_equal(a.lower, b.lower))
                 and bool(np.array_equal(a.upper, b.upper))
                 and bool(np.array_equal(a.level, b.level))
             )
-        return self._tuple() == other._tuple()
+        )
 
     def __hash__(self) -> int:
-        return hash(self._tuple())
+        a = self.array
+        return hash((a.lower.tobytes(), a.upper.tobytes(), a.level.tobytes()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BoxList({len(self)} boxes, {self.total_cells} cells)"
@@ -871,59 +849,23 @@ class BoxList:
 
     def at_level(self, level: int) -> "BoxList":
         """Sub-list of boxes on one refinement level."""
-        if self._boxes is not None:
-            out = BoxList(b for b in self._boxes if b.level == level)
-            if self._array is not None:
-                out._array = self._array.at_level(level)
-            return out
-        return BoxList.from_array(self._array.at_level(level))
+        return BoxList.from_array(self.array.at_level(level))
 
     # -- transformations ----------------------------------------------------
     def take(self, indices) -> "BoxList":
-        """Sub-list selected/reordered by positional ``indices``.
-
-        Preserves the backing representation: a materialized list yields
-        the same Box objects; a columnar list stays columnar.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        if self._boxes is not None:
-            boxes = self._boxes
-            out = BoxList(boxes[int(i)] for i in idx)
-            if self._array is not None:
-                out._array = self._array.take(idx)
-            return out
-        return BoxList.from_array(self._array.take(idx))
-
-    def append(self, box: Box) -> "BoxList":
-        return BoxList((*self._tuple(), box))
-
-    def extend(self, boxes: Iterable[Box]) -> "BoxList":
-        if (
-            self._boxes is None
-            and isinstance(boxes, BoxList)
-            and boxes._boxes is None
-        ):
-            return BoxList.from_array(
-                BoxArray.concatenate([self._array, boxes._array])
-            )
-        return BoxList((*self._tuple(), *boxes))
+        """Sub-list selected/reordered by positional ``indices``."""
+        return BoxList.from_array(self.array.take(indices))
 
     def is_disjoint(self) -> bool:
-        """True when no two same-level boxes overlap.
-
-        Delegates to the cached column view, whose verdict is memoized.
-        """
+        """True when no two same-level boxes overlap (memoized on the
+        columns)."""
         return self.array.is_disjoint()
 
     def bounding_box(self) -> Box:
         """Smallest single box covering every member (single-level lists only)."""
-        boxes = self._tuple()
-        if not boxes:
+        if not len(self):
             raise GeometryError("bounding_box of an empty BoxList")
-        out = boxes[0]
-        for b in boxes[1:]:
-            out = out.bounding_union(b)
-        return out
+        return functools.reduce(Box.bounding_union, self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -935,9 +877,8 @@ class Layout:
     against the new one, checkpoints store it.
     ``ranks`` is an ``intp`` vector aligned with ``boxes``, checked on
     construction and frozen in place (not copied), so no holder can edit
-    the ownership another holder prices from.  :meth:`from_pairs` and
-    :meth:`pairs` are the only crossings between these columns and
-    per-box ``(Box, rank)`` objects.
+    the ownership another holder prices from.  :meth:`from_pairs` is the
+    only lowering of per-box ``(Box, rank)`` objects to these columns.
     """
 
     boxes: BoxList
@@ -972,19 +913,11 @@ class Layout:
             BoxList(b for b, _ in pairs), np.array([r for _, r in pairs])
         )
 
-    def pairs(self) -> list[tuple[Box, int]]:
-        """The object view: ``(Box, rank)`` with plain-``int`` ranks."""
-        return list(zip(self.boxes, self.ranks.tolist()))
-
     def __len__(self) -> int:
         return len(self.boxes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Layout({len(self)} boxes)"
-
-    def of_rank(self, rank: int) -> BoxList:
-        """The boxes ``rank`` owns, in layout order."""
-        return self.boxes.take(np.flatnonzero(self.ranks == rank))
 
     def remapped(self, index: np.ndarray) -> "Layout":
         """The same boxes with rank ``k`` renamed ``index[k]`` (one gather:

@@ -15,6 +15,7 @@ non-negative integers (SFC indices); values are arbitrary.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Iterator
 
 import numpy as np
@@ -187,20 +188,17 @@ class ExtendibleHashTable:
     def __len__(self) -> int:
         return self._size
 
+    def _buckets(self) -> list[Bucket]:
+        """Each distinct bucket once, in directory order (``Bucket`` hashes
+        by identity, so ``dict.fromkeys`` drops the repeated pointers)."""
+        return list(dict.fromkeys(self._directory))
+
     def keys(self) -> Iterator[int]:
-        seen: set[int] = set()
-        for bucket in self._directory:
-            if id(bucket) in seen:
-                continue
-            seen.add(id(bucket))
+        for bucket in self._buckets():
             yield from bucket.items.keys()
 
     def items(self) -> Iterator[tuple[int, Any]]:
-        seen: set[int] = set()
-        for bucket in self._directory:
-            if id(bucket) in seen:
-                continue
-            seen.add(id(bucket))
+        for bucket in self._buckets():
             yield from bucket.items.items()
 
     # ------------------------------------------------------------------
@@ -223,17 +221,17 @@ class ExtendibleHashTable:
         one = Bucket(new_depth, self.bucket_capacity)
         for k, v in bucket.items.items():
             (one if mix64(k) & mask_bit else zero).items[k] = v
-        for slot in range(len(self._directory)):
-            if self._directory[slot] is bucket:
-                self._directory[slot] = one if slot & mask_bit else zero
+        # The bucket owns exactly the slots that share its low local_depth
+        # bits (read off any key it holds): every mask_bit-th slot from
+        # those bits up.
+        low = mix64(next(iter(bucket.items))) & (mask_bit - 1)
+        for slot in range(low, len(self._directory), mask_bit):
+            self._directory[slot] = one if slot & mask_bit else zero
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:
         """Occupancy statistics (used by HDDA diagnostics and tests)."""
-        seen: dict[int, Bucket] = {}
-        for b in self._directory:
-            seen[id(b)] = b
-        buckets = list(seen.values())
+        buckets = self._buckets()
         sizes = [len(b.items) for b in buckets]
         return {
             "global_depth": self.global_depth,
@@ -254,21 +252,18 @@ class ExtendibleHashTable:
         """
         if len(self._directory) != (1 << self.global_depth):
             raise HDDAError("directory size != 2**global_depth")
-        refs: dict[int, int] = {}
-        for slot, bucket in enumerate(self._directory):
-            refs[id(bucket)] = refs.get(id(bucket), 0) + 1
+        buckets = self._buckets()
+        for bucket in buckets:
             if bucket.local_depth > self.global_depth:
                 raise HDDAError("bucket local_depth exceeds global_depth")
             for k in bucket.items:
                 if self._directory[self._slot(k)] is not bucket:
                     raise HDDAError(f"key {k} stored in the wrong bucket")
-        seen: dict[int, Bucket] = {}
-        for b in self._directory:
-            seen[id(b)] = b
-        for bid, bucket in seen.items():
+        refs = Counter(self._directory)
+        for bucket in buckets:
             expect = 1 << (self.global_depth - bucket.local_depth)
-            if refs[bid] != expect:
+            if refs[bucket] != expect:
                 raise HDDAError(
                     f"bucket with local_depth={bucket.local_depth} referenced "
-                    f"{refs[bid]} times, expected {expect}"
+                    f"{refs[bucket]} times, expected {expect}"
                 )

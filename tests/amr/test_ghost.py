@@ -106,7 +106,7 @@ class TestExchangeVolumes:
         a = Box((0, 0), (4, 8))
         b = Box((4, 0), (8, 8))
         vols = plan_exchange_volumes(
-            BoxList([a, b]), {a: 0, b: 1}, ghost_width=1, bytes_per_cell=8
+            BoxList([a, b]), [0, 1], ghost_width=1, bytes_per_cell=8
         )
         # Each box needs the facing column of the other: 8 cells * 8 B.
         assert vols[(0, 1)] == 64.0
@@ -115,13 +115,13 @@ class TestExchangeVolumes:
     def test_same_owner_no_traffic(self):
         a = Box((0, 0), (4, 8))
         b = Box((4, 0), (8, 8))
-        vols = plan_exchange_volumes(BoxList([a, b]), {a: 0, b: 0})
+        vols = plan_exchange_volumes(BoxList([a, b]), [0, 0])
         assert vols == {}
 
     def test_disjoint_far_boxes_no_traffic(self):
         a = Box((0, 0), (2, 2))
         b = Box((6, 6), (8, 8))
-        vols = plan_exchange_volumes(BoxList([a, b]), {a: 0, b: 1})
+        vols = plan_exchange_volumes(BoxList([a, b]), [0, 1])
         assert vols == {}
 
     def test_interlevel_prolongation_traffic(self):
@@ -129,7 +129,7 @@ class TestExchangeVolumes:
         fine = Box((4, 4), (12, 12), 1)
         vols = plan_exchange_volumes(
             BoxList([coarse, fine]),
-            {coarse: 0, fine: 1},
+            [0, 1],
             ghost_width=1,
             bytes_per_cell=8.0,
         )
@@ -141,15 +141,15 @@ class TestExchangeVolumes:
     def test_missing_owner_rejected(self):
         a = Box((0, 0), (2, 2))
         with pytest.raises(GeometryError):
-            plan_exchange_volumes(BoxList([a]), {})
+            plan_exchange_volumes(BoxList([a]), [])
 
     def test_negative_ghost_rejected(self):
         a = Box((0, 0), (2, 2))
         with pytest.raises(GeometryError):
-            plan_exchange_volumes(BoxList([a]), {a: 0}, ghost_width=-1)
+            plan_exchange_volumes(BoxList([a]), [0], ghost_width=-1)
 
     def test_zero_ghost_only_interlevel(self):
         a = Box((0, 0), (4, 8))
         b = Box((4, 0), (8, 8))
-        vols = plan_exchange_volumes(BoxList([a, b]), {a: 0, b: 1}, ghost_width=0)
+        vols = plan_exchange_volumes(BoxList([a, b]), [0, 1], ghost_width=0)
         assert vols == {}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.kernels.workloads import SyntheticWorkload, _chop
 from repro.partition.splitting import split_row_to_target
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box, BoxList
+from repro.util.geometry import Box, BoxList, Layout
 from repro.util.sfc import sfc_sort_order
 
 
@@ -72,6 +72,12 @@ def sfc_ordered(boxes, curve: str = "hilbert") -> BoxList:
     SFC walk the HDDA index space and ACEComposite use."""
     bl = BoxList(boxes)
     return bl.take(sfc_sort_order(bl.array, curve=curve))
+
+
+def layout_pairs(layout: Layout) -> list[tuple[Box, int]]:
+    """The object view of a layout: ``(Box, rank)`` with plain-``int``
+    ranks, the form per-box reference walks state expectations in."""
+    return list(zip(layout.boxes, layout.ranks.tolist()))
 
 
 def halves(box: Box, axis: int) -> tuple[Box, Box]:

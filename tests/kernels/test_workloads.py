@@ -56,6 +56,12 @@ class TestSyntheticWorkload:
         bl = w.epoch(0)
         manual = sum(b.num_cells * 2**b.level for b in bl)
         assert w.work_of(0) == manual
+        # The column sum equals the Python-int box loop on the paper's
+        # three-level trace too, and stays a plain int.
+        rm3d = paper_rm3d_trace(num_regrids=4)
+        for r in range(rm3d.num_regrids):
+            loop = sum(b.num_cells * 2**b.level for b in rm3d.epoch(r))
+            assert type(rm3d.work_of(r)) is int and rm3d.work_of(r) == loop
 
 
 class TestMovingBlob:

@@ -40,6 +40,7 @@ from repro.util.geometry import Box, BoxList, Layout
 from tests.conftest import (
     box_row,
     corner_key,
+    layout_pairs,
     moving_blob_trace,
     sfc_ordered,
     split_box,
@@ -274,7 +275,7 @@ def reference_levelwise(boxes: BoxList, capacities, model) -> PartitionResult:
     num_splits = 0
     for level in boxes.levels:
         sub = reference_greedy(boxes.at_level(level), caps, model)
-        pairs.extend(sub.layout.pairs())
+        pairs.extend(layout_pairs(sub.layout))
         num_splits += sub.num_splits
     return PartitionResult(Layout.from_pairs(pairs), targets, num_splits, model)
 
@@ -324,7 +325,7 @@ CAPACITY_VECTORS = [
 
 
 def _assert_identical(result: PartitionResult, reference: PartitionResult):
-    assert result.layout.pairs() == reference.layout.pairs()
+    assert layout_pairs(result.layout) == layout_pairs(reference.layout)
     assert result.num_splits == reference.num_splits
     assert np.array_equal(result.targets, reference.targets)
     assert result.loads().tolist() == reference.loads().tolist()
@@ -409,7 +410,7 @@ class TestRedistributionIdentity:
         for boxes in EPOCHS:
             part = ACEHeterogeneous().partition(boxes, caps, model)
             want = reference_redistribution(
-                prev.pairs(), part.layout.pairs(), bytes_per_cell=40.0
+                layout_pairs(prev), layout_pairs(part.layout), bytes_per_cell=40.0
             )
             got = redistribution_volume_columns(
                 prev, part.layout, bytes_per_cell=40.0

@@ -12,7 +12,7 @@ from repro.partition import (
     LevelPartitioner,
 )
 from repro.util.geometry import BoxList
-from tests.conftest import box_work as default_work
+from tests.conftest import box_work as default_work, layout_pairs
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 
@@ -36,7 +36,7 @@ class TestLevelPartitioner:
         the defining property of level-based decomposition."""
         p = LevelPartitioner(ACEHeterogeneous())
         r = p.partition(epoch(), PAPER_CAPS)
-        owners = dict(r.layout.pairs())
+        owners = dict(layout_pairs(r.layout))
         for level in epoch().levels:
             per_rank = np.zeros(4)
             for box, rank in owners.items():
@@ -49,7 +49,7 @@ class TestLevelPartitioner:
         """The composite scheme balances the total, not each level -- the
         contrast that motivates level-wise decomposition."""
         r = ACEHeterogeneous().partition(epoch(), PAPER_CAPS)
-        owners = dict(r.layout.pairs())
+        owners = dict(layout_pairs(r.layout))
         worst = 0.0
         for level in epoch().levels:
             per_rank = np.zeros(4)
@@ -82,7 +82,7 @@ class TestLevelPartitioner:
 
     def test_empty(self):
         p = LevelPartitioner(ACEHeterogeneous())
-        assert p.partition(BoxList(), PAPER_CAPS).layout.pairs() == []
+        assert layout_pairs(p.partition(BoxList(), PAPER_CAPS).layout) == []
 
     def test_input_guards(self):
         p = LevelPartitioner(ACEHeterogeneous())

@@ -25,7 +25,7 @@ from repro.partition import (
 )
 from repro.partition.workmodel import WorkModel
 from repro.util.geometry import BoxList
-from tests.conftest import box_work as default_work
+from tests.conftest import box_work as default_work, layout_pairs
 
 PAPER_CAPS = np.array([0.16, 0.19, 0.31, 0.34])
 
@@ -65,7 +65,7 @@ class TestCrossPartitionerProperties:
     def test_assignment_identical_model_vs_default(self, p):
         with_model = p.partition(epoch(), PAPER_CAPS, WorkModel())
         with_default = p.partition(epoch(), PAPER_CAPS)
-        assert with_model.layout.pairs() == with_default.layout.pairs()
+        assert layout_pairs(with_model.layout) == layout_pairs(with_default.layout)
 
     def test_loads_identical_model_vs_default(self, p):
         with_model = p.partition(epoch(), PAPER_CAPS, WorkModel())
@@ -76,13 +76,13 @@ class TestCrossPartitionerProperties:
 
     def test_work_vector_aligned_with_assignment(self, p):
         r = p.partition(epoch(), PAPER_CAPS, WorkModel())
-        expected = [default_work(b) for b, _ in r.layout.pairs()]
+        expected = [default_work(b) for b, _ in layout_pairs(r.layout)]
         assert r.work_vector().tolist() == expected
 
     def test_loads_match_legacy_per_box_loop(self, p):
         r = p.partition(epoch(), PAPER_CAPS, WorkModel())
         loop = np.zeros(r.num_ranks)
-        for box, rank in r.layout.pairs():
+        for box, rank in layout_pairs(r.layout):
             loop[rank] += default_work(box)
         np.testing.assert_array_equal(r.loads(), loop)
 

@@ -395,9 +395,12 @@ def test_reachability_flags_a_config_field_no_caller_sets(tmp_path):
 def test_reachability_flags_a_stale_allowlist_entry(tmp_path):
     root = reachability_tree(tmp_path)
     (root / "examples" / "planted.py").write_text(
-        "def owned(layout):\n    return layout.of_rank(0)\n", encoding="utf-8"
+        "from repro.amr.ghost import ghost_plan_bytes\n\n\n"
+        "def charged(plan, owners):\n"
+        "    return ghost_plan_bytes(plan, owners, 8.0)\n",
+        encoding="utf-8",
     )
     result = run_reachability(root)
     assert result.returncode == 1
-    assert "repro.util.geometry:Layout.of_rank" in result.stdout
+    assert "repro.amr.ghost:ghost_plan_bytes" in result.stdout
     assert "referenced now" in result.stdout

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.util.errors import GeometryError
 from repro.util.geometry import Box, BoxArray, BoxList
 from repro.util.sfc import (
     hilbert_encode_many,
@@ -199,14 +200,16 @@ class TestOrderingEquivalence:
 
 
 class TestBoxListViewContract:
-    """Lazy (columnar) and materialized BoxLists are interchangeable."""
+    """A BoxList is exactly its BoxArray: Box objects are a view built on
+    demand, and every list query agrees with the same query over a
+    tuple of boxes."""
 
     @settings(max_examples=60, deadline=None)
     @given(box_lists(min_size=1))
     def test_lazy_view_equals_object_list(self, bs):
+        assert BoxList.__slots__ == ("array",)
         eager = BoxList(bs)
         lazy = BoxList.from_array(BoxArray.from_boxes(bs))
-        assert lazy._boxes is None  # columns only until read
         assert lazy == eager
         assert hash(lazy) == hash(eager)
         assert list(lazy) == bs
@@ -217,11 +220,67 @@ class TestBoxListViewContract:
         assert lazy.cells_by_level() == eager.cells_by_level()
         for level in eager.levels:
             assert lazy.at_level(level) == eager.at_level(level)
+            assert list(eager.at_level(level)) == [
+                b for b in bs if b.level == level
+            ]
 
     @settings(max_examples=40, deadline=None)
     @given(box_lists(min_size=1), st.data())
     def test_take_preserves_contents_both_paths(self, bs, data):
-        idx = data.draw(st.lists(st.integers(0, len(bs) - 1), max_size=8))
+        idx = data.draw(
+            st.lists(st.integers(0, len(bs) - 1), min_size=1, max_size=8)
+        )
+        idx = idx + idx  # every index at least twice
         eager = BoxList(bs)
         lazy = BoxList.from_array(BoxArray.from_boxes(bs))
         assert eager.take(idx) == lazy.take(idx) == BoxList(bs[i] for i in idx)
+        assert list(eager.take(idx)) == [bs[i] for i in idx]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        box_lists(),
+        st.integers(-20, 20) | st.none(),
+        st.integers(-20, 20) | st.none(),
+        st.sampled_from([None, 1, 2, 3, -1, -2, -3]),
+    )
+    def test_slices_match_tuple_slices(self, bs, start, stop, step):
+        lst = BoxList(bs)
+        sl = slice(start, stop, step)
+        assert list(lst[sl]) == bs[sl]
+        assert lst[sl] == BoxList(bs[sl])
+
+    @settings(max_examples=60, deadline=None)
+    @given(box_lists())
+    def test_integer_indices_match_tuple_indices(self, bs):
+        lst = BoxList(bs)
+        n = len(bs)
+        for i in range(-n, n):
+            assert lst[i] == bs[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                lst[i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(box_lists(min_size=1))
+    def test_bounding_box_matches_object_fold(self, bs):
+        same_level = [Box(b.lower, b.upper, bs[0].level) for b in bs]
+        lo = tuple(min(c) for c in zip(*(b.lower for b in same_level)))
+        up = tuple(max(c) for c in zip(*(b.upper for b in same_level)))
+        assert BoxList(same_level).bounding_box() == Box(lo, up, bs[0].level)
+        if len({b.level for b in bs}) > 1:
+            with pytest.raises(GeometryError, match="level mismatch"):
+                BoxList(bs).bounding_box()
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 3), (1, 3), (3, 3)])
+    def test_empty_lists_of_any_dimensionality_are_equal(self, a, b):
+        x = BoxList.from_array(BoxArray.empty(a))
+        y = BoxList.from_array(BoxArray.empty(b))
+        assert x == y == BoxList()
+        assert hash(x) == hash(y) == hash(BoxList())
+        with pytest.raises(GeometryError, match="empty BoxList"):
+            x.bounding_box()
+
+    def test_same_rows_on_another_level_differ(self):
+        a = BoxList([Box((0, 0), (2, 2), 0)])
+        assert a != BoxList([Box((0, 0), (2, 2), 1)])
+        assert a != BoxList([Box((0, 0, 0), (2, 2, 2), 0)])

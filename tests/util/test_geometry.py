@@ -206,6 +206,15 @@ class TestBoxList:
         with pytest.raises(GeometryError):
             BoxList(["not a box"])  # type: ignore[list-item]
 
+    @pytest.mark.parametrize("build", [BoxList, BoxArray.from_boxes])
+    def test_lowering_names_the_bad_input(self, build):
+        # One validation site: the columns refuse what the list refuses,
+        # with the same message instead of a bare numpy shape error.
+        with pytest.raises(GeometryError, match="mixed dimensionality"):
+            build([Box((0, 0), (1, 1)), Box((0, 0, 0), (1, 1, 1))])
+        with pytest.raises(GeometryError, match="items must be Box"):
+            build([Box((0, 0), (1, 1)), "x"])  # type: ignore[list-item]
+
     def test_is_disjoint_cross_level_ok(self):
         # Same footprint on different levels is fine.
         bl = BoxList([Box((0,), (4,), 0), Box((0,), (4,), 1)])
@@ -214,13 +223,6 @@ class TestBoxList:
     def test_is_disjoint_detects_overlap(self):
         bl = BoxList([Box((0,), (4,)), Box((3,), (6,))])
         assert not bl.is_disjoint()
-
-    def test_append_extend_immutably(self):
-        bl = BoxList([Box((0,), (1,))])
-        bl2 = bl.append(Box((2,), (3,)))
-        assert len(bl) == 1 and len(bl2) == 2
-        bl3 = bl.extend([Box((4,), (5,)), Box((6,), (7,))])
-        assert len(bl3) == 3
 
     def test_slicing_returns_boxlist(self):
         bl = BoxList([Box((i,), (i + 1,)) for i in range(5)])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.util.errors import HDDAError
@@ -126,6 +126,9 @@ class TestGrowth:
     ),
     st.integers(1, 8),
 )
+# mix64 of 2161 and 5058 agree in their low 17 bits: the directory grows to
+# 2**18 slots, so every walk linear in slots shows up against the deadline.
+@example(pairs=[(0, 0), (2161, 0), (5058, 0)], capacity=1)
 def test_table_matches_dict_semantics(pairs, capacity):
     """Extendible hash table behaves exactly like a dict under put/overwrite."""
     t = ExtendibleHashTable(bucket_capacity=capacity)

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from repro.util.errors import GeometryError
 from repro.util.geometry import Box, BoxArray, BoxList, Layout
 
+from tests.conftest import layout_pairs
+
 NUM_RANKS = 8
 
 
@@ -33,7 +35,7 @@ def pair_lists(draw) -> list[tuple[Box, int]]:
 
 
 def columnar(pairs) -> Layout:
-    """The same layout backed purely by columns (no Box objects kept)."""
+    """The same layout built from columns directly, not via ``from_pairs``."""
     boxes = BoxList.from_array(BoxArray.from_boxes([b for b, _ in pairs]))
     return Layout(boxes, np.array([r for _, r in pairs], dtype=np.intp))
 
@@ -42,11 +44,11 @@ def columnar(pairs) -> Layout:
 @given(pair_lists())
 def test_pairs_round_trip(pairs):
     for layout in (Layout.from_pairs(pairs), columnar(pairs)):
-        assert layout.pairs() == pairs
+        assert layout_pairs(layout) == pairs
         assert len(layout) == len(pairs)
-        assert all(type(r) is int for _, r in layout.pairs())
+        assert all(type(r) is int for _, r in layout_pairs(layout))
         assert layout.ranks.dtype == np.intp
-        again = Layout.from_pairs(layout.pairs())
+        again = Layout.from_pairs(layout_pairs(layout))
         assert again.boxes == layout.boxes
         assert again.ranks.tolist() == layout.ranks.tolist()
 
@@ -59,12 +61,13 @@ def test_selections_match_the_comprehensions_they_replace(pairs, rng):
     index = np.array([rng.randrange(100) for _ in range(NUM_RANKS)])
     for layout in (Layout.from_pairs(pairs), columnar(pairs)):
         for k in range(NUM_RANKS):
-            assert layout.of_rank(k) == BoxList(b for b, r in pairs if r == k)
-        assert layout.remapped(index).pairs() == [
+            owned = layout.boxes.take(np.flatnonzero(layout.ranks == k))
+            assert owned == BoxList(b for b, r in pairs if r == k)
+        assert layout_pairs(layout.remapped(index)) == [
             (b, int(index[r])) for b, r in pairs
         ]
         taken = Layout(layout.boxes.take(order), layout.ranks[order])
-        assert taken.pairs() == [pairs[i] for i in order]
+        assert layout_pairs(taken) == [pairs[i] for i in order]
 
 
 class TestTheTypeEnforcesItsInvariants:
@@ -105,6 +108,5 @@ class TestTheTypeEnforcesItsInvariants:
 
     def test_empty(self):
         layout = Layout.from_pairs(())
-        assert len(layout) == 0 and layout.pairs() == []
-        assert len(layout.of_rank(0)) == 0
+        assert len(layout) == 0 and layout_pairs(layout) == []
         assert len(layout.remapped(np.arange(3))) == 0

@@ -60,8 +60,6 @@ PROTOCOL_METHODS = frozenset({"do_GET", "log_message"})
 #: Orphans an open ROADMAP item owns, as ``module:qualname`` -> the
 #: item that decides their fate.  May only shrink.
 ALLOWLIST = {
-    # The per-rank box metadata parked beside item 5 builds on it.
-    "repro.util.geometry:Layout.of_rank": "ROADMAP item 5",
     # The copy-plan byte count item 6 switches the ghost-exchange charge to.
     "repro.amr.ghost:ghost_plan_bytes": "ROADMAP item 6",
     # Corrupt-snapshot fallback of the directory store, whose fate (drop,
