@@ -10,6 +10,8 @@ between regrids.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.amr.api import AmrKernel
@@ -154,7 +156,7 @@ def flag_level(
     """
     if len(level) == 0:
         return None
-    frame = level.boxes.bounding_box()
+    frame = functools.reduce(Box.bounding_union, (p.box for p in level))
     if bounding is not None:
         clipped = frame.intersection(bounding)
         if clipped is None:

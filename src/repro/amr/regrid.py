@@ -18,6 +18,8 @@ Levels are processed finest-parent-first so that the footprint of level
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.amr.clustering import berger_rigoutsos
@@ -121,8 +123,9 @@ def _regrid_child_of(
         indicator_fn=indicator_fn,
     )
     if flagged is None:
-        mask = None
-        frame = hierarchy.levels[parent].boxes.bounding_box()
+        frame = functools.reduce(
+            Box.bounding_union, (p.box for p in hierarchy.levels[parent])
+        )
         mask = np.zeros(frame.shape, dtype=bool)
     else:
         mask, frame = flagged

@@ -26,7 +26,7 @@ directory name is its URL id).  Routes:
   ``learn/decisions.jsonl`` audit ledger; 404 otherwise.
 - ``GET /campaigns/<id>/report`` -- self-contained HTML report.
 - ``GET /campaigns/<id>/dashboard`` -- the telemetry HTML dashboard,
-  rendered from the orchestrator trace when present.
+  rendered from the orchestrator trace; 404 when the campaign has none.
 
 Rendered responses are cached per (campaign, route) keyed on a
 file-stat signature: a repeat request for unchanged files is answered
@@ -631,11 +631,9 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _dashboard(self, campaign_id: str, directory: Path) -> None:
-        # Prefer the orchestrator's own trace; fall back to the progress
-        # log name for directories written before the two were split.
+        # The orchestrator's own trace; ``events.jsonl`` is the progress
+        # log, which every campaign has and which holds no traced run.
         trace_path = directory / ORCHESTRATOR_TRACE_NAME
-        if not trace_path.is_file():
-            trace_path = directory / EVENTS_NAME
         if not trace_path.is_file():
             raise CampaignError(
                 f"campaign {campaign_id!r} has no trace to render; "

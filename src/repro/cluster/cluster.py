@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.cluster.events import SimClock
-from repro.cluster.loadgen import SyntheticLoadGenerator, cpu_share_under_load
+from repro.cluster.loadgen import SyntheticLoadGenerator
 from repro.cluster.network import LinkModel
 from repro.cluster.node import NodeSpec, NodeState
 from repro.telemetry.spans import NULL_TRACER
@@ -75,6 +75,7 @@ class Cluster:
         # Static per-node spec columns for vectorized speed queries.
         self._cpu_speed = np.array([s.cpu_speed for s in self.nodes])
         self._os_overhead = np.array([s.os_overhead for s in self.nodes])
+        self._memory_mb = np.array([s.memory_mb for s in self.nodes])
         self._nic_mbps = np.array([s.bandwidth_mbps for s in self.nodes])
         #: node -> sim time it went down (absent = up)
         self._down_since: dict[int, float] = {}
@@ -234,66 +235,73 @@ class Cluster:
         t = self.clock.now if t is None else t
         return float(self._node_sums(t)[0][node])
 
-    def _state_at(
-        self, node: int, level: float, mem_used: float, bw_used: float
-    ) -> NodeState:
-        if node in self._down_since:
-            # A crashed node delivers nothing -- no CPU, no memory, no NIC.
-            return NodeState(
-                cpu_available=0.0,
-                free_memory_mb=0.0,
-                bandwidth_mbps=0.0,
-                load_level=level,
-            )
-        spec = self.nodes[node]
-        mem_total = OS_BASE_MEMORY_MB + mem_used
-        bw_share = max(0.05, 1.0 - bw_used)  # >= 5% stays deliverable
-        bw_share *= self._link_derate.get(node, 1.0)
-        return NodeState(
-            cpu_available=cpu_share_under_load(level, spec.os_overhead),
-            free_memory_mb=max(0.0, spec.memory_mb - mem_total),
-            bandwidth_mbps=spec.bandwidth_mbps * bw_share,
-            load_level=level,
+    def _cpu_share(self, load: np.ndarray) -> np.ndarray:
+        """CPU fraction left to a new process under ``load`` competing
+        load units (the Unix load-average model), after the OS share."""
+        return np.clip((1.0 - self._os_overhead) / (1.0 + load), 0.0, 1.0)
+
+    def _nic_share(self, bw_used: np.ndarray) -> np.ndarray:
+        """Deliverable NIC fraction: >= 5 % stays deliverable, times any
+        link derating."""
+        share = np.maximum(0.05, 1.0 - bw_used)
+        for node, factor in self._link_derate.items():
+            share[node] *= factor
+        return share
+
+    def _zero_down(self, *columns: np.ndarray) -> None:
+        """A crashed node delivers nothing -- no CPU, no memory, no NIC."""
+        if self._down_since:
+            down = list(self._down_since)
+            for col in columns:
+                col[down] = 0.0
+
+    def resources(
+        self, t: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(cpu_available, free_memory_mb, bandwidth_mbps)`` per node at
+        ``t`` (default: now), from one pass over the generator table.  A
+        down node reads 0 in all three columns."""
+        t = self.clock.now if t is None else t
+        load, mem_used, bw_used = self._node_sums(t)
+        cpu = self._cpu_share(load)
+        free_mb = np.maximum(
+            0.0, self._memory_mb - (OS_BASE_MEMORY_MB + mem_used)
         )
+        mbps = self._nic_mbps * self._nic_share(bw_used)
+        self._zero_down(cpu, free_mb, mbps)
+        return cpu, free_mb, mbps
 
     def state_of(self, node: int, t: float | None = None) -> NodeState:
-        """Ground-truth resource state of one node.
+        """Ground-truth resource state of one node: row ``node`` of
+        :meth:`resources`.
 
         Only the simulator and its tests call this directly; the framework
         sees node state through the resource monitor, which adds probe cost
-        (and, optionally, noise and forecasting).
+        (and, optionally, noise).
         """
         self._check_node(node)
-        t = self.clock.now if t is None else t
-        load, mem_used, bw_used = self._node_sums(t)
-        return self._state_at(
-            node,
-            float(load[node]),
-            float(mem_used[node]),
-            float(bw_used[node]),
+        cpu, free_mb, mbps = self.resources(t)
+        return NodeState(
+            cpu_available=float(cpu[node]),
+            free_memory_mb=float(free_mb[node]),
+            bandwidth_mbps=float(mbps[node]),
+            load_level=self.load_level(node, t),
         )
 
     def effective_speeds(self, t: float | None = None) -> np.ndarray:
-        """Per-node deliverable speeds, computed without NodeState objects."""
+        """Per-node deliverable speeds: CPU speed times the CPU column of
+        :meth:`resources`."""
         t = self.clock.now if t is None else t
-        load = self._node_sums(t)[0]
-        share = np.clip((1.0 - self._os_overhead) / (1.0 + load), 0.0, 1.0)
-        speeds = self._cpu_speed * share
-        if self._down_since:
-            speeds[list(self._down_since)] = 0.0
+        speeds = self._cpu_speed * self._cpu_share(self._node_sums(t)[0])
+        self._zero_down(speeds)
         return speeds
 
     def bandwidths(self, t: float | None = None) -> np.ndarray:
-        """Per-node deliverable NIC Mbit/s: the columnar twin of
-        ``state_of(k, t).bandwidth_mbps`` (5 % floor, link derating, 0 for
-        down nodes), bitwise equal to it for every node."""
+        """Per-node deliverable NIC Mbit/s: the bandwidth column of
+        :meth:`resources` (5 % floor, link derating, 0 for down nodes)."""
         t = self.clock.now if t is None else t
-        share = np.maximum(0.05, 1.0 - self._node_sums(t)[2])
-        for node, factor in self._link_derate.items():
-            share[node] *= factor
-        mbps = self._nic_mbps * share
-        if self._down_since:
-            mbps[list(self._down_since)] = 0.0
+        mbps = self._nic_mbps * self._nic_share(self._node_sums(t)[2])
+        self._zero_down(mbps)
         return mbps
 
     # ------------------------------------------------------------------

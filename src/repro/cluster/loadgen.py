@@ -22,16 +22,7 @@ from dataclasses import dataclass
 
 from repro.util.errors import SimulationError
 
-__all__ = ["SyntheticLoadGenerator", "cpu_share_under_load"]
-
-
-def cpu_share_under_load(load_level: float, os_overhead: float = 0.0) -> float:
-    """Fraction of CPU available to a new process under ``load_level``
-    competing load units, after subtracting the OS background share."""
-    if load_level < 0:
-        raise SimulationError(f"negative load level {load_level}")
-    share = (1.0 - os_overhead) / (1.0 + load_level)
-    return max(0.0, min(1.0, share))
+__all__ = ["SyntheticLoadGenerator"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,14 +9,15 @@ costs about 0.5 s per node to probe and convert into a relative capacity
 
 This package reproduces that contract against the simulated cluster:
 
-- :mod:`repro.monitor.sensors` -- per-metric sensors with optional
-  measurement noise and injectable probe failures;
+- :mod:`repro.monitor.service` -- :class:`ResourceMonitor`, the facade the
+  runtime queries: one sweep reads each resource as one column across all
+  nodes (optionally with relative measurement noise), carries a failed
+  node's last reading forward, and returns a snapshot plus the probe
+  overhead the caller must charge to simulated time;
 - :mod:`repro.monitor.forecasting` -- the NWS-style forecaster suite
   (last-value, sliding mean/median, AR(1), and the adaptive ensemble that
-  tracks whichever predictor has been most accurate);
-- :mod:`repro.monitor.service` -- :class:`ResourceMonitor`, the facade the
-  runtime queries; it returns snapshots plus the probe overhead the caller
-  must charge to simulated time.
+  tracks whichever predictor has been most accurate), fed one snapshot
+  value at a time by whoever wants predictions instead of readings.
 """
 
 from repro.monitor.forecasting import (
@@ -28,7 +29,6 @@ from repro.monitor.forecasting import (
     SlidingMedianForecaster,
     make_forecaster,
 )
-from repro.monitor.sensors import MetricSensor, SensorReading
 from repro.monitor.service import MonitorSnapshot, ResourceMonitor
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "ARForecaster",
     "AdaptiveEnsembleForecaster",
     "make_forecaster",
-    "MetricSensor",
-    "SensorReading",
     "MonitorSnapshot",
     "ResourceMonitor",
 ]

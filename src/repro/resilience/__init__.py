@@ -1,4 +1,4 @@
-"""Resilience subsystem: fault injection, checkpoint/restart, probe policy.
+"""Resilience subsystem: fault injection and checkpoint/restart.
 
 The paper's premise is that cluster capacity is *dynamic*; in production the
 dynamics include outright failure.  This package makes the runtime survive
@@ -16,9 +16,10 @@ Pieces
 - :mod:`repro.resilience.checkpoint` -- versioned, checksummed snapshots of
   the grid hierarchy + partition assignment + clock state, with
   integrity-verified restore.
-- :mod:`repro.resilience.policy` -- exponential-backoff probe retries and a
-  consecutive-failure escalation ladder (healthy -> stale -> suspect ->
-  evicted) replacing the monitor's silent stale carry-forward.
+
+A node the injector takes down or blacks out keeps its last monitor
+reading (:class:`~repro.monitor.service.ResourceMonitor`); the capacity
+calculator renormalizes over the cluster's live set.
 """
 
 from repro.resilience.chaos import FaultEvent, FaultInjector, FaultPlan
@@ -30,25 +31,15 @@ from repro.resilience.checkpoint import (
     MemoryCheckpointStore,
     ResilienceConfig,
 )
-from repro.resilience.policy import (
-    BackoffPolicy,
-    EscalationPolicy,
-    NodeProbeStatus,
-    ProbeRetryPolicy,
-)
 
 __all__ = [
-    "BackoffPolicy",
     "Checkpoint",
     "CheckpointManager",
     "CheckpointStore",
     "DirectoryCheckpointStore",
-    "EscalationPolicy",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
     "MemoryCheckpointStore",
-    "NodeProbeStatus",
-    "ProbeRetryPolicy",
     "ResilienceConfig",
 ]

@@ -15,7 +15,7 @@ Fault kinds
     down; probes fail; collectives shrink around it).
 ``sensor_blackout`` / ``sensor_restore``
     The node keeps computing but its monitor sensors stop answering --
-    exercises the stale -> suspect -> evicted escalation ladder without
+    the monitor carries its last reading forward (a stale node) without
     any real capacity change.
 ``link_degrade`` / ``link_restore``
     The node's NIC is derated to ``factor`` of its deliverable bandwidth

@@ -30,7 +30,8 @@ import numpy as np
 
 from repro.cluster import Cluster, SyntheticLoadGenerator
 from repro.kernels.workloads import SyntheticWorkload, paper_rm3d_trace
-from repro.monitor.service import ResourceMonitor
+from repro.monitor.forecasting import make_forecaster
+from repro.monitor.service import MonitorSnapshot, ResourceMonitor
 from repro.partition import (
     ACEComposite,
     ACEHeterogeneous,
@@ -149,8 +150,10 @@ def forecaster_ablation(
     """Capacity-estimation error per forecaster under noisy measurements.
 
     The cluster is static (paper_four_node), so the true relative
-    capacities are constant; a noisy monitor feeds each forecaster and we
-    measure the mean absolute capacity error against the noise-free truth.
+    capacities are constant; every snapshot of a noisy monitor feeds one
+    forecaster per (resource, node), and we measure the mean absolute
+    error of the capacities computed from the forecasts against the
+    noise-free truth.
     Averaging forecasters (mean/median) should beat last-value; the
     adaptive ensemble should be competitive with the best member.
     """
@@ -166,12 +169,29 @@ def forecaster_ablation(
         for seed in seeds:
             cluster = Cluster.paper_four_node()
             cluster.clock.advance(5.0)
-            monitor = ResourceMonitor(
-                cluster, noise=noise, forecaster=kind, seed=seed
-            )
+            monitor = ResourceMonitor(cluster, noise=noise, seed=seed)
+            forecasters = [
+                [make_forecaster(kind) for _ in range(cluster.num_nodes)]
+                for _ in range(3)
+            ]
             for i in range(probes):
-                monitor.probe_all(t=5.0 + i)
-            estimate = calc.relative_capacities(monitor.forecast_all())
+                snap = monitor.probe_all(t=5.0 + i)
+                readings = (snap.cpu, snap.memory_mb, snap.bandwidth_mbps)
+                for row, values in zip(forecasters, readings):
+                    for forecaster, value in zip(row, values.tolist()):
+                        forecaster.update(value)
+            cpu, memory_mb, bandwidth_mbps = (
+                np.array([f.forecast() for f in row]) for row in forecasters
+            )
+            estimate = calc.relative_capacities(
+                MonitorSnapshot(
+                    time=cluster.clock.now,
+                    cpu=np.clip(cpu, 0.0, 1.0),
+                    memory_mb=np.maximum(memory_mb, 0.0),
+                    bandwidth_mbps=np.maximum(bandwidth_mbps, 0.0),
+                    overhead_seconds=0.0,
+                )
+            )
             errs.append(float(np.abs(estimate - truth).mean()))
         rows.append({"forecaster": kind, "mae": float(np.mean(errs))})
     return {"rows": rows, "noise": noise, "truth": truth.tolist()}

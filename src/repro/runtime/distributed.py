@@ -233,9 +233,9 @@ class DistributedAmrRun(StepEngine):
         """Restore if data was lost, then run the shared recovery stage.
 
         Two triggers: a box-owning rank is down (data loss -- restore the
-        latest checkpoint and replay), or the trusted live set differs
-        from the one the current partition was computed over (a node was
-        evicted, or a recovered node should be grown onto again).
+        latest checkpoint and replay), or the live set differs
+        from the one the current partition was computed over (a recovered
+        node should be grown onto again).
         """
         tracer = self.tracer
         manager = self.ckpt_manager

@@ -190,8 +190,8 @@ class StepEngine:
     # the loop top recovers (the kernel executor restores a checkpoint).
     reprice_after_abort = False
     # What a loop-level recovery partitions as: "recovery" always takes the
-    # recover stage, "regrid" only over a degraded trusted set (a rejoin
-    # that leaves everyone trusted is a plain repartition).
+    # recover stage, "regrid" only over a degraded live set (a rejoin
+    # that leaves everyone live is a plain repartition).
     recovery_trigger = "recovery"
     # Re-sense when a step's duration deviates relatively by more than this
     # from the post-repartition reference (None: never).
@@ -269,7 +269,7 @@ class StepEngine:
     def _repartition(self, trigger: str) -> None:
         """Partition the executor's boxes and migrate to the new layout.
 
-        With resilience enabled and a degraded trusted set (or on a
+        With resilience enabled and a degraded live set (or on a
         ``"recovery"`` trigger) the partition runs through the pipeline's
         recover stage instead: compacted over the live ranks so no box
         can land on a dead one, with orphaned cells priced as
@@ -277,7 +277,7 @@ class StepEngine:
         """
         resilience = self.resilience
         if resilience is not None and (
-            trigger == "recovery" or not self.monitor.trusted_mask().all()
+            trigger == "recovery" or not self.cluster.live_mask().all()
         ):
             trigger = "recovery"
             out = self.pipeline.recover(self._boxes(), self._capacities)
@@ -289,7 +289,7 @@ class StepEngine:
                 migrate_attrs={"trigger": trigger} if labelled else None,
             )
         if resilience is not None:
-            self._partition_live = self._trusted_live()
+            self._partition_live = self._live_ranks()
         self._result.migration_seconds += out.migration_seconds
         self._on_repartition(out, trigger)
 
@@ -298,23 +298,23 @@ class StepEngine:
         last = self.pipeline.last
         return self.time_model.iteration_cost(last.loads, last.volumes)
 
-    def _trusted_live(self) -> frozenset[int]:
-        """Ranks that are up and not evicted by the escalation policy."""
-        return frozenset(np.flatnonzero(self.monitor.trusted_mask()).tolist())
+    def _live_ranks(self) -> frozenset[int]:
+        """Ranks whose nodes are up."""
+        return frozenset(np.flatnonzero(self.cluster.live_mask()).tolist())
 
     def _recovery_due(self) -> bool:
-        """Whether the trusted rank set no longer matches the partition.
+        """Whether the live rank set no longer matches the partition.
 
         Covers both directions: a box owner died (evacuate + shrink) and a
-        previously dead/evicted node rejoined (grow back over it).
+        previously dead node rejoined (grow back over it).
         """
         return self.resilience is not None and (
             self.pipeline.needs_recovery()
-            or self._trusted_live() != self._partition_live
+            or self._live_ranks() != self._partition_live
         )
 
     def _recover(self) -> None:
-        """Re-sense and repartition over the surviving trusted set."""
+        """Re-sense and repartition over the surviving live set."""
         self._sense()
         self._repartition(self.recovery_trigger)
         self._baseline = None
@@ -372,7 +372,7 @@ class StepEngine:
         while (step := self._step()) < end:
             if self._recovery_due():
                 # A fault (or recovery) landed between steps: re-sense and
-                # repartition over the surviving trusted set before
+                # repartition over the surviving live set before
                 # pricing anything against dead hardware.
                 self._recover()
                 step = self._step()  # a restore rewinds the counter

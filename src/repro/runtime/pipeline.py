@@ -178,9 +178,9 @@ class RepartitionPipeline:
             snapshot = self.monitor.probe_all()
             overhead = snapshot.overhead_seconds
             self.cluster.clock.advance(overhead)
-            # Dead/evicted nodes get exactly zero capacity; with everyone
-            # trusted this is the original fixed-rank-set computation.
-            live = self.monitor.trusted_mask()
+            # Dead nodes get exactly zero capacity; with everyone live
+            # this is the original fixed-rank-set computation.
+            live = self.cluster.live_mask()
             with tracer.span("capacity"):
                 caps = self.capacity.relative_capacities(
                     snapshot, None if bool(live.all()) else live
@@ -307,8 +307,8 @@ class RepartitionPipeline:
 
         In a real deployment this is the MPI layer reporting broken pipes
         on the ranks' connections; in the simulation we consult the
-        cluster directly.  Sensor-only loss (blackouts) is *not* included
-        -- that is the escalation policy's call.
+        cluster directly.  Sensor-only loss (blackouts) is *not* included:
+        the monitor carries such a node's last reading forward.
         """
         down = set(self.cluster.down_nodes)
         if not down:
@@ -327,10 +327,10 @@ class RepartitionPipeline:
         result is remapped back to true node indices.  Evacuation traffic
         (cells whose previous owner is down) cannot come off the dead NIC;
         it is priced as a read from checkpoint storage.  The same stage
-        handles growth: when a recovered node rejoins the trusted set, the
+        handles growth: when a recovered node rejoins the live set, the
         partition simply spreads over it again (no evacuation term).
         """
-        live = self.monitor.trusted_mask()
+        live = self.cluster.live_mask()
         if not live.any():
             raise ResilienceError("recovery attempted with no surviving nodes")
         attrs = {

@@ -69,11 +69,8 @@ EVENT_NAMES = frozenset(
         "split",
         # communication: one per exchange phase, with its pair detail
         "comm.exchange",
-        # faults, probe escalation and recovery
+        # faults and recovery
         "fault.step_aborted",
-        "fault.probe_suspect",
-        "fault.probe_evicted",
-        "recovery.probe_healthy",
         "recovery.repartition",
         "recovery.restore",
         "recovery.complete",

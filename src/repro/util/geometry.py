@@ -37,7 +37,6 @@ Conventions
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -189,7 +188,7 @@ class Box:
         up = tuple(max(a, b) for a, b in zip(self.upper, other.upper))
         return Box(lo, up, self.level)
 
-    def difference(self, other: "Box") -> "BoxList":
+    def difference(self, other: "Box") -> tuple["Box", ...]:
         """Cells of this box not covered by ``other``, as disjoint boxes.
 
         Uses axis-by-axis slab decomposition, producing at most ``2 * ndim``
@@ -197,7 +196,7 @@ class Box:
         """
         inter = self.intersection(other)
         if inter is None:
-            return BoxList([self])
+            return (self,)
         pieces: list[Box] = []
         lo = list(self.lower)
         up = list(self.upper)
@@ -212,7 +211,7 @@ class Box:
                 pieces.append(Box(tuple(p_lo), tuple(p_up), self.level))
             lo[d] = inter.lower[d]
             up[d] = inter.upper[d]
-        return BoxList(pieces)
+        return tuple(pieces)
 
     def _check_compatible(self, other: "Box") -> None:
         if self.ndim != other.ndim:
@@ -860,12 +859,6 @@ class BoxList:
         """True when no two same-level boxes overlap (memoized on the
         columns)."""
         return self.array.is_disjoint()
-
-    def bounding_box(self) -> Box:
-        """Smallest single box covering every member (single-level lists only)."""
-        if not len(self):
-            raise GeometryError("bounding_box of an empty BoxList")
-        return functools.reduce(Box.bounding_union, self)
 
 
 @dataclass(frozen=True, eq=False)

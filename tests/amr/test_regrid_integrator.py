@@ -13,6 +13,7 @@ from repro.amr.regrid import build_initial_hierarchy, regrid_hierarchy
 from repro.kernels.advection import AdvectionKernel
 from repro.util.errors import KernelError
 from repro.util.geometry import Box
+from tests.conftest import bounding_box
 
 
 def make_hierarchy(max_levels: int = 3, size: int = 32) -> GridHierarchy:
@@ -30,7 +31,7 @@ class TestRegrid:
         assert h.proper_nesting_ok()
         # Refined levels hug the pulse at (8, 8).
         for lvl in h.levels[1:]:
-            frame = lvl.boxes.bounding_box()
+            frame = bounding_box(lvl.boxes)
             scale = 2**lvl.level
             center = tuple((l + u) / (2 * scale) for l, u in zip(frame.lower, frame.upper))
             assert abs(center[0] - 8) < 6 and abs(center[1] - 8) < 6
@@ -52,7 +53,7 @@ class TestRegrid:
                 p.interior = np.zeros_like(p.interior)
         regrid_hierarchy(h)
         assert h.proper_nesting_ok()
-        frame = h.levels[1].boxes.bounding_box()
+        frame = bounding_box(h.levels[1].boxes)
         center_x = (frame.lower[0] + frame.upper[0]) / 4  # /2 for level scale
         assert center_x > 16  # moved toward (24, 24)
 

@@ -12,6 +12,7 @@ from repro.amr.regrid import RegridParams, build_initial_hierarchy
 from repro.kernels.advection import AdvectionKernel
 from repro.util.errors import GeometryError
 from repro.util.geometry import Box
+from tests.conftest import bounding_box
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ class TestRichardsonRegrid:
         assert h.num_levels == 2
         assert h.proper_nesting_ok()
         # Refinement hugs the pulse at x=16.
-        frame = h.levels[1].boxes.bounding_box()
+        frame = bounding_box(h.levels[1].boxes)
         center_x = (frame.lower[0] + frame.upper[0]) / 4
         assert 10 < center_x < 22
 

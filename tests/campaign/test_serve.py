@@ -10,13 +10,24 @@ import urllib.request
 
 import pytest
 
-from repro.campaign import CampaignRunner, CampaignSpec, make_server
+from repro.campaign import (
+    ORCHESTRATOR_TRACE_NAME,
+    CampaignRunner,
+    CampaignSpec,
+    make_server,
+)
 from repro.util.errors import CampaignError
 
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    """One completed campaign behind a live server on an ephemeral port."""
+    """One completed campaign behind a live server on an ephemeral port.
+
+    Like ``repro campaign run``, the campaign keeps the orchestrator's
+    trace next to its progress log.
+    """
+    from repro.telemetry import write_jsonl
+
     root = tmp_path_factory.mktemp("serve-root")
     spec = CampaignSpec(
         name="web",
@@ -25,7 +36,9 @@ def served(tmp_path_factory):
         seeds=(1,),
         base_config={"iterations": 3},
     )
-    CampaignRunner(spec, root / "web", workers=1).run()
+    runner = CampaignRunner(spec, root / "web", workers=1)
+    runner.run()
+    write_jsonl(runner.tracer, root / "web" / ORCHESTRATOR_TRACE_NAME)
     server = make_server(root, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -437,8 +450,8 @@ class TestServerConstruction:
 
 
 class TestDashboardRoute:
-    def test_torn_progress_log_still_renders(self, served):
-        """A live or crashed campaign's log ends mid-record: 200, not 500."""
+    def test_torn_orchestrator_trace_still_renders(self, served):
+        """A crashed campaign's trace ends mid-record: 200, not 500."""
         import shutil
 
         from repro.telemetry import render_dashboard
@@ -448,10 +461,12 @@ class TestDashboardRoute:
         crashed.mkdir()
         try:
             shutil.copy(web / "campaign.json", crashed / "campaign.json")
-            log = (web / "events.jsonl").read_text(encoding="utf-8")
-            shutil.copy(web / "events.jsonl", crashed / "complete.jsonl")
-            (crashed / "events.jsonl").write_text(
-                log + '[1, 2]\n{"type": "event", "name": "live.cell_fin',
+            shutil.copy(web / "events.jsonl", crashed / "events.jsonl")
+            trace = web / ORCHESTRATOR_TRACE_NAME
+            shutil.copy(trace, crashed / "complete.jsonl")
+            (crashed / ORCHESTRATOR_TRACE_NAME).write_text(
+                trace.read_text(encoding="utf-8")
+                + '[1, 2]\n{"type": "span", "name": "campaign.ce',
                 encoding="utf-8",
             )
             status, headers, body = get(f"{base}/campaigns/crashed/dashboard")
@@ -460,8 +475,26 @@ class TestDashboardRoute:
             assert body.decode("utf-8") == render_dashboard(
                 crashed / "complete.jsonl", title="Campaign crashed"
             )
+            assert b"0 traced run" not in body
         finally:
             shutil.rmtree(crashed)
+
+    def test_progress_log_alone_is_no_trace(self, served):
+        """Every campaign has a progress log; without the orchestrator's
+        trace there is nothing to render."""
+        import shutil
+
+        server, base = served
+        web, untraced = server.root / "web", server.root / "untraced"
+        untraced.mkdir()
+        try:
+            shutil.copy(web / "campaign.json", untraced / "campaign.json")
+            shutil.copy(web / "events.jsonl", untraced / "events.jsonl")
+            status, _, body = get(f"{base}/campaigns/untraced/dashboard")
+            assert status == 404
+            assert "has no trace to render" in json.loads(body)["error"]
+        finally:
+            shutil.rmtree(untraced)
 
 
 class TestDecisionsRoute:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.loadgen import SyntheticLoadGenerator, cpu_share_under_load
+from repro.cluster.loadgen import SyntheticLoadGenerator
 from repro.cluster.node import NodeSpec, NodeState
 from repro.util.errors import SimulationError
+from tests.monitor.sweep_oracle import cpu_share_under_load
 
 
 class TestNodeSpec:

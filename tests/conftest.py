@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -83,6 +85,12 @@ def layout_pairs(layout: Layout) -> list[tuple[Box, int]]:
 def halves(box: Box, axis: int) -> tuple[Box, Box]:
     """``box`` split in two (near-)equal halves along ``axis``."""
     return box.split(axis, box.lower[axis] + box.shape[axis] // 2)
+
+
+def bounding_box(boxes) -> Box:
+    """Smallest single box covering every member of a one-level box list
+    (the fold the program does over a level's patch boxes)."""
+    return functools.reduce(Box.bounding_union, boxes)
 
 
 def corner_key(box: Box) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from repro.kernels.workloads import record_workload
 from repro.partition import ACEHeterogeneous
 from repro.runtime import RuntimeConfig, SamrRuntime
 from repro.util.geometry import Box
+from tests.conftest import bounding_box
 
 
 def make_integrator(regrid_interval: int = 3) -> BergerOligerIntegrator:
@@ -41,8 +42,8 @@ class TestRecordWorkload:
 
     def test_trace_moves_with_the_feature(self):
         w = record_workload(make_integrator(), num_steps=12)
-        first = w.epoch(0).at_level(2).bounding_box()
-        last = w.epoch(w.num_regrids - 1).at_level(2).bounding_box()
+        first = bounding_box(w.epoch(0).at_level(2))
+        last = bounding_box(w.epoch(w.num_regrids - 1).at_level(2))
         assert last.lower[0] > first.lower[0]  # pulse advected +x
 
     def test_recorded_trace_replays_in_runtime(self):

@@ -10,7 +10,7 @@ from repro.kernels.workloads import (
 )
 from repro.util.errors import GeometryError
 from repro.util.geometry import Box, BoxList
-from tests.conftest import moving_blob_trace
+from tests.conftest import bounding_box, moving_blob_trace
 
 
 def assert_valid_hierarchy_epoch(bl: BoxList, domain: Box, factor: int) -> None:
@@ -75,7 +75,7 @@ class TestMovingBlob:
         centers = []
         for bl in w:
             fine = bl.at_level(1)
-            frame = fine.bounding_box()
+            frame = bounding_box(fine)
             centers.append((frame.lower[0] + frame.upper[0]) / 2)
         assert centers[-1] > centers[0]
 
@@ -114,7 +114,7 @@ class TestPaperTrace:
         w = paper_rm3d_trace(num_regrids=5)
         slab_x = []
         for bl in w:
-            frame = bl.at_level(1).bounding_box()
+            frame = bounding_box(bl.at_level(1))
             slab_x.append((frame.lower[0] + frame.upper[0]) / 2)
         assert slab_x == sorted(slab_x)
         assert slab_x[-1] > slab_x[0]

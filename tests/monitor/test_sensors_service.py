@@ -1,4 +1,4 @@
-"""Tests for sensors and the ResourceMonitor facade."""
+"""Tests for the ResourceMonitor facade and the readings of its sweep."""
 
 from __future__ import annotations
 
@@ -6,53 +6,42 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, SyntheticLoadGenerator
-from repro.monitor import MetricSensor, ResourceMonitor
+from repro.monitor import ResourceMonitor, SlidingMeanForecaster, make_forecaster
 from repro.util.errors import MonitorError
 
 
 class TestMetricSensor:
+    """One resource row of a sweep: what a per-metric NWS sensor reads."""
+
     def test_exact_reading_without_noise(self):
-        c = Cluster.homogeneous(2)
-        s = MetricSensor(c, "cpu")
-        r = s.probe(0)
-        assert r.value == pytest.approx(0.97)
-        assert r.metric == "cpu"
-        assert r.node == 0
+        snap = ResourceMonitor(Cluster.homogeneous(2)).probe_all()
+        np.testing.assert_allclose(snap.cpu, [0.97, 0.97])
+        np.testing.assert_allclose(snap.memory_mb, [448.0, 448.0])
+        np.testing.assert_allclose(snap.bandwidth_mbps, [100.0, 100.0])
 
     def test_noise_perturbs_but_clamps(self):
-        c = Cluster.homogeneous(1)
-        s = MetricSensor(c, "cpu", noise=0.5, seed=1)
-        values = [s.probe(0).value for _ in range(100)]
+        mon = ResourceMonitor(Cluster.homogeneous(1), noise=0.5, seed=1)
+        values = [mon.probe_all().cpu[0] for _ in range(100)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert len(set(values)) > 1
 
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(MonitorError):
-            MetricSensor(Cluster.homogeneous(1), "disk")
-
     def test_bad_params_rejected(self):
-        c = Cluster.homogeneous(1)
         with pytest.raises(MonitorError):
-            MetricSensor(c, "cpu", noise=-0.1)
-        with pytest.raises(MonitorError):
-            MetricSensor(c, "cpu", failure_rate=1.0)
+            ResourceMonitor(Cluster.homogeneous(1), noise=-0.1)
 
     def test_unknown_node_raises_monitor_error(self):
-        s = MetricSensor(Cluster.homogeneous(1), "cpu")
+        mon = ResourceMonitor(Cluster.homogeneous(1))
         with pytest.raises(MonitorError):
-            s.probe(9)
+            mon.blackout_sensor(9)
 
     def test_injected_failures(self):
-        c = Cluster.homogeneous(1)
-        s = MetricSensor(c, "cpu", failure_rate=0.5, seed=0)
-        outcomes = []
-        for _ in range(100):
-            try:
-                s.probe(0)
-                outcomes.append(True)
-            except MonitorError:
-                outcomes.append(False)
-        assert 20 < sum(outcomes) < 80  # roughly half fail
+        """A blacked-out sensor fails every probe of its node until it is
+        restored; the other nodes keep reading."""
+        mon = ResourceMonitor(Cluster.homogeneous(3))
+        mon.blackout_sensor(1)
+        assert [mon.probe_all().stale_nodes for _ in range(3)] == [(1,)] * 3
+        mon.restore_sensor(1)
+        assert mon.probe_all().stale_nodes == ()
 
 
 class TestResourceMonitor:
@@ -78,41 +67,41 @@ class TestResourceMonitor:
         assert after.cpu[1] == pytest.approx(before.cpu[1])
 
     def test_forecast_before_probe_rejected(self):
-        mon = ResourceMonitor(Cluster.homogeneous(1))
+        """A forecaster no snapshot has fed has nothing to predict from."""
         with pytest.raises(MonitorError):
-            mon.forecast_all()
+            make_forecaster("last").forecast()
 
     def test_forecast_last_matches_probe(self):
-        c = Cluster.homogeneous(3)
-        mon = ResourceMonitor(c, forecaster="last")
+        mon = ResourceMonitor(Cluster.homogeneous(3))
         snap = mon.probe_all()
-        fc = mon.forecast_all()
-        np.testing.assert_allclose(fc.cpu, snap.cpu)
-        np.testing.assert_allclose(fc.memory_mb, snap.memory_mb)
-        assert fc.overhead_seconds == 0.0
+        forecasters = [make_forecaster("last") for _ in range(3)]
+        for f, value in zip(forecasters, snap.memory_mb):
+            f.update(value)
+        np.testing.assert_array_equal(
+            [f.forecast() for f in forecasters], snap.memory_mb
+        )
 
     def test_forecast_mean_smooths(self):
-        c = Cluster.homogeneous(1)
-        mon = ResourceMonitor(c, forecaster="mean", noise=0.2, seed=3)
+        mon = ResourceMonitor(Cluster.homogeneous(1), noise=0.2, seed=3)
+        forecaster = SlidingMeanForecaster(10)
         for t in range(20):
-            mon.probe_all(t=float(t))
-        fc = mon.forecast_all()
-        assert 0.8 <= fc.cpu[0] <= 1.0  # noise averaged out around 0.97
+            forecaster.update(mon.probe_all(t=float(t)).cpu[0])
+        assert 0.8 <= forecaster.forecast() <= 1.0  # noise averaged out
 
     def test_failed_probes_fall_back_to_last_value(self):
         c = Cluster.homogeneous(2)
-        mon = ResourceMonitor(c, failure_rate=0.95, seed=5)
-        first = mon.probe_all(t=0.0)  # some probes fail -> defaults used
+        mon = ResourceMonitor(c)
+        first = mon.probe_all(t=0.0)
         c.add_load_generator(
             SyntheticLoadGenerator(node=0, ramp_rate=10.0, target_level=3.0)
         )
+        mon.blackout_sensor(0)
         snap = mon.probe_all(t=100.0)
-        # With near-certain failure, values barely track the new load and
-        # stale_nodes is populated.
-        assert snap.stale_nodes != ()
-        assert snap.cpu.shape == (2,)
-        assert np.all(snap.cpu >= 0)
-        assert first.num_nodes == 2
+        # The dark sensor's node keeps its unloaded reading.
+        assert snap.stale_nodes == (0,)
+        assert snap.cpu[0] == first.cpu[0]
+        mon.restore_sensor(0)
+        assert mon.probe_all(t=100.0).cpu[0] < first.cpu[0]
 
     def test_negative_overhead_rejected(self):
         with pytest.raises(MonitorError):
@@ -126,11 +115,5 @@ class TestResourceMonitor:
         assert mon.num_probes == 2
 
     def test_custom_overhead(self):
-        mon = ResourceMonitor(
-            Cluster.homogeneous(3),
-            probe_overhead_s=0.1,
-            aggregation_s_per_node=0.01,
-        )
-        assert mon.probe_all().overhead_seconds == pytest.approx(0.13)
-        with pytest.raises(MonitorError):
-            ResourceMonitor(Cluster.homogeneous(1), aggregation_s_per_node=-1)
+        mon = ResourceMonitor(Cluster.homogeneous(3), probe_overhead_s=0.1)
+        assert mon.probe_all().overhead_seconds == pytest.approx(0.16)

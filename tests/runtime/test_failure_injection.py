@@ -88,8 +88,12 @@ class TestNodeCollapse:
 
 class TestFlakyMonitor:
     def test_runtime_survives_probe_failures(self):
+        """Dark sensors from the first sweep on: those nodes run on their
+        t=0 readings, carried forward through every later sweep."""
         cluster = Cluster.paper_linux_cluster(4, seed=3)
-        monitor = ResourceMonitor(cluster, failure_rate=0.6, seed=9)
+        monitor = ResourceMonitor(cluster, noise=0.2, seed=9)
+        monitor.blackout_sensor(1)
+        monitor.blackout_sensor(3)
         rt = SamrRuntime(
             paper_rm3d_trace(num_regrids=8),
             cluster,
@@ -109,9 +113,11 @@ class TestFlakyMonitor:
 
     def test_all_probes_failing_uses_fallbacks(self):
         cluster = Cluster.homogeneous(3)
-        monitor = ResourceMonitor(cluster, failure_rate=0.999, seed=1)
+        monitor = ResourceMonitor(cluster)
+        for node in range(3):
+            monitor.blackout_sensor(node)
         snap = monitor.probe_all()
-        assert snap.stale_nodes  # everything stale
+        assert snap.stale_nodes == (0, 1, 2)  # everything stale
         assert (snap.cpu > 0).all()  # optimistic defaults, not garbage
 
 
