@@ -107,7 +107,6 @@ class ResourceMonitor:
         self._last: np.ndarray | None = None
         #: Per-node count of consecutive sweeps whose probe failed.
         self._failures = np.zeros(cluster.num_nodes, dtype=np.intp)
-        self.num_probes = 0
         self.last_probe_time: float | None = None
         #: Nodes whose sensors are blacked out (fault injection): the node
         #: may be computing fine, but every probe of it fails.
@@ -183,7 +182,6 @@ class ResourceMonitor:
             readings[:, stale] = previous[:, stale]
             self._last = readings
             self._failures = np.where(reached, 0, self._failures + 1)
-            self.num_probes += 1
             self.last_probe_time = when
             cpu, memory_mb, bandwidth_mbps = readings
             snapshot = MonitorSnapshot(

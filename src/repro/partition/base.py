@@ -12,7 +12,7 @@ import numpy as np
 from repro.partition.workmodel import WorkModel, as_work_model
 from repro.telemetry.spans import NULL_TRACER
 from repro.util.errors import PartitionError
-from repro.util.geometry import BoxList, Layout
+from repro.util.geometry import BoxArray, BoxList, Layout
 
 __all__ = [
     "WorkModel",
@@ -21,6 +21,10 @@ __all__ = [
     "Partitioner",
     "check_tiling",
 ]
+
+#: Same-source piece pairs :func:`check_tiling` tests directly; above
+#: this, its clause 4 grid-hashes the split pieces instead.
+MAX_PIECE_PAIRS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +133,10 @@ def check_tiling(
     cannot meet -- the output is a disjoint exact cover.  That is
     stronger than :meth:`PartitionResult.validate_covers`, which keeps
     only per-level totals (a piece moved into a hole passes) and never
-    reads ranks.  Every pass is O(rows) over the columns; only clause 4
-    grid-hashes, over the split pieces alone.
+    reads ranks.  Every pass is O(rows) over the columns; clause 4 tests
+    only pairs of pieces cut from one source (pieces of different
+    sources lie inside disjoint sources), and grid-hashes the split
+    pieces only when those pairs outnumber :data:`MAX_PIECE_PAIRS`.
     """
     orig, got = original.array, layout.boxes.array
     n, m = len(orig), len(got)
@@ -163,7 +169,7 @@ def check_tiling(
             f"cells assigned, not {int(want[bad])}"
         )
     split = np.flatnonzero(np.bincount(src, minlength=n)[src] > 1)
-    if split.size and not got.take(split).is_disjoint():
+    if split.size and _split_pieces_overlap(got, src, split):
         raise PartitionError(
             "tiling certificate: pieces of a split box overlap"
         )
@@ -173,6 +179,45 @@ def check_tiling(
             f"tiling certificate: rank {int(ranks.max())} outside "
             f"[0, {num_ranks})"
         )
+
+
+def _split_pieces_overlap(
+    got: BoxArray, src: np.ndarray, split: np.ndarray
+) -> bool:
+    """True if two of the ``split`` rows cut from one source overlap.
+
+    Sorted by source, each row is paired with the later rows of its
+    group (pieces of one source share its level).  Past
+    :data:`MAX_PIECE_PAIRS` pairs -- a source cut into thousands of
+    pieces -- the grid hash over all split rows is the cheaper test.
+    """
+    by_source = src[split]
+    order = np.argsort(by_source, kind="stable")
+    by_source = by_source[order]
+    rows = split[order]
+    pos = np.arange(rows.size)
+    group_end = np.searchsorted(by_source, by_source, side="right")
+    counts = group_end - pos - 1
+    if int(counts.sum()) > MAX_PIECE_PAIRS:
+        return not got.take(split).is_disjoint()
+    return BoxArray._pairs_overlap(
+        np.take(got.lower, rows, axis=0),
+        np.take(got.upper, rows, axis=0),
+        pos,
+        pos + 1,
+        counts,
+    )
+
+
+def running_remainders(remaining: float, works: np.ndarray) -> np.ndarray:
+    """What ``remaining -= w`` leaves before each of ``works``, and after
+    the last: ``[remaining, remaining - w0, remaining - w0 - w1, ...]``.
+
+    ``np.subtract.accumulate`` is a strict left fold of IEEE
+    subtractions, so every entry is the float the per-box loop computes
+    -- a whole run of boxes is accepted with one call.
+    """
+    return np.subtract.accumulate(np.concatenate(([remaining], works)))
 
 
 def _traced_partition(impl: Callable) -> Callable:

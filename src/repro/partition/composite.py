@@ -27,6 +27,7 @@ from repro.partition.base import (
     WorkModel,
     as_work_model,
     check_tiling,
+    running_remainders,
 )
 from repro.partition.splitting import SplitConstraints, split_row_to_target
 from repro.util.geometry import BoxArray, BoxList, Layout
@@ -226,17 +227,15 @@ def _scan_span(
     deficit), ``"reject"`` (box ``i + accepted`` exceeds the remainder;
     caller tries to split it) or ``"end"`` (curve exhausted).
 
-    Bitwise-faithful to the per-box loop: the running remainder is a pure
-    left-fold of IEEE additions (``x - w == x + (-w)`` exactly), which is
-    precisely what ``np.cumsum`` over ``[remaining, -w0, -w1, ...]``
-    computes, so every accept comparison sees the identical float the
-    scalar walk would have seen.
+    Bitwise-faithful to the per-box loop: :func:`running_remainders`
+    is the same left fold of IEEE subtractions, so every accept
+    comparison sees the identical float the scalar walk would have seen.
     """
     n = len(works)
     accepted = 0
     while i < n:
         w = works[i : i + chunk]
-        prefix = np.cumsum(np.concatenate(([remaining], -w)))
+        prefix = running_remainders(remaining, w)
         accept = w <= prefix[:-1] + 1e-9
         hits = np.flatnonzero(~accept)
         reject_at = int(hits[0]) if hits.size else len(w)

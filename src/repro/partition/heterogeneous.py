@@ -34,6 +34,7 @@ from repro.partition.base import (
     WorkModel,
     as_work_model,
     check_tiling,
+    running_remainders,
 )
 from repro.partition.splitting import (
     BoxRow,
@@ -44,6 +45,15 @@ from repro.util.geometry import BoxArray, BoxList, Layout
 
 __all__ = ["ACEHeterogeneous"]
 
+#: A rank accepts a whole box overshooting its remaining target by up to
+#: this fraction of the box's work before a split is attempted; small
+#: values split aggressively, large values avoid splits.
+FILL_TOLERANCE = 0.05
+
+#: Boxes in the first fold of a run of whole boxes; each further fold of
+#: the same run doubles it.
+_FIRST_CHUNK = 64
+
 
 class ACEHeterogeneous(Partitioner):
     """Capacity-proportional box assignment with constrained splitting.
@@ -52,21 +62,12 @@ class ACEHeterogeneous(Partitioner):
     ----------
     constraints:
         Box-splitting constraints (min size, snap, multi-axis flag).
-    fill_tolerance:
-        A rank accepts a whole box overshooting its remaining target by up
-        to this fraction of the box's work before a split is attempted;
-        small values split aggressively, large values avoid splits.
     """
 
     name = "ACEHeterogeneous"
 
-    def __init__(
-        self,
-        constraints: SplitConstraints | None = None,
-        fill_tolerance: float = 0.05,
-    ):
+    def __init__(self, constraints: SplitConstraints | None = None):
         self.constraints = constraints or SplitConstraints()
-        self.fill_tolerance = float(fill_tolerance)
 
     def partition(
         self,
@@ -77,7 +78,6 @@ class ACEHeterogeneous(Partitioner):
         caps = self._check_inputs(boxes, capacities)
         model = as_work_model(work_of)
         works_vec = model.vector(boxes)
-        works = works_vec.tolist()
         total = model.total(boxes)
         targets = caps * total
         if len(boxes) == 0:
@@ -85,24 +85,24 @@ class ACEHeterogeneous(Partitioner):
 
         arr = boxes.array
 
-        # Work-ascending priority queue of (work, seq, payload); seq is a
-        # tie-breaker keeping the order deterministic for equal-work boxes
-        # (initial boxes tie-break by corner key, split remainders enter
-        # after existing equal-work entries, exactly as the old sorted
-        # list did).  A heap makes every pop/push O(log n) where the old
-        # ``list.pop(0)`` + ``bisect.insort`` pair was O(n) each -- the
-        # difference between quadratic and linearithmic assignment on the
-        # extreme-scale box counts the roadmap targets.  The payload is a
-        # row index into the columns (or, for split remainders, a plain
-        # ``(lower, upper, level)`` row and the input row it was cut from);
-        # no per-box object is built, and the ``(work, seq)`` prefix is
-        # unique, so payloads never compare.
+        # The work-ascending queue is walked in ``(work, seq)`` order over
+        # two sources.  The base boxes, sorted by work with a corner-key
+        # tie-break, are an array and a cursor (``seq`` is the position);
+        # split remainders are a small heap of ``(work, seq, (row,
+        # origin))`` with ``seq`` counted on from ``n``, so a remainder
+        # enters after every equal-work entry already queued and, on equal
+        # work, a base box comes first.  Runs of base boxes are accepted
+        # whole with one fold (:func:`_accept_run`); only remainders pay a
+        # heap push and pop.  A remainder is a plain ``(lower, upper,
+        # level)`` row and the input row it was cut from; the ``(work,
+        # seq)`` prefix is unique, so payloads never compare.
         order = arr.corner_lexsort(primary=works_vec)
-        queue: list[tuple[float, int, int | tuple[BoxRow, int]]] = [
-            (works[i], s, i) for s, i in enumerate(order.tolist())
-        ]
-        heapq.heapify(queue)  # already sorted; heapify is O(n) anyway
-        seq = len(queue)
+        base_w = works_vec[order]
+        base = order.tolist()
+        n = len(base)
+        cursor = 0
+        rests: list[tuple[float, int, tuple[BoxRow, int]]] = []
+        seq = n
         num_splits = 0
 
         # Assignment accumulates as source references: a base row index,
@@ -113,37 +113,46 @@ class ACEHeterogeneous(Partitioner):
         out_ranks: list[int] = []
         split_rows: list[tuple[BoxRow, int]] = []
 
-        def emit(payload: "int | tuple[BoxRow, int]", rank: int) -> None:
-            if type(payload) is int:
-                out_src.append(payload)
-            else:
-                split_rows.append(payload)
-                out_src.append(-len(split_rows))
+        def take_base(stop: int, rank: int) -> None:
+            nonlocal cursor
+            out_src.extend(base[cursor:stop])
+            out_ranks.extend([rank] * (stop - cursor))
+            cursor = stop
+
+        def emit_split(payload: tuple[BoxRow, int], rank: int) -> None:
+            split_rows.append(payload)
+            out_src.append(-len(split_rows))
             out_ranks.append(rank)
 
-        rank_order = np.argsort(caps, kind="stable")
-        for idx, rank in enumerate(rank_order):
-            rank = int(rank)
+        rank_order = np.argsort(caps, kind="stable").tolist()
+        for rank in rank_order[:-1]:
             remaining = targets[rank]
-            last_rank = idx == len(rank_order) - 1
-            while queue:
-                if last_rank:
-                    # Everything left belongs to the biggest-capacity rank.
-                    _, _, payload = heapq.heappop(queue)
-                    emit(payload, rank)
-                    continue
-                w, _, payload = queue[0]
-                if w <= remaining + self.fill_tolerance * w:
-                    heapq.heappop(queue)
-                    emit(payload, rank)
-                    remaining -= w
-                    continue
+            while cursor < n or rests:
+                # Base boxes no heavier than the heap's top precede it.
+                stop = (
+                    int(np.searchsorted(base_w, rests[0][0], side="right"))
+                    if rests
+                    else n
+                )
+                from_base = cursor < stop
+                if from_base:
+                    accepted, remaining = _accept_run(
+                        base_w, cursor, stop, remaining
+                    )
+                    take_base(cursor + accepted, rank)
+                    if cursor == stop:
+                        continue
+                    origin = base[cursor]
+                    row = arr.row(origin)
+                else:
+                    w, _, (row, origin) = rests[0]
+                    if w <= remaining + FILL_TOLERANCE * w:
+                        heapq.heappop(rests)
+                        emit_split((row, origin), rank)
+                        remaining -= w
+                        continue
                 if remaining <= 0:
                     break
-                if type(payload) is int:
-                    row, origin = arr.row(payload), payload
-                else:
-                    row, origin = payload
                 split = split_row_to_target(
                     row, remaining, model, self.constraints
                 )
@@ -151,18 +160,30 @@ class ACEHeterogeneous(Partitioner):
                     # Unsplittable: accept the imbalance on this rank only
                     # if nothing smaller is available, else move on.
                     break
-                heapq.heappop(queue)
+                if from_base:
+                    cursor += 1
+                else:
+                    heapq.heappop(rests)
                 piece, rest = split
                 num_splits += len(rest)  # one cut per remainder box
-                emit((piece, origin), rank)
+                emit_split((piece, origin), rank)
                 remaining -= model.work_row(*piece)
                 for r in rest:
                     heapq.heappush(
-                        queue, (model.work_row(*r), seq, (r, origin))
+                        rests, (model.work_row(*r), seq, (r, origin))
                     )
                     seq += 1
                 if remaining <= 0:
                     break
+        # Everything left belongs to the biggest-capacity rank, in queue
+        # order: each remainder after the base boxes no heavier than it.
+        last = rank_order[-1]
+        while rests:
+            w, _, payload = heapq.heappop(rests)
+            stop = int(np.searchsorted(base_w, w, side="right"))
+            take_base(max(cursor, stop), last)
+            emit_split(payload, last)
+        take_base(n, last)
 
         m = len(out_src)
         src = np.array(out_src, dtype=np.int64)
@@ -194,3 +215,28 @@ class ACEHeterogeneous(Partitioner):
         )
         check_tiling(boxes, layout, source, len(caps))
         return PartitionResult(layout, targets, num_splits, model)
+
+
+def _accept_run(
+    works: np.ndarray, start: int, stop: int, remaining: float
+) -> tuple[int, float]:
+    """Whole boxes ``works[start:stop]`` a rank with ``remaining`` work left
+    accepts before it rejects one, and the remainder after them.
+
+    The test is the per-box walk's ``w <= remaining + FILL_TOLERANCE * w``
+    against the exact remainders of :func:`running_remainders`.  Runs are
+    folded in doubling chunks, so a rank that takes few boxes never
+    scans the whole queue.
+    """
+    i, chunk = start, _FIRST_CHUNK
+    while i < stop:
+        w = works[i : min(i + chunk, stop)]
+        left = running_remainders(remaining, w)
+        rejected = np.flatnonzero(~(w <= left[:-1] + FILL_TOLERANCE * w))
+        if rejected.size:
+            k = int(rejected[0])
+            return i + k - start, float(left[k])
+        i += len(w)
+        remaining = float(left[-1])
+        chunk *= 2
+    return i - start, remaining

@@ -20,6 +20,7 @@ considered as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.partition.workmodel import WorkModel
@@ -115,6 +116,8 @@ def split_row_to_target(
     k may differ from L_k thus leading to a 'slight' load imbalance").
     """
     c = constraints or SplitConstraints()
+    if not math.isfinite(target_work):
+        raise PartitionError(f"non-finite target work {target_work}")
     if target_work < 0:
         raise PartitionError(f"negative target work {target_work}")
     lower, upper, level = row

@@ -107,13 +107,6 @@ class TestResourceMonitor:
         with pytest.raises(MonitorError):
             ResourceMonitor(Cluster.homogeneous(1), probe_overhead_s=-1.0)
 
-    def test_probe_counter(self):
-        mon = ResourceMonitor(Cluster.homogeneous(1))
-        assert mon.num_probes == 0
-        mon.probe_all()
-        mon.probe_all()
-        assert mon.num_probes == 2
-
     def test_custom_overhead(self):
         mon = ResourceMonitor(Cluster.homogeneous(3), probe_overhead_s=0.1)
         assert mon.probe_all().overhead_seconds == pytest.approx(0.16)

@@ -18,6 +18,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.monitor.service import MonitorSnapshot
@@ -36,7 +38,7 @@ from repro.partition.hybrid import SFCHybrid
 from repro.partition.levelwise import LevelPartitioner
 from repro.partition.metrics import redistribution_volume_columns
 from repro.partition.splitting import SplitConstraints
-from repro.util.geometry import Box, BoxList, Layout
+from repro.util.geometry import Box, BoxArray, BoxList, Layout
 from tests.conftest import (
     box_row,
     corner_key,
@@ -419,3 +421,83 @@ class TestRedistributionIdentity:
             assert list(got) == list(want)
             assert [got[k] for k in got] == [want[k] for k in want]
             prev = part.layout
+
+
+# ---------------------------------------------------------------------------
+# Differential: generated patchworks with long equal-work runs
+# ---------------------------------------------------------------------------
+#: (side, level) box kinds of distinct work (cells * 2 ** level): 16, 64,
+#: 128, 144, 256, 1024.  Split pieces of one kind often price like
+#: another, so split remainders tie with queued whole boxes.
+BOX_KINDS = [(4, 0), (8, 0), (8, 1), (12, 0), (16, 0), (16, 2)]
+
+
+@st.composite
+def patchworks(draw) -> BoxList:
+    """200-2 000 disjoint 2-D boxes of 1-4 distinct works on a 16-cell
+    lattice (the ``partition_sweep`` patchwork's shape)."""
+    n = draw(st.integers(200, 2000))
+    kinds = draw(
+        st.lists(st.sampled_from(BOX_KINDS), min_size=1, max_size=4, unique=True)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = rng.integers(0, len(kinds), size=n)
+    side = np.array([s for s, _ in kinds])[pick]
+    level = np.array([lv for _, lv in kinds])[pick]
+    i = np.arange(n)
+    pitch = int(np.ceil(np.sqrt(n)))
+    corner = np.stack([(i % pitch) * 16, (i // pitch) * 16], axis=1)
+    return BoxList.from_array(
+        BoxArray(corner, corner + side[:, None], level)
+    )
+
+
+@st.composite
+def rank_capacities(draw) -> np.ndarray:
+    """1-64 ranks: all equal, or a mix with zero-capacity ranks."""
+    num_ranks = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        return np.full(num_ranks, 1.0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    caps = rng.choice([0.0, 0.0, 0.5, 1.0, 1.0, 3.0], size=num_ranks)
+    caps[rng.integers(num_ranks)] = 1.0  # total capacity stays positive
+    return caps
+
+
+class StripedWorkModel(WorkModel):
+    """Berger-Oliger work times 1, 2 or 3 by the box's lower x corner, a
+    stand-in for a particle-weighted model.  A split remainder keeps its
+    parent's upper corner but not its lower one, so unlike under the
+    default model it can outweigh -- or tie with -- whole boxes still
+    queued, and the two queues of ACEHeterogeneous interleave."""
+
+    def compute(self, boxes: BoxList) -> np.ndarray:
+        stripe = 1 + (boxes.array.lower[:, 0] // 4) % 3
+        return super().compute(boxes) * stripe
+
+    def work_row(self, lower, upper, level) -> float:
+        stripe = 1 + (lower[0] // 4) % 3
+        return super().work_row(lower, upper, level) * stripe
+
+
+@settings(max_examples=25, deadline=None)
+@given(patchworks(), rank_capacities(), st.booleans(), st.booleans())
+def test_heterogeneous_matches_reference_on_patchworks(
+    boxes, caps, multi, striped
+):
+    model = StripedWorkModel() if striped else WorkModel()
+    constraints = SplitConstraints(allow_multi_axis=multi)
+    _assert_identical(
+        ACEHeterogeneous(constraints).partition(boxes, caps, model),
+        reference_heterogeneous(boxes, caps, model, constraints),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(patchworks(), rank_capacities(), st.booleans())
+def test_greedy_matches_reference_on_patchworks(boxes, caps, striped):
+    model = StripedWorkModel() if striped else WorkModel()
+    _assert_identical(
+        GreedyLPT().partition(boxes, caps, model),
+        reference_greedy(boxes, caps, model),
+    )

@@ -105,6 +105,12 @@ class TestSplitToTarget:
         with pytest.raises(PartitionError):
             split_box(Box((0,), (8,)), -1.0, MODEL)
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_target_rejected(self, target):
+        # Not a bare ValueError / OverflowError from the plane count.
+        with pytest.raises(PartitionError, match="non-finite target work"):
+            split_row_to_target(((0, 0), (8, 8), 0), target, MODEL)
+
 
 # The paper's RM3D base grid, asked for less than one minimum slab
 # (2 planes x 32 x 32 = 2 048 units): ROADMAP item 1's shrunk case.

@@ -24,7 +24,9 @@ per-source cell sums            ``test_dropped_piece``,
                                 ``test_dropped_whole_box``,
                                 ``test_duplicated_piece``,
                                 ``test_empty_layout_of_nonempty_input``
-split pieces pairwise disjoint  ``test_overlapping_pieces_with_right_total``
+split pieces pairwise disjoint  ``test_overlapping_pieces_with_right_total``,
+                                ``test_overlap_among_many_split_sources``
+... by the grid-hash fallback   ``test_overlap_found_by_the_grid_hash_fallback``
 ranks < num_ranks               ``test_rank_beyond_num_ranks``
 input disjointness              ``test_overlapping_input_rejected_before_any_split``
 ==============================  ==========================================
@@ -49,7 +51,7 @@ from repro.partition import (
     SplitConstraints,
     WorkModel,
 )
-from repro.partition import composite, graphpart, greedy, heterogeneous
+from repro.partition import base, composite, graphpart, greedy, heterogeneous
 from repro.partition.base import PartitionResult, check_tiling
 from repro.util.errors import PartitionError
 from repro.util.geometry import Box, BoxArray, BoxList, Layout
@@ -160,6 +162,44 @@ def test_overlapping_pieces_with_right_total():
     boxes = [Box((0, 0), (6, 4)), Box((0, 0), (2, 4)), B, C]
     with pytest.raises(PartitionError, match="pieces of a split box overlap"):
         certify(boxes, GOOD[1], GOOD[2])
+
+
+def many_split_sources(overlapping: int) -> tuple:
+    """Forty 8x4 boxes in a row, each cut in two, the pieces listed
+    first halves then second halves -- except source ``overlapping``,
+    whose two pieces (24 + 8 cells, both from its left edge) overlap."""
+    n = 40
+    original = BoxList([Box((8 * k, 0), (8 * k + 8, 4)) for k in range(n)])
+    left, right = [], []
+    for k in range(n):
+        x = 8 * k
+        if k == overlapping:
+            left.append(Box((x, 0), (x + 6, 4)))
+            right.append(Box((x, 0), (x + 2, 4)))
+        else:
+            left.append(Box((x, 0), (x + 4, 4)))
+            right.append(Box((x + 4, 0), (x + 8, 4)))
+    layout = Layout(BoxList(left + right), np.zeros(2 * n, dtype=np.intp))
+    source = np.tile(np.arange(n), 2)
+    return original, layout, source
+
+
+@pytest.mark.parametrize("overlapping", [-1, 0, 17, 39])
+def test_overlap_among_many_split_sources(overlapping):
+    original, layout, source = many_split_sources(overlapping)
+    if overlapping < 0:
+        check_tiling(original, layout, source, 1)
+        return
+    with pytest.raises(PartitionError, match="pieces of a split box overlap"):
+        check_tiling(original, layout, source, 1)
+
+
+def test_overlap_found_by_the_grid_hash_fallback(monkeypatch):
+    # No pair budget: clause 4 grid-hashes every split piece instead.
+    monkeypatch.setattr(base, "MAX_PIECE_PAIRS", 0)
+    check_tiling(*many_split_sources(-1), 1)
+    with pytest.raises(PartitionError, match="pieces of a split box overlap"):
+        check_tiling(*many_split_sources(17), 1)
 
 
 def test_rank_beyond_num_ranks():

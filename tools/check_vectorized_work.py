@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Fail if scalar per-box idioms creep back into the columnar core.
 
-Six families of checks, so a reviewer does not have to spot
+Seven families of checks, so a reviewer does not have to spot
 regressions by eye (the first two are mostly substring/regex greps, the
-last four walk the syntax tree):
+last five walk the syntax tree):
 
 **Work pricing** (all of ``src/``): boxes are priced through a
 :class:`repro.partition.workmodel.WorkModel` -- its cached vector
@@ -36,6 +36,16 @@ Loops that genuinely need per-box *objects* (allocating GridPatch field
 storage, indexing a Box-keyed dict) carry a ``# per-box ok: <reason>``
 marker on the offending line; the marker is the audit trail, not a
 loophole -- new markers should be rare and justified in review.
+
+**Rank scans** (``partition/`` only): placing a box must not scan every
+rank.  An ``argmin`` / ``argmax`` call inside a loop body or
+comprehension there is one O(ranks) numpy call per box (GreedyLPT's
+placement was one, 60 k calls a sweep); pick from a heap keyed once per
+run of equal work instead.  The same ``# per-box ok: <reason>`` marker
+escapes a scan made once per run, not per box::
+
+    for w in placed:
+        r = int(np.argmin((loads + w) / caps))   # heap of (key, rank)
 
 **Node state** (``comm/`` and ``runtime/`` only): pricing reads node
 state as one vector per phase.  A ``state_of(`` call inside a ``for`` /
@@ -72,10 +82,12 @@ columns to per-box objects only for some consumer to lower them back::
     for box, rank in pairs: ...           # layout.boxes.array / layout.ranks
 
 **Self-checks** (all of ``src/``): a partitioner certifies its output
-from provenance (``check_tiling``: O(rows), grid-hashing only the split
-pieces).  ``validate_covers`` grid-hashes the whole output and is the
-provenance-free oracle of tests and ``bench/`` only; a call to it in the
-program is the full-output hash coming back::
+from provenance (``check_tiling``: O(rows), testing only pairs of pieces
+cut from one source, with a grid hash over the split pieces as the
+fallback when those pairs are too many).  ``validate_covers`` grid-hashes
+the whole output and is the provenance-free oracle of tests and
+``bench/`` only; a call to it in the program is the full-output hash
+coming back::
 
     result.validate_covers(boxes)         # check_tiling(boxes, layout, ...)
 
@@ -166,6 +178,9 @@ _LOOPS = (
 
 STATE_QUERIES = frozenset({"state_of"})
 
+#: O(ranks) numpy scans no per-box loop in ``partition/`` may call.
+RANK_SCANS = frozenset({"argmin", "argmax"})
+
 #: The whole-output oracle no program path may call.
 ORACLES = frozenset({"validate_covers"})
 
@@ -204,6 +219,16 @@ for patch in level:
         rest = pieces.pop().difference(inter)
 cluster.state_of(0, t)
 busy = {k: cluster.state_of(k, t) for k in live}
+"""
+
+_PLANTED_RANK_SCAN = """\
+best = int(np.argmin(keys))
+for w in placed:
+    r = int(np.argmin((loads + w) / caps))
+    while todo:
+        k = keys.argmax()
+        j = np.argmax(keys)  # per-box ok: one scan per run
+hot = [np.argmin(k) for k in rows]
 """
 
 _PLANTED_ORACLE = """\
@@ -291,6 +316,17 @@ def looped_calls(source: str, names: frozenset[str]) -> list[int]:
         if isinstance(loop, _LOOPS):
             lines |= _call_lines(loop, names)
     return sorted(lines)
+
+
+def rank_scans(source: str) -> list[int]:
+    """Line numbers of :data:`RANK_SCANS` calls in a loop or
+    comprehension, less those carrying the ``# per-box ok`` marker."""
+    lines = source.splitlines()
+    return [
+        lineno
+        for lineno in looped_calls(source, RANK_SCANS)
+        if PER_BOX_OK not in lines[lineno - 1]
+    ]
 
 
 def pair_faces(source: str) -> list[int]:
@@ -381,6 +417,12 @@ def self_test() -> list[str]:
                 f"lint self-test: {sorted(names)} flagged lines {got} of the"
                 f" planted offender, expected {expected}"
             )
+    got = rank_scans(_PLANTED_RANK_SCAN)
+    if got != [3, 5, 7]:
+        failures.append(
+            f"lint self-test: rank scans flagged lines {got} of the"
+            f" planted offender, expected [3, 5, 7]"
+        )
     got = named_calls(_PLANTED_ORACLE, ORACLES)
     if got != [5, 6]:
         failures.append(
@@ -426,6 +468,11 @@ def main() -> int:
                 f"{rel}:{lineno}: partition/ imports Box -- its currencies"
                 f" are BoxArray / BoxList / Layout / BoxRow"
                 for lineno in box_imports(source)
+            )
+            violations.extend(
+                f"{rel}:{lineno}: O(ranks) `argmin`/`argmax` scan per box"
+                f" -- pick from a heap keyed once per run"
+                for lineno in rank_scans(source)
             )
         for patterns, what in (
             (FORBIDDEN_WORK, "scalar work loop `{}` -- use WorkModel.vector()/total()"),
