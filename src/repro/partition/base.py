@@ -220,30 +220,38 @@ def running_remainders(remaining: float, works: np.ndarray) -> np.ndarray:
     return np.subtract.accumulate(np.concatenate(([remaining], works)))
 
 
-def _traced_partition(impl: Callable) -> Callable:
-    """Wrap a subclass's ``partition`` in a telemetry span.
+def _scoped_partition(impl: Callable) -> Callable:
+    """Wrap a subclass's ``partition``: resolve its work model, drop the
+    model's row memo when the call returns, and record a telemetry span.
 
-    With the default :data:`~repro.telemetry.spans.NULL_TRACER` the wrapper
-    costs one attribute lookup and one no-op call; with an enabled tracer
-    every partition call -- including inner calls made by composite
+    Splitting prices its pieces through :meth:`WorkModel.work_row`'s
+    memo; scoped to one call, it cannot grow with the length of a run
+    that hands every repartition the same model.  With the default
+    :data:`~repro.telemetry.spans.NULL_TRACER` the span costs one
+    attribute lookup and one no-op call; with an enabled tracer every
+    partition call -- including inner calls made by composite
     partitioners -- records its wall time, box/split counts and realized
     makespan of the decomposition.
     """
 
     @functools.wraps(impl)
     def partition(self, boxes, capacities, work_of=None):
+        model = as_work_model(work_of)
         tracer = self.tracer
-        if not tracer.enabled:
-            return impl(self, boxes, capacities, work_of)
-        with tracer.span(
-            "partition", partitioner=self.name, num_boxes=len(boxes)
-        ) as span:
-            result = impl(self, boxes, capacities, work_of)
-            span.set(
-                num_assigned=result.num_assigned(),
-                num_splits=result.num_splits,
-                num_ranks=result.num_ranks,
-            )
+        try:
+            if not tracer.enabled:
+                return impl(self, boxes, capacities, model)
+            with tracer.span(
+                "partition", partitioner=self.name, num_boxes=len(boxes)
+            ) as span:
+                result = impl(self, boxes, capacities, model)
+                span.set(
+                    num_assigned=result.num_assigned(),
+                    num_splits=result.num_splits,
+                    num_ranks=result.num_ranks,
+                )
+        finally:
+            model.forget_rows()
         metrics = tracer.metrics
         metrics.counter("partition_calls", partitioner=self.name).inc()
         if result.num_splits:
@@ -253,7 +261,7 @@ def _traced_partition(impl: Callable) -> Callable:
             )
         return result
 
-    partition._telemetry_wrapped = True  # type: ignore[attr-defined]
+    partition._partition_wrapped = True  # type: ignore[attr-defined]
     return partition
 
 
@@ -262,9 +270,10 @@ class Partitioner(abc.ABC):
     given relative capacities.
 
     Subclasses implement :meth:`partition`; the base class transparently
-    wraps each implementation in a telemetry span driven by the
-    partitioner's ``tracer`` attribute (the shared no-op tracer unless the
-    runtime attaches a real one).
+    wraps each implementation (:func:`_scoped_partition`): the work
+    model's row memo lasts one call, and the call is a telemetry span
+    driven by the partitioner's ``tracer`` attribute (the shared no-op
+    tracer unless the runtime attaches a real one).
     """
 
     #: human-readable name used in experiment reports
@@ -276,8 +285,8 @@ class Partitioner(abc.ABC):
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         impl = cls.__dict__.get("partition")
-        if impl is not None and not getattr(impl, "_telemetry_wrapped", False):
-            cls.partition = _traced_partition(impl)
+        if impl is not None and not getattr(impl, "_partition_wrapped", False):
+            cls.partition = _scoped_partition(impl)
 
     @abc.abstractmethod
     def partition(

@@ -29,7 +29,11 @@ from repro.partition.base import (
     check_tiling,
     running_remainders,
 )
-from repro.partition.splitting import SplitConstraints, split_row_to_target
+from repro.partition.splitting import (
+    BoxRow,
+    SplitConstraints,
+    split_row_to_target,
+)
 from repro.util.geometry import BoxArray, BoxList, Layout
 from repro.util.sfc import sfc_sort_order
 
@@ -82,9 +86,9 @@ def assign_curve_spans_columnar(
     The walk is sequential (the byte-identity tests pin its float
     accumulation and split decisions against the per-box reference) but
     reads box metadata from the ordered list's cached columns and emits
-    columns, so no per-box Python objects are created for unsplit boxes.
-    Split remainders ride a small deque of ``(lower, upper, level)`` rows
-    at the current curve position, each with the row it was cut from.
+    spans of rows, so no per-box Python objects are created for unsplit
+    boxes.  Split remainders ride a small deque at the current curve
+    position.
     """
     model = as_work_model(work_of)
     arr = ordered.array
@@ -94,58 +98,56 @@ def assign_curve_spans_columnar(
     rank = 0
     remaining = targets[0]
     num_splits = 0
-    # Output: contiguous runs of base rows interleaved with explicit split
-    # rows, in exact assignment order.  Runs keep the bulk of the output as
-    # array slices; split rows are O(num_ranks), not O(n).  Ranks are
-    # run-length encoded for the same reason: whole spans land at once.
-    segments: list[tuple] = []  # ("run", i0, i1) | ("row", row, origin)
-    rank_runs: list[list[int]] = []  # [rank, count]
-    run_start = 0
-    # (row, work, origin) split remainders at the curve position
+    # Output rows in assignment order as ``[start, count, rank]`` spans of
+    # one index space: ordered row ``i`` is ``i``, split row ``k`` is
+    # ``n + k``.  Whole boxes go out as spans, so the bulk of the output is
+    # never listed row by row, and one gather builds the columns at the end.
+    spans: list[list[int]] = []
+    split_rows: list[BoxRow] = []
+    split_origins: list[int] = []
+    # (split row index, work) of the remainders at the curve position
     front: deque = deque()
     i = 0
 
-    def flush_run(stop: int) -> None:
-        nonlocal run_start
-        if stop > run_start:
-            segments.append(("run", run_start, stop))
-        run_start = stop
-
-    def emit(r: int, count: int = 1) -> None:
-        if rank_runs and rank_runs[-1][0] == r:
-            rank_runs[-1][1] += count
+    def emit(start: int, r: int, count: int = 1) -> None:
+        last = spans[-1] if spans else None
+        if last and last[2] == r and last[0] + last[1] == start:
+            last[1] += count
         else:
-            rank_runs.append([r, count])
+            spans.append([start, count, r])
+
+    def cut(row: BoxRow, origin: int) -> int:
+        split_rows.append(row)
+        split_origins.append(origin)
+        return n + len(split_rows) - 1
 
     while front or i < n:
         if rank == num_ranks - 1:
             # The last rank drains the curve: front rows first (they sit
             # at the current position), then the rest of the bulk run.
             while front:
-                row, _, origin = front.popleft()
-                segments.append(("row", row, origin))
-                emit(rank)
+                emit(front.popleft()[0], rank)
             if i < n:
-                emit(rank, n - i)
+                emit(i, rank, n - i)
                 i = n
             break
         if front:
-            row, w, origin = front[0]
+            k, w = front[0]
             if w <= remaining + 1e-9:
                 front.popleft()
-                segments.append(("row", row, origin))
-                emit(rank)
+                emit(k, rank)
                 remaining -= w
                 if remaining <= 0:
                     rank += 1
                     remaining += targets[rank]
                 continue
+            row, origin = split_rows[k - n], split_origins[k - n]
         else:
             # Bulk boxes: scan whole spans per event instead of per box.
             accepted, remaining, event = _scan_span(works, i, remaining)
             if accepted:
-                emit(rank, accepted)
-                i += accepted  # stays inside the current run
+                emit(i, rank, accepted)
+                i += accepted
             if event == "advance":
                 rank += 1
                 remaining += targets[rank]
@@ -167,52 +169,32 @@ def assign_curve_spans_columnar(
         if front:
             front.popleft()
         else:
-            flush_run(i)
             i += 1
-            run_start = i
-        segments.append(("row", piece, origin))
-        emit(rank)
+        emit(cut(piece, origin), rank)
         remaining -= model.work_row(*piece)
         # Remainders stay at the current curve position.
         front.extendleft(
-            (r, model.work_row(*r), origin) for r in reversed(rest)
+            (cut(r, origin), model.work_row(*r)) for r in reversed(rest)
         )
         if remaining <= 0 and rank < num_ranks - 1:
             rank += 1
             remaining += targets[rank]
-    flush_run(n)
 
-    lowers: list[np.ndarray] = []
-    uppers: list[np.ndarray] = []
-    levels: list[np.ndarray] = []
-    sources: list[np.ndarray] = []
-    for seg in segments:
-        if seg[0] == "run":
-            _, i0, i1 = seg
-            lowers.append(arr.lower[i0:i1])
-            uppers.append(arr.upper[i0:i1])
-            levels.append(arr.level[i0:i1])
-            sources.append(np.arange(i0, i1))
-        else:
-            (lo, up, lvl), origin = seg[1], seg[2]
-            lowers.append(np.array([lo], dtype=np.int64))
-            uppers.append(np.array([up], dtype=np.int64))
-            levels.append(np.array([lvl], dtype=np.int64))
-            sources.append(np.array([origin]))
-    assigned = BoxArray(
-        np.concatenate(lowers) if lowers else arr.lower[:0],
-        np.concatenate(uppers) if uppers else arr.upper[:0],
-        np.concatenate(levels) if levels else arr.level[:0],
-    )
-    if rank_runs:
-        out_ranks = np.repeat(
-            np.array([r for r, _ in rank_runs], dtype=np.intp),
-            np.array([c for _, c in rank_runs]),
-        )
-    else:
-        out_ranks = np.zeros(0, dtype=np.intp)
-    source = np.concatenate(sources) if sources else np.zeros(0, np.intp)
-    return Layout(BoxList.from_array(assigned), out_ranks), source, num_splits
+    start, count, span_rank = np.array(spans, dtype=np.int64).reshape(-1, 3).T
+    idx = np.repeat(start - (np.cumsum(count) - count), count)
+    idx += np.arange(len(idx))
+
+    def gather(base: np.ndarray, extra: list) -> np.ndarray:
+        rows = np.array(extra, dtype=np.int64).reshape(-1, *base.shape[1:])
+        return np.take(np.concatenate((base, rows)), idx, axis=0)
+
+    lower = gather(arr.lower, [r[0] for r in split_rows])
+    upper = gather(arr.upper, [r[1] for r in split_rows])
+    level = gather(arr.level, [r[2] for r in split_rows])
+    source = gather(np.arange(n), split_origins)
+    ranks = np.repeat(span_rank.astype(np.intp), count)
+    layout = Layout(BoxList.from_array(BoxArray(lower, upper, level)), ranks)
+    return layout, source, num_splits
 
 
 def _scan_span(

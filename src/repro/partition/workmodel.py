@@ -17,10 +17,13 @@ Contract
   ``(lower, upper, level)`` row, with a per-row memo, so the repeated
   probes of constrained splitting never recompute; fresh split pieces
   are priced incrementally in O(1) instead of invalidating any
-  list-level result.
+  list-level result.  The memo lasts one partition call: the
+  partitioner wrapper calls :meth:`WorkModel.forget_rows` on return, so
+  a model reused by every repartition of a run stays bounded.
 - :meth:`WorkModel.total` reduces the vector with *sequential* (left to
   right) summation, so partitioner targets -- and therefore
-  assignments -- do not depend on NumPy's pairwise reduction order.
+  assignments -- depend neither on NumPy's pairwise reduction order nor
+  on the Python version (builtin ``sum`` compensates from 3.12 on).
 
 The default model is the Berger-Oliger weight
 ``cells * refine_factor ** level`` (finer grids have more cells *and*
@@ -113,9 +116,15 @@ class WorkModel:
         return vec
 
     def total(self, boxes: BoxList) -> float:
-        """Total work, summed left to right (a per-box accumulation
-        loop gives the same float bit for bit)."""
-        return float(sum(self.vector(boxes).tolist()))
+        """Total work, summed strictly left to right: a per-box
+        ``total += w`` loop gives the same float bit for bit.
+
+        ``np.cumsum`` is that left fold.  Builtin ``sum`` is not: from
+        Python 3.12 it compensates float rounding (Neumaier), so
+        ``sum([2.0**53, 1.0, 1.0])`` is ``2.0**53 + 2`` there.
+        """
+        vec = self.vector(boxes)
+        return float(np.cumsum(vec)[-1]) if len(vec) else 0.0
 
     # ------------------------------------------------------------------
     # Single-box path (splitting)
@@ -141,6 +150,10 @@ class WorkModel:
             w = float(n * self.refine_factor**level)
             self._row_cache[key] = w
         return w
+
+    def forget_rows(self) -> None:
+        """Drop the :meth:`work_row` memo (every partition call ends so)."""
+        self._row_cache.clear()
 
 
 def as_work_model(

@@ -451,9 +451,17 @@ class BoxArray:
 
     # -- selection ----------------------------------------------------------
     def take(self, indices: np.ndarray) -> "BoxArray":
-        """Rows selected/reordered by positional ``indices``."""
+        """Rows selected/reordered by positional ``indices``.
+
+        ``np.take`` gathers whole rows several times faster than fancy
+        indexing, with the same result for negative and repeated indices.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        return BoxArray(self.lower[idx], self.upper[idx], self.level[idx])
+        return BoxArray(
+            np.take(self.lower, idx, axis=0),
+            np.take(self.upper, idx, axis=0),
+            np.take(self.level, idx),
+        )
 
     def level_indices(self, level: int) -> np.ndarray:
         """Positional indices of the rows on one refinement level."""

@@ -78,11 +78,37 @@ class TestWorkModel:
         # Bit-identical to a per-box accumulation loop.
         assert model.total(bl) == sum(default_work(b) for b in bl)
 
-    def test_work_row_memoized(self):
+    def test_total_is_a_left_fold_on_every_python(self):
+        """Builtin ``sum`` compensates float rounding from Python 3.12
+        (``2**53 + 2`` here); the total is the plain left fold."""
+
+        class Listed(WorkModel):
+            def compute(self, bxs):
+                return np.array([2.0**53, 1.0, 1.0])
+
+            def work_row(self, lower, upper, level):
+                return 1.0
+
+        total = Listed().total(BoxList([Box((0,), (1,))] * 3))
+        left_fold = 0.0
+        for w in (2.0**53, 1.0, 1.0):
+            left_fold += w
+        assert total == left_fold == 2.0**53
+
+    def test_work_row_memo_lasts_one_partition_call(self):
         model = WorkModel()
         b = Box((0, 0), (8, 4), level=2)
         assert model.work_row(*box_row(b)) == default_work(b)
-        assert box_row(b) in model._row_cache
+        epochs = paper_rm3d_trace(num_regrids=6)
+        splits = 0
+        for e in range(6):
+            for scheme in (ACEHeterogeneous(), ACEComposite()):
+                r = scheme.partition(epochs.epoch(e), PAPER_CAPS, model)
+                splits += r.num_splits
+                # Pieces were priced through the memo during the call;
+                # none outlives it, however many calls reuse the model.
+                assert len(model._row_cache) == 0
+        assert splits > 0
 
     def test_empty_sequence(self):
         model = WorkModel()

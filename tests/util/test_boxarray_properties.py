@@ -68,6 +68,30 @@ class TestRoundTrip:
 
     @settings(max_examples=60, deadline=None)
     @given(box_lists(min_size=1), st.data())
+    def test_take_matches_fancy_indexing(self, bs, data):
+        """Negative, repeated and empty index vectors alike."""
+        arr = BoxArray.from_boxes(bs)
+        n = len(bs)
+        idx = np.array(
+            data.draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)),
+            dtype=np.intp,
+        )
+        got = arr.take(idx)
+        assert got.lower.shape == (len(idx), arr.ndim)
+        assert np.array_equal(got.lower, arr.lower[idx])
+        assert np.array_equal(got.upper, arr.upper[idx])
+        assert np.array_equal(got.level, arr.level[idx])
+
+    def test_take_out_of_range_raises_like_fancy_indexing(self):
+        arr = BoxArray.from_boxes([Box((0,), (1,))])
+        for idx in ([1], [-2]):
+            with pytest.raises(IndexError):
+                arr.lower[np.array(idx)]
+            with pytest.raises(IndexError):
+                arr.take(idx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(box_lists(min_size=1), st.data())
     def test_concatenate_matches_list_concat(self, bs, data):
         cut = data.draw(st.integers(0, len(bs)))
         merged = BoxArray.concatenate(

@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import itertools
+
 from repro.util.errors import GeometryError
-from repro.util.geometry import Box
+from repro.util.geometry import Box, BoxArray
 from repro.util.sfc import (
     hilbert_encode,
     hilbert_encode_many,
     morton_encode,
     morton_encode_many,
+    sfc_keys_array,
+    sfc_sort_order,
 )
 
 from tests.conftest import sfc_ordered
@@ -188,6 +192,90 @@ class TestHilbert:
         keys = hilbert_encode_many(coords, 3)
         for row, key in zip(coords, keys):
             assert hilbert_encode(tuple(row), 3) == key
+
+
+class TestHilbertTableWalk:
+    """``hilbert_encode_many`` (the digit-table walk) against the scalar
+    Skilling definition ``hilbert_encode``."""
+
+    @staticmethod
+    def scalar(coords: np.ndarray, bits: int) -> list[int]:
+        return [hilbert_encode(row, bits) for row in coords.tolist()]
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_every_coordinate(self, ndim, bits):
+        coords = np.array(
+            list(itertools.product(range(1 << bits), repeat=ndim))
+        )
+        got = hilbert_encode_many(coords, bits)
+        assert got.dtype == np.int64
+        assert got.tolist() == self.scalar(coords, bits)
+
+    @pytest.mark.parametrize(
+        "ndim,bits", [(2, 31), (2, 30), (2, 17), (3, 20), (3, 19), (3, 11)]
+    )
+    def test_random_coordinates_up_to_the_int64_limit(self, ndim, bits):
+        rng = np.random.default_rng(bits)
+        coords = rng.integers(0, 1 << bits, size=(3000, ndim))
+        # Corners of the cube: the widest keys.
+        coords[:2] = [[0] * ndim, [(1 << bits) - 1] * ndim]
+        assert hilbert_encode_many(coords, bits).tolist() == self.scalar(
+            coords, bits
+        )
+
+    def test_more_rows_than_one_block(self):
+        rng = np.random.default_rng(7)
+        coords = rng.integers(0, 1 << 9, size=(40_000, 2))
+        got = hilbert_encode_many(coords, 9)
+        picks = rng.integers(0, len(coords), size=500)
+        assert got[picks].tolist() == self.scalar(coords[picks], 9)
+
+    def test_four_dimensions_row_by_row(self):
+        rng = np.random.default_rng(4)
+        coords = rng.integers(0, 1 << 5, size=(200, 4))
+        assert hilbert_encode_many(coords, 5).tolist() == self.scalar(
+            coords, 5
+        )
+
+    def test_empty(self):
+        empty = np.zeros((0, 3), dtype=int)
+        assert hilbert_encode_many(empty, 4).shape == (0,)
+
+
+class TestSfcSortOrder:
+    """One packed sort, or ``np.lexsort`` for wide keys: either way the
+    order of ``np.lexsort((level, keys))``."""
+
+    @staticmethod
+    def expected(arr: BoxArray) -> list[int]:
+        return np.lexsort((arr.level, sfc_keys_array(arr))).tolist()
+
+    def test_co_located_multi_level_boxes(self):
+        rng = np.random.default_rng(5)
+        corner = rng.integers(0, 16, size=(300, 2)) * 4
+        level = rng.integers(0, 3, size=300)
+        # Every corner appears at several levels and several times.
+        lower = np.concatenate([corner, corner, corner // 2])
+        levels = np.concatenate([level, (level + 1) % 3, level])
+        arr = BoxArray(lower, lower + 1, levels)
+        order = sfc_sort_order(arr)
+        assert order.tolist() == self.expected(arr)
+        keys = sfc_keys_array(arr)[order]
+        assert (np.diff(keys) >= 0).all()
+
+    def test_wide_keys_fall_back_to_lexsort(self):
+        # 31-bit promoted corners: 62-bit keys leave no room for level
+        # and row bits in one int64.
+        far = (1 << 30) - 1
+        lower = np.array([[far, 5], [far, 5], [3, far - 1], [0, 0]])
+        arr = BoxArray(lower, lower + 1, np.array([1, 0, 1, 0]))
+        keys = sfc_keys_array(arr)
+        assert int(keys.max()).bit_length() + 1 + 2 > 63
+        assert sfc_sort_order(arr).tolist() == self.expected(arr)
+
+    def test_empty(self):
+        assert sfc_sort_order(BoxArray.empty(2)).tolist() == []
 
 
 @settings(max_examples=150)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Fail if scalar per-box idioms creep back into the columnar core.
 
-Seven families of checks, so a reviewer does not have to spot
+Eight families of checks, so a reviewer does not have to spot
 regressions by eye (the first two are mostly substring/regex greps, the
-last five walk the syntax tree):
+last six walk the syntax tree):
 
 **Work pricing** (all of ``src/``): boxes are priced through a
 :class:`repro.partition.workmodel.WorkModel` -- its cached vector
@@ -46,6 +46,14 @@ escapes a scan made once per run, not per box::
 
     for w in placed:
         r = int(np.argmin((loads + w) / caps))   # heap of (key, rank)
+
+**Float sums** (``partition/`` and ``util/`` only): a work total is a
+strict left fold, so targets and assignments do not depend on the
+Python version.  Builtin ``sum`` over a list of floats is not one from
+Python 3.12 on (it compensates rounding, Neumaier): ``sum([2.0**53,
+1.0, 1.0])`` is ``2.0**53`` on 3.11 and ``2.0**53 + 2`` on 3.12::
+
+    float(sum(vec.tolist()))              # float(np.cumsum(vec)[-1])
 
 **Node state** (``comm/`` and ``runtime/`` only): pricing reads node
 state as one vector per phase.  A ``state_of(`` call inside a ``for`` /
@@ -181,6 +189,9 @@ STATE_QUERIES = frozenset({"state_of"})
 #: O(ranks) numpy scans no per-box loop in ``partition/`` may call.
 RANK_SCANS = frozenset({"argmin", "argmax"})
 
+#: Packages whose float reductions must be left folds.
+FLOAT_SUM_DIRS = (PARTITION_DIR, SRC / "repro" / "util")
+
 #: The whole-output oracle no program path may call.
 ORACLES = frozenset({"validate_covers"})
 
@@ -229,6 +240,13 @@ for w in placed:
         k = keys.argmax()
         j = np.argmax(keys)  # per-box ok: one scan per run
 hot = [np.argmin(k) for k in rows]
+"""
+
+_PLANTED_LIST_SUM = """\
+total = float(sum(vec.tolist()))
+total = sum(works)
+total = np.sum(vec.tolist())
+total = sum(model.vector(boxes).tolist(), 0.0)
 """
 
 _PLANTED_ORACLE = """\
@@ -316,6 +334,19 @@ def looped_calls(source: str, names: frozenset[str]) -> list[int]:
         if isinstance(loop, _LOOPS):
             lines |= _call_lines(loop, names)
     return sorted(lines)
+
+
+def list_sums(source: str) -> list[int]:
+    """Line numbers of builtin ``sum(<array>.tolist(), ...)`` calls."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "sum"
+        and node.args
+        and isinstance(node.args[0], ast.Call)
+        and getattr(node.args[0].func, "attr", None) == "tolist"
+    )
 
 
 def rank_scans(source: str) -> list[int]:
@@ -423,6 +454,12 @@ def self_test() -> list[str]:
             f"lint self-test: rank scans flagged lines {got} of the"
             f" planted offender, expected [3, 5, 7]"
         )
+    got = list_sums(_PLANTED_LIST_SUM)
+    if got != [1, 4]:
+        failures.append(
+            f"lint self-test: list sums flagged lines {got} of the"
+            f" planted offender, expected [1, 4]"
+        )
     got = named_calls(_PLANTED_ORACLE, ORACLES)
     if got != [5, 6]:
         failures.append(
@@ -463,6 +500,13 @@ def main() -> int:
             f" is priced with the model it carries"
             for lineno in repricing_overrides(source)
         )
+        if any(path.is_relative_to(d) for d in FLOAT_SUM_DIRS):
+            violations.extend(
+                f"{rel}:{lineno}: builtin `sum(...tolist())` -- from Python"
+                f" 3.12 it compensates float rounding (Neumaier), so it is"
+                f" not a left fold; use np.cumsum(vec)[-1]"
+                for lineno in list_sums(source)
+            )
         if path.is_relative_to(PARTITION_DIR):
             violations.extend(
                 f"{rel}:{lineno}: partition/ imports Box -- its currencies"
