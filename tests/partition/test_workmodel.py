@@ -95,7 +95,9 @@ class TestWorkModel:
             left_fold += w
         assert total == left_fold == 2.0**53
 
-    def test_work_row_memo_lasts_one_partition_call(self):
+    def test_work_row_memoized(self):
+        """``work_row`` is memoized, and the memo lasts one partition call:
+        a model reused across many calls stays bounded."""
         model = WorkModel()
         b = Box((0, 0), (8, 4), level=2)
         assert model.work_row(*box_row(b)) == default_work(b)
