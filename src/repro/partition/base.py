@@ -221,12 +221,12 @@ def running_remainders(remaining: float, works: np.ndarray) -> np.ndarray:
 
 
 def _scoped_partition(impl: Callable) -> Callable:
-    """Wrap a subclass's ``partition``: resolve its work model, drop the
-    model's row memo when the call returns, and record a telemetry span.
+    """Wrap a subclass's ``partition``: resolve its work model and
+    record a telemetry span.
 
-    Splitting prices its pieces through :meth:`WorkModel.work_row`'s
-    memo; scoped to one call, it cannot grow with the length of a run
-    that hands every repartition the same model.  With the default
+    The model keeps no per-call state (split pieces are priced once, by
+    the split kernel, and carried with their rows), so a run may hand
+    every repartition the same model.  With the default
     :data:`~repro.telemetry.spans.NULL_TRACER` the span costs one
     attribute lookup and one no-op call; with an enabled tracer every
     partition call -- including inner calls made by composite
@@ -238,20 +238,17 @@ def _scoped_partition(impl: Callable) -> Callable:
     def partition(self, boxes, capacities, work_of=None):
         model = as_work_model(work_of)
         tracer = self.tracer
-        try:
-            if not tracer.enabled:
-                return impl(self, boxes, capacities, model)
-            with tracer.span(
-                "partition", partitioner=self.name, num_boxes=len(boxes)
-            ) as span:
-                result = impl(self, boxes, capacities, model)
-                span.set(
-                    num_assigned=result.num_assigned(),
-                    num_splits=result.num_splits,
-                    num_ranks=result.num_ranks,
-                )
-        finally:
-            model.forget_rows()
+        if not tracer.enabled:
+            return impl(self, boxes, capacities, model)
+        with tracer.span(
+            "partition", partitioner=self.name, num_boxes=len(boxes)
+        ) as span:
+            result = impl(self, boxes, capacities, model)
+            span.set(
+                num_assigned=result.num_assigned(),
+                num_splits=result.num_splits,
+                num_ranks=result.num_ranks,
+            )
         metrics = tracer.metrics
         metrics.counter("partition_calls", partitioner=self.name).inc()
         if result.num_splits:
@@ -270,10 +267,10 @@ class Partitioner(abc.ABC):
     given relative capacities.
 
     Subclasses implement :meth:`partition`; the base class transparently
-    wraps each implementation (:func:`_scoped_partition`): the work
-    model's row memo lasts one call, and the call is a telemetry span
-    driven by the partitioner's ``tracer`` attribute (the shared no-op
-    tracer unless the runtime attaches a real one).
+    wraps each implementation (:func:`_scoped_partition`): the call
+    resolves its work model and is a telemetry span driven by the
+    partitioner's ``tracer`` attribute (the shared no-op tracer unless
+    the runtime attaches a real one).
     """
 
     #: human-readable name used in experiment reports

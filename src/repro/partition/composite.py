@@ -56,12 +56,15 @@ def partition_curve_spans(
     The whole of ACEComposite and SFCHybrid but their ``targets``.  The
     walk records each output row's row in the ordered list; the sort
     order maps that back to the input row :func:`check_tiling` needs.
+    The ordered boxes' works are the input's vector gathered by the same
+    order, so the input is priced once.
     """
     if len(boxes) == 0:
         return PartitionResult(Layout(boxes, ()), targets, work_model=model)
     order = sfc_sort_order(boxes.array, curve=curve)
+    works = np.take(model.vector(boxes), order)
     layout, source, num_splits = assign_curve_spans_columnar(
-        boxes.take(order), targets, model, constraints
+        boxes.take(order), works, targets, model, constraints
     )
     check_tiling(boxes, layout, order[source], len(targets))
     return PartitionResult(layout, targets, num_splits, model)
@@ -69,11 +72,13 @@ def partition_curve_spans(
 
 def assign_curve_spans_columnar(
     ordered: BoxList,
+    works: np.ndarray,
     targets: np.ndarray,
-    work_of: WorkModel | None,
+    model: WorkModel,
     constraints: SplitConstraints,
 ) -> tuple[Layout, np.ndarray, int]:
-    """Deal an SFC-ordered box list into contiguous per-rank spans.
+    """Deal an SFC-ordered box list of per-box ``works`` into contiguous
+    per-rank spans.
 
     Each rank receives boxes from the current curve position until its
     ``targets`` entry is filled; boxes straddling a span boundary are split
@@ -88,15 +93,14 @@ def assign_curve_spans_columnar(
     reads box metadata from the ordered list's cached columns and emits
     spans of rows, so no per-box Python objects are created for unsplit
     boxes.  Split remainders ride a small deque at the current curve
-    position.
+    position, each with the work the splitter priced it at.
     """
-    model = as_work_model(work_of)
     arr = ordered.array
-    works = model.vector(ordered)
     n = len(works)
-    num_ranks = len(targets)
+    rank_targets = targets.tolist()  # Python floats: the walk is scalar
+    num_ranks = len(rank_targets)
     rank = 0
-    remaining = targets[0]
+    remaining = rank_targets[0]
     num_splits = 0
     # Output rows in assignment order as ``[start, count, rank]`` spans of
     # one index space: ordered row ``i`` is ``i``, split row ``k`` is
@@ -105,7 +109,7 @@ def assign_curve_spans_columnar(
     spans: list[list[int]] = []
     split_rows: list[BoxRow] = []
     split_origins: list[int] = []
-    # (split row index, work) of the remainders at the curve position
+    # (row, work, origin) of the remainders at the curve position
     front: deque = deque()
     i = 0
 
@@ -116,32 +120,32 @@ def assign_curve_spans_columnar(
         else:
             spans.append([start, count, r])
 
-    def cut(row: BoxRow, origin: int) -> int:
+    def emit_split(row: BoxRow, origin: int, r: int) -> None:
         split_rows.append(row)
         split_origins.append(origin)
-        return n + len(split_rows) - 1
+        emit(n + len(split_rows) - 1, r)
 
     while front or i < n:
         if rank == num_ranks - 1:
             # The last rank drains the curve: front rows first (they sit
             # at the current position), then the rest of the bulk run.
-            while front:
-                emit(front.popleft()[0], rank)
+            for row, _, origin in front:
+                emit_split(row, origin, rank)
+            front.clear()
             if i < n:
                 emit(i, rank, n - i)
                 i = n
             break
         if front:
-            k, w = front[0]
+            row, w, origin = front[0]
             if w <= remaining + 1e-9:
                 front.popleft()
-                emit(k, rank)
+                emit_split(row, origin, rank)
                 remaining -= w
                 if remaining <= 0:
                     rank += 1
-                    remaining += targets[rank]
+                    remaining += rank_targets[rank]
                 continue
-            row, origin = split_rows[k - n], split_origins[k - n]
         else:
             # Bulk boxes: scan whole spans per event instead of per box.
             accepted, remaining, event = _scan_span(works, i, remaining)
@@ -150,35 +154,33 @@ def assign_curve_spans_columnar(
                 i += accepted
             if event == "advance":
                 rank += 1
-                remaining += targets[rank]
+                remaining += rank_targets[rank]
                 continue
             if event == "end":
                 continue
-            row, origin = arr.row(i), i
+            row, w, origin = arr.row(i), float(works[i]), i
         split = (
-            split_row_to_target(row, remaining, model, constraints)
+            split_row_to_target(row, w, remaining, model, constraints)
             if remaining > 0
             else None
         )
         if split is None:
             rank += 1
-            remaining += targets[rank]
+            remaining += rank_targets[rank]
             continue
-        piece, rest = split
+        (piece, piece_w), rest = split
         num_splits += len(rest)
         if front:
             front.popleft()
         else:
             i += 1
-        emit(cut(piece, origin), rank)
-        remaining -= model.work_row(*piece)
+        emit_split(piece, origin, rank)
+        remaining -= piece_w
         # Remainders stay at the current curve position.
-        front.extendleft(
-            (cut(r, origin), model.work_row(*r)) for r in reversed(rest)
-        )
+        front.extendleft((r, r_w, origin) for r, r_w in reversed(rest))
         if remaining <= 0 and rank < num_ranks - 1:
             rank += 1
-            remaining += targets[rank]
+            remaining += rank_targets[rank]
 
     start, count, span_rank = np.array(spans, dtype=np.int64).reshape(-1, 3).T
     idx = np.repeat(start - (np.cumsum(count) - count), count)

@@ -24,6 +24,7 @@ The residual imbalance this leaves (from unsplittable boxes) is the
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -94,10 +95,12 @@ class ACEHeterogeneous(Partitioner):
         # work, a base box comes first.  Runs of base boxes are accepted
         # whole with one fold (:func:`_accept_run`); only remainders pay a
         # heap push and pop.  A remainder is a plain ``(lower, upper,
-        # level)`` row and the input row it was cut from; the ``(work,
-        # seq)`` prefix is unique, so payloads never compare.
+        # level)`` row and the input row it was cut from, queued at the
+        # work the splitter priced it at; the ``(work, seq)`` prefix is
+        # unique, so payloads never compare.
         order = arr.corner_lexsort(primary=works_vec)
         base_w = works_vec[order]
+        base_wl = base_w.tolist()  # bisected per queue event
         base = order.tolist()
         n = len(base)
         cursor = 0
@@ -125,15 +128,12 @@ class ACEHeterogeneous(Partitioner):
             out_ranks.append(rank)
 
         rank_order = np.argsort(caps, kind="stable").tolist()
+        rank_targets = targets.tolist()  # Python floats: the walk is scalar
         for rank in rank_order[:-1]:
-            remaining = targets[rank]
+            remaining = rank_targets[rank]
             while cursor < n or rests:
                 # Base boxes no heavier than the heap's top precede it.
-                stop = (
-                    int(np.searchsorted(base_w, rests[0][0], side="right"))
-                    if rests
-                    else n
-                )
+                stop = bisect_right(base_wl, rests[0][0], cursor) if rests else n
                 from_base = cursor < stop
                 if from_base:
                     accepted, remaining = _accept_run(
@@ -143,7 +143,7 @@ class ACEHeterogeneous(Partitioner):
                     if cursor == stop:
                         continue
                     origin = base[cursor]
-                    row = arr.row(origin)
+                    row, w = arr.row(origin), base_wl[cursor]
                 else:
                     w, _, (row, origin) = rests[0]
                     if w <= remaining + FILL_TOLERANCE * w:
@@ -154,7 +154,7 @@ class ACEHeterogeneous(Partitioner):
                 if remaining <= 0:
                     break
                 split = split_row_to_target(
-                    row, remaining, model, self.constraints
+                    row, w, remaining, model, self.constraints
                 )
                 if split is None:
                     # Unsplittable: accept the imbalance on this rank only
@@ -164,14 +164,12 @@ class ACEHeterogeneous(Partitioner):
                     cursor += 1
                 else:
                     heapq.heappop(rests)
-                piece, rest = split
+                (piece, piece_w), rest = split
                 num_splits += len(rest)  # one cut per remainder box
                 emit_split((piece, origin), rank)
-                remaining -= model.work_row(*piece)
-                for r in rest:
-                    heapq.heappush(
-                        rests, (model.work_row(*r), seq, (r, origin))
-                    )
+                remaining -= piece_w
+                for r, r_w in rest:
+                    heapq.heappush(rests, (r_w, seq, (r, origin)))
                     seq += 1
                 if remaining <= 0:
                     break
@@ -180,8 +178,7 @@ class ACEHeterogeneous(Partitioner):
         last = rank_order[-1]
         while rests:
             w, _, payload = heapq.heappop(rests)
-            stop = int(np.searchsorted(base_w, w, side="right"))
-            take_base(max(cursor, stop), last)
+            take_base(bisect_right(base_wl, w, cursor), last)
             emit_split(payload, last)
         take_base(n, last)
 

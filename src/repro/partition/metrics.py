@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.partition.base import PartitionResult
 from repro.util.errors import PartitionError
-from repro.util.geometry import Layout, overlap_pairs, volumes_by_rank_pair
+from repro.util.geometry import (
+    BoxArray,
+    Layout,
+    overlap_pairs,
+    volumes_by_rank_pair,
+)
 
 __all__ = [
     "imbalance_pct",
@@ -40,9 +45,11 @@ def redistribution_volume_columns(
     Cells with no previous owner (newly refined regions) are free -- their
     data is prolonged locally from the parent level.
 
-    Per level, :func:`~repro.util.geometry.overlap_pairs` yields the
-    (new box, previous box) overlaps in the object walk's order -- new
-    box major, previous-list position minor -- and
+    One :func:`~repro.util.geometry.overlap_pairs` join over every level
+    -- the level appended to the corners as one more axis of extent 1,
+    so only same-level boxes meet and each overlap still counts its
+    cells -- yields the (new box, previous box) overlaps in the object
+    walk's order, new box major, previous-list position minor, and
     :func:`~repro.util.geometry.volumes_by_rank_pair` sums them per
     ``(old_rank, new_rank)``, so the per-key float sums and the dict's
     key insertion order (which
@@ -51,23 +58,18 @@ def redistribution_volume_columns(
     """
     if len(prev) == 0 or len(new) == 0:
         return {}
-    parr = prev.boxes.array
-    narr = new.boxes.array
-    overlaps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for lvl in np.unique(narr.level).tolist():
-        ppos = parr.level_indices(lvl)
-        npos = narr.level_indices(lvl)
-        ni, pj, cells = overlap_pairs(
-            narr.lower[npos], narr.upper[npos], parr.lower[ppos], parr.upper[ppos]
-        )
-        overlaps.append((npos[ni], ppos[pj], cells))
-    gi, gj, cells = map(np.concatenate, zip(*overlaps))
-    # Levels interleave in the new list: restore new-box-major order across
-    # them (stable, so previous-position-minor survives inside each box).
-    order = np.argsort(gi, kind="stable")
-    return volumes_by_rank_pair(
-        prev.ranks[gj[order]], new.ranks[gi[order]], cells[order], bytes_per_cell
+    ni, pj, cells = overlap_pairs(
+        *_level_as_axis(new.boxes.array), *_level_as_axis(prev.boxes.array)
     )
+    return volumes_by_rank_pair(
+        prev.ranks[pj], new.ranks[ni], cells, bytes_per_cell
+    )
+
+
+def _level_as_axis(arr: BoxArray) -> tuple[np.ndarray, np.ndarray]:
+    """Corners ``[lower, level]`` and ``[upper, level + 1]``."""
+    level = arr.level[:, None]
+    return np.hstack((arr.lower, level)), np.hstack((arr.upper, level + 1))
 
 
 def imbalance_pct(

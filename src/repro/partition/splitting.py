@@ -26,11 +26,14 @@ from dataclasses import dataclass
 from repro.partition.workmodel import WorkModel
 from repro.util.errors import PartitionError
 
-__all__ = ["SplitConstraints", "split_row_to_target", "BoxRow"]
+__all__ = ["SplitConstraints", "split_row_to_target", "BoxRow", "PricedRow"]
 
 #: Object-free box currency of the columnar partitioners: plain
-#: ``(lower, upper, level)`` tuples, hashable for the work-row memo.
+#: ``(lower, upper, level)`` tuples.
 BoxRow = tuple[tuple[int, ...], tuple[int, ...], int]
+
+#: A row and its work, as :func:`split_row_to_target` returns each piece.
+PricedRow = tuple[BoxRow, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,39 +73,46 @@ def _candidate_cut_coords(
     Returns an absolute cut coordinate, or ``None`` when the axis admits no
     cut satisfying the min-size and snap constraints.
     """
+    least, snap = c.min_box_size, c.snap
     extent = up_ax - lo_ax
-    if extent < 2 * c.min_box_size:
+    if extent < 2 * least:
         return None
     work_per_plane = box_work / extent
     want = int(target_work / work_per_plane)  # planes in the low piece
     # Clamp to the admissible band, then snap the absolute coordinate down.
-    want = max(c.min_box_size, min(want, extent - c.min_box_size))
+    if want > extent - least:
+        want = extent - least
+    if want < least:
+        want = least
     cut = lo_ax + want
-    if c.snap > 1:
-        snapped = (cut // c.snap) * c.snap
+    if snap > 1:
+        snapped = (cut // snap) * snap
         # Snapping down may violate the low piece's min size; snap up then.
-        if snapped - lo_ax < c.min_box_size:
-            snapped = -(-cut // c.snap) * c.snap
+        if snapped - lo_ax < least:
+            snapped = -(-cut // snap) * snap
         cut = snapped
-    if not (lo_ax + c.min_box_size <= cut <= up_ax - c.min_box_size):
+    if not (lo_ax + least <= cut <= up_ax - least):
         return None
     return cut
 
 
 def split_row_to_target(
     row: BoxRow,
+    work: float,
     target_work: float,
     model: WorkModel,
     constraints: SplitConstraints | None = None,
     _depth: int = 0,
-) -> tuple[BoxRow, list[BoxRow]] | None:
-    """Split ``row`` so the first returned piece's work is as close to (and
-    preferably at most) ``target_work`` as the constraints allow; the
-    second element is the list of remainder rows (one for a single cut,
-    several in multi-axis mode).  Rows are plain ``(lower, upper, level)``
-    tuples, so the array-sliced partitioners build no per-box objects
-    while splitting; ``model.work_row`` prices them, memoized, which
-    makes the repeated work probes here O(1).
+) -> tuple[PricedRow, list[PricedRow]] | None:
+    """Split ``row`` of known ``work`` so the first returned piece's work
+    is as close to (and preferably at most) ``target_work`` as the
+    constraints allow; the second element lists the remainders (one for
+    a single cut, several in multi-axis mode).  Every returned row comes
+    with its work: ``model.work_row`` prices each new row exactly once,
+    and the caller hands that price back in when it cuts the row again,
+    so no row is ever re-priced and no memo is needed.  Rows are plain
+    ``(lower, upper, level)`` tuples, so the array-sliced partitioners
+    build no per-box objects while splitting.
 
     With ``allow_multi_axis`` the piece is *recursively* re-cut along its
     own longest axis while its work still exceeds the target -- single cuts
@@ -116,20 +126,19 @@ def split_row_to_target(
     k may differ from L_k thus leading to a 'slight' load imbalance").
     """
     c = constraints or SplitConstraints()
-    if not math.isfinite(target_work):
-        raise PartitionError(f"non-finite target work {target_work}")
-    if target_work < 0:
+    if not 0.0 <= target_work < math.inf:
+        if not math.isfinite(target_work):
+            raise PartitionError(f"non-finite target work {target_work}")
         raise PartitionError(f"negative target work {target_work}")
+    if work <= 0:
+        raise PartitionError(f"box {row} has non-positive work {work}")
     lower, upper, level = row
-    box_work = model.work_row(lower, upper, level)
-    if box_work <= 0:
-        raise PartitionError(f"box {row} has non-positive work {box_work}")
-
-    shape = [u - l for l, u in zip(lower, upper)]
-    axis = shape.index(max(shape))  # longest axis, first on ties
-    cut = _candidate_cut_coords(
-        lower[axis], upper[axis], target_work, box_work, c
-    )
+    ndim = len(lower)
+    axis, longest = 0, upper[0] - lower[0]  # longest axis, first on ties
+    for d in range(1, ndim):
+        if upper[d] - lower[d] > longest:
+            axis, longest = d, upper[d] - lower[d]
+    cut = _candidate_cut_coords(lower[axis], upper[axis], target_work, work, c)
     if cut is None:
         return None
     lo_up = list(upper)
@@ -138,18 +147,15 @@ def split_row_to_target(
     hi_lo[axis] = cut
     lo: BoxRow = (lower, tuple(lo_up), level)
     hi: BoxRow = (tuple(hi_lo), upper, level)
-    ndim = len(lower)
-    if (
-        c.allow_multi_axis
-        and model.work_row(*lo) > target_work
-        and _depth < 3 * ndim
-    ):
-        deeper = split_row_to_target(lo, target_work, model, c, _depth + 1)
-        if deeper is not None:
-            piece, rest = deeper
-            # Accept the recursive cut only when it actually lands closer.
-            if abs(model.work_row(*piece) - target_work) < abs(
-                model.work_row(*lo) - target_work
-            ):
-                return piece, rest + [hi]
-    return lo, [hi]
+    lo_work = model.work_row(*lo)
+    rest = [(hi, model.work_row(*hi))]
+    if c.allow_multi_axis and lo_work > target_work and _depth < 3 * ndim:
+        deeper = split_row_to_target(
+            lo, lo_work, target_work, model, c, _depth + 1
+        )
+        # Accept the recursive cut only when it actually lands closer.
+        if deeper is not None and abs(deeper[0][1] - target_work) < abs(
+            lo_work - target_work
+        ):
+            return deeper[0], deeper[1] + rest
+    return (lo, lo_work), rest

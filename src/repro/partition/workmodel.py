@@ -4,8 +4,8 @@ Every partitioner, :meth:`PartitionResult.loads`, the partition metrics
 and the runtime loop need the same box weights many times per
 repartition.  The AMReX load-balancing literature treats per-box weights
 as one precomputed vector handed to interchangeable strategies;
-:class:`WorkModel` is that vector, plus the caching that keeps box
-*splitting* cheap.
+:class:`WorkModel` is that vector, plus the one-row formula box
+*splitting* prices its pieces with.
 
 Contract
 --------
@@ -14,12 +14,12 @@ Contract
   ``int64`` columns and memoized per list object (``BoxList`` is
   immutable, so identity caching is safe).
 - :meth:`WorkModel.work_row` prices a single box given as a plain
-  ``(lower, upper, level)`` row, with a per-row memo, so the repeated
-  probes of constrained splitting never recompute; fresh split pieces
-  are priced incrementally in O(1) instead of invalidating any
-  list-level result.  The memo lasts one partition call: the
-  partitioner wrapper calls :meth:`WorkModel.forget_rows` on return, so
-  a model reused by every repartition of a run stays bounded.
+  ``(lower, upper, level)`` row, without a memo.  Its one caller is the
+  split kernel (:func:`repro.partition.splitting.split_row_to_target`),
+  which prices each piece it cuts exactly once and returns the price
+  with the piece; a partitioner hands that price back in when it cuts
+  the piece again, so no row is priced twice and nothing outlives a
+  call.
 - :meth:`WorkModel.total` reduces the vector with *sequential* (left to
   right) summation, so partitioner targets -- and therefore
   assignments -- depend neither on NumPy's pairwise reduction order nor
@@ -38,6 +38,8 @@ rejected at class creation.
 from __future__ import annotations
 
 from collections import OrderedDict
+from math import prod
+from operator import sub
 
 import numpy as np
 
@@ -60,7 +62,6 @@ class WorkModel:
                 f"refine_factor must be >= 1, got {refine_factor}"
             )
         self.refine_factor = int(refine_factor)
-        self._row_cache: dict[tuple, float] = {}
         # id -> (pinned sequence, vector); pinning the sequence keeps its
         # id from being reused while the entry lives.
         self._list_cache: OrderedDict[int, tuple[object, np.ndarray]] = (
@@ -138,22 +139,13 @@ class WorkModel:
         """Work of one box given as plain ``(lower, upper, level)`` tuples.
 
         The row hook of a custom model (override together with
-        :meth:`compute`): exact Python-int arithmetic, memo keyed on the
-        row tuple so repeated split probes stay O(1).
+        :meth:`compute`): exact Python-int arithmetic, one call per split
+        piece.
         """
-        key = (lower, upper, level)
-        w = self._row_cache.get(key)
-        if w is None:
-            n = 1
-            for lo, up in zip(lower, upper):
-                n *= up - lo
-            w = float(n * self.refine_factor**level)
-            self._row_cache[key] = w
-        return w
-
-    def forget_rows(self) -> None:
-        """Drop the :meth:`work_row` memo (every partition call ends so)."""
-        self._row_cache.clear()
+        cells_times_weight = prod(
+            map(sub, upper, lower), start=self.refine_factor**level
+        )
+        return float(cells_times_weight)
 
 
 def as_work_model(

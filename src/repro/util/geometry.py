@@ -430,7 +430,7 @@ class BoxArray:
         """Row ``i`` as plain ``(lower, upper, level)`` Python tuples.
 
         The object-free currency of the columnar splitters: cheaper than
-        :meth:`box` (no dataclass validation) and hashable for work memos.
+        :meth:`box` (no dataclass validation).
         """
         i = int(i)
         return (

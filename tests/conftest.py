@@ -9,10 +9,10 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.kernels.workloads import SyntheticWorkload, _chop
-from repro.partition.splitting import split_row_to_target
 from repro.util.errors import GeometryError
 from repro.util.geometry import Box, BoxList, Layout
 from repro.util.sfc import sfc_sort_order
+from tests.partition import reference_splitter
 
 
 @pytest.fixture
@@ -60,9 +60,12 @@ def box_row(box: Box) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
 
 def split_box(box: Box, target: float, model, constraints=None):
-    """``split_row_to_target`` with ``Box`` objects in and out, for tests
-    and per-box reference walks that state expectations as boxes."""
-    out = split_row_to_target(box_row(box), target, model, constraints)
+    """The reference splitter (:mod:`tests.partition.reference_splitter`,
+    not the program's kernel) with ``Box`` objects in and out, for the
+    per-box reference walks that state expectations as boxes."""
+    out = reference_splitter.split_row_to_target(
+        box_row(box), target, model, constraints
+    )
     if out is None:
         return None
     piece, rest = out

@@ -143,8 +143,8 @@ def assign_curve_spans(
     ``partition/composite.py``, kept verbatim as the reference.)
 
     Box works come from the model's vector in one shot; split remainders
-    are priced incrementally through the model's row memo, keeping a
-    ``works`` list aligned with the (mutating) curve position list.
+    are priced one by one through ``model.work_row``, keeping a ``works``
+    list aligned with the (mutating) curve position list.
     """
     num_ranks = len(targets)
     pending = ordered
@@ -270,13 +270,15 @@ def reference_graph_partition(boxes: BoxList, capacities, model) -> PartitionRes
     return PartitionResult(Layout.from_pairs(pairs), targets, work_model=model)
 
 
-def reference_levelwise(boxes: BoxList, capacities, model) -> PartitionResult:
+def reference_levelwise(
+    boxes: BoxList, capacities, model, inner=reference_greedy
+) -> PartitionResult:
     caps = Partitioner._check_inputs(boxes, capacities)
     targets = caps * model.total(boxes)
     pairs: list[tuple[Box, int]] = []
     num_splits = 0
     for level in boxes.levels:
-        sub = reference_greedy(boxes.at_level(level), caps, model)
+        sub = inner(boxes.at_level(level), caps, model)
         pairs.extend(layout_pairs(sub.layout))
         num_splits += sub.num_splits
     return PartitionResult(Layout.from_pairs(pairs), targets, num_splits, model)
@@ -501,3 +503,68 @@ def test_greedy_matches_reference_on_patchworks(boxes, caps, striped):
         GreedyLPT().partition(boxes, caps, model),
         reference_greedy(boxes, caps, model),
     )
+
+
+# ---------------------------------------------------------------------------
+# Differential: split-heavy hierarchies (long chains of cuts)
+# ---------------------------------------------------------------------------
+@st.composite
+def split_heavy_hierarchies(draw) -> BoxList:
+    """1-12 large 3-D boxes (sides 8-64, levels 0-2), one per 128-cell
+    slot along x: on 64-512 ranks most targets are a fraction of a box,
+    so every partitioner below cuts chains of tens to hundreds of
+    pieces, remainders of remainders included."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    corner = np.zeros((n, 3), dtype=np.int64)
+    corner[:, 0] = np.arange(n) * 128
+    side = rng.integers(8, 65, size=(n, 3))
+    return BoxList.from_array(
+        BoxArray(corner, corner + side, rng.integers(0, 3, size=n))
+    )
+
+
+@st.composite
+def many_rank_capacities(draw) -> np.ndarray:
+    """64-512 ranks of skewed capacities, some of them zero."""
+    num_ranks = draw(st.integers(64, 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    caps = rng.choice([0.0, 0.5, 1.0, 1.0, 3.0], size=num_ranks)
+    caps[rng.integers(num_ranks)] = 1.0  # total capacity stays positive
+    return caps
+
+
+SPLIT_HEAVY = {
+    "ACEHeterogeneous": (
+        lambda c: ACEHeterogeneous(c),
+        lambda b, caps, m, c: reference_heterogeneous(b, caps, m, c),
+    ),
+    "ACEComposite": (
+        lambda c: ACEComposite(c),
+        lambda b, caps, m, c: reference_curve(b, caps, m, c, equal_targets=True),
+    ),
+    "SFCHybrid": (
+        lambda c: SFCHybrid(c),
+        lambda b, caps, m, c: reference_curve(b, caps, m, c, equal_targets=False),
+    ),
+    "LevelPartitioner": (
+        lambda c: LevelPartitioner(ACEHeterogeneous(c)),
+        lambda b, caps, m, c: reference_levelwise(
+            b, caps, m, inner=lambda lb, lc, lm: reference_heterogeneous(lb, lc, lm, c)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_HEAVY))
+@settings(max_examples=25, deadline=None)
+@given(split_heavy_hierarchies(), many_rank_capacities(), st.booleans(), st.booleans())
+def test_split_heavy_matches_reference(name, boxes, caps, multi, striped):
+    """The partitioners that cut, against their object-path references
+    on the reference splitter: same pieces, ranks, split counts, loads."""
+    model = StripedWorkModel() if striped else WorkModel()
+    constraints = SplitConstraints(allow_multi_axis=multi)
+    make, reference = SPLIT_HEAVY[name]
+    result = make(constraints).partition(boxes, caps, model)
+    assert result.num_splits > 0
+    _assert_identical(result, reference(boxes, caps, model, constraints))

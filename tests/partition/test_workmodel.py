@@ -17,7 +17,7 @@ from repro.partition import (
     SFCHybrid,
     load_imbalance,
 )
-from repro.partition.workmodel import WorkModel, as_work_model
+from repro.partition.workmodel import _MAX_CACHED_LISTS, WorkModel, as_work_model
 from repro.util.errors import PartitionError
 from repro.util.geometry import Box, BoxList
 from tests.conftest import box_row, box_work as default_work, layout_pairs
@@ -96,8 +96,11 @@ class TestWorkModel:
         assert total == left_fold == 2.0**53
 
     def test_work_row_memoized(self):
-        """``work_row`` is memoized, and the memo lasts one partition call:
-        a model reused across many calls stays bounded."""
+        """A model reused across many partition calls stays bounded: the
+        split kernel prices each piece once and the model stores none of
+        them, so after 12 splitting calls it holds the attributes a fresh
+        model holds and at most ``_MAX_CACHED_LISTS`` vectors.  (The name
+        predates the removal of the per-row memo.)"""
         model = WorkModel()
         b = Box((0, 0), (8, 4), level=2)
         assert model.work_row(*box_row(b)) == default_work(b)
@@ -107,9 +110,8 @@ class TestWorkModel:
             for scheme in (ACEHeterogeneous(), ACEComposite()):
                 r = scheme.partition(epochs.epoch(e), PAPER_CAPS, model)
                 splits += r.num_splits
-                # Pieces were priced through the memo during the call;
-                # none outlives it, however many calls reuse the model.
-                assert len(model._row_cache) == 0
+                assert vars(model).keys() == vars(WorkModel()).keys()
+                assert len(model._list_cache) <= _MAX_CACHED_LISTS
         assert splits > 0
 
     def test_empty_sequence(self):

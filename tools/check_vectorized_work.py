@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Fail if scalar per-box idioms creep back into the columnar core.
 
-Eight families of checks, so a reviewer does not have to spot
-regressions by eye (the first two are mostly substring/regex greps, the
-last six walk the syntax tree):
+Nine families of checks, so regressions need not be spotted by eye
+(the first two are mostly substring/regex greps, the last seven walk
+the syntax tree):
 
 **Work pricing** (all of ``src/``): boxes are priced through a
 :class:`repro.partition.workmodel.WorkModel` -- its cached vector
@@ -46,6 +46,18 @@ escapes a scan made once per run, not per box::
 
     for w in placed:
         r = int(np.argmin((loads + w) / caps))   # heap of (key, rank)
+
+**Re-pricing** (``partition/`` only): the split kernel
+(``splitting.py``) prices each piece it cuts exactly once and returns
+the price with the piece; a partitioner carries that work with the row
+(heap entry, deque slot) and hands it back when it cuts the row again.
+A ``work_row(`` call anywhere else in the package prices a row a second
+time, and an ``np.searchsorted`` call in a loop body is one numpy call
+per queue event where ``bisect`` on a list does the same search::
+
+    remaining -= model.work_row(*piece)   # (piece, piece_w), rest = split
+    while rests:
+        stop = np.searchsorted(base_w, w) # bisect_right(base_wl, w)
 
 **Float sums** (``partition/`` and ``util/`` only): a work total is a
 strict left fold, so targets and assignments do not depend on the
@@ -189,6 +201,13 @@ STATE_QUERIES = frozenset({"state_of"})
 #: O(ranks) numpy scans no per-box loop in ``partition/`` may call.
 RANK_SCANS = frozenset({"argmin", "argmax"})
 
+#: The one module that may price a row (the split kernel), the row
+#: pricing hook, and the per-event array search its callers replace
+#: with ``bisect``.
+SPLIT_KERNEL = PARTITION_DIR / "splitting.py"
+ROW_PRICING = frozenset({"work_row"})
+QUEUE_SEARCHES = frozenset({"searchsorted"})
+
 #: Packages whose float reductions must be left folds.
 FLOAT_SUM_DIRS = (PARTITION_DIR, SRC / "repro" / "util")
 
@@ -240,6 +259,17 @@ for w in placed:
         k = keys.argmax()
         j = np.argmax(keys)  # per-box ok: one scan per run
 hot = [np.argmin(k) for k in rows]
+"""
+
+_PLANTED_REPRICING = """\
+def work_row(self, lower, upper, level):
+    return super().work_row(lower, upper, level)
+stop = int(np.searchsorted(base_w, top, side="right"))
+while rests:
+    stop = int(np.searchsorted(base_w, rests[0][0], side="right"))
+    remaining -= model.work_row(*piece)
+    stop = bisect_right(base_wl, rests[0][0], cursor)
+heap = [(model.work_row(*r), r) for r in rest]
 """
 
 _PLANTED_LIST_SUM = """\
@@ -454,6 +484,16 @@ def self_test() -> list[str]:
             f"lint self-test: rank scans flagged lines {got} of the"
             f" planted offender, expected [3, 5, 7]"
         )
+    for rule, names, expected in (
+        (named_calls, ROW_PRICING, [2, 6, 8]),
+        (looped_calls, QUEUE_SEARCHES, [5]),
+    ):
+        got = rule(_PLANTED_REPRICING, names)
+        if got != expected:
+            failures.append(
+                f"lint self-test: re-pricing {sorted(names)} flagged lines"
+                f" {got} of the planted offender, expected {expected}"
+            )
     got = list_sums(_PLANTED_LIST_SUM)
     if got != [1, 4]:
         failures.append(
@@ -517,6 +557,17 @@ def main() -> int:
                 f"{rel}:{lineno}: O(ranks) `argmin`/`argmax` scan per box"
                 f" -- pick from a heap keyed once per run"
                 for lineno in rank_scans(source)
+            )
+            if path != SPLIT_KERNEL:
+                violations.extend(
+                    f"{rel}:{lineno}: `work_row(` outside the split kernel"
+                    f" -- carry the work split_row_to_target returned"
+                    for lineno in named_calls(source, ROW_PRICING)
+                )
+            violations.extend(
+                f"{rel}:{lineno}: `searchsorted` in a loop -- one numpy call"
+                f" per queue event; bisect a list once per call instead"
+                for lineno in looped_calls(source, QUEUE_SEARCHES)
             )
         for patterns, what in (
             (FORBIDDEN_WORK, "scalar work loop `{}` -- use WorkModel.vector()/total()"),
